@@ -26,49 +26,8 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-json runs the evidence benchmarks and commits the numbers as
-# machine-readable JSON (the EXPERIMENTS.md evidence file). PR3 adds the
-# traced end-to-end variant, so batch-64 vs batch-64-traced in
-# BENCH_PR3.json pins the telemetry overhead (budget: <5%). PR4 adds
-# campaign throughput (full synthesize→attack→verify scenarios per
-# second) at pool width 1 vs all CPUs. PR5 adds end-to-end service
-# throughput (full attack jobs per second through the job engine on a
-# saturated worker pool against a cache-warm victim). PR6 re-runs the
-# fabric and scanner evidence: ClockBatch's lanes-64 vs lanes-64-walker
-# ratio is the compiled-evaluator acceptance number, and the
-# ScannerBatchVsSequential pair replaces BENCH_PR2's inverted MB/s
-# figures (that harness rebuilt the scanner inside the timed loop and
-# credited the batch pass with 1/21st of its logical bytes). PR7 adds
-# the multi-word widths: ClockBatch/lanes-{128,256} per-lane scaling,
-# the >64-candidate width-aware sweep (BenchmarkCandidateSweepWide in
-# internal/core, one 128-lane pass vs the 64-lane double-pass), and the
-# batch-128 end-to-end attack; both packages' output merges into
-# BENCH_PR7.json. PR8 adds the live-streaming variant: batch-64-streamed
-# runs the traced attack with every event published onto the EventBus
-# and one SSE subscriber draining the firehose over real HTTP, so the
-# batch-64 vs batch-64-streamed ratio in BENCH_PR8.json pins the full
-# live-observability overhead (budget: <5%). PR9 adds fleet scaling:
-# BenchmarkFleetThroughput drives device-bound jobs (one modelled attack
-# rig per worker process, 300ms occupancy each) through the coordinator
-# at 1, 2 and 4 workers — jobs/sec at workers-4 must be ≥3x workers-1 —
-# and re-runs the single-process BenchmarkServiceThroughput so the
-# durable store + fairness scheduler's overhead shows against the PR5
-# baseline in the same file. PR10 adds census-at-scale:
-# BenchmarkCorpusCensus streams the same seeded corpus through the
-# shared engine with dedup on and off, and through the two per-design
-# sequential paths (a fresh FINDLUT pass per design, and the full
-# attack per design) — dedup-on designs/sec must be ≥3x
-# sequential-attack, the headline amortization number of the corpus
-# subsystem.
-BENCH_PR2 = BenchmarkAttackEndToEnd|BenchmarkCandidateSweep|BenchmarkClockBatch|BenchmarkScannerBatchVsSequential|BenchmarkFindLUT10MB
-BENCH_PR3 = BenchmarkAttackEndToEnd
-BENCH_PR4 = BenchmarkCampaignThroughput
-BENCH_PR5 = BenchmarkServiceThroughput
-BENCH_PR6 = BenchmarkClockBatch|BenchmarkCandidateSweep|BenchmarkScannerBatchVsSequential
-BENCH_PR7 = BenchmarkClockBatch|BenchmarkCandidateSweep|BenchmarkAttackEndToEnd
-BENCH_PR8 = BenchmarkAttackEndToEnd
-BENCH_PR9 = BenchmarkServiceThroughput|BenchmarkFleetThroughput
-BENCH_PR10 = BenchmarkCorpusCensus
+# bench-json reruns the corpus census benchmark and rewrites its
+# committed evidence file, BENCH_PR10.json.
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkCorpusCensus' -benchtime 2s -timeout 20m ./internal/corpus/ \
 		| $(GO) run ./tools/benchjson -o BENCH_PR10.json

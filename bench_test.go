@@ -175,9 +175,6 @@ func BenchmarkAttackEndToEnd(b *testing.B) {
 	}{
 		{"scalar-1", 1, false, false},
 		{"batch-64", 64, false, false},
-		// The two-word width: sweeps above 64 candidates collapse to
-		// half the fabric passes (ISSUE 7).
-		{"batch-128", 128, false, false},
 		{"batch-64-traced", 64, true, false},
 		{"batch-64-streamed", 64, true, true},
 	} {
@@ -277,11 +274,6 @@ func BenchmarkClockBatch(b *testing.B) {
 	}{
 		{"lanes-1", 1, false},
 		{"lanes-64", 64, false},
-		// The multi-word widths: one settle advances 128/256 virtual
-		// devices over two/four register words per slot. The per-lane
-		// figure must stay within 1.3× of lanes-64 (ISSUE 7 acceptance).
-		{"lanes-128", 128, false},
-		{"lanes-256", 256, false},
 		// The interpreting graph walker the compiled program replaced,
 		// kept benchmarkable via SetWalker: the lanes-64 vs
 		// lanes-64-walker ratio is PR 6's acceptance number.

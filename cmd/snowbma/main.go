@@ -263,7 +263,8 @@ func cmdAttack(args []string) error {
 	encrypted := fs.Bool("encrypted", false, "victim uses an encrypted bitstream")
 	verbose := fs.Bool("v", false, "log attack progress")
 	census := fs.Bool("census", false, "use census-guided discovery instead of the Table II catalogue")
-	lanes := fs.Int("lanes", snowbma.DefaultLanes, "candidate-sweep width: simulator lanes per fabric pass (1 = scalar, up to 256)")
+	lanes := fs.Int("lanes", snowbma.DefaultLanes,
+		fmt.Sprintf("candidate-sweep width: simulator lanes per fabric pass (1 = scalar, up to %d)", snowbma.MaxLanes))
 	stats := fs.Bool("stats", false, "print scan-engine and batch-sweep counters even on failure")
 	tracePath := traceFlag(fs)
 	keyStr := keyFlag(fs)

@@ -110,9 +110,9 @@ func TestCmdFlagValidation(t *testing.T) {
 		{"verify zero -n", func() error { return cmdVerify([]string{"-bits", empty, "-n", "-2"}) }},
 		{"attack zero -lanes", func() error { return cmdAttack([]string{"-lanes", "0"}) }},
 		{"attack negative -lanes", func() error { return cmdAttack([]string{"-lanes", "-4"}) }},
-		{"attack oversized -lanes", func() error { return cmdAttack([]string{"-lanes", "257"}) }},
+		{"attack oversized -lanes", func() error { return cmdAttack([]string{"-lanes", "65"}) }},
 		{"census attack oversized -lanes", func() error {
-			return cmdAttack([]string{"-census", "-lanes", "300"})
+			return cmdAttack([]string{"-census", "-lanes", "100"})
 		}},
 	} {
 		if err := tc.run(); err == nil {
@@ -145,12 +145,12 @@ func TestCmdAttackLanesErrorMessage(t *testing.T) {
 	// Lane validation is unified across CLI, facade, campaign and service:
 	// the command wraps the shared core.ErrLanes instead of formatting its
 	// own bound.
-	err := cmdAttack([]string{"-lanes", "257"})
+	err := cmdAttack([]string{"-lanes", "65"})
 	if !errors.Is(err, core.ErrLanes) {
-		t.Fatalf("attack -lanes 257 = %v, want core.ErrLanes", err)
+		t.Fatalf("attack -lanes 65 = %v, want core.ErrLanes", err)
 	}
-	if err := cmdCampaign([]string{"-lanes", "257", "-runs", "1"}); !errors.Is(err, core.ErrLanes) {
-		t.Fatalf("campaign -lanes 257 = %v, want core.ErrLanes", err)
+	if err := cmdCampaign([]string{"-lanes", "65", "-runs", "1"}); !errors.Is(err, core.ErrLanes) {
+		t.Fatalf("campaign -lanes 65 = %v, want core.ErrLanes", err)
 	}
 }
 

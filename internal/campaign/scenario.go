@@ -51,10 +51,9 @@ type Scenario struct {
 	ExpectRecovery bool `json:"expect_recovery"`
 }
 
-// laneChoices is the sweep-width dimension: scalar, narrow, partial
-// batches, and each multi-word width (one, two and four register-slot
-// words per net).
-var laneChoices = []int{1, 2, 8, device.LaneWordBits, 2 * device.LaneWordBits, device.MaxLanes}
+// laneChoices is the sweep-width dimension: scalar, narrow, partial and
+// full bitsliced batches.
+var laneChoices = []int{1, 2, 8, device.MaxLanes}
 
 // GenerateScenarios derives the campaign's scenario list from the
 // master seed. Generation is sequential and independent of Parallel, so

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"snowbma/internal/bitstream"
 	"snowbma/internal/device"
@@ -14,18 +13,17 @@ import (
 // The verification phases of the attack are candidate sweeps: many
 // variants of one bitstream that differ in a few LUT truth tables each.
 // On hardware every trial costs a full reconfiguration (Report.Loads,
-// the paper's cost metric); in the simulator the sweep packs up to 256
+// the paper's cost metric); in the simulator the sweep packs up to 64
 // candidates into one bitsliced fabric pass. The two accountings are
 // kept strictly separate — Loads counts modeled hardware trials exactly
 // as the scalar path would, BatchStats counts what the simulator
 // actually executed.
 
-// DefaultLanes is the sweep width a new Attack starts with: two
-// register-slot words, i.e. 128 lanes. The standard attack's candidate
-// families run to ~100 members, so 128 lanes covers each family in one
-// fabric pass while a two-word pass stays cheaper per lane than the
-// four-word maximum width at partial occupancy.
-const DefaultLanes = 2 * device.LaneWordBits
+// DefaultLanes is the sweep width a new Attack starts with: the full
+// 64-lane register word. The standard attack's sweeps hold 44
+// candidates in total, so every one of its fabric passes fits in one
+// word.
+const DefaultLanes = device.MaxLanes
 
 // ErrLanes is wrapped by ValidateLanes (and therefore SetLanes) for
 // out-of-range sweep widths.
@@ -56,11 +54,11 @@ func (a *Attack) SetLanes(n int) error {
 
 // BatchStats surfaces the simulator-side cost of the candidate sweeps,
 // deliberately separate from Report.Loads: a fabric pass evaluates up
-// to 256 candidate lanes but models that many individual
+// to 64 candidate lanes but models that many individual
 // reconfigurations on real hardware, so Loads (and HardwareEstimate)
-// are invariant under the sweep width. LaneWords counts what a pass
-// actually costs the simulator — a 100-lane pass runs two 64-lane
-// register words regardless of occupancy.
+// are invariant under the sweep width. LaneWords counts what the passes
+// cost the simulator: every pass sweeps one 64-lane register word
+// regardless of occupancy, so it grows by 1 per pass.
 type BatchStats struct {
 	Width         int // configured sweep width (lanes per fabric pass)
 	Passes        int // bitsliced fabric passes executed
@@ -77,9 +75,9 @@ type BatchStats struct {
 }
 
 // batchLoader is the optional fast path of a Victim: a device whose
-// simulator can instantiate up to 64 lane-patched copies of one base
-// configuration. *device.FPGA implements it; a victim that does not is
-// served entirely by the scalar path.
+// simulator can instantiate up to device.MaxLanes lane-patched copies
+// of one base configuration. *device.FPGA implements it; a victim that
+// does not is served entirely by the scalar path.
 type batchLoader interface {
 	LoadPatched(img []byte, patches []bitstream.PatchSet) (*device.Batch, error)
 	// BatchOf skips the base image load when the device still holds the
@@ -190,10 +188,10 @@ type sweep struct {
 	z     [][]uint32
 	errs  []error
 	done  []bool
-	// starts is the width-aware chunk partition: starts[k] is the first
-	// candidate of chunk k. Fixed at sweep creation from the width the
-	// attack ran with at that point.
-	starts []int
+	// lanes is the chunk width: candidate i belongs to the chunk
+	// starting at i - i%lanes. Fixed at sweep creation from the width
+	// the attack ran with at that point.
+	lanes int
 	// completed counts evaluated candidates, so chunk progress events
 	// carry done/total without rescanning the done slice.
 	completed int
@@ -202,40 +200,17 @@ type sweep struct {
 func (a *Attack) newSweep(count, n int, build func(int, []byte)) *sweep {
 	return &sweep{
 		a: a, n: n, build: build,
-		z:      make([][]uint32, count),
-		errs:   make([]error, count),
-		done:   make([]bool, count),
-		starts: chunkStarts(count, a.lanes),
+		z:     make([][]uint32, count),
+		errs:  make([]error, count),
+		done:  make([]bool, count),
+		lanes: a.lanes,
 	}
-}
-
-// chunkStarts partitions count candidates into fabric passes of at most
-// lanes candidates each. There is no three-word evaluator (LaneWords
-// rounds 129..192 lanes up to four words), so a tail chunk that would
-// land in that range is split at two words instead: 100 candidates run
-// as one 128-lane (two-word) pass, 150 as a 128-lane pass plus a
-// 22-lane one-word pass — never a four-word pass at sub-200 occupancy.
-func chunkStarts(count, lanes int) []int {
-	var starts []int
-	for lo := 0; lo < count; {
-		starts = append(starts, lo)
-		c := min(count-lo, lanes)
-		if c > 2*device.LaneWordBits && c <= 3*device.LaneWordBits {
-			c = 2 * device.LaneWordBits
-		}
-		lo += c
-	}
-	return starts
 }
 
 // chunkOf returns the [lo, hi) candidate span of the chunk containing i.
 func (s *sweep) chunkOf(i int) (int, int) {
-	k := sort.SearchInts(s.starts, i+1) - 1
-	hi := len(s.done)
-	if k+1 < len(s.starts) {
-		hi = s.starts[k+1]
-	}
-	return s.starts[k], hi
+	lo := i - i%s.lanes
+	return lo, min(lo+s.lanes, len(s.done))
 }
 
 // run returns candidate i's keystream. It does no load accounting:
@@ -348,7 +323,7 @@ func (a *Attack) loadAndRunBatch(bl batchLoader, patches []bitstream.PatchSet, n
 	}
 	zs := hdl.GenerateKeystreamBatch(batch, a.iv, n)
 	a.rep.Batch.Passes++
-	a.rep.Batch.LaneWords += device.LaneWords(len(patches))
+	a.rep.Batch.LaneWords++
 	a.rep.Batch.Lanes += len(patches)
 	for _, ps := range patches {
 		a.rep.Batch.PatchedFrames += ps.Frames()

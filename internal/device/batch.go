@@ -9,56 +9,22 @@ import (
 
 // The candidate-verification loops of the attack evaluate many variants
 // of one design that differ only in a few LUT truth tables or BRAM
-// words. Batch packs up to 256 such variants into one simulation: every
-// net becomes a group of words whose bit (64w + L mod 64) is the value
-// of that net in lane L. All lanes share the parsed Description (the
-// routing never changes); per-lane behaviour comes from lane-patched
-// LUT truth tables and BRAM tables. LUT evaluation reduces a transposed
-// truth table through a mux tree, BRAM reads gather per-lane words and
-// scatter them back into bitsliced output nets, and the carry chain
-// ripples lane-wise — so one pass through the evaluation order advances
-// all lanes together.
+// words. Batch packs up to 64 such variants into one simulation: every
+// net becomes a 64-bit word whose bit L is the value of that net in
+// lane L. All lanes share the parsed Description (the routing never
+// changes); per-lane behaviour comes from lane-patched LUT truth tables
+// and BRAM tables. LUT evaluation reduces a transposed truth table
+// through a mux tree, BRAM reads gather per-lane words and scatter them
+// back into bitsliced output nets, and the carry chain ripples
+// lane-wise — so one pass through the evaluation order advances all
+// lanes together.
 
 // LaneWordBits is the lane capacity of one register word — the unit of
 // the bitsliced representation and of the 64x64 transposes.
 const LaneWordBits = 64
 
-// MaxLaneWords is the widest supported register slot, in words.
-const MaxLaneWords = 4
-
-// MaxLanes is the lane capacity of a Batch: LaneWordBits lanes per
-// register-slot word, up to MaxLaneWords words per slot.
-const MaxLanes = LaneWordBits * MaxLaneWords
-
-// LaneWords returns the words-per-register-slot a batch of n lanes runs
-// at: 1, 2 or 4. There is no three-word evaluator, so widths in
-// 129..192 round up to four words; width-aware sweep chunking avoids
-// handing out such chunks.
-func LaneWords(n int) int {
-	switch {
-	case n <= LaneWordBits:
-		return 1
-	case n <= 2*LaneWordBits:
-		return 2
-	default:
-		return MaxLaneWords
-	}
-}
-
-// laneMaskWord returns the active-lane mask of word w at the given lane
-// count: all-ones for fully populated words, a partial mask for the
-// word holding the last active lane, zero past it.
-func laneMaskWord(lanes, w int) uint64 {
-	n := lanes - w*LaneWordBits
-	switch {
-	case n >= LaneWordBits:
-		return ^uint64(0)
-	case n <= 0:
-		return 0
-	default:
-		return 1<<uint(n) - 1
-	}
-}
+// MaxLanes is the lane capacity of a Batch: one register word per net.
+const MaxLanes = LaneWordBits
 
 // Batch is a bitsliced multi-lane instance of a loaded configuration.
 //
@@ -78,23 +44,21 @@ type Batch struct {
 	st *progState
 	// walk switches settle to the legacy description-walking evaluator,
 	// kept as the differential/bench baseline (SetWalker). Both
-	// evaluators read the state's word-planar LUT rows (st.rows), so a
-	// lane patch is written once and seen by both; SetWalker
-	// materializes the rows the compiled path never needed.
+	// evaluators read the state's LUT rows (st.rows), so a lane patch is
+	// written once and seen by both; SetWalker materializes the rows the
+	// compiled path never needed.
 	walk bool
 	// bramTab is the shared (base) content; bramOver[b][L] overrides it
-	// for lane L (global lane index) when non-nil (walker path; the
-	// compiled path resolves overrides into st.tabs).
+	// for lane L when non-nil (walker path; the compiled path resolves
+	// overrides into st.tabs).
 	bramTab  [][]uint64
 	bramOver [][][]uint64
 	inPins   map[string]uint32
 	outPins  map[string]uint32
-	// gather is the walker's per-block BRAM buffer: one 64-lane block of
-	// per-lane table words, transposed in place into bitsliced outputs.
+	// gather is the walker's BRAM buffer: per-lane table words,
+	// transposed in place into bitsliced outputs.
 	gather [LaneWordBits]uint64
-	// rdbuf backs ReadLaneWords calls that pass no destination.
-	rdbuf [MaxLaneWords]uint64
-	dirty bool
+	dirty  bool
 	// primed is set after the first walker settle: address-less BRAMs
 	// (constant ROMs) drive the same lane masks forever and are skipped
 	// afterwards. The compiled path replaces this with the prologue.
@@ -207,7 +171,7 @@ func (f *FPGA) BatchOf(patches []bitstream.PatchSet) (*Batch, error) {
 
 // setLaneTT installs a truth table into one lane of a LUT's transposed
 // rows and switches the LUT's compiled form to read them (an in-place
-// site rewrite below 65 lanes, a masked reduce fixup above).
+// site rewrite).
 func (b *Batch) setLaneTT(lut, lane int, tt boolfn.TT) {
 	b.st.patchLUTLane(lut, lane, tt)
 }
@@ -269,51 +233,20 @@ func (b *Batch) SetWalker(on bool) {
 // Lanes reports the number of active lanes.
 func (b *Batch) Lanes() int { return b.lanes }
 
-// Words reports the register-slot width in 64-lane words
-// (LaneWords(Lanes())).
-func (b *Batch) Words() int { return b.st.words }
-
-// SetInputLanes drives an input pin with a 64-lane mask pattern: lane L
-// sees bit (L mod 64), i.e. the pattern repeats across every 64-lane
-// word. The control protocol only ever drives all-lanes-0 or
-// all-lanes-1, which the repetition extends to any width; per-lane
-// drives beyond 64 lanes go through SetInputLaneWords.
+// SetInputLanes drives an input pin with a lane mask: bit L is the
+// value lane L sees.
 func (b *Batch) SetInputLanes(name string, mask uint64) {
 	net, ok := b.inPins[name]
 	if !ok {
 		panic(fmt.Sprintf("device: no input pin %q", name))
 	}
-	W := b.st.words
-	ni := int(net) * W
-	for w := 0; w < W; w++ {
-		b.st.regs[ni+w] = mask
-	}
-	b.dirty = true
-}
-
-// SetInputLaneWords drives an input pin with per-lane values across the
-// full width: bit L%64 of masks[L/64] is the value seen by lane L.
-// Missing high words are driven to zero.
-func (b *Batch) SetInputLaneWords(name string, masks []uint64) {
-	net, ok := b.inPins[name]
-	if !ok {
-		panic(fmt.Sprintf("device: no input pin %q", name))
-	}
-	W := b.st.words
-	ni := int(net) * W
-	for w := 0; w < W; w++ {
-		var m uint64
-		if w < len(masks) {
-			m = masks[w]
-		}
-		b.st.regs[ni+w] = m
-	}
+	b.st.regs[net] = mask
 	b.dirty = true
 }
 
 // ReadLanes samples an output pin after the last clock edge and returns
-// the lane mask of the first 64 lanes; bits above Lanes() are zero.
-// Batches wider than 64 lanes read the full width with ReadLaneWords.
+// its lane mask; bits at or above Lanes() are zero, so stale register
+// content from inactive lanes never leaks to callers.
 func (b *Batch) ReadLanes(name string) uint64 {
 	net, ok := b.outPins[name]
 	if !ok {
@@ -322,32 +255,7 @@ func (b *Batch) ReadLanes(name string) uint64 {
 	if b.dirty {
 		b.settle()
 	}
-	return b.st.regs[int(net)*b.st.words] & laneMaskWord(b.lanes, 0)
-}
-
-// ReadLaneWords samples an output pin across the full lane width,
-// appending Words() lane-mask words to dst (pass nil, or a previous
-// result to reuse its backing array): bit L%64 of word L/64 is lane L's
-// value. Every bit at or above Lanes() — including the partial top word
-// of a width like 100 — is masked to zero, so stale register content
-// from inactive lanes never leaks to callers.
-func (b *Batch) ReadLaneWords(name string, dst []uint64) []uint64 {
-	net, ok := b.outPins[name]
-	if !ok {
-		panic(fmt.Sprintf("device: no output pin %q", name))
-	}
-	if b.dirty {
-		b.settle()
-	}
-	if dst == nil {
-		dst = b.rdbuf[:0]
-	}
-	W := b.st.words
-	base := int(net) * W
-	for w := 0; w < W; w++ {
-		dst = append(dst, b.st.regs[base+w]&laneMaskWord(b.lanes, w))
-	}
-	return dst
+	return b.st.regs[net] & (^uint64(0) >> uint(LaneWordBits-b.lanes))
 }
 
 // ClockBatch advances all lanes one cycle: evaluate, then latch every
@@ -374,21 +282,14 @@ func (b *Batch) settle() {
 }
 
 // walkSettle is the original description-walking evaluator, running
-// over the same register file as the compiled program. At widths beyond
-// one word it walks every 64-lane block with the same per-item logic,
-// staying the ground truth the compiled kernels are pinned against.
+// over the same register file as the compiled program — the ground
+// truth the compiled kernel is pinned against.
 func (b *Batch) walkSettle() {
-	W := b.st.words
 	nets := b.st.regs
-	for w := 0; w < W; w++ {
-		nets[w] = 0
-		nets[W+w] = ^uint64(0)
-	}
+	nets[0] = 0
+	nets[1] = ^uint64(0)
 	for i, ff := range b.desc.FFs {
-		qi := int(ff.Q) * W
-		for w := 0; w < W; w++ {
-			nets[qi+w] = b.st.ff[i*W+w]
-		}
+		nets[ff.Q] = b.st.ff[i]
 	}
 	for _, item := range b.desc.Eval {
 		switch item.Kind {
@@ -399,10 +300,10 @@ func (b *Batch) walkSettle() {
 				// Fractured LUT: a6 selects the half (Fig 4); only the
 				// first five inputs address within a half.
 				k := min(len(rec.Inputs), 5)
-				b.walkReduce(rows, 0, k, rec.Inputs, rec.O5)
-				b.walkReduce(rows, 32, k, rec.Inputs, rec.O6)
+				nets[rec.O5] = b.reduce(rows, k, rec.Inputs)
+				nets[rec.O6] = b.reduce(rows[32:], k, rec.Inputs)
 			} else {
-				b.walkReduce(rows, 0, len(rec.Inputs), rec.Inputs, rec.O6)
+				nets[rec.O6] = b.reduce(rows, len(rec.Inputs), rec.Inputs)
 			}
 		case bitstream.EvalBRAM:
 			rec := &b.desc.BRAMs[item.Index]
@@ -412,68 +313,41 @@ func (b *Batch) walkSettle() {
 				continue
 			}
 			over := b.bramOver[item.Index]
-			for w := 0; w < W; w++ {
-				bl := b.lanes - w*LaneWordBits
-				if bl <= 0 {
-					break
+			words := b.gather[:b.lanes]
+			for L := range words {
+				addr := 0
+				for i, a := range rec.Addr {
+					addr |= int(nets[a]>>uint(L)&1) << uint(i)
 				}
-				if bl > LaneWordBits {
-					bl = LaneWordBits
+				tab := b.bramTab[item.Index]
+				if over != nil && over[L] != nil {
+					tab = over[L]
 				}
-				words := b.gather[:bl]
-				for L := range words {
-					addr := 0
-					for i, a := range rec.Addr {
-						addr |= int(nets[int(a)*W+w]>>uint(L)&1) << uint(i)
-					}
-					tab := b.bramTab[item.Index]
-					if over != nil && over[w*LaneWordBits+L] != nil {
-						tab = over[w*LaneWordBits+L]
-					}
-					words[L] = tab[addr]
-				}
-				// Scatter the per-lane words back into bitsliced output
-				// nets: a 64x64 bit-matrix transpose turns "bit bi of
-				// words[L]" into "bit L of row bi" in one pass, far cheaper
-				// than a per-out per-lane gather loop. Rows for lanes >=
-				// b.lanes carry stale bits, which is harmless: bit L of any
-				// net only ever depends on bit L of other nets, and
-				// ReadLanes/ReadLaneWords mask to active lanes.
-				transpose64(&b.gather)
-				for bi, out := range rec.Out {
-					nets[int(out)*W+w] = b.gather[bi]
-				}
+				words[L] = tab[addr]
+			}
+			// Scatter the per-lane words back into bitsliced output nets:
+			// a 64x64 bit-matrix transpose turns "bit bi of words[L]" into
+			// "bit L of row bi" in one pass, far cheaper than a per-out
+			// per-lane gather loop. Rows for lanes >= b.lanes carry stale
+			// bits, which is harmless: bit L of any net only ever depends
+			// on bit L of other nets, and ReadLanes masks to active lanes.
+			transpose64(&b.gather)
+			for bi, out := range rec.Out {
+				nets[out] = b.gather[bi]
 			}
 		case bitstream.EvalAdder:
 			rec := &b.desc.Adders[item.Index]
-			for w := 0; w < W; w++ {
-				var carry uint64
-				for i := range rec.A {
-					av, bv := nets[int(rec.A[i])*W+w], nets[int(rec.B[i])*W+w]
-					x := av ^ bv
-					nets[int(rec.Sum[i])*W+w] = x ^ carry
-					carry = av&bv | carry&x
-				}
+			var carry uint64
+			for i := range rec.A {
+				av, bv := nets[rec.A[i]], nets[rec.B[i]]
+				x := av ^ bv
+				nets[rec.Sum[i]] = x ^ carry
+				carry = av&bv | carry&x
 			}
 		}
 	}
 	b.dirty = false
 	b.primed = true
-}
-
-// walkReduce is the walker's LUT evaluation over the word-planar rows:
-// the single-word mux reduce below 65 lanes, one per-word reduce per
-// 64-lane block above. off selects the fractured-LUT half (0 or 32)
-// within each word's block.
-func (b *Batch) walkReduce(rows []uint64, off, k int, inputs []uint32, out uint32) {
-	W := b.st.words
-	if W == 1 {
-		b.st.regs[out] = b.reduce(rows[off:], k, inputs)
-		return
-	}
-	for w := 0; w < W; w++ {
-		b.st.regs[int(out)*W+w] = b.st.reduceWord(rows[w*64+off:], k, inputs, w)
-	}
 }
 
 // transpose64 transposes a 64x64 bit matrix in place (the recursive

@@ -11,19 +11,18 @@ import (
 )
 
 // FuzzClockBatchDifferential is the batch evaluator's differential
-// oracle: for a fuzzed lane count (1..MaxLanes, covering all three word
-// widths), IV and per-lane random LUT / BRAM patches, every lane
-// extracted from ClockBatch must match a scalar device loaded with that
-// lane's full image. The seed corpus pins lane counts 1, 2, 64, 65, 128
-// and 256.
+// oracle: for a fuzzed lane count (1..MaxLanes), IV and per-lane random
+// LUT / BRAM patches, every lane extracted from ClockBatch must match a
+// scalar device loaded with that lane's full image. The seed corpus pins
+// lane counts 1, 2, 3 and 64.
 func FuzzClockBatchDifferential(f *testing.F) {
 	fx := newBatchFixture(f)
 	f.Add(uint8(1), int64(1), uint64(0xEA024714AD5C4D84))
 	f.Add(uint8(2), int64(7), uint64(0xDF1F9B251C0BF45F))
 	f.Add(uint8(64), int64(1234), uint64(0x0123456789ABCDEF))
-	f.Add(uint8(65), int64(55), uint64(0x082EFA98EC4E6C89))  // first two-word count
-	f.Add(uint8(128), int64(21), uint64(0x452821E638D01377)) // full two-word
-	f.Add(uint8(255), int64(12), uint64(0xBE5466CF34E90C6C)) // 256 lanes: full four-word
+	f.Add(uint8(65), int64(55), uint64(0x082EFA98EC4E6C89))  // 2 lanes
+	f.Add(uint8(128), int64(21), uint64(0x452821E638D01377)) // 1 lane
+	f.Add(uint8(255), int64(12), uint64(0xBE5466CF34E90C6C)) // 64 lanes: full word
 	f.Fuzz(func(t *testing.T, laneByte uint8, patchSeed int64, ivSeed uint64) {
 		lanes := 1 + int(laneByte)%MaxLanes
 		rng := rand.New(rand.NewSource(patchSeed))

@@ -1,7 +1,6 @@
 package device
 
 import (
-	"sort"
 	"sync"
 
 	"snowbma/internal/bitstream"
@@ -87,12 +86,6 @@ type lutSite struct {
 	off int32
 	n   int32
 }
-
-// packWordBits is the capacity of the packed per-lane address word a
-// BRAM group shares: one 64-bit transpose row per address bit. It is a
-// property of the 64x64 transpose, not of the lane capacity — a group
-// packs at most 64 address bits however many lanes the state runs.
-const packWordBits = 64
 
 // bramMember is one block RAM inside a bramGroup: where its address
 // bits sit in the packed per-lane address word and where its outputs
@@ -200,21 +193,13 @@ func (p *Program) Stats() CompileStats { return p.stats }
 // progState is the mutable half of a compiled evaluator: register file,
 // flip-flop state, the state-private instruction copy (so patches
 // rewrite operand tables without touching the shared Program), resolved
-// per-(BRAM,lane) tables and the scratch buffers. A progState, like the
-// Batch wrapping it, is not safe for concurrent use; distinct states
-// over one Program are independent.
-//
-// Widths beyond 64 lanes use multi-word register slots: slot s holds
-// words regs[s*words : (s+1)*words], word w carrying lanes
-// [64w, 64w+63]. LUT rows are word-planar (row m word w at
-// rows[w*64+m]), flip-flop state interleaves (ff[i*words+w]), and the
-// per-(BRAM,lane) tables are indexed by global lane number with the
-// fixed MaxLanes stride. words is 1, 2 or 4 (LaneWords), chosen from
-// lanes at construction and immutable afterwards.
+// per-(BRAM,lane) tables and the scratch buffers. Every register slot is
+// one 64-lane word: bit L of regs[s] is slot s in lane L. A progState,
+// like the Batch wrapping it, is not safe for concurrent use; distinct
+// states over one Program are independent.
 type progState struct {
 	prog  *Program
 	lanes int
-	words int
 	regs  []uint64
 	ff    []uint64
 	insns []insn
@@ -225,30 +210,12 @@ type progState struct {
 	// rebuilds.
 	runs      []insnRun
 	runsDirty bool
-	// rows[i] is LUT i's 64 transposed truth-table rows per word, stored
-	// word-planar: row m of word w at rows[i][w*64+m], so each word's
-	// mux reduce streams a contiguous 64-row block. Entries start as
-	// shared references into prog.baseRows (or nil for Shannon-form
+	// rows[i] is LUT i's 64 transposed truth-table rows. Entries start
+	// as shared references into prog.baseRows (or nil for Shannon-form
 	// LUTs) and become private on first patch; owned[i] reports that.
-	// Multi-word states widen every shared entry upfront.
 	rows        [][]uint64
 	owned       []bool
 	sitePatched []bool
-	// reduceMask[i] is the set of words of LUT i that contain a patched
-	// lane (bit w = word w), allocated on the first multi-word site
-	// demotion. Multi-word reduce fixups re-evaluate only these words;
-	// the native instructions cover the rest. Single-word states never
-	// use it (their site rewrite replaces the native instructions).
-	reduceMask []uint8
-	// rowsFill[i] is the set of word blocks of LUT i's privately-owned
-	// rows holding real (base or patched) content; the rest are sparse
-	// zeros that only materializeRows/fillRowBlock may initialize.
-	// Multi-word states only — single-word rows are always built full.
-	rowsFill []uint8
-	// fixupsDirty marks that the set of demoted sites grew since the
-	// instruction stream was last rebuilt with reduce fixups (multi-word
-	// states only).
-	fixupsDirty bool
 	// tabs[b*MaxLanes+L] is the content table lane L of BRAM b reads;
 	// tabUniform[b] reports that all lanes still share one table, which
 	// lets the group lookup loop hoist the table header out of the
@@ -262,12 +229,11 @@ type progState struct {
 	// anything reads or overwrites the array directly.
 	ffInline     bool
 	pendingLatch bool
-	// scratch/scratch2 serve one 64-lane block at a time (the transpose
-	// unit); multi-word paths sweep them per block. rscratch holds the
-	// interleaved mux-reduce tree for all words at once.
+	// scratch/scratch2 are the 64x64 transpose buffers of the BRAM
+	// groups; rscratch holds the mux-reduce tree.
 	scratch  [LaneWordBits]uint64
 	scratch2 [LaneWordBits]uint64
-	rscratch [32 * MaxLaneWords]uint64
+	rscratch [32]uint64
 }
 
 // insnRun is one maximal span of consecutive same-opcode instructions
@@ -364,7 +330,7 @@ func compile(desc *bitstream.Description, tts []boolfn.TT, tel *obs.Telemetry) *
 				outs:    rec.Out,
 				outMask: outMaskFor(len(rec.Out)),
 			}
-			if openIdx >= 0 && openBits+uint(len(rec.Addr)) <= packWordBits && independent(rec.Addr, openOuts) {
+			if openIdx >= 0 && openBits+uint(len(rec.Addr)) <= LaneWordBits && independent(rec.Addr, openOuts) {
 				m.addrOff = openBits
 				openBits += uint(len(rec.Addr))
 				groups[openIdx].members = append(groups[openIdx].members, m)
@@ -1109,19 +1075,17 @@ func support(f boolfn.TT) []int {
 // through the patch path. Flip-flops start at their init values and the
 // constant-ROM prologue has run.
 func newProgState(p *Program, tts []boolfn.TT, tabs [][]uint64, lanes int) *progState {
-	W := LaneWords(lanes)
 	st := &progState{
 		prog:  p,
 		lanes: lanes,
-		words: W,
 		// The register file is allocated at the full 2^16 slot space a
-		// uint16 operand can address (times the words per slot), not at
-		// nregs: the settle loop reslices it to that constant length,
-		// which lets the compiler drop the bounds check on every operand
-		// access. Slots past nregs are never touched, so the cost is
-		// address space, not cache traffic.
-		regs:        make([]uint64, (1<<16)*W),
-		ff:          make([]uint64, len(p.desc.FFs)*W),
+		// uint16 operand can address, not at nregs: the settle loop
+		// reslices it to that constant length, which lets the compiler
+		// drop the bounds check on every operand access. Slots past
+		// nregs are never touched, so the cost is address space, not
+		// cache traffic.
+		regs:        make([]uint64, 1<<16),
+		ff:          make([]uint64, len(p.desc.FFs)),
 		insns:       append([]insn(nil), p.insns...),
 		runsDirty:   true,
 		rows:        append([][]uint64(nil), p.baseRows...),
@@ -1129,24 +1093,6 @@ func newProgState(p *Program, tts []boolfn.TT, tabs [][]uint64, lanes int) *prog
 		sitePatched: make([]bool, len(p.sites)),
 		tabs:        make([][]uint64, len(p.desc.BRAMs)*MaxLanes),
 		tabUniform:  make([]bool, len(p.desc.BRAMs)),
-	}
-	if W > 1 {
-		st.rowsFill = make([]uint8, len(p.sites))
-		// The shared baseRows were built single-word at compile time;
-		// widen every reduce-form LUT's rows to the state's word count
-		// (word-planar: one copy of the base rows per word block).
-		for i, shared := range st.rows {
-			if shared == nil {
-				continue
-			}
-			rows := make([]uint64, 64*W)
-			for w := 0; w < W; w++ {
-				copy(rows[w*64:(w+1)*64], shared)
-			}
-			st.rows[i] = rows
-			st.owned[i] = true
-			st.rowsFill[i] = uint8(1<<W - 1)
-		}
 	}
 	for b, tab := range tabs {
 		st.tabUniform[b] = true
@@ -1156,9 +1102,7 @@ func newProgState(p *Program, tts []boolfn.TT, tabs [][]uint64, lanes int) *prog
 	}
 	for i, ff := range p.desc.FFs {
 		if ff.Init {
-			for w := 0; w < W; w++ {
-				st.ff[i*W+w] = ^uint64(0)
-			}
+			st.ff[i] = ^uint64(0)
 		}
 	}
 	for i := range tts {
@@ -1172,15 +1116,12 @@ func newProgState(p *Program, tts []boolfn.TT, tabs [][]uint64, lanes int) *prog
 
 // reset returns the flip-flops to their configuration init values.
 func (st *progState) reset() {
-	W := st.words
 	for i, ff := range st.prog.desc.FFs {
 		var v uint64
 		if ff.Init {
 			v = ^uint64(0)
 		}
-		for w := 0; w < W; w++ {
-			st.ff[i*W+w] = v
-		}
+		st.ff[i] = v
 	}
 	st.ffInline = false
 	st.pendingLatch = false
@@ -1205,128 +1146,53 @@ func (st *progState) materializeFF() {
 	if !st.ffInline {
 		return
 	}
-	regs := st.regs
-	W := st.words
 	if st.pendingLatch {
-		for i, d := range st.prog.ffD {
-			di := int(d) * W
-			for w := 0; w < W; w++ {
-				st.ff[i*W+w] = regs[di+w]
-			}
-		}
+		st.latch()
 		st.pendingLatch = false
 	} else {
 		for i, q := range st.prog.ffQ {
-			qi := int(q) * W
-			for w := 0; w < W; w++ {
-				st.ff[i*W+w] = regs[qi+w]
-			}
+			st.ff[i] = st.regs[q]
 		}
 	}
 	st.ffInline = false
 }
 
 // ensureRows makes LUT i's rows private and initialized from the base
-// truth table. Multi-word Shannon-form LUTs allocate sparse: the masked
-// reduce fixups only ever read the word blocks listed in reduceMask, so
-// base-filling the other words-per-slot-1 blocks would be pure memory
-// traffic. fillRowBlock initializes a block on first touch and
-// materializeRows completes the remainder if the walker needs them.
+// truth table.
 func (st *progState) ensureRows(i int) {
 	if st.owned[i] {
 		return
 	}
 	if shared := st.rows[i]; shared != nil {
 		st.rows[i] = append([]uint64(nil), shared...)
-		if st.rowsFill != nil {
-			st.rowsFill[i] = uint8(1<<st.words - 1)
-		}
-	} else if st.words == 1 {
-		st.rows[i] = rowsFromTTWide(st.prog.baseTT[i], 1)
 	} else {
-		st.rows[i] = make([]uint64, 64*st.words)
+		st.rows[i] = rowsFromTT(st.prog.baseTT[i], ^uint64(0))
 	}
 	st.owned[i] = true
 }
 
-// fillRowBlock base-initializes word block w of LUT i's sparse rows.
-// No-op for blocks already holding base or patched content.
-func (st *progState) fillRowBlock(i, w int) {
-	if st.rowsFill == nil || st.rowsFill[i]>>uint(w)&1 != 0 {
-		return
-	}
-	block := st.rows[i][w*64 : w*64+64]
-	tt := st.prog.baseTT[i]
-	for m := 0; m < 64; m++ {
-		if tt>>uint(m)&1 == 1 {
-			block[m] = ^uint64(0)
-		} else {
-			block[m] = 0
-		}
-	}
-	st.rowsFill[i] |= 1 << uint(w)
-}
-
 // materializeRows fills in the rows of every Shannon-form LUT — the
 // ones the compiled path never needs — so the walker can evaluate the
-// whole design through them, and completes the untouched word blocks of
-// sparsely-allocated patched rows. Blocks holding patches are left
-// untouched and keep their patches.
+// whole design through them. Rows already holding patches are left
+// untouched.
 func (st *progState) materializeRows() {
 	for i := range st.rows {
 		if st.rows[i] == nil {
-			st.rows[i] = rowsFromTTWide(st.prog.baseTT[i], st.words)
+			st.rows[i] = rowsFromTT(st.prog.baseTT[i], ^uint64(0))
 			st.owned[i] = true
-			if st.rowsFill != nil {
-				st.rowsFill[i] = uint8(1<<st.words - 1)
-			}
-		} else if st.rowsFill != nil && st.owned[i] {
-			for w := 0; w < st.words; w++ {
-				st.fillRowBlock(i, w)
-			}
 		}
 	}
-}
-
-// rowsFromTTWide builds the word-planar transposed truth-table rows for
-// a W-word state: every word block carries the same all-lanes mask of
-// each truth-table bit.
-func rowsFromTTWide(tt boolfn.TT, W int) []uint64 {
-	rows := make([]uint64, 64*W)
-	for m := 0; m < 64; m++ {
-		if tt>>uint(m)&1 == 1 {
-			rows[m] = ^uint64(0)
-		}
-	}
-	for w := 1; w < W; w++ {
-		copy(rows[w*64:(w+1)*64], rows[:64])
-	}
-	return rows
 }
 
 // ensureReduceSite switches LUT i's compiled form to read the state's
-// rows — the patch path. Single-word states rewrite the instruction
-// site in place to the generic reduce form. Multi-word states instead
-// KEEP the native instructions — they still compute the base function
-// for every word — and schedule a masked reduce fixup after the site
-// that re-evaluates only the words holding a patched lane (reduceMask),
-// so a lane patch costs one word of mux tree, not words-per-slot of
-// them. Only state-private tables change; the shared Program is
-// untouched.
+// rows — the patch path: the instruction site is rewritten in place to
+// the generic reduce form. Only state-private tables change; the shared
+// Program is untouched.
 func (st *progState) ensureReduceSite(i int) {
 	if st.sitePatched[i] {
 		return
 	}
 	st.ensureRows(i)
-	if st.words > 1 {
-		if st.reduceMask == nil {
-			st.reduceMask = make([]uint8, len(st.prog.sites))
-		}
-		st.sitePatched[i] = true
-		st.fixupsDirty = true
-		st.runsDirty = true
-		return
-	}
 	rec := &st.prog.desc.LUTs[i]
 	site := st.prog.sites[i]
 	for j := site.off; j < site.off+site.n; j++ {
@@ -1343,84 +1209,30 @@ func (st *progState) ensureReduceSite(i int) {
 	st.runsDirty = true
 }
 
-// rebuildFixups reconstructs the instruction stream from the shared
-// Program with a masked reduce fixup (insn.b = 1) appended after every
-// demoted site, in stream order. Runs once per settle at most — lane
-// patches between settles only mark fixupsDirty — so a sweep that
-// patches a hundred LUTs pays one O(insns) rebuild, not a hundred
-// insertions.
-func (st *progState) rebuildFixups() {
-	p := st.prog
-	type fix struct{ at, lut int32 }
-	fixes := make([]fix, 0, 8)
-	for i, patched := range st.sitePatched {
-		// LUTs whose compiled form already is the full-width reduce read
-		// the patched rows natively and need no fixup.
-		if patched && p.baseRows[i] == nil {
-			site := p.sites[i]
-			fixes = append(fixes, fix{at: site.off + site.n, lut: int32(i)})
-		}
-	}
-	sort.Slice(fixes, func(a, b int) bool { return fixes[a].at < fixes[b].at })
-	out := make([]insn, 0, len(p.insns)+2*len(fixes))
-	prev := int32(0)
-	for _, f := range fixes {
-		out = append(out, p.insns[prev:f.at]...)
-		rec := &p.desc.LUTs[f.lut]
-		if rec.O5 != bitstream.NoNet {
-			k := uint8(min(len(rec.Inputs), 5))
-			out = append(out,
-				insn{op: opReduce, n: k, dst: uint16(rec.O5), a: uint32(f.lut), b: 1, c: 0},
-				insn{op: opReduce, n: k, dst: uint16(rec.O6), a: uint32(f.lut), b: 1, c: 32})
-		} else {
-			out = append(out, insn{op: opReduce, n: uint8(len(rec.Inputs)), dst: uint16(rec.O6), a: uint32(f.lut), b: 1})
-		}
-		prev = f.at
-	}
-	out = append(out, p.insns[prev:]...)
-	st.insns = out
-	st.fixupsDirty = false
-	st.runsDirty = true
-}
-
 // patchLUTAll installs a truth table for every lane of LUT i.
 func (st *progState) patchLUTAll(i int, tt boolfn.TT) {
 	st.ensureReduceSite(i)
-	W := st.words
 	rows := st.rows[i]
-	for m := 0; m < 64; m++ {
+	for m := range rows {
 		var v uint64
 		if tt>>uint(m)&1 == 1 {
 			v = ^uint64(0)
 		}
 		rows[m] = v
 	}
-	for w := 1; w < W; w++ {
-		copy(rows[w*64:(w+1)*64], rows[:64])
-	}
-	if W > 1 {
-		st.reduceMask[i] = uint8(1<<W - 1)
-		st.rowsFill[i] = uint8(1<<W - 1)
-	}
 }
 
 // patchLUTLane installs a truth table for one lane of LUT i.
 func (st *progState) patchLUTLane(i, lane int, tt boolfn.TT) {
 	st.ensureReduceSite(i)
-	word := lane >> 6
-	st.fillRowBlock(i, word)
 	rows := st.rows[i]
-	bit := uint64(1) << uint(lane&63)
-	block := rows[word*64 : word*64+64]
-	for m := 0; m < 64; m++ {
+	bit := uint64(1) << uint(lane)
+	for m := range rows {
 		if tt>>uint(m)&1 == 1 {
-			block[m] |= bit
+			rows[m] |= bit
 		} else {
-			block[m] &^= bit
+			rows[m] &^= bit
 		}
-	}
-	if st.words > 1 {
-		st.reduceMask[i] |= 1 << uint(word)
 	}
 }
 
@@ -1444,37 +1256,29 @@ func (st *progState) setTabAll(b int, tab []uint64) {
 // check. Lane bits beyond lanes carry the lane-0 value, which is
 // harmless under the lane-locality invariant.
 func (st *progState) prologue() {
-	W := st.words
 	for _, c := range st.prog.consts {
 		base := c.bram * MaxLanes
 		masks := st.scratch2[:len(c.outs)]
-		for w := 0; w < W; w++ {
-			laneBase := base + w*LaneWordBits
-			bl := st.lanes - w*LaneWordBits
-			if bl > LaneWordBits {
-				bl = LaneWordBits
+		w0 := st.tabs[base][0]
+		for bi := range masks {
+			masks[bi] = -(w0 >> uint(bi) & 1)
+		}
+		for L := 1; L < st.lanes; L++ {
+			wv := st.tabs[base+L][0]
+			if wv == w0 {
+				continue
 			}
-			w0 := st.tabs[laneBase][0]
+			bit := uint64(1) << uint(L)
 			for bi := range masks {
-				masks[bi] = -(w0 >> uint(bi) & 1)
-			}
-			for L := 1; L < bl; L++ {
-				wv := st.tabs[laneBase+L][0]
-				if wv == w0 {
-					continue
-				}
-				bit := uint64(1) << uint(L)
-				for bi := range masks {
-					if wv>>uint(bi)&1 == 1 {
-						masks[bi] |= bit
-					} else {
-						masks[bi] &^= bit
-					}
+				if wv>>uint(bi)&1 == 1 {
+					masks[bi] |= bit
+				} else {
+					masks[bi] &^= bit
 				}
 			}
-			for bi, out := range c.outs {
-				st.regs[int(out)*W+w] = masks[bi]
-			}
+		}
+		for bi, out := range c.outs {
+			st.regs[out] = masks[bi]
 		}
 	}
 }
@@ -1483,85 +1287,20 @@ func (st *progState) prologue() {
 func (st *progState) latch() {
 	regs := st.regs
 	ff := st.ff
-	if st.words == 1 {
-		for i, d := range st.prog.ffD {
-			ff[i] = regs[d]
-		}
-		return
-	}
-	W := st.words
 	for i, d := range st.prog.ffD {
-		di := int(d) * W
-		for w := 0; w < W; w++ {
-			ff[i*W+w] = regs[di+w]
-		}
+		ff[i] = regs[d]
 	}
 }
 
 // settle evaluates the combinational fabric: constants, flip-flop
 // injection, then the compiled instruction stream in topological order.
-// Dispatch is two-level: by register-slot width (one hand-specialized
-// body per word count, so the 64-lane path pays nothing for the wider
-// ones) and then per opcode *run* — the stream grouped into maximal
+// Dispatch is per opcode *run* — the stream grouped into maximal
 // same-opcode spans — so the unpredictable indirect dispatch branch
 // fires once per span instead of once per instruction.
 func (st *progState) settle() {
-	if st.fixupsDirty {
-		st.rebuildFixups()
-	}
 	if st.runsDirty {
 		st.buildRuns()
 	}
-	switch st.words {
-	case 1:
-		st.settle1()
-	case 2:
-		st.settle2()
-	default:
-		st.settle4()
-	}
-}
-
-// preambleWide is the multi-word settle preamble: constants, then
-// flip-flop injection or the deferred clock-edge copy list, with every
-// slot move scaled to words-per-slot (contiguous slot ranges stay
-// contiguous word ranges, so coalesced block copies stay one copy()).
-func (st *progState) preambleWide() {
-	p := st.prog
-	W := st.words
-	regs := st.regs
-	for w := 0; w < W; w++ {
-		regs[w] = 0
-		regs[W+w] = ^uint64(0)
-	}
-	switch {
-	case !p.ffSafe || !st.ffInline:
-		ff := st.ff
-		for i, q := range p.ffQ {
-			qi := int(q) * W
-			for w := 0; w < W; w++ {
-				regs[qi+w] = ff[i*W+w]
-			}
-		}
-		st.ffInline = p.ffSafe
-	case st.pendingLatch:
-		for _, cp := range p.ffCopies {
-			d, s := int(cp.dst)*W, int(cp.src)*W
-			if cp.n == 1 {
-				for w := 0; w < W; w++ {
-					regs[d+w] = regs[s+w]
-				}
-			} else {
-				n := int(cp.n) * W
-				copy(regs[d:d+n], regs[s:s+n])
-			}
-		}
-		st.pendingLatch = false
-	}
-}
-
-// settle1 is the single-word (≤64 lanes) evaluator body.
-func (st *progState) settle1() {
 	p := st.prog
 	// Constant-length reslice: with len(regs) pinned to the full uint16
 	// operand space, every regs[ins.dst]/[ins.b]/[ins.c] access below is
@@ -1736,431 +1475,6 @@ func (st *progState) settle1() {
 	}
 }
 
-// r2/r4 view a register slot's words as a fixed-size array. The slice
-// argument is resliced by the caller to the full W<<16 word space, so
-// the conversion's length check always passes and the per-word accesses
-// are check-free. Both inline.
-func r2(regs []uint64, s uint16) *[2]uint64 { return (*[2]uint64)(regs[int(s)*2:]) }
-func r4(regs []uint64, s uint16) *[4]uint64 { return (*[4]uint64)(regs[int(s)*4:]) }
-
-// settle2 is the two-word (65..128 lanes) evaluator body: every opcode
-// kernel hand-widened to explicit word-pair statements — the gc
-// compiler neither unrolls short loops nor SSA-decomposes arrays, so
-// spelling the words out is what keeps the wide path near 2x the
-// single-word cost instead of 3-4x.
-func (st *progState) settle2() {
-	p := st.prog
-	st.preambleWide()
-	regs := st.regs[: 2 << 16 : 2 << 16]
-	insns := st.insns
-	for r := range st.runs {
-		run := &st.runs[r]
-		body := insns[run.lo:run.hi]
-		switch run.op {
-		case opConst0:
-			for i := range body {
-				d := r2(regs, body[i].dst)
-				d[0], d[1] = 0, 0
-			}
-		case opConst1:
-			for i := range body {
-				d := r2(regs, body[i].dst)
-				d[0], d[1] = ^uint64(0), ^uint64(0)
-			}
-		case opCopy:
-			for i := range body {
-				ins := &body[i]
-				d, a := r2(regs, ins.dst), r2(regs, uint16(ins.a))
-				d[0], d[1] = a[0], a[1]
-			}
-		case opNot:
-			for i := range body {
-				ins := &body[i]
-				d, a := r2(regs, ins.dst), r2(regs, uint16(ins.a))
-				d[0], d[1] = ^a[0], ^a[1]
-			}
-		case opAnd:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, ins.b)
-				d[0], d[1] = a[0]&b[0], a[1]&b[1]
-			}
-		case opOr:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, ins.b)
-				d[0], d[1] = a[0]|b[0], a[1]|b[1]
-			}
-		case opXor:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, ins.b)
-				d[0], d[1] = a[0]^b[0], a[1]^b[1]
-			}
-		case opAndN:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, ins.b)
-				d[0], d[1] = a[0]&^b[0], a[1]&^b[1]
-			}
-		case opOrN:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, ins.b)
-				d[0], d[1] = a[0]|^b[0], a[1]|^b[1]
-			}
-		case opNand:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, ins.b)
-				d[0], d[1] = ^(a[0] & b[0]), ^(a[1] & b[1])
-			}
-		case opNor:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, ins.b)
-				d[0], d[1] = ^(a[0] | b[0]), ^(a[1] | b[1])
-			}
-		case opXnor:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, ins.b)
-				d[0], d[1] = ^(a[0] ^ b[0]), ^(a[1] ^ b[1])
-			}
-		case opMux:
-			for i := range body {
-				ins := &body[i]
-				d, a, b, c := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, ins.b), r2(regs, ins.c)
-				d[0] = a[0]&c[0] | b[0]&^c[0]
-				d[1] = a[1]&c[1] | b[1]&^c[1]
-			}
-		case opMuxNA:
-			for i := range body {
-				ins := &body[i]
-				d, a, b, c := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, ins.b), r2(regs, ins.c)
-				d[0] = ^a[0]&c[0] | b[0]&^c[0]
-				d[1] = ^a[1]&c[1] | b[1]&^c[1]
-			}
-		case opMuxNB:
-			for i := range body {
-				ins := &body[i]
-				d, a, b, c := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, ins.b), r2(regs, ins.c)
-				d[0] = a[0]&c[0] | ^b[0]&^c[0]
-				d[1] = a[1]&c[1] | ^b[1]&^c[1]
-			}
-		case opMuxNAB:
-			for i := range body {
-				ins := &body[i]
-				d, a, b, c := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, ins.b), r2(regs, ins.c)
-				d[0] = ^(a[0]&c[0] | b[0]&^c[0])
-				d[1] = ^(a[1]&c[1] | b[1]&^c[1])
-			}
-		case opXorMuxA:
-			for i := range body {
-				ins := &body[i]
-				d, x, y := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, uint16(ins.a>>16))
-				b, c := r2(regs, ins.b), r2(regs, ins.c)
-				d[0] = (x[0]^y[0])&c[0] | b[0]&^c[0]
-				d[1] = (x[1]^y[1])&c[1] | b[1]&^c[1]
-			}
-		case opXorMuxB:
-			for i := range body {
-				ins := &body[i]
-				d, x, y := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, uint16(ins.a>>16))
-				b, c := r2(regs, ins.b), r2(regs, ins.c)
-				d[0] = b[0]&c[0] | (x[0]^y[0])&^c[0]
-				d[1] = b[1]&c[1] | (x[1]^y[1])&^c[1]
-			}
-		case opXnorMuxA:
-			for i := range body {
-				ins := &body[i]
-				d, x, y := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, uint16(ins.a>>16))
-				b, c := r2(regs, ins.b), r2(regs, ins.c)
-				d[0] = ^(x[0]^y[0])&c[0] | b[0]&^c[0]
-				d[1] = ^(x[1]^y[1])&c[1] | b[1]&^c[1]
-			}
-		case opXnorMuxB:
-			for i := range body {
-				ins := &body[i]
-				d, x, y := r2(regs, ins.dst), r2(regs, uint16(ins.a)), r2(regs, uint16(ins.a>>16))
-				b, c := r2(regs, ins.b), r2(regs, ins.c)
-				d[0] = b[0]&c[0] | ^(x[0]^y[0])&^c[0]
-				d[1] = b[1]&c[1] | ^(x[1]^y[1])&^c[1]
-			}
-		case opXorK:
-			for i := range body {
-				ins := &body[i]
-				args := p.args[ins.a : ins.a+uint32(ins.n)]
-				a0 := r2(regs, uint16(args[0]))
-				x0, x1 := a0[0], a0[1]
-				for _, a := range args[1:] {
-					aa := r2(regs, uint16(a))
-					x0 ^= aa[0]
-					x1 ^= aa[1]
-				}
-				if ins.c != 0 {
-					x0, x1 = ^x0, ^x1
-				}
-				d := r2(regs, ins.dst)
-				d[0], d[1] = x0, x1
-			}
-		case opReduce:
-			for i := range body {
-				ins := &body[i]
-				rows := st.rows[ins.a]
-				mask := uint8(3)
-				if ins.b != 0 {
-					mask = st.reduceMask[ins.a]
-				}
-				inputs := p.desc.LUTs[ins.a].Inputs
-				for w := 0; w < 2; w++ {
-					if mask>>uint(w)&1 != 0 {
-						regs[int(ins.dst)*2+w] = st.reduceWord(rows[w*64+int(ins.c):], int(ins.n), inputs, w)
-					}
-				}
-			}
-		case opBRAM:
-			for i := range body {
-				st.evalGroupWide(&p.groups[body[i].a])
-			}
-		case opAdder:
-			for i := range body {
-				rec := &p.desc.Adders[body[i].a]
-				var c0, c1 uint64
-				for j := range rec.A {
-					a, b := r2(regs, uint16(rec.A[j])), r2(regs, uint16(rec.B[j]))
-					s := r2(regs, uint16(rec.Sum[j]))
-					x0 := a[0] ^ b[0]
-					s[0] = x0 ^ c0
-					c0 = a[0]&b[0] | c0&x0
-					x1 := a[1] ^ b[1]
-					s[1] = x1 ^ c1
-					c1 = a[1]&b[1] | c1&x1
-				}
-			}
-		}
-	}
-}
-
-// settle4 is the four-word (129..256 lanes) evaluator body.
-func (st *progState) settle4() {
-	p := st.prog
-	st.preambleWide()
-	regs := st.regs[: 4 << 16 : 4 << 16]
-	insns := st.insns
-	for r := range st.runs {
-		run := &st.runs[r]
-		body := insns[run.lo:run.hi]
-		switch run.op {
-		case opConst0:
-			for i := range body {
-				d := r4(regs, body[i].dst)
-				d[0], d[1], d[2], d[3] = 0, 0, 0, 0
-			}
-		case opConst1:
-			for i := range body {
-				d := r4(regs, body[i].dst)
-				d[0], d[1], d[2], d[3] = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
-			}
-		case opCopy:
-			for i := range body {
-				ins := &body[i]
-				d, a := r4(regs, ins.dst), r4(regs, uint16(ins.a))
-				d[0], d[1], d[2], d[3] = a[0], a[1], a[2], a[3]
-			}
-		case opNot:
-			for i := range body {
-				ins := &body[i]
-				d, a := r4(regs, ins.dst), r4(regs, uint16(ins.a))
-				d[0], d[1], d[2], d[3] = ^a[0], ^a[1], ^a[2], ^a[3]
-			}
-		case opAnd:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, ins.b)
-				d[0], d[1], d[2], d[3] = a[0]&b[0], a[1]&b[1], a[2]&b[2], a[3]&b[3]
-			}
-		case opOr:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, ins.b)
-				d[0], d[1], d[2], d[3] = a[0]|b[0], a[1]|b[1], a[2]|b[2], a[3]|b[3]
-			}
-		case opXor:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, ins.b)
-				d[0], d[1], d[2], d[3] = a[0]^b[0], a[1]^b[1], a[2]^b[2], a[3]^b[3]
-			}
-		case opAndN:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, ins.b)
-				d[0], d[1], d[2], d[3] = a[0]&^b[0], a[1]&^b[1], a[2]&^b[2], a[3]&^b[3]
-			}
-		case opOrN:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, ins.b)
-				d[0], d[1], d[2], d[3] = a[0]|^b[0], a[1]|^b[1], a[2]|^b[2], a[3]|^b[3]
-			}
-		case opNand:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, ins.b)
-				d[0], d[1], d[2], d[3] = ^(a[0] & b[0]), ^(a[1] & b[1]), ^(a[2] & b[2]), ^(a[3] & b[3])
-			}
-		case opNor:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, ins.b)
-				d[0], d[1], d[2], d[3] = ^(a[0] | b[0]), ^(a[1] | b[1]), ^(a[2] | b[2]), ^(a[3] | b[3])
-			}
-		case opXnor:
-			for i := range body {
-				ins := &body[i]
-				d, a, b := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, ins.b)
-				d[0], d[1], d[2], d[3] = ^(a[0] ^ b[0]), ^(a[1] ^ b[1]), ^(a[2] ^ b[2]), ^(a[3] ^ b[3])
-			}
-		case opMux:
-			for i := range body {
-				ins := &body[i]
-				d, a, b, c := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, ins.b), r4(regs, ins.c)
-				d[0] = a[0]&c[0] | b[0]&^c[0]
-				d[1] = a[1]&c[1] | b[1]&^c[1]
-				d[2] = a[2]&c[2] | b[2]&^c[2]
-				d[3] = a[3]&c[3] | b[3]&^c[3]
-			}
-		case opMuxNA:
-			for i := range body {
-				ins := &body[i]
-				d, a, b, c := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, ins.b), r4(regs, ins.c)
-				d[0] = ^a[0]&c[0] | b[0]&^c[0]
-				d[1] = ^a[1]&c[1] | b[1]&^c[1]
-				d[2] = ^a[2]&c[2] | b[2]&^c[2]
-				d[3] = ^a[3]&c[3] | b[3]&^c[3]
-			}
-		case opMuxNB:
-			for i := range body {
-				ins := &body[i]
-				d, a, b, c := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, ins.b), r4(regs, ins.c)
-				d[0] = a[0]&c[0] | ^b[0]&^c[0]
-				d[1] = a[1]&c[1] | ^b[1]&^c[1]
-				d[2] = a[2]&c[2] | ^b[2]&^c[2]
-				d[3] = a[3]&c[3] | ^b[3]&^c[3]
-			}
-		case opMuxNAB:
-			for i := range body {
-				ins := &body[i]
-				d, a, b, c := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, ins.b), r4(regs, ins.c)
-				d[0] = ^(a[0]&c[0] | b[0]&^c[0])
-				d[1] = ^(a[1]&c[1] | b[1]&^c[1])
-				d[2] = ^(a[2]&c[2] | b[2]&^c[2])
-				d[3] = ^(a[3]&c[3] | b[3]&^c[3])
-			}
-		case opXorMuxA:
-			for i := range body {
-				ins := &body[i]
-				d, x, y := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, uint16(ins.a>>16))
-				b, c := r4(regs, ins.b), r4(regs, ins.c)
-				d[0] = (x[0]^y[0])&c[0] | b[0]&^c[0]
-				d[1] = (x[1]^y[1])&c[1] | b[1]&^c[1]
-				d[2] = (x[2]^y[2])&c[2] | b[2]&^c[2]
-				d[3] = (x[3]^y[3])&c[3] | b[3]&^c[3]
-			}
-		case opXorMuxB:
-			for i := range body {
-				ins := &body[i]
-				d, x, y := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, uint16(ins.a>>16))
-				b, c := r4(regs, ins.b), r4(regs, ins.c)
-				d[0] = b[0]&c[0] | (x[0]^y[0])&^c[0]
-				d[1] = b[1]&c[1] | (x[1]^y[1])&^c[1]
-				d[2] = b[2]&c[2] | (x[2]^y[2])&^c[2]
-				d[3] = b[3]&c[3] | (x[3]^y[3])&^c[3]
-			}
-		case opXnorMuxA:
-			for i := range body {
-				ins := &body[i]
-				d, x, y := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, uint16(ins.a>>16))
-				b, c := r4(regs, ins.b), r4(regs, ins.c)
-				d[0] = ^(x[0]^y[0])&c[0] | b[0]&^c[0]
-				d[1] = ^(x[1]^y[1])&c[1] | b[1]&^c[1]
-				d[2] = ^(x[2]^y[2])&c[2] | b[2]&^c[2]
-				d[3] = ^(x[3]^y[3])&c[3] | b[3]&^c[3]
-			}
-		case opXnorMuxB:
-			for i := range body {
-				ins := &body[i]
-				d, x, y := r4(regs, ins.dst), r4(regs, uint16(ins.a)), r4(regs, uint16(ins.a>>16))
-				b, c := r4(regs, ins.b), r4(regs, ins.c)
-				d[0] = b[0]&c[0] | ^(x[0]^y[0])&^c[0]
-				d[1] = b[1]&c[1] | ^(x[1]^y[1])&^c[1]
-				d[2] = b[2]&c[2] | ^(x[2]^y[2])&^c[2]
-				d[3] = b[3]&c[3] | ^(x[3]^y[3])&^c[3]
-			}
-		case opXorK:
-			for i := range body {
-				ins := &body[i]
-				args := p.args[ins.a : ins.a+uint32(ins.n)]
-				a0 := r4(regs, uint16(args[0]))
-				x0, x1, x2, x3 := a0[0], a0[1], a0[2], a0[3]
-				for _, a := range args[1:] {
-					aa := r4(regs, uint16(a))
-					x0 ^= aa[0]
-					x1 ^= aa[1]
-					x2 ^= aa[2]
-					x3 ^= aa[3]
-				}
-				if ins.c != 0 {
-					x0, x1, x2, x3 = ^x0, ^x1, ^x2, ^x3
-				}
-				d := r4(regs, ins.dst)
-				d[0], d[1], d[2], d[3] = x0, x1, x2, x3
-			}
-		case opReduce:
-			for i := range body {
-				ins := &body[i]
-				rows := st.rows[ins.a]
-				mask := uint8(15)
-				if ins.b != 0 {
-					mask = st.reduceMask[ins.a]
-				}
-				inputs := p.desc.LUTs[ins.a].Inputs
-				for w := 0; w < 4; w++ {
-					if mask>>uint(w)&1 != 0 {
-						regs[int(ins.dst)*4+w] = st.reduceWord(rows[w*64+int(ins.c):], int(ins.n), inputs, w)
-					}
-				}
-			}
-		case opBRAM:
-			for i := range body {
-				st.evalGroupWide(&p.groups[body[i].a])
-			}
-		case opAdder:
-			for i := range body {
-				rec := &p.desc.Adders[body[i].a]
-				var c0, c1, c2, c3 uint64
-				for j := range rec.A {
-					a, b := r4(regs, uint16(rec.A[j])), r4(regs, uint16(rec.B[j]))
-					s := r4(regs, uint16(rec.Sum[j]))
-					x0 := a[0] ^ b[0]
-					s[0] = x0 ^ c0
-					c0 = a[0]&b[0] | c0&x0
-					x1 := a[1] ^ b[1]
-					s[1] = x1 ^ c1
-					c1 = a[1]&b[1] | c1&x1
-					x2 := a[2] ^ b[2]
-					s[2] = x2 ^ c2
-					c2 = a[2]&b[2] | c2&x2
-					x3 := a[3] ^ b[3]
-					s[3] = x3 ^ c3
-					c3 = a[3]&b[3] | c3&x3
-				}
-			}
-		}
-	}
-}
-
 // reduce collapses the first 1<<k rows through a mux tree addressed by
 // the input nets — the bitsliced TT.Eval for patched/dense LUTs.
 func (st *progState) reduce(rows []uint64, k int, inputs []uint32) uint64 {
@@ -2181,141 +1495,6 @@ func (st *progState) reduce(rows []uint64, k int, inputs []uint32) uint64 {
 		}
 	}
 	return v[0]
-}
-
-// reduceWord is the multi-word states' mux reduce for one 64-lane word:
-// rows is that word's contiguous planar block, and the tree collapses
-// exactly like the single-word reduce — unit-stride rows, the word's
-// select masks read with the slot stride. Masked reduce fixups call it
-// only for the words that actually hold a patched lane.
-func (st *progState) reduceWord(rows []uint64, k int, inputs []uint32, w int) uint64 {
-	if k == 0 {
-		return rows[0]
-	}
-	W := st.words
-	half := 1 << uint(k-1)
-	sel := st.regs[int(inputs[k-1])*W+w]
-	v := st.rscratch[:half]
-	for m := 0; m < half; m++ {
-		v[m] = sel&rows[m|half] | ^sel&rows[m]
-	}
-	for j := k - 2; j >= 0; j-- {
-		sel = st.regs[int(inputs[j])*W+w]
-		half >>= 1
-		for m := 0; m < half; m++ {
-			v[m] = sel&v[m|half] | ^sel&v[m]
-		}
-	}
-	return v[0]
-}
-
-// evalGroupWide evaluates one BRAM group for a multi-word state: each
-// 64-lane block runs the single-block gather/transpose/lookup/scatter
-// independently (the transpose unit is 64x64), so a W-word group costs
-// W times the single-word group — no cross-word work exists.
-func (st *progState) evalGroupWide(g *bramGroup) {
-	for w := 0; w < st.words; w++ {
-		st.evalGroupBlock(g, w)
-	}
-}
-
-// evalGroupBlock is one 64-lane block of a multi-word group evaluation:
-// the mirror of evalGroup's multi-lane path with every register access
-// strided to word w and the per-lane tables offset to the block's
-// global lane range. Blocks past the active lane count (a 130-lane
-// state runs 4 words) are skipped; their stale register bits never
-// reach an active lane under the lane-locality invariant.
-func (st *progState) evalGroupBlock(g *bramGroup, w int) {
-	W := st.words
-	regs := st.regs
-	bl := st.lanes - w*LaneWordBits
-	if bl <= 0 {
-		return
-	}
-	if bl > LaneWordBits {
-		bl = LaneWordBits
-	}
-	laneBase := w * LaneWordBits
-	sc := &st.scratch
-	row := 0
-	for i := range g.members {
-		for _, a := range g.members[i].addr {
-			sc[row] = regs[int(a)*W+w]
-			row++
-		}
-	}
-	transpose64(sc)
-	out := &st.scratch2
-	for pi := range g.packs {
-		p := &g.packs[pi]
-		for ei := 0; ei < len(p.entries); ei += 2 {
-			e0 := &p.entries[ei]
-			if ei+1 < len(p.entries) {
-				e1 := &p.entries[ei+1]
-				if st.tabUniform[e0.bram] && st.tabUniform[e1.bram] {
-					u0 := st.tabs[e0.bram*MaxLanes][: e0.mask+1 : e0.mask+1]
-					u1 := st.tabs[e1.bram*MaxLanes][: e1.mask+1 : e1.mask+1]
-					if ei == 0 {
-						for L := 0; L < bl; L++ {
-							s := sc[L]
-							out[L] = u0[s>>e0.addrOff&e0.mask]&e0.outMask |
-								(u1[s>>e1.addrOff&e1.mask]&e1.outMask)<<e1.shift
-						}
-					} else {
-						for L := 0; L < bl; L++ {
-							s := sc[L]
-							out[L] |= (u0[s>>e0.addrOff&e0.mask]&e0.outMask)<<e0.shift |
-								(u1[s>>e1.addrOff&e1.mask]&e1.outMask)<<e1.shift
-						}
-					}
-				} else {
-					t0 := st.tabs[e0.bram*MaxLanes+laneBase : e0.bram*MaxLanes+laneBase+LaneWordBits]
-					t1 := st.tabs[e1.bram*MaxLanes+laneBase : e1.bram*MaxLanes+laneBase+LaneWordBits]
-					if ei == 0 {
-						for L := 0; L < bl; L++ {
-							s := sc[L]
-							out[L] = t0[L][s>>e0.addrOff&e0.mask]&e0.outMask |
-								(t1[L][s>>e1.addrOff&e1.mask]&e1.outMask)<<e1.shift
-						}
-					} else {
-						for L := 0; L < bl; L++ {
-							s := sc[L]
-							out[L] |= (t0[L][s>>e0.addrOff&e0.mask]&e0.outMask)<<e0.shift |
-								(t1[L][s>>e1.addrOff&e1.mask]&e1.outMask)<<e1.shift
-						}
-					}
-				}
-				continue
-			}
-			if st.tabUniform[e0.bram] {
-				u0 := st.tabs[e0.bram*MaxLanes][: e0.mask+1 : e0.mask+1]
-				if ei == 0 {
-					for L := 0; L < bl; L++ {
-						out[L] = u0[sc[L]>>e0.addrOff&e0.mask] & e0.outMask
-					}
-				} else {
-					for L := 0; L < bl; L++ {
-						out[L] |= (u0[sc[L]>>e0.addrOff&e0.mask] & e0.outMask) << e0.shift
-					}
-				}
-			} else {
-				t0 := st.tabs[e0.bram*MaxLanes+laneBase : e0.bram*MaxLanes+laneBase+LaneWordBits]
-				if ei == 0 {
-					for L := 0; L < bl; L++ {
-						out[L] = t0[L][sc[L]>>e0.addrOff&e0.mask] & e0.outMask
-					}
-				} else {
-					for L := 0; L < bl; L++ {
-						out[L] |= (t0[L][sc[L]>>e0.addrOff&e0.mask] & e0.outMask) << e0.shift
-					}
-				}
-			}
-		}
-		transpose64(out)
-		for bi, dst := range p.dsts {
-			regs[int(dst)*W+w] = out[bi]
-		}
-	}
 }
 
 // evalGroup evaluates one BRAM group. The multi-lane path transposes

@@ -56,13 +56,12 @@ func keystreamBatchToggling(b *Batch, n int) [][]uint32 {
 	for L := range out {
 		out[L] = make([]uint32, n)
 	}
-	var buf []uint64
 	for t := 0; t < n; t++ {
 		tick()
 		for i := 0; i < 32; i++ {
-			buf = b.ReadLaneWords(fmt.Sprintf("%s[%d]", hdl.PortZ, i), buf[:0])
+			mask := b.ReadLanes(fmt.Sprintf("%s[%d]", hdl.PortZ, i))
 			for L := range out {
-				if buf[L>>6]>>uint(L&63)&1 == 1 {
+				if mask>>uint(L)&1 == 1 {
 					out[L][t] |= 1 << uint(i)
 				}
 			}
@@ -110,20 +109,14 @@ func diffCycles(t *testing.T, mk func() *Batch, cycles int, drive func(b *Batch,
 	for name := range cb.outPins {
 		outs = append(outs, name)
 	}
-	var gbuf, wbuf []uint64
 	for cy := 0; cy < cycles; cy++ {
 		if drive != nil {
 			drive(cb, cy)
 			drive(wb, cy)
 		}
 		for _, o := range outs {
-			gbuf = cb.ReadLaneWords(o, gbuf[:0])
-			wbuf = wb.ReadLaneWords(o, wbuf[:0])
-			for w := range gbuf {
-				if gbuf[w] != wbuf[w] {
-					t.Fatalf("cycle %d output %q word %d: compiled %016x walker %016x",
-						cy, o, w, gbuf[w], wbuf[w])
-				}
+			if g, w := cb.ReadLanes(o), wb.ReadLanes(o); g != w {
+				t.Fatalf("cycle %d output %q: compiled %016x walker %016x", cy, o, g, w)
 			}
 		}
 		cb.ClockBatch()
@@ -278,65 +271,16 @@ func TestClockEdgePlanner(t *testing.T) {
 }
 
 // TestPartialWidthMasking pins the stale-bit contract for partial
-// batches at every word count: register words above the active lane
-// count may carry garbage internally (the evaluators compute full
-// 64-lane words), but ReadLanes and ReadLaneWords must mask them off —
-// in both evaluators, for widths below, straddling and above each
-// 64-lane word boundary.
+// batches: register bits above the active lane count may carry garbage
+// internally (the evaluators compute full 64-lane words), but ReadLanes
+// must mask them off, in both evaluators. The SNOW 3G fabric pins the
+// compiled and walker outputs against each other; a combinational
+// inverter pins the exact mask: internally its output word is the
+// complement of the driven pattern in all 64 bits, so every inactive
+// lane holding a 1 there must read back as 0.
 func TestPartialWidthMasking(t *testing.T) {
 	fx := newBatchFixture(t)
-	for _, lanes := range []int{1, 3, 63, 64, 65, 100, 127, 128, 129, 255, 256} {
-		mkDev := func(walk bool) *Batch {
-			dev := New([bitstream.KeySize]byte{})
-			batch, err := dev.LoadPatched(fx.img, make([]bitstream.PatchSet, lanes))
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch.SetWalker(walk)
-			return batch
-		}
-		cb, wb := mkDev(false), mkDev(true)
-		if want := LaneWords(lanes); cb.Words() != want {
-			t.Fatalf("lanes=%d: Words() = %d, want %d", lanes, cb.Words(), want)
-		}
-		for _, b := range []*Batch{cb, wb} {
-			// Drive the run input high so outputs carry live data, then
-			// clock a few cycles into the protocol.
-			b.SetInputLanes(hdl.PortRun, ^uint64(0))
-			for i := 0; i < 4; i++ {
-				b.ClockBatch()
-			}
-		}
-		var gbuf, wbuf []uint64
-		for name := range cb.outPins {
-			gbuf = cb.ReadLaneWords(name, gbuf[:0])
-			wbuf = wb.ReadLaneWords(name, wbuf[:0])
-			if len(gbuf) != LaneWords(lanes) {
-				t.Fatalf("lanes=%d %q: ReadLaneWords returned %d words", lanes, name, len(gbuf))
-			}
-			for w := range gbuf {
-				if gbuf[w] != wbuf[w] {
-					t.Fatalf("lanes=%d %q word %d: compiled %016x != walker %016x",
-						lanes, name, w, gbuf[w], wbuf[w])
-				}
-				if mask := laneMaskWord(lanes, w); gbuf[w]&^mask != 0 {
-					t.Fatalf("lanes=%d %q word %d: bits above lane count leak: %016x (mask %016x)",
-						lanes, name, w, gbuf[w], mask)
-				}
-			}
-			if g := cb.ReadLanes(name); g != gbuf[0] {
-				t.Fatalf("lanes=%d %q: ReadLanes %016x != ReadLaneWords[0] %016x", lanes, name, g, gbuf[0])
-			}
-		}
-	}
-}
-
-// TestSetInputLaneWordsMasking pins the per-word input contract on a
-// combinational inverter: SetInputLaneWords drives distinct per-word
-// patterns, missing high words are zeroed, and the inverted output
-// reads back masked to the active lanes in both evaluators.
-func TestSetInputLaneWordsMasking(t *testing.T) {
-	desc := &bitstream.Description{
+	inv := &bitstream.Description{
 		NumNets: 4,
 		Ports: []bitstream.Port{
 			{Name: "in", Dir: bitstream.In, Net: 2},
@@ -347,30 +291,44 @@ func TestSetInputLaneWordsMasking(t *testing.T) {
 		},
 		Eval: []bitstream.EvalItem{{Kind: bitstream.EvalLUT, Index: 0}},
 	}
-	tts := []boolfn.TT{boolfn.TT(0x5555555555555555)} // ^in
-	for _, lanes := range []int{1, 63, 65, 100, 129, 256} {
-		W := LaneWords(lanes)
-		in := make([]uint64, W)
-		for w := range in {
-			in[w] = rowPattern(lanes, w)
+	invTT := []boolfn.TT{boolfn.TT(0x5555555555555555)} // ^in
+	for _, lanes := range []int{1, 3, 63, 64} {
+		mask := ^uint64(0) >> uint(64-lanes)
+		mkDev := func(walk bool) *Batch {
+			dev := New([bitstream.KeySize]byte{})
+			batch, err := dev.LoadPatched(fx.img, make([]bitstream.PatchSet, lanes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch.SetWalker(walk)
+			return batch
+		}
+		cb, wb := mkDev(false), mkDev(true)
+		for _, b := range []*Batch{cb, wb} {
+			// Drive the run input high so outputs carry live data, then
+			// clock a few cycles into the protocol.
+			b.SetInputLanes(hdl.PortRun, ^uint64(0))
+			for i := 0; i < 4; i++ {
+				b.ClockBatch()
+			}
+		}
+		for name := range cb.outPins {
+			g, w := cb.ReadLanes(name), wb.ReadLanes(name)
+			if g != w {
+				t.Fatalf("lanes=%d %q: compiled %016x != walker %016x", lanes, name, g, w)
+			}
+			if g&^mask != 0 {
+				t.Fatalf("lanes=%d %q: bits above lane count leak: %016x", lanes, name, g)
+			}
 		}
 		for _, walk := range []bool{false, true} {
-			b := miniBatch(t, desc, tts, nil, lanes)
+			b := miniBatch(t, inv, invTT, nil, lanes)
 			b.SetWalker(walk)
-			// Drive only the low words: the high ones must read as zero
-			// inputs (inverted: all-ones, masked).
-			b.SetInputLaneWords("in", in[:1+(W-1)/2])
+			in := rowPattern(lanes, 1)
+			b.SetInputLanes("in", in)
 			b.ClockBatch()
-			got := b.ReadLaneWords("out", nil)
-			for w := 0; w < W; w++ {
-				var driven uint64
-				if w < 1+(W-1)/2 {
-					driven = in[w]
-				}
-				if want := ^driven & laneMaskWord(lanes, w); got[w] != want {
-					t.Fatalf("lanes=%d walker=%v word %d: out %016x, want %016x",
-						lanes, walk, w, got[w], want)
-				}
+			if got, want := b.ReadLanes("out"), ^in&mask; got != want {
+				t.Fatalf("lanes=%d walker=%v: out %016x, want %016x", lanes, walk, got, want)
 			}
 		}
 	}
@@ -379,12 +337,11 @@ func TestSetInputLaneWordsMasking(t *testing.T) {
 // TestCompiledMatchesWalkerKeystream runs the full keystream protocol
 // over mixed patched lanes in both evaluator modes, including a
 // mid-stream evaluator switch (which exercises the inline-FF
-// materialization handoff in both directions). 100 lanes puts the
-// handoff on the two-word path with a partial top word.
+// materialization handoff in both directions).
 func TestCompiledMatchesWalkerKeystream(t *testing.T) {
 	fx := newBatchFixture(t)
 	rng := rand.New(rand.NewSource(7))
-	const lanes = 100
+	const lanes = 64
 	patches := make([]bitstream.PatchSet, lanes)
 	for L := 0; L < lanes; L++ {
 		switch rng.Intn(3) {
@@ -455,9 +412,9 @@ func TestCompiledMatchesWalkerAfterPartialReconfig(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// 70 clean lanes over the patched base: the batch straddles a word
-	// boundary, and every lane must reproduce the reconfigured design.
-	const n, lanes = 6, 70
+	// 40 clean lanes over the patched base: a partial word, and every
+	// lane must reproduce the reconfigured design.
+	const n, lanes = 6, 40
 	mkBatch := func(walk bool) [][]uint32 {
 		b, err := dev.BatchOf(make([]bitstream.PatchSet, lanes))
 		if err != nil {
@@ -574,17 +531,16 @@ func TestCoalesceCopies(t *testing.T) {
 }
 
 // FuzzProgramDifferential is the compiled evaluator's oracle: for fuzzed
-// lane counts in 1..MaxLanes (all three word widths) and per-lane
-// LUT/BRAM patches, the compiled program and the description walker
+// lane counts in 1..MaxLanes and per-lane LUT/BRAM patches, the compiled program and the description walker
 // must emit identical keystreams over identical register files.
 func FuzzProgramDifferential(f *testing.F) {
 	fx := newBatchFixture(f)
 	f.Add(uint8(0), int64(1), uint64(0xEA024714AD5C4D84))
 	f.Add(uint8(5), int64(42), uint64(0xDF1F9B251C0BF45F))
 	f.Add(uint8(63), int64(1234), uint64(0x0123456789ABCDEF))
-	f.Add(uint8(99), int64(77), uint64(0x243F6A8885A308D3)) // 100 lanes: partial 2-word
-	f.Add(uint8(200), int64(9), uint64(0x13198A2E03707344)) // 201 lanes: partial 4-word
-	f.Add(uint8(255), int64(3), uint64(0xA4093822299F31D0)) // 256 lanes: full width
+	f.Add(uint8(99), int64(77), uint64(0x243F6A8885A308D3)) // 36 lanes
+	f.Add(uint8(200), int64(9), uint64(0x13198A2E03707344)) // 9 lanes
+	f.Add(uint8(255), int64(3), uint64(0xA4093822299F31D0)) // 64 lanes: full word
 	f.Fuzz(func(t *testing.T, laneByte uint8, patchSeed int64, ivSeed uint64) {
 		lanes := 1 + int(laneByte)%MaxLanes
 		rng := rand.New(rand.NewSource(patchSeed))
@@ -624,16 +580,15 @@ func FuzzProgramDifferential(f *testing.F) {
 // Batches over one loaded configuration share only immutable data — the
 // compiled Program, the Description and the base BRAM tables — so
 // independent goroutines may sweep concurrently, including at mixed
-// word widths (for W>1 each state widens its own row copies). Run under
-// -race (the tier-1 suite always is), any shared scratch would be
-// reported.
+// widths. Run under -race (the tier-1 suite always is), any shared
+// scratch would be reported.
 func TestConcurrentBatchesOverOneDescription(t *testing.T) {
 	fx := newBatchFixture(t)
 	dev := New([bitstream.KeySize]byte{})
 	if err := dev.Load(fx.img); err != nil {
 		t.Fatal(err)
 	}
-	widths := []int{8, 64, 100, MaxLanes}
+	widths := []int{1, 8, 33, MaxLanes}
 	workers := len(widths)
 	results := make([][]uint32, workers)
 	var wg sync.WaitGroup

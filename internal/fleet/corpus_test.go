@@ -167,6 +167,7 @@ func TestErrorShapeParity(t *testing.T) {
 		{"corpus negative index", `{"kind":"corpus","corpus":{"designs":4,"indices":[-1]}}`},
 		{"corpus index out of range", `{"kind":"corpus","corpus":{"designs":4,"indices":[9]}}`},
 		{"invalid lanes", `{"kind":"attack","lanes":-5}`},
+		{"lanes above one word", `{"kind":"attack","lanes":65}`},
 		{"campaign without runs", `{"kind":"campaign","campaign":{"runs":0}}`},
 	}
 	for _, tc := range cases {

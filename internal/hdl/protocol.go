@@ -71,15 +71,12 @@ func GenerateKeystream(dev Device, iv snow3g.IV, n int) []uint32 {
 }
 
 // BatchDevice abstracts a bitsliced multi-lane device: every pin
-// carries lane-mask words, bit L%64 of word L/64 being the value in
-// lane L. SetInputLanes broadcasts one 64-lane pattern across every
-// word (the protocol only drives all-0/all-1); ReadLaneWords appends
-// the pin's lane words to dst and returns it. The device.Batch
+// carries a lane mask, bit L being the value in lane L. The device.Batch
 // evaluator implements it at 1..device.MaxLanes lanes.
 type BatchDevice interface {
 	SetInputLanes(name string, mask uint64)
 	ClockBatch()
-	ReadLaneWords(name string, dst []uint64) []uint64
+	ReadLanes(name string) uint64
 	Lanes() int
 }
 
@@ -131,13 +128,12 @@ func GenerateKeystreamBatch(dev BatchDevice, iv snow3g.IV, n int) [][]uint32 {
 	for L := range out {
 		out[L] = make([]uint32, n)
 	}
-	var buf []uint64
 	for t := 0; t < n; t++ {
 		dev.ClockBatch()
 		for i := 0; i < 32; i++ {
-			buf = dev.ReadLaneWords(fmt.Sprintf("%s[%d]", PortZ, i), buf[:0])
+			mask := dev.ReadLanes(fmt.Sprintf("%s[%d]", PortZ, i))
 			for L := 0; L < lanes; L++ {
-				if buf[L>>6]>>uint(L&63)&1 == 1 {
+				if mask>>uint(L)&1 == 1 {
 					out[L][t] |= 1 << uint(i)
 				}
 			}

@@ -121,7 +121,8 @@ type JobSpec struct {
 	// Victim and IV drive attack, census and findlut jobs.
 	Victim VictimSpec `json:"victim,omitempty"`
 	IV     snow3g.IV  `json:"iv,omitempty"`
-	// Lanes pins the candidate-sweep width (0 = full width).
+	// Lanes pins the candidate-sweep width, 1..device.MaxLanes
+	// (0 = core.DefaultLanes). Wider values fail validation with ErrSpec.
 	Lanes int `json:"lanes,omitempty"`
 	// RecomputeCRC makes the attack recompute frame CRCs instead of
 	// disabling the check.

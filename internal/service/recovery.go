@@ -163,18 +163,26 @@ func (e *Engine) restoreTerminal(r store.Record, now time.Time) {
 // requeueRecovered re-admits a job that was queued or running when the
 // previous process died. Quotas and the global depth bound do not
 // apply on the way back in (the job was already admitted once); a spec
-// that cannot be decoded turns into a failed job rather than silently
-// vanishing.
+// that cannot be decoded, or that this version's validator rejects
+// (a log written by a build that accepted wider sweeps), turns into a
+// failed job rather than silently vanishing, being clamped, or running.
 func (e *Engine) requeueRecovered(r store.Record, now time.Time) bool {
 	var spec JobSpec
-	if r.Spec == nil || json.Unmarshal(r.Spec, &spec) != nil || spec.Validate() != nil {
+	reason := "job spec lost or corrupt in store"
+	valid := r.Spec != nil && json.Unmarshal(r.Spec, &spec) == nil
+	if valid {
+		if err := spec.Validate(); err != nil {
+			reason, valid = err.Error(), false
+		}
+	}
+	if !valid {
 		done := make(chan struct{})
 		close(done)
 		j := &job{
 			id:        r.Job,
 			spec:      JobSpec{Kind: r.Kind, Tenant: r.Tenant},
 			state:     StateFailed,
-			err:       "recovery: job spec lost or corrupt in store",
+			err:       "recovery: " + reason,
 			submitted: microTime(r.TimeUS, now),
 			finished:  now,
 			cancel:    func() {},

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"snowbma/internal/core"
 	"snowbma/internal/store"
 )
 
@@ -260,6 +262,61 @@ func TestRecoveryCorruptSpec(t *testing.T) {
 	}
 	if s.State != StateFailed || !strings.Contains(s.Error, "recovery") {
 		t.Fatalf("corrupt-spec job restored as %+v, want failed with a recovery error", s)
+	}
+}
+
+// TestRecoveryRejectsWideLanes: a queued attack job logged with
+// "lanes":128 — a width earlier builds accepted — replays as a failed
+// job carrying the lane validation error. It is not clamped to the
+// current maximum and never reaches an executor, in this process or
+// after the next restart.
+func TestRecoveryRejectsWideLanes(t *testing.T) {
+	dir := t.TempDir()
+	w, err := store.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(store.Record{
+		Job: "job-0001", State: StateQueued, Kind: KindAttack,
+		Spec: json.RawMessage(`{"kind":"attack","victim":{"seed":5},"lanes":128}`),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int32
+	never := func(context.Context, *job) (any, error) {
+		runs.Add(1)
+		return "ran", nil
+	}
+	for round := 0; round < 2; round++ {
+		st, err := store.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := Open(Config{Workers: 1, Store: st, execOverride: never})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := e.Get("job-0001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.State != StateFailed || s.Recovered {
+			t.Fatalf("round %d: wide-lanes job restored as %+v, want failed and not re-enqueued", round, s)
+		}
+		for _, want := range []string{"recovery", ErrSpec.Error(), core.ErrLanes.Error(), "got 128"} {
+			if !strings.Contains(s.Error, want) {
+				t.Fatalf("round %d: error %q lacks %q", round, s.Error, want)
+			}
+		}
+		if err := e.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("wide-lanes job executed %d times, want 0", n)
 	}
 }
 

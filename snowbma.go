@@ -161,15 +161,13 @@ type Report = core.Report
 type BatchStats = core.BatchStats
 
 // MaxLanes is the lane capacity of the bitsliced candidate sweep: how
-// many virtual devices one simulator pass evaluates at most. Each
-// 64-lane block costs one register-slot word, so passes are cheapest at
-// multiples of 64.
+// many virtual devices one simulator pass evaluates at most: one
+// 64-bit register word per net.
 const MaxLanes = device.MaxLanes
 
 // DefaultLanes is the sweep width entrypoints use when WithLanes is not
-// given: 128 lanes (two register-slot words), wide enough to cover the
-// standard attack's ~100-member candidate families in a single fabric
-// pass.
+// given: the full MaxLanes word. The standard attack's sweeps hold 44
+// candidates in total, so each of its fabric passes fits in one word.
 const DefaultLanes = core.DefaultLanes
 
 // ErrLanes is returned (wrapped) for out-of-range candidate-sweep
@@ -209,8 +207,7 @@ func buildOptions(opts []Option) options {
 
 // WithLanes sets the candidate-sweep width: how many modified bitstream
 // variants one bitsliced simulator pass evaluates (1..MaxLanes; 1
-// forces the scalar path, widths above 64 span multiple register-slot
-// words). The width changes only wall-clock time —
+// forces the scalar path). The width changes only wall-clock time —
 // Report.Loads and HardwareEstimate model per-candidate hardware
 // reconfigurations and are invariant under it. Out-of-range widths fail
 // the entrypoint with an error wrapping ErrLanes.
