@@ -13,9 +13,13 @@ vet:
 test:
 	$(GO) test ./...
 
-# tier1 is the CI gate: clean build, vet, and the full suite under the
-# race detector (the batch scanner and FindDualXOR run worker pools).
+# tier1 is the CI gate: gofmt-clean sources, clean build, vet, and the
+# full suite under the race detector (the batch scanner and FindDualXOR
+# run worker pools). The benchmark's build cache (.bench_build) is not
+# source and is left out of the format check.
 tier1:
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+		if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -125,7 +129,8 @@ census-smoke:
 	@test -s /tmp/snowbma-corpus.json || { echo "empty corpus report"; exit 1; }
 
 # Short fuzz passes over the differential targets: the batch scanner
-# vs FindLUT, and the compiled fabric program vs the graph walker.
+# vs FindLUT and the decode-based dual-XOR oracle, and the compiled
+# fabric program vs the graph walker.
 fuzz:
 	$(GO) test ./internal/core/ -run FuzzScannerDifferential -fuzz FuzzScannerDifferential -fuzztime 30s
 	$(GO) test ./internal/device/ -run FuzzProgramDifferential -fuzz FuzzProgramDifferential -fuzztime 30s

@@ -138,9 +138,9 @@ func TestCRCCacheMatchesFullRecompute(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	cases := [][]int{
-		{p.FDRIOffset},                        // first FDRI byte
-		{p.FDRIOffset + p.FDRILen - 1},        // last FDRI byte
-		{p.FDRIOffset + 9*FrameBytes + 17},    // mid frame
+		{p.FDRIOffset},                                   // first FDRI byte
+		{p.FDRIOffset + p.FDRILen - 1},                   // last FDRI byte
+		{p.FDRIOffset + 9*FrameBytes + 17},               // mid frame
 		{p.FDRIOffset + 3, p.FDRIOffset + p.FDRILen - 7}, // wide span
 	}
 	for i := 0; i < 8; i++ {

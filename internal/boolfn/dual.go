@@ -1,5 +1,7 @@
 package boolfn
 
+import "sort"
+
 // Xilinx 7-series 6-input LUTs are fracturable: one physical LUT can
 // implement either a single function of 6 variables on output O6, or two
 // functions of up to 5 shared variables on outputs O5 and O6 with the a6
@@ -64,6 +66,18 @@ var xor2Class5 = func() map[TT5]struct{} {
 func IsXor2Half(t TT5) bool {
 	_, ok := xor2Class5[t]
 	return ok
+}
+
+// Xor2Halves returns the 5-input tables IsXor2Half accepts, in
+// ascending order: the raw-byte dual-XOR scan compiles them into
+// bitstream lane keys.
+func Xor2Halves() []TT5 {
+	out := make([]TT5, 0, len(xor2Class5))
+	for t := range xor2Class5 {
+		out = append(out, t)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // DualXorCandidate reports whether a 64-bit LUT INIT corresponds to a

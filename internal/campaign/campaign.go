@@ -127,9 +127,9 @@ type Result struct {
 
 // Aggregate is the campaign-level tally.
 type Aggregate struct {
-	KeyRecovered        int            `json:"key_recovered"`
-	CleanFailures       int            `json:"clean_failures"`
-	InvariantViolations int            `json:"invariant_violations"`
+	KeyRecovered        int `json:"key_recovered"`
+	CleanFailures       int `json:"clean_failures"`
+	InvariantViolations int `json:"invariant_violations"`
 	// Unexpected counts scenarios whose verdict contradicts their
 	// contract (includes every invariant violation).
 	Unexpected     int            `json:"unexpected"`

@@ -118,10 +118,8 @@ type Attack struct {
 	// otherwise drown in misaligned false positives.
 	clbStart int
 	// scanned memoizes batch-scan results per target function so every
-	// attack step reads from one shared bitstream pass; dualHits carries
-	// the Section VII-B predicate hits of the same pass.
-	scanned  map[boolfn.TT][]Match
-	dualHits []int
+	// attack step reads from one shared bitstream pass.
+	scanned map[boolfn.TT][]Match
 	// lanes is the candidate-sweep width: how many modified variants one
 	// bitsliced simulator pass evaluates (SetLanes; 1 = scalar).
 	lanes int
@@ -129,8 +127,8 @@ type Attack struct {
 	// classification; resealer / crcCache hold the incremental
 	// reconfiguration state for the scalar path. All are built lazily on
 	// the first candidate trial.
-	batchInfo     *batchInfo
-	batchTried    bool
+	batchInfo  *batchInfo
+	batchTried bool
 	// baseLive is true while the victim device still holds the unmodified
 	// base configuration from the previous fabric pass, letting the next
 	// pass skip the base image decode (device.FPGA.BatchOf).
@@ -336,11 +334,12 @@ func deadColumns(z []uint32) uint32 {
 }
 
 // batchScan performs the attack's single bitstream pass: the complete
-// Table II catalogue, every guessed load-MUX shape and the Section VII-B
-// dual-output XOR predicate are compiled into one shared anchor index
-// and resolved in one walk of the plaintext image. Every later step
-// (candidate counting, z-path and feedback verification, MUX search,
-// Table VI's dual-XOR sweep) reads from this memo instead of re-scanning.
+// Table II catalogue and every guessed load-MUX shape are compiled into
+// one shared anchor index and resolved in one walk of the plaintext
+// image. Every later step (candidate counting, z-path and feedback
+// verification, MUX search) reads from this memo instead of re-scanning.
+// The Section VII-B dual-XOR sweep is not part of the attack; Table VI
+// runs it through FindDualXOR.
 func (a *Attack) batchScan() {
 	if a.scanned != nil {
 		return
@@ -357,7 +356,6 @@ func (a *Attack) batchScan() {
 	for _, m := range muxes {
 		s.AddFunction("mux:"+m.name, m.fn)
 	}
-	s.AddDualXOR("dualxor", 0, 0)
 	res := s.Scan(a.plain)
 	a.scanned = make(map[boolfn.TT][]Match, len(cands)+len(muxes))
 	for _, c := range cands {
@@ -366,14 +364,13 @@ func (a *Attack) batchScan() {
 	for _, m := range muxes {
 		a.scanned[m.fn] = res.Matches["mux:"+m.name]
 	}
-	a.dualHits = res.DualHits["dualxor"]
 	a.rep.Scan.Accumulate(res.Stats)
 	span.SetAttr("functions", res.Stats.Functions)
 	span.SetAttr("candidates_compiled", res.Stats.CandidatesCompiled)
 	span.SetAttr("anchor_hits", res.Stats.AnchorHits)
 	span.SetAttr("deep_compares", res.Stats.DeepCompares)
 	a.publishStats()
-	a.log.Infof("batch scan: %d functions + dual-XOR predicate in one pass (%d candidates, %d anchor hits, %d deep compares)",
+	a.log.Infof("batch scan: %d functions in one pass (%d candidates, %d anchor hits, %d deep compares)",
 		res.Stats.Functions, res.Stats.CandidatesCompiled, res.Stats.AnchorHits, res.Stats.DeepCompares)
 }
 
@@ -405,14 +402,6 @@ func (a *Attack) CountCandidates() []CandidateCount {
 	}
 	a.rep.CandidateTable = out
 	return out
-}
-
-// DualXORHits returns the Section VII-B dual-output XOR search over the
-// full plaintext image, served from the same single pass as the
-// candidate catalogue (the Table VI measurement).
-func (a *Attack) DualXORHits() []int {
-	a.batchScan()
-	return a.dualHits
 }
 
 // VerifyZPath implements Section VI-C.1: zero each f2 candidate in turn

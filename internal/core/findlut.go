@@ -219,8 +219,8 @@ func invertPerm(p []int) []int {
 // variables in the other. lo and hi bound the scanned byte interval
 // (hi ≤ 0 means the end of the bitstream), modelling the paper's
 // constrained search over 200 000 positions. The scan runs on the
-// Scanner's worker pool with the blank-fabric prefilter, so empty
-// regions never pay for a 64-bit LUT decode.
+// Scanner's worker pool and decides each position from two raw 4-byte
+// lane keys behind a 16-bit prefilter; it never decodes a LUT.
 func FindDualXOR(b []byte, lo, hi int) []int {
 	s := NewScanner(FindOptions{})
 	s.AddDualXOR("w", lo, hi)

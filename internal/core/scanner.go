@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -16,12 +17,13 @@ import (
 // bitstream" (Section VI-B), but the Table II / Table VI reproductions
 // and the attack itself need 21+ functions — paying that price once per
 // function re-walks the identical bytes N times. The Scanner compiles
-// the candidate catalogues of every requested function (and the
-// dual-output XOR predicate of Section VII-B) into one shared anchor
-// index, walks the bitstream exactly once with the worker pool, and
-// demultiplexes hits per function. Per-function results are identical to
-// running FindLUT (and FindLUTReference) separately; the equivalence is
-// pinned by the differential suite in scanner_test.go.
+// the candidate catalogues of every requested function into one shared
+// anchor index, walks the bitstream exactly once with the worker pool
+// (testing the dual-output XOR predicate of Section VII-B in the same
+// pass when asked), and demultiplexes hits per function. Per-function
+// results are identical to running FindLUT (and FindLUTReference)
+// separately; the equivalence is pinned by the differential suite in
+// scanner_test.go.
 
 // ScanStats records what one Scan (or an accumulation of several) did:
 // the observability layer behind the CLI -stats flag and the attack
@@ -49,8 +51,8 @@ type ScanStats struct {
 	AnchorHits   int64
 	DeepCompares int64
 	// DualProbes counts positions tested against the dual-XOR windows;
-	// DualDecodes the positions that survived the blank-fabric prefilter
-	// and paid for a 64-bit LUT decode.
+	// DualDecodes the positions that passed the 16-bit lane prefilter
+	// and paid for an exact 32-bit lane-key check.
 	DualProbes  int64
 	DualDecodes int64
 	// Workers is the size of the scan worker pool.
@@ -188,11 +190,6 @@ type fnHit struct {
 	index int32
 }
 
-// dualHit is one dual-XOR predicate hit before window demultiplexing.
-type dualHit struct {
-	index int
-}
-
 // Scan walks b once and returns every requested result. The returned
 // match lists are byte-identical to per-function FindLUT calls with the
 // scanner's options, and the dual hit lists to FindDualXOR over each
@@ -285,12 +282,16 @@ func (s *Scanner) Scan(b []byte) *ScanResult {
 	res.Stats.BytesScanned = int64(positions)
 	res.Stats.Passes = 1
 
+	var dual *dualLanes
+	if len(s.duals) > 0 {
+		dual = dualLaneTables()
+	}
 	walkSpan := s.tel.StartSpan("scan.walk",
 		obs.KV("workers", workers), obs.KV("positions", positions))
 	scanStart := time.Now()
 	var mu sync.Mutex
 	var allFn []fnHit
-	var allDual []dualHit
+	var allDual []int
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
@@ -304,36 +305,29 @@ func (s *Scanner) Scan(b []byte) *ScanResult {
 			cspan := s.tel.StartSpan("scan.chunk", obs.KV("lo", lo), obs.KV("hi", hi))
 			defer cspan.End()
 			var local []fnHit
-			var localDual []dualHit
+			var localDual []int
 			var st ScanStats
-			for p := lo; p < hi; p++ {
-				if p < anchorEnd {
-					st.AnchorProbes++
-					refs := byAnchor[uint16(b[p])|uint16(b[p+1])<<8]
-					if refs != nil {
-						st.AnchorHits++
-						for _, r := range refs {
-							c := &catalogues[r.fn][r.ci]
-							l := p - c.anchor*bitstream.SubVectorOffset
-							if l < 0 || l > limit {
-								continue
-							}
-							st.DeepCompares++
-							if matchAt(b, l, c) {
-								local = append(local, fnHit{fn: r.fn, ci: r.ci, index: int32(l)})
-							}
-						}
+			for p, end := lo, min(hi, anchorEnd); p < end; p++ {
+				st.AnchorProbes++
+				refs := byAnchor[uint16(b[p])|uint16(b[p+1])<<8]
+				if refs == nil {
+					continue
+				}
+				st.AnchorHits++
+				for _, r := range refs {
+					c := &catalogues[r.fn][r.ci]
+					l := p - c.anchor*bitstream.SubVectorOffset
+					if l < 0 || l > limit {
+						continue
+					}
+					st.DeepCompares++
+					if matchAt(b, l, c) {
+						local = append(local, fnHit{fn: r.fn, ci: r.ci, index: int32(l)})
 					}
 				}
-				if p >= dualStart && p < dualEnd && p <= limit {
-					st.DualProbes++
-					if hit, decoded := dualXorAt(b, p); decoded {
-						st.DualDecodes++
-						if hit {
-							localDual = append(localDual, dualHit{index: p})
-						}
-					}
-				}
+			}
+			if dl, dh := max(lo, dualStart), min(hi, dualEnd); dl < dh {
+				localDual = dual.scan(b, dl, dh, &st)
 			}
 			mu.Lock()
 			allFn = append(allFn, local...)
@@ -371,11 +365,11 @@ func (s *Scanner) Scan(b []byte) *ScanResult {
 			Match{Index: int(h.index), Perm: c.perm, Order: c.order})
 	}
 	if len(allDual) > 0 {
-		sort.Slice(allDual, func(i, j int) bool { return allDual[i].index < allDual[j].index })
+		sort.Ints(allDual)
 		for di, t := range s.duals {
 			for _, h := range allDual {
-				if h.index >= dualLos[di] && h.index <= dualHis[di] {
-					res.DualHits[t.key] = append(res.DualHits[t.key], h.index)
+				if h >= dualLos[di] && h <= dualHis[di] {
+					res.DualHits[t.key] = append(res.DualHits[t.key], h)
 				}
 			}
 		}
@@ -414,29 +408,85 @@ func (s *Scanner) recompile(st *ScanStats) {
 	s.dirty = false
 }
 
-// dualXorAt evaluates the Section VII-B predicate at base position l.
-// The second return reports whether a full 64-bit decode was paid for:
-// blank fabric (all-0x00 or all-0xFF sub-vectors, decoding to the
-// constant functions, which have no XOR half) is rejected from the raw
-// bytes alone — the dual-scan analogue of FindLUT's anchor prefilter.
-func dualXorAt(b []byte, l int) (hit, decoded bool) {
-	var sub [bitstream.SubVectors][bitstream.SubVectorBytes]byte
-	and, or := byte(0xFF), byte(0x00)
-	for q := 0; q < bitstream.SubVectors; q++ {
-		off := l + q*bitstream.SubVectorOffset
-		sub[q][0], sub[q][1] = b[off], b[off+1]
-		and &= b[off] & b[off+1]
-		or |= b[off] | b[off+1]
-	}
-	if or == 0x00 || and == 0xFF {
-		return false, false // constant LUT: cannot carry a 2-input XOR half
-	}
-	for _, order := range []bitstream.SliceType{bitstream.SliceL, bitstream.SliceM} {
-		if boolfn.DualXorCandidate(bitstream.DecodeLUT(sub, order)) {
-			return true, true
+// The Section VII-B predicate as raw-byte lookups. Table I puts ¬a6 on
+// bit 3 of the ξ index, so within every 16-bit sub-vector the high byte
+// holds the O5 (a6 = 0) half and the low byte the O6 (a6 = 1) half, and
+// both slice orders only permute whole sub-vectors. For byte lane
+// j ∈ {0, 1} the four bytes b[l+j+q·d] therefore determine one half
+// exactly: O6 for lane 0, O5 for lane 1. A position carries a 2-input XOR
+// half under either order iff one lane's 4-byte key is the lane image of
+// an XOR2 table; TestDualLaneSeparation pins the split exhaustively and
+// findDualXORSerial (two full decodes per position) is the oracle.
+
+// dualLanes holds the compiled lane keys: pre is a 16-bit prefilter over
+// a lane's first two bytes (bit j set when some lane-j key starts with
+// that prefix), keys[j] the exact 32-bit lane-j keys.
+type dualLanes struct {
+	pre  [1 << 16]uint8
+	keys [2][]uint32
+}
+
+var (
+	dualOnce sync.Once
+	dualTabs *dualLanes
+)
+
+// dualLaneTables builds the lane tables on first use, so processes that
+// never scan for dual-output XORs pay nothing for them.
+func dualLaneTables() *dualLanes {
+	dualOnce.Do(func() {
+		t := &dualLanes{}
+		for _, x := range boolfn.Xor2Halves() {
+			halves := [2]boolfn.TT{boolfn.TT(x) << 32, boolfn.TT(x)} // lane 0: O6, lane 1: O5
+			for j, init := range halves {
+				for _, order := range []bitstream.SliceType{bitstream.SliceL, bitstream.SliceM} {
+					sub := bitstream.EncodeLUT(init, order)
+					key := uint32(sub[0][j]) | uint32(sub[1][j])<<8 |
+						uint32(sub[2][j])<<16 | uint32(sub[3][j])<<24
+					if !slices.Contains(t.keys[j], key) {
+						t.keys[j] = append(t.keys[j], key)
+						t.pre[uint16(key)] |= 1 << j
+					}
+				}
+			}
 		}
+		dualTabs = t
+	})
+	return dualTabs
+}
+
+// scan evaluates the predicate at base positions [lo, hi), all at most
+// limit, returning the hits in ascending order. DualDecodes counts the
+// positions whose lane prefix passed the 16-bit prefilter.
+func (t *dualLanes) scan(b []byte, lo, hi int, st *ScanStats) []int {
+	const d = bitstream.SubVectorOffset
+	var hits []int
+	st.DualProbes += int64(hi - lo)
+	// Lane 1 at l is lane 0 at l+1: one prefilter load per position.
+	cur := t.pre[uint16(b[lo])|uint16(b[lo+d])<<8]
+	for l := lo; l < hi; l++ {
+		next := t.pre[uint16(b[l+1])|uint16(b[l+1+d])<<8]
+		if cur&1|next&2 != 0 {
+			st.DualDecodes++
+			if t.exact(b, l, 0, cur) || t.exact(b, l, 1, next) {
+				hits = append(hits, l)
+			}
+		}
+		cur = next
 	}
-	return false, true
+	return hits
+}
+
+// exact reports whether lane j's full key at base position l is an XOR2
+// lane key, given the prefilter entry pre of its prefix.
+func (t *dualLanes) exact(b []byte, l, j int, pre uint8) bool {
+	const d = bitstream.SubVectorOffset
+	if pre&(1<<j) == 0 {
+		return false
+	}
+	p := l + j
+	key := uint32(b[p]) | uint32(b[p+d])<<8 | uint32(b[p+2*d])<<16 | uint32(b[p+3*d])<<24
+	return slices.Contains(t.keys[j], key)
 }
 
 // --- Process-wide candidate-catalogue cache -----------------------------

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"snowbma/internal/bitstream"
@@ -27,6 +28,20 @@ func scannerTestFuncs() []boolfn.TT {
 	}
 }
 
+// dualPlants are plantImage's dual-output XOR LUTs: three with the XOR
+// in O5 and two in O6, covering both slice orders for each half.
+var dualPlants = []struct {
+	loc     bitstream.Loc
+	xorVars [2]int
+	inO6    bool
+}{
+	{bitstream.Loc{Frame: 10, Slot: 0, Type: bitstream.SliceL}, [2]int{1, 3}, false},
+	{bitstream.Loc{Frame: 11, Slot: 7, Type: bitstream.SliceM}, [2]int{2, 3}, false},
+	{bitstream.Loc{Frame: 12, Slot: 14, Type: bitstream.SliceL}, [2]int{1, 3}, false},
+	{bitstream.Loc{Frame: 14, Slot: 11, Type: bitstream.SliceL}, [2]int{2, 5}, true},
+	{bitstream.Loc{Frame: 15, Slot: 20, Type: bitstream.SliceM}, [2]int{4, 5}, true},
+}
+
 // plantImage builds a frame image with LUTs planted for permuted
 // variants of the test functions in both slice types, plus deterministic
 // noise bytes in an unused tail region (noise may create false
@@ -45,14 +60,16 @@ func plantImage(t testing.TB) []byte {
 			}
 		}
 	}
-	// Dual-output XOR plants for the Section VII-B predicate.
-	for i := 0; i < 3; i++ {
-		d := boolfn.DualLUT{
-			O5: boolfn.Shrink5(boolfn.Xor(boolfn.A(1+i%2), boolfn.A(3))),
-			O6: boolfn.TT5(rng.Uint32()),
+	// Dual-output XOR plants for the Section VII-B predicate: the XOR in
+	// the O5 half (byte lane 1) or the O6 half (byte lane 0), the other
+	// half random.
+	for _, pl := range dualPlants {
+		xor := boolfn.Shrink5(boolfn.Xor(boolfn.A(pl.xorVars[0]), boolfn.A(pl.xorVars[1])))
+		d := boolfn.DualLUT{O5: xor, O6: boolfn.TT5(rng.Uint32())}
+		if pl.inO6 {
+			d.O5, d.O6 = d.O6, d.O5
 		}
-		loc := bitstream.Loc{Frame: 10 + i, Slot: 7 * i, Type: bitstream.SliceType(i % 2)}
-		if err := bitstream.WriteLUT(img, loc, d.Pack()); err != nil {
+		if err := bitstream.WriteLUT(img, pl.loc, d.Pack()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,9 +187,91 @@ func TestFindDualXORMatchesSerialSweep(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("window %v: routed %v, serial oracle %v", window, got, want)
 		}
-		if window == [2]int{0, 0} && len(want) < 3 {
-			t.Fatalf("full sweep found %d hits, want the 3 plants", len(want))
+		if window == [2]int{0, 0} {
+			for _, pl := range dualPlants {
+				l := pl.loc.Frame*bitstream.FrameBytes + pl.loc.Slot*bitstream.SubVectorBytes
+				if !slices.Contains(got, l) {
+					t.Fatalf("full sweep missed the %+v plant at %d", pl, l)
+				}
+			}
 		}
+	}
+}
+
+// TestDualLaneSeparation proves the byte-lane split the raw-byte dual
+// predicate relies on, exhaustively: under both slice orders, INIT bit i
+// lands in the high byte (lane 1) of its sub-vector iff i < 32, i.e. the
+// O5 half is lane 1 and the O6 half lane 0.
+func TestDualLaneSeparation(t *testing.T) {
+	for _, order := range []bitstream.SliceType{bitstream.SliceL, bitstream.SliceM} {
+		for i := 0; i < 64; i++ {
+			sub := bitstream.EncodeLUT(boolfn.TT(1)<<i, order)
+			lane := -1
+			for q := range sub {
+				for j, v := range sub[q] {
+					if v == 0 {
+						continue
+					}
+					if lane >= 0 {
+						t.Fatalf("%v bit %d: set in more than one byte", order, i)
+					}
+					lane = j
+				}
+			}
+			want := 0 // O6 half
+			if i < 32 {
+				want = 1 // O5 half
+			}
+			if lane != want {
+				t.Fatalf("%v bit %d landed in lane %d, want %d", order, i, lane, want)
+			}
+		}
+	}
+}
+
+// TestDualLaneKeysDifferential is a dense differential of the lane-key
+// predicate against the decode-based serial oracle: every XOR2 lane key
+// and each of its one-bit mutations is written into both byte lanes of a
+// frame slot, with the other lane blank, random or another key. Random
+// bytes almost never hit, so this is where the exact key check and the
+// 16-bit prefilter meet their near misses.
+func TestDualLaneKeysDifferential(t *testing.T) {
+	tabs := dualLaneTables()
+	var keys []uint32
+	for j := range tabs.keys {
+		if len(tabs.keys[j]) == 0 {
+			t.Fatalf("lane %d has no keys", j)
+		}
+		keys = append(keys, tabs.keys[j]...)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var slots [][2]uint32 // lane-0 and lane-1 keys per slot
+	for _, k := range keys {
+		for bit := -1; bit < 32; bit++ {
+			v := k
+			if bit >= 0 {
+				v ^= 1 << bit
+			}
+			other := [3]uint32{0, rng.Uint32(), keys[rng.Intn(len(keys))]}[rng.Intn(3)]
+			slots = append(slots, [2]uint32{v, other}, [2]uint32{other, v})
+		}
+	}
+	frames := (len(slots)-1)/bitstream.SlotsPerFrame + 2
+	img := make([]byte, frames*bitstream.FrameBytes)
+	for i, lanes := range slots {
+		base := (i/bitstream.SlotsPerFrame)*bitstream.FrameBytes + (i%bitstream.SlotsPerFrame)*bitstream.SubVectorBytes
+		for j, key := range lanes {
+			for q := 0; q < bitstream.SubVectors; q++ {
+				img[base+j+q*bitstream.SubVectorOffset] = byte(key >> (8 * q))
+			}
+		}
+	}
+	want := findDualXORSerial(img, 0, 0)
+	if got := FindDualXOR(img, 0, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("lane-key predicate found %d hits, serial oracle %d", len(got), len(want))
+	}
+	if len(want) < len(keys) {
+		t.Fatalf("only %d hits for %d planted keys", len(want), len(keys))
 	}
 }
 
@@ -310,6 +409,7 @@ func FuzzScannerDifferential(f *testing.F) {
 	img := plantImage(f)
 	f.Add(img[:2*bitstream.FrameBytes])
 	f.Add(img[9*bitstream.FrameBytes : 13*bitstream.FrameBytes])
+	f.Add(img[14*bitstream.FrameBytes : 16*bitstream.FrameBytes]) // O6-half plants
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) > 1<<14 {
 			b = b[:1<<14]

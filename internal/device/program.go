@@ -37,31 +37,31 @@ import (
 // Shannon-decomposition special case so a typical routing LUT costs one
 // or two instructions.
 const (
-	opNop    = iota // patched-out slot
-	opConst0        // dst = 0
-	opConst1        // dst = ^0
-	opCopy          // dst = a
-	opNot           // dst = ^a
-	opAnd           // dst = a & b
-	opOr            // dst = a | b
-	opXor           // dst = a ^ b
-	opAndN          // dst = a &^ b
-	opOrN           // dst = a | ^b
-	opNand          // dst = ^(a & b)
-	opNor           // dst = ^(a | b)
-	opXnor          // dst = ^(a ^ b)
-	opMux           // dst = c ? a : b
-	opMuxNA         // dst = c ? ^a : b
-	opMuxNB         // dst = c ? a : ^b
-	opMuxNAB        // dst = ^(c ? a : b)
-	opXorMuxA       // dst = c ? a.lo^a.hi : b (peephole-fused xor + mux)
-	opXorMuxB       // dst = c ? b : a.lo^a.hi
-	opXnorMuxA      // dst = c ? ^(a.lo^a.hi) : b
-	opXnorMuxB      // dst = c ? b : ^(a.lo^a.hi)
-	opXorK          // dst = (^)args[a : a+n] xor-chain, c=1 complements
-	opReduce        // dst = mux-reduce of rows[lut=a][c:c+1<<n] by LUT inputs
-	opBRAM          // evaluate bramGroups[a]
-	opAdder         // ripple-evaluate desc.Adders[a]
+	opNop      = iota // patched-out slot
+	opConst0          // dst = 0
+	opConst1          // dst = ^0
+	opCopy            // dst = a
+	opNot             // dst = ^a
+	opAnd             // dst = a & b
+	opOr              // dst = a | b
+	opXor             // dst = a ^ b
+	opAndN            // dst = a &^ b
+	opOrN             // dst = a | ^b
+	opNand            // dst = ^(a & b)
+	opNor             // dst = ^(a | b)
+	opXnor            // dst = ^(a ^ b)
+	opMux             // dst = c ? a : b
+	opMuxNA           // dst = c ? ^a : b
+	opMuxNB           // dst = c ? a : ^b
+	opMuxNAB          // dst = ^(c ? a : b)
+	opXorMuxA         // dst = c ? a.lo^a.hi : b (peephole-fused xor + mux)
+	opXorMuxB         // dst = c ? b : a.lo^a.hi
+	opXnorMuxA        // dst = c ? ^(a.lo^a.hi) : b
+	opXnorMuxB        // dst = c ? b : ^(a.lo^a.hi)
+	opXorK            // dst = (^)args[a : a+n] xor-chain, c=1 complements
+	opReduce          // dst = mux-reduce of rows[lut=a][c:c+1<<n] by LUT inputs
+	opBRAM            // evaluate bramGroups[a]
+	opAdder           // ripple-evaluate desc.Adders[a]
 )
 
 // insn is one compiled instruction. Operand meaning depends on op; dst
@@ -1305,7 +1305,7 @@ func (st *progState) settle() {
 	// Constant-length reslice: with len(regs) pinned to the full uint16
 	// operand space, every regs[ins.dst]/[ins.b]/[ins.c] access below is
 	// provably in bounds and compiles without a check.
-	regs := st.regs[:1<<16:1<<16]
+	regs := st.regs[: 1<<16 : 1<<16]
 	regs[0] = 0
 	regs[1] = ^uint64(0)
 	switch {

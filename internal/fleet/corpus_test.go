@@ -154,28 +154,31 @@ func TestErrorShapeParity(t *testing.T) {
 		return resp.StatusCode, string(b)
 	}
 
+	oversized := `{"kind":"attack","tenant":"` + strings.Repeat("x", service.MaxSpecBytes) + `"}`
 	cases := []struct {
 		name string
 		body string
+		code int
 	}{
-		{"malformed JSON", `{"kind":`},
-		{"unknown field", `{"kind":"attack","surprise":1}`},
-		{"unknown kind", `{"kind":"bogus"}`},
-		{"findlut without expr", `{"kind":"findlut"}`},
-		{"corpus without spec", `{"kind":"corpus"}`},
-		{"corpus without designs", `{"kind":"corpus","corpus":{"designs":0}}`},
-		{"corpus negative index", `{"kind":"corpus","corpus":{"designs":4,"indices":[-1]}}`},
-		{"corpus index out of range", `{"kind":"corpus","corpus":{"designs":4,"indices":[9]}}`},
-		{"invalid lanes", `{"kind":"attack","lanes":-5}`},
-		{"lanes above one word", `{"kind":"attack","lanes":65}`},
-		{"campaign without runs", `{"kind":"campaign","campaign":{"runs":0}}`},
+		{"malformed JSON", `{"kind":`, http.StatusBadRequest},
+		{"unknown field", `{"kind":"attack","surprise":1}`, http.StatusBadRequest},
+		{"unknown kind", `{"kind":"bogus"}`, http.StatusBadRequest},
+		{"findlut without expr", `{"kind":"findlut"}`, http.StatusBadRequest},
+		{"corpus without spec", `{"kind":"corpus"}`, http.StatusBadRequest},
+		{"corpus without designs", `{"kind":"corpus","corpus":{"designs":0}}`, http.StatusBadRequest},
+		{"corpus negative index", `{"kind":"corpus","corpus":{"designs":4,"indices":[-1]}}`, http.StatusBadRequest},
+		{"corpus index out of range", `{"kind":"corpus","corpus":{"designs":4,"indices":[9]}}`, http.StatusBadRequest},
+		{"invalid lanes", `{"kind":"attack","lanes":-5}`, http.StatusBadRequest},
+		{"lanes above one word", `{"kind":"attack","lanes":65}`, http.StatusBadRequest},
+		{"campaign without runs", `{"kind":"campaign","campaign":{"runs":0}}`, http.StatusBadRequest},
+		{"body over MaxSpecBytes", oversized, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sCode, sBody := post(t, serve.URL, tc.body)
 			fCode, fBody := post(t, mirror.URL, tc.body)
-			if sCode != http.StatusBadRequest {
-				t.Fatalf("serve answered %d, want 400; body: %s", sCode, sBody)
+			if sCode != tc.code {
+				t.Fatalf("serve answered %d, want %d; body: %s", sCode, tc.code, sBody)
 			}
 			if fCode != sCode {
 				t.Errorf("status diverges: serve %d, fleet %d", sCode, fCode)
@@ -186,9 +189,39 @@ func TestErrorShapeParity(t *testing.T) {
 			var env struct {
 				Error string `json:"error"`
 			}
-			if err := json.Unmarshal([]byte(sBody), &env); err != nil || env.Error == "" {
-				t.Errorf("serve body is not the {\"error\": ...} envelope: %s", sBody)
+			if err := json.Unmarshal([]byte(sBody), &env); err != nil ||
+				!strings.HasPrefix(env.Error, service.ErrSpec.Error()) {
+				t.Errorf("serve body is not the ErrSpec {\"error\": ...} envelope: %s", sBody)
 			}
 		})
+	}
+}
+
+// TestJoinBodyCap pins the worker-join body cap: a join body over
+// service.MaxSpecBytes answers 413 with the {"error": ...} envelope and
+// leaves the membership untouched.
+func TestJoinBodyCap(t *testing.T) {
+	c := New(Config{HealthInterval: time.Hour})
+	defer c.Shutdown(context.Background())
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	body := `{"name":"w1","url":"` + strings.Repeat("x", service.MaxSpecBytes) + `"}`
+	resp, err := http.Post(srv.URL+"/workers", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error == "" {
+		t.Fatalf("oversized join body is not the {\"error\": ...} envelope (%v)", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized join answered %d, want 413", resp.StatusCode)
+	}
+	if n := len(c.Workers()); n != 0 {
+		t.Fatalf("oversized join changed membership: %d workers", n)
 	}
 }

@@ -3,7 +3,6 @@ package fleet
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"snowbma/internal/obs"
@@ -16,7 +15,8 @@ import (
 //
 //	POST   /jobs             submit a JobSpec → 202 Status
 //	                         (worker rejections pass through: 400/429;
-//	                         503 no live workers or shutting down)
+//	                         413 body over service.MaxSpecBytes; 503 no
+//	                         live workers or shutting down)
 //	GET    /jobs             list fleet job statuses
 //	GET    /jobs/{id}        one fleet job's status
 //	GET    /jobs/{id}/result terminal job's result (409 while running)
@@ -67,6 +67,8 @@ func httpError(w http.ResponseWriter, err error) {
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
 		}
+	case errors.As(err, new(*http.MaxBytesError)):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, service.ErrSpec):
 		code = http.StatusBadRequest
 	case errors.Is(err, ErrNoWorkers), errors.Is(err, ErrShuttingDown):
@@ -80,11 +82,9 @@ func httpError(w http.ResponseWriter, err error) {
 }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec service.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, fmt.Errorf("%w: %v", service.ErrSpec, err))
+	spec, err := service.DecodeSpec(w, r)
+	if err != nil {
+		httpError(w, err)
 		return
 	}
 	st, err := c.Submit(spec)
@@ -134,7 +134,12 @@ func (c *Coordinator) handleAddWorker(w http.ResponseWriter, r *http.Request) {
 		Name string `json:"name"`
 		URL  string `json:"url"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Name == "" || body.URL == "" {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxSpecBytes)).Decode(&body)
+	if errors.As(err, new(*http.MaxBytesError)) {
+		httpError(w, err) // 413
+		return
+	}
+	if err != nil || body.Name == "" || body.URL == "" {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "want {\"name\": ..., \"url\": ...}"})
 		return
 	}

@@ -45,9 +45,9 @@ type SSEOptions struct {
 	// terminal job event).
 	Done func(BusEvent) bool
 	// Epilogue runs after the backlog replay when Done has not yet
-	// fired: returning a non-nil event writes it and ends the stream
-	// (used to synthesize a terminal event for already-finished jobs);
-	// returning nil continues live.
+	// fired: returning a non-nil event writes it, after any live events
+	// already queued, and ends the stream (used to synthesize a terminal
+	// event for already-finished jobs); returning nil continues live.
 	Epilogue func() *BusEvent
 	// Heartbeat is the keep-alive comment cadence (0 = DefaultHeartbeat).
 	Heartbeat time.Duration
@@ -144,6 +144,24 @@ func ServeSSE(w http.ResponseWriter, r *http.Request, bus *EventBus, opt SSEOpti
 	}
 	if opt.Epilogue != nil {
 		if ev := opt.Epilogue(); ev != nil {
+			// Whatever the subject published between the backlog snapshot
+			// and the epilogue's check is already queued on sub: deliver
+			// it first, or a client joining as the subject finishes loses
+			// those events.
+			for queued := true; queued; {
+				select {
+				case live, ok := <-sub.C():
+					if !ok {
+						queued = false
+						break
+					}
+					if done, err := deliver(live); done || err != nil {
+						return err
+					}
+				default:
+					queued = false
+				}
+			}
 			_, err := deliver(*ev)
 			return err
 		}

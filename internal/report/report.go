@@ -91,7 +91,7 @@ func ScanStats(s core.ScanStats) string {
 	fmt.Fprintf(&b, "  walk:                %d bytes, %d anchor probes, %d anchor hits, %d deep compares\n",
 		s.BytesScanned, s.AnchorProbes, s.AnchorHits, s.DeepCompares)
 	if s.DualTargets > 0 {
-		fmt.Fprintf(&b, "  dual-XOR:            %d probes, %d survived the blank-fabric prefilter\n",
+		fmt.Fprintf(&b, "  dual-XOR:            %d probes, %d passed the 16-bit lane prefilter\n",
 			s.DualProbes, s.DualDecodes)
 	}
 	fmt.Fprintf(&b, "  time:                compile %v, scan %v\n",

@@ -12,8 +12,9 @@ import (
 // Handler returns the engine's HTTP API:
 //
 //	POST   /jobs            submit a JobSpec → 202 Status
-//	                        (400 invalid spec, 429 queue full or tenant
-//	                        over quota, 503 shutting down)
+//	                        (400 invalid spec, 413 body over MaxSpecBytes,
+//	                        429 queue full or tenant over quota, 503
+//	                        shutting down)
 //	GET    /jobs            list job statuses
 //	GET    /jobs/{id}       one job's status
 //	GET    /jobs/{id}/result terminal job's result (409 while queued/running)
@@ -57,6 +58,8 @@ type errorBody struct {
 func httpError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrSpec):
 		code = http.StatusBadRequest
 	case errors.Is(err, ErrQueueFull):
@@ -77,15 +80,29 @@ func httpError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
-func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// MaxSpecBytes caps a POST /jobs body on the engine and on the fleet
+// coordinator. A JobSpec carries no bitstream, so 1 MiB is ample.
+const MaxSpecBytes = 1 << 20
+
+// DecodeSpec reads one JobSpec from r's body, capped at MaxSpecBytes and
+// rejecting unknown fields. Decode failures take the same typed-error
+// path as validation failures: every one wraps ErrSpec, so clients (and
+// errors.Is in tests) see one envelope for every malformed spec. An
+// oversized body also wraps *http.MaxBytesError (answered with 413).
+func DecodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		// Route decode failures through the same typed-error path as
-		// validation failures: clients (and errors.Is in tests) see one
-		// ErrSpec shape for every malformed spec, not a hand-rolled body.
-		httpError(w, fmt.Errorf("%w: %v", ErrSpec, err))
+		return spec, fmt.Errorf("%w: %w", ErrSpec, err)
+	}
+	return spec, nil
+}
+
+func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := DecodeSpec(w, r)
+	if err != nil {
+		httpError(w, err)
 		return
 	}
 	st, err := e.Submit(spec)

@@ -251,7 +251,7 @@ type Status struct {
 	Error  string `json:"error,omitempty"`
 	// Recovered marks a job that was re-enqueued from the durable store
 	// after an engine restart.
-	Recovered bool   `json:"recovered,omitempty"`
+	Recovered bool       `json:"recovered,omitempty"`
 	Submitted time.Time  `json:"submitted"`
 	Started   *time.Time `json:"started,omitempty"`
 	Finished  *time.Time `json:"finished,omitempty"`

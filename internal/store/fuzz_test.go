@@ -26,9 +26,9 @@ func FuzzWALDecode(f *testing.F) {
 		{Seq: 3, Job: "job-0001", State: "done", Result: json.RawMessage(`{"verified":true}`)},
 	}); err == nil {
 		f.Add(seed)
-		f.Add(seed[:len(seed)-3])         // torn tail
+		f.Add(seed[:len(seed)-3]) // torn tail
 		flipped := append([]byte(nil), seed...)
-		flipped[len(flipped)/2] ^= 0x10   // mid-log bit flip
+		flipped[len(flipped)/2] ^= 0x10 // mid-log bit flip
 		f.Add(flipped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -389,8 +389,8 @@ func DualXORHits(bits []byte, lo, hi int) []int {
 }
 
 // DualXORHitsStats is DualXORHits plus the scan-engine counters —
-// notably how many probe positions the blank-fabric prefilter rejected
-// before a 64-bit decode.
+// notably how many probe positions passed the 16-bit lane prefilter
+// and paid for an exact lane-key check.
 func DualXORHitsStats(bits []byte, lo, hi int) ([]int, ScanStats) {
 	s := core.NewScanner(core.FindOptions{})
 	s.AddDualXOR("w", lo, hi)

@@ -115,7 +115,7 @@ type SpanRec struct {
 // it.
 type Model struct {
 	Jobs       map[string]*JobView
-	order      []string // job ids, first-seen order
+	order      []string                  // job ids, first-seen order
 	openPhases map[string]map[int]string // job → span id → name (open spans)
 	terminals  []time.Time               // terminal-event times (jobs/sec window)
 	QueueDepth float64
