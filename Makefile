@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test tier1 race bench bench-json bench-check trace-smoke campaign-smoke serve-smoke sse-smoke fleet-smoke census-smoke fuzz clean
+.PHONY: all build vet test tier1 race bench examples trace-smoke campaign-smoke serve-smoke sse-smoke fleet-smoke census-smoke fuzz clean
 
 all: tier1
 
@@ -30,33 +30,12 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-json reruns the corpus census benchmark and rewrites its
-# committed evidence file, BENCH_PR10.json.
-bench-json:
-	$(GO) test -run xxx -bench 'BenchmarkCorpusCensus' -benchtime 2s -timeout 20m ./internal/corpus/ \
-		| $(GO) run ./tools/benchjson -o BENCH_PR10.json
-	@cat BENCH_PR10.json
-
-# bench-check is the regression gate on three headline figures: the
-# compiled fabric's lanes-64 ns/lane-cycle must stay within 10% of the
-# committed PR6 baseline, single-process service throughput must stay
-# within 35% of the PR5 baseline now that every job transition also
-# rides the durable store and the fairness scheduler, and dedup-on
-# corpus census throughput (designs/sec — a higher-is-better metric, so
-# the gate flips to -min-ratio) must stay within 30% of the committed
-# PR10 baseline, which itself pins the ≥3x amortization over the
-# per-design sequential attack. Multiple counts, best run — the gate
-# measures capability, not scheduler noise on a shared box.
-bench-check:
-	$(GO) test -run xxx -bench 'BenchmarkClockBatch/lanes-64$$' -benchtime 5000x -count 5 . \
-		| $(GO) run ./tools/benchjson -baseline BENCH_PR6.json \
-			-name 'BenchmarkClockBatch/lanes-64' -metric ns/lane-cycle -max-ratio 1.10
-	$(GO) test -run xxx -bench 'BenchmarkServiceThroughput$$' -benchtime 10x -count 3 ./internal/service/ \
-		| $(GO) run ./tools/benchjson -baseline BENCH_PR5.json \
-			-name 'BenchmarkServiceThroughput' -metric ns/op -max-ratio 1.35
-	$(GO) test -run xxx -bench 'BenchmarkCorpusCensus/dedup-on$$' -benchtime 1s -count 3 ./internal/corpus/ \
-		| $(GO) run ./tools/benchjson -baseline BENCH_PR10.json \
-			-name 'BenchmarkCorpusCensus/dedup-on' -metric designs/sec -min-ratio 0.70
+# examples runs every program under examples/ end to end; each exits
+# non-zero if the facade calls it demonstrates stop working.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # trace-smoke exercises the observability path end to end: run the
 # attack with -trace, then feed the NDJSON through the independent

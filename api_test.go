@@ -1,6 +1,8 @@
 package snowbma
 
 import (
+	"context"
+	"reflect"
 	"testing"
 )
 
@@ -61,21 +63,55 @@ func TestBuildVictimPadFrames(t *testing.T) {
 	}
 }
 
-func TestFindFunctionExpressions(t *testing.T) {
+// TestFindLUTsExpressions drives FindLUTs with each expression form it
+// accepts (paper notation, a raw INIT literal) and one it must reject,
+// at the default worker count and at an explicit WithParallel: the
+// worker count changes neither the matches nor the scan counters.
+func TestFindLUTsExpressions(t *testing.T) {
 	v, err := BuildVictim(VictimConfig{Key: PaperKey})
 	if err != nil {
 		t.Fatal(err)
 	}
 	flash := v.Device.ReadFlash()
-	hits, err := FindFunction(flash, "(a1^a2^a3)a4a5!a6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) < 32 {
-		t.Fatalf("found %d f2 hits, want ≥ 32", len(hits))
-	}
-	if _, err := FindFunction(flash, "a7 + nonsense"); err == nil {
-		t.Fatal("bad expression accepted")
+	ctx := context.Background()
+	for _, tc := range []struct {
+		expr    string
+		minHits int
+		wantErr bool
+	}{
+		{"(a1^a2^a3)a4a5!a6", 32, false},
+		{"64'hFFF7F7FF00080800", 0, false},
+		{"a7 + nonsense", 0, true},
+	} {
+		hits, st, err := FindLUTs(ctx, flash, tc.expr)
+		if tc.wantErr {
+			if err == nil {
+				t.Fatalf("%q: bad expression accepted", tc.expr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%q: %v", tc.expr, err)
+		}
+		if len(hits) < tc.minHits {
+			t.Fatalf("%q: %d hits, want ≥ %d", tc.expr, len(hits), tc.minHits)
+		}
+		parHits, parSt, err := FindLUTs(ctx, flash, tc.expr, WithParallel(2))
+		if err != nil {
+			t.Fatalf("%q WithParallel(2): %v", tc.expr, err)
+		}
+		if !reflect.DeepEqual(hits, parHits) {
+			t.Fatalf("%q: WithParallel(2) matches %v, default %v", tc.expr, parHits, hits)
+		}
+		// Timings, the pool size and the process-wide catalogue cache
+		// counters (the first pass warmed the cache) are not results.
+		for _, s := range []*ScanStats{&st, &parSt} {
+			s.CompileTime, s.ScanTime, s.Workers = 0, 0, 0
+			s.CatalogueHits, s.CatalogueMisses = 0, 0
+		}
+		if !reflect.DeepEqual(st, parSt) {
+			t.Fatalf("%q: WithParallel(2) stats diverge:\ndefault: %+v\nparallel: %+v", tc.expr, st, parSt)
+		}
 	}
 }
 
@@ -96,10 +132,10 @@ func TestEncryptedVictimFlashUnreadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The flash image must not expose the plain packets: FindFunction
-	// over ciphertext finds none of the 32 f2 LUTs (probabilistically;
-	// a single accidental hit would still fail the 32 threshold).
-	hits, err := FindFunction(v.Device.ReadFlash(), "(a1^a2^a3)a4a5!a6")
+	// The flash image must not expose the plain packets: FindLUTs over
+	// ciphertext finds none of the 32 f2 LUTs (probabilistically; a
+	// single accidental hit would still fail the 32 threshold).
+	hits, _, err := FindLUTs(context.Background(), v.Device.ReadFlash(), "(a1^a2^a3)a4a5!a6")
 	if err != nil {
 		t.Fatal(err)
 	}

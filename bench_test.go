@@ -6,6 +6,7 @@
 package snowbma
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -74,7 +75,7 @@ func BenchmarkTableII(b *testing.B) {
 	u, _, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CountCandidates(u, PaperIV); err != nil {
+		if _, _, err := CountCandidates(u, PaperIV); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -115,7 +116,7 @@ func BenchmarkTableVI(b *testing.B) {
 	flash := p.Device.ReadFlash()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CountCandidates(p, PaperIV); err != nil {
+		if _, _, err := CountCandidates(p, PaperIV); err != nil {
 			b.Fatal(err)
 		}
 		DualXORHits(flash, 0, 0)
@@ -132,23 +133,6 @@ func BenchmarkFindLUT10MB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.FindLUT(big, boolfn.F2, core.FindOptions{})
-	}
-}
-
-// BenchmarkEndToEndAttack measures the complete Section VI attack: all
-// FINDLUT passes, ~47 faulty bitstream loads with keystream collection,
-// and the LFSR rewind.
-func BenchmarkEndToEndAttack(b *testing.B) {
-	u, _, _ := fixtures(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := RunAttack(u, PaperIV, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Key != PaperKey {
-			b.Fatal("wrong key")
-		}
 	}
 }
 
@@ -203,17 +187,14 @@ func BenchmarkAttackEndToEnd(b *testing.B) {
 				b.ResetTimer()
 			}
 			for i := 0; i < b.N; i++ {
-				var rep *Report
-				var err error
+				var tel *Telemetry
 				if bc.traced {
-					tel := NewTelemetry()
+					tel = NewTelemetry()
 					if bus != nil {
 						tel.AttachBus(bus, "bench")
 					}
-					rep, err = RunAttackTraced(u, PaperIV, nil, bc.lanes, tel)
-				} else {
-					rep, err = RunAttackLanes(u, PaperIV, nil, bc.lanes)
 				}
+				rep, err := Attack(context.Background(), u, PaperIV, WithLanes(bc.lanes), WithTelemetry(tel))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -268,24 +249,15 @@ func BenchmarkClockBatch(b *testing.B) {
 	u, _, _ := fixtures(b)
 	img := u.Device.ReadFlash()
 	for _, bc := range []struct {
-		name   string
-		lanes  int
-		walker bool
-	}{
-		{"lanes-1", 1, false},
-		{"lanes-64", 64, false},
-		// The interpreting graph walker the compiled program replaced,
-		// kept benchmarkable via SetWalker: the lanes-64 vs
-		// lanes-64-walker ratio is PR 6's acceptance number.
-		{"lanes-64-walker", 64, true},
-	} {
+		name  string
+		lanes int
+	}{{"lanes-1", 1}, {"lanes-64", 64}} {
 		b.Run(bc.name, func(b *testing.B) {
 			f := device.New([bitstream.KeySize]byte{})
 			batch, err := f.LoadPatched(img, make([]bitstream.PatchSet, bc.lanes))
 			if err != nil {
 				b.Fatal(err)
 			}
-			batch.SetWalker(bc.walker)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				batch.ClockBatch()
@@ -384,10 +356,9 @@ func BenchmarkScannerBatchVsSequential(b *testing.B) {
 		// One query set over many images is the serving scenario: build
 		// the scanner once and time steady-state scans. Count the same
 		// logical work as the sequential flow (21 function-searches over
-		// the image) so the MB/s figures are comparable — the BENCH_PR2
-		// "inversion" was this harness crediting the batch pass with one
-		// image's bytes for 21 functions' work, and rebuilding the
-		// scanner inside the timed loop.
+		// the image) so the MB/s figures are comparable: crediting the
+		// batch pass with one image's bytes for 21 functions' work would
+		// understate it 21-fold.
 		s := core.NewScanner(core.FindOptions{})
 		for _, c := range cands {
 			s.AddFunction(c.Name, c.TT)
@@ -488,7 +459,7 @@ func TestAutoProtectDefeatsAttack(t *testing.T) {
 	if z[0] != want[0] || z[1] != want[1] {
 		t.Fatal("auto-protected victim produces wrong keystream")
 	}
-	if _, err := RunAttack(v, PaperIV, nil); err == nil {
+	if _, err := Attack(context.Background(), v, PaperIV); err == nil {
 		t.Fatal("attack succeeded against the auto-planned countermeasure")
 	}
 }

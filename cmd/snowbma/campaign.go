@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -73,7 +74,7 @@ func cmdCampaign(args []string) error {
 		}
 	}
 	tel := snowbma.NewTelemetry()
-	rep, err := snowbma.RunCampaign(snowbma.CampaignConfig{
+	rep, err := snowbma.RunCampaign(context.Background(), snowbma.CampaignConfig{
 		Runs: *runs, Parallel: *parallel, Seed: *seed, Chaos: *chaos, Lanes: *lanes, Tel: tel,
 	})
 	if err != nil {

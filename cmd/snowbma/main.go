@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -135,20 +136,16 @@ func parseWords(s string, def [4]uint32) ([4]uint32, error) {
 	return out, nil
 }
 
-// readBitstream loads a bitstream argument, rejecting the two ways a
-// path flag silently produces garbage downstream: an unset -bits flag
-// and an existing-but-empty file (FINDLUT on zero bytes "succeeds" with
-// zero matches, which reads like a clean negative result).
+// readBitstream loads a -bits argument through bitstream.ReadImageFile,
+// which refuses empty and oversized files; an unset flag is an error
+// too.
 func readBitstream(cmd, path string) ([]byte, error) {
 	if path == "" {
 		return nil, fmt.Errorf("%s: -bits required (path to a bitstream file)", cmd)
 	}
-	bits, err := os.ReadFile(path)
+	bits, err := bitstream.ReadImageFile(path)
 	if err != nil {
-		return nil, err
-	}
-	if len(bits) == 0 {
-		return nil, fmt.Errorf("%s: %s is empty (0 bytes) — not a bitstream", cmd, path)
+		return nil, fmt.Errorf("%s: %w", cmd, err)
 	}
 	return bits, nil
 }
@@ -303,12 +300,12 @@ func cmdAttack(args []string) error {
 	if traceFile != nil || *stats {
 		tel = snowbma.NewTelemetry()
 	}
-	var rep *snowbma.Report
+	run := snowbma.Attack
 	if *census {
-		rep, err = snowbma.RunCensusAttackTraced(victim, iv, logf, *lanes, tel)
-	} else {
-		rep, err = snowbma.RunAttackTraced(victim, iv, logf, *lanes, tel)
+		run = snowbma.CensusAttack
 	}
+	rep, err := run(context.Background(), victim, iv,
+		snowbma.WithLogf(logf), snowbma.WithLanes(*lanes), snowbma.WithTelemetry(tel))
 	// The trace is written whatever the attack outcome — a failed run's
 	// trace is exactly the one worth reading — and a truncated trace
 	// fails the command even when the attack succeeded.
@@ -362,7 +359,8 @@ func cmdFindLUT(args []string) error {
 	if traceFile != nil || *stats {
 		tel = snowbma.NewTelemetry()
 	}
-	hits, st, err := snowbma.FindFunctionTraced(bits, *expr, *parallel, tel)
+	hits, st, err := snowbma.FindLUTs(context.Background(), bits, *expr,
+		snowbma.WithParallel(*parallel), snowbma.WithTelemetry(tel))
 	if err != nil {
 		return err
 	}
@@ -393,15 +391,15 @@ func cmdTable(args []string, protected bool) error {
 	if err != nil {
 		return err
 	}
-	rows, scan, err := snowbma.CountCandidatesStats(victim, snowbma.PaperIV)
+	rows, scan, err := snowbma.CountCandidates(victim, snowbma.PaperIV)
 	if err != nil {
 		return err
 	}
 	fmt.Print(report.CandidateTable(rows))
 	if protected {
 		flash := victim.Device.ReadFlash()
-		all, dualScan := snowbma.DualXORHitsStats(flash, 0, 0)
-		window := snowbma.DualXORHits(flash, 0, 200000)
+		all, dualScan := snowbma.DualXORHits(flash, 0, 0)
+		window, _ := snowbma.DualXORHits(flash, 0, 200000)
 		fmt.Printf("\ndual-output XOR search (Section VII-B):\n")
 		fmt.Printf("  unconstrained: %d hits (paper: 481)\n", len(all))
 		fmt.Printf("  first 200000 byte positions: %d hits (paper: 203)\n", len(window))
@@ -716,16 +714,13 @@ func cmdDiff(args []string) error {
 	if *fileA == "" || *fileB == "" {
 		return fmt.Errorf("diff: -a and -b required")
 	}
-	a, err := os.ReadFile(*fileA)
+	a, err := bitstream.ReadImageFile(*fileA)
 	if err != nil {
-		return err
+		return fmt.Errorf("diff: %w", err)
 	}
-	b, err := os.ReadFile(*fileB)
+	b, err := bitstream.ReadImageFile(*fileB)
 	if err != nil {
-		return err
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return fmt.Errorf("diff: refusing to compare an empty bitstream file")
+		return fmt.Errorf("diff: %w", err)
 	}
 	rep, err := core.Diff(a, b)
 	if err != nil {

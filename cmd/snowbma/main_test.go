@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"snowbma/internal/bitstream"
 	"snowbma/internal/core"
 )
 
@@ -118,6 +119,26 @@ func TestCmdFlagValidation(t *testing.T) {
 		if err := tc.run(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// TestCmdOversizedBitstream feeds a sparse file one byte over
+// bitstream.MaxImageBytes to findlut -bits and to the directory corpus
+// (DirCorpus): both refuse it with ErrImageTooLarge without reading it.
+func TestCmdOversizedBitstream(t *testing.T) {
+	dir := t.TempDir()
+	big := filepath.Join(dir, "big.bit")
+	if err := os.WriteFile(big, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(big, bitstream.MaxImageBytes+1); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdFindLUT([]string{"-bits", big}); !errors.Is(err, bitstream.ErrImageTooLarge) {
+		t.Fatalf("findlut -bits on an oversized file = %v, want ErrImageTooLarge", err)
+	}
+	if err := cmdCensus([]string{"-corpus", "-dir", dir}); !errors.Is(err, bitstream.ErrImageTooLarge) {
+		t.Fatalf("census -corpus -dir over an oversized file = %v, want ErrImageTooLarge", err)
 	}
 }
 

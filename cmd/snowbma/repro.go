@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
@@ -32,14 +33,14 @@ func cmdRepro(args []string) error {
 	fmt.Printf("protected:   %d bytes, %d LUTs, depth %d\n", len(prot.Image), prot.LUTs, prot.Depth)
 
 	fmt.Println("\n=== Table II: candidate counts (unprotected) ===")
-	rowsU, err := snowbma.CountCandidates(unprot, snowbma.PaperIV)
+	rowsU, _, err := snowbma.CountCandidates(unprot, snowbma.PaperIV)
 	if err != nil {
 		return err
 	}
 	fmt.Print(report.CandidateTable(rowsU))
 
 	fmt.Println("\n=== attack (Sections VI-C/D, Tables III, IV, V) ===")
-	rep, err := snowbma.RunAttack(unprot, snowbma.PaperIV, nil)
+	rep, err := snowbma.Attack(context.Background(), unprot, snowbma.PaperIV)
 	if err != nil {
 		return err
 	}
@@ -58,15 +59,15 @@ func cmdRepro(args []string) error {
 	fmt.Print(report.Fig5(&excerpt))
 
 	fmt.Println("\n=== Table VI: candidate counts (protected) + Section VII-B search ===")
-	rowsP, err := snowbma.CountCandidates(prot, snowbma.PaperIV)
+	rowsP, _, err := snowbma.CountCandidates(prot, snowbma.PaperIV)
 	if err != nil {
 		return err
 	}
 	fmt.Print(report.CandidateTable(rowsP))
-	hits := snowbma.DualXORHits(prot.Device.ReadFlash(), 0, 0)
+	hits, _ := snowbma.DualXORHits(prot.Device.ReadFlash(), 0, 0)
 	fmt.Printf("dual-output XOR hits: %d (paper: 481); selection effort 2^%.1f (paper: 2^115)\n",
 		len(hits), snowbma.SearchEffortBits(32, len(hits)-32))
-	if _, err := snowbma.RunAttack(prot, snowbma.PaperIV, nil); err != nil {
+	if _, err := snowbma.Attack(context.Background(), prot, snowbma.PaperIV); err != nil {
 		fmt.Printf("attack on protected design fails: %v\n", err)
 	} else {
 		fmt.Println("UNEXPECTED: attack succeeded on the protected design")

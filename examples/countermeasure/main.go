@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,11 +30,11 @@ func main() {
 	fmt.Println("(paper: 6.313 ns unprotected → 7.514 ns protected; the feedback path becomes critical)")
 
 	fmt.Println("\n== Table II vs Table VI: candidate counts ==")
-	rowsU, err := snowbma.CountCandidates(unprot, snowbma.PaperIV)
+	rowsU, _, err := snowbma.CountCandidates(unprot, snowbma.PaperIV)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rowsP, err := snowbma.CountCandidates(prot, snowbma.PaperIV)
+	rowsP, _, err := snowbma.CountCandidates(prot, snowbma.PaperIV)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func main() {
 
 	fmt.Println("\n== Section VII-B: dual-output XOR search on the protected bitstream ==")
 	flash := prot.Device.ReadFlash()
-	hits := snowbma.DualXORHits(flash, 0, 0)
+	hits, _ := snowbma.DualXORHits(flash, 0, 0)
 	fmt.Printf("unconstrained search: %d candidate positions (paper: 481)\n", len(hits))
 	fmt.Printf("locating the 32 real targets among them costs ≈ 2^%.1f trials (paper: 2^115)\n",
 		snowbma.SearchEffortBits(32, len(hits)-32))
@@ -58,7 +59,7 @@ func main() {
 	}
 
 	fmt.Println("\n== attacking the protected implementation ==")
-	if _, err := snowbma.RunAttack(prot, snowbma.PaperIV, nil); err != nil {
+	if _, err := snowbma.Attack(context.Background(), prot, snowbma.PaperIV); err != nil {
 		fmt.Printf("attack failed, as the countermeasure intends:\n  %v\n", err)
 	} else {
 		fmt.Println("UNEXPECTED: attack succeeded against the protected design")

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%d LUTs, critical path %.3f ns\n", base.LUTs, base.CriticalPathNs)
-	if rep, err := snowbma.RunAttack(base, snowbma.PaperIV, nil); err == nil {
+	if rep, err := snowbma.Attack(context.Background(), base, snowbma.PaperIV); err == nil {
 		fmt.Printf("audit: ATTACK SUCCEEDS in %d loads — key %08x... exposed\n",
 			rep.Loads, rep.Key[0])
 	}
@@ -36,7 +37,7 @@ func main() {
 		hard.CriticalPathNs-base.CriticalPathNs)
 
 	fmt.Println("\n== auditing the hardened bitstream with attacker tooling ==")
-	rows, err := snowbma.CountCandidates(hard, snowbma.PaperIV)
+	rows, _, err := snowbma.CountCandidates(hard, snowbma.PaperIV)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,12 +49,12 @@ func main() {
 	}
 	fmt.Printf("Table-II-style feedback candidates: %d (unprotected design: 32 true targets)\n",
 		feedbackHits)
-	hits := snowbma.DualXORHits(hard.Device.ReadFlash(), 0, 0)
+	hits, _ := snowbma.DualXORHits(hard.Device.ReadFlash(), 0, 0)
 	fmt.Printf("dual-output XOR population: %d; locating 32 targets costs 2^%.1f\n",
 		len(hits), snowbma.SearchEffortBits(32, len(hits)-32))
 
 	fmt.Println("\n== the attack against the hardened device ==")
-	if _, err := snowbma.RunAttack(hard, snowbma.PaperIV, nil); err != nil {
+	if _, err := snowbma.Attack(context.Background(), hard, snowbma.PaperIV); err != nil {
 		fmt.Printf("attack fails: %v\n", err)
 	} else {
 		fmt.Println("UNEXPECTED: attack still succeeds")

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,9 +32,9 @@ func main() {
 
 	iv := snowbma.IV{1, 2, 3, 4}
 	fmt.Println("== running the attack through the encryption envelope ==")
-	report, err := snowbma.RunAttack(victim, iv, func(f string, a ...any) {
+	report, err := snowbma.Attack(context.Background(), victim, iv, snowbma.WithLogf(func(f string, a ...any) {
 		fmt.Printf("  %s\n", fmt.Sprintf(f, a...))
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

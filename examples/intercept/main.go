@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, err := snowbma.RunAttack(victim, snowbma.IV{0xA, 0xB, 0xC, 0xD}, nil)
+	report, err := snowbma.Attack(context.Background(), victim, snowbma.IV{0xA, 0xB, 0xC, 0xD})
 	if err != nil {
 		log.Fatal(err)
 	}

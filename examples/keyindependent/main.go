@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -45,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, err := snowbma.RunAttack(victim, snowbma.PaperIV, nil)
+	report, err := snowbma.Attack(context.Background(), victim, snowbma.PaperIV)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,9 +35,9 @@ func main() {
 	}
 
 	fmt.Println("\n== running the bitstream modification attack ==")
-	report, err := snowbma.RunAttack(victim, iv, func(f string, a ...any) {
+	report, err := snowbma.Attack(context.Background(), victim, iv, snowbma.WithLogf(func(f string, a ...any) {
 		fmt.Printf("  %s\n", fmt.Sprintf(f, a...))
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -8,9 +9,8 @@ import (
 
 // BenchmarkCampaignThroughput measures end-to-end scenario throughput
 // (full synthesize→attack→verify cycles per second) at worker-pool
-// width 1 versus all CPUs. The runs/sec metric is the campaign's
-// headline number in BENCH_PR4.json; the two widths pin the pool's
-// scaling on the build host.
+// width 1 versus all CPUs; the two widths show the pool's scaling on
+// the build host.
 func BenchmarkCampaignThroughput(b *testing.B) {
 	widths := []int{1}
 	if n := runtime.NumCPU(); n > 1 {
@@ -20,7 +20,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 		b.Run(fmt.Sprintf("parallel-%d", par), func(b *testing.B) {
 			total := 0
 			for i := 0; i < b.N; i++ {
-				rep, err := Run(Config{Runs: 6, Parallel: par, Seed: 1, Chaos: true})
+				rep, err := Run(context.Background(), Config{Runs: 6, Parallel: par, Seed: 1, Chaos: true})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -169,16 +169,12 @@ func (r *Report) JSON() ([]byte, error) {
 }
 
 // Run executes the campaign: generate the scenario list, execute it
-// over a bounded worker pool, classify and aggregate.
-func Run(cfg Config) (*Report, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled, no new
-// scenarios are dispatched, every in-flight attack stops at its next
-// checkpoint, and the campaign returns an error wrapping
-// core.ErrCancelled instead of a (partial, non-deterministic) report.
-func RunContext(ctx context.Context, cfg Config) (*Report, error) {
+// over a bounded worker pool, classify and aggregate. When ctx is
+// cancelled, no new scenarios are dispatched, every in-flight attack
+// stops at its next checkpoint, and the campaign returns an error
+// wrapping core.ErrCancelled instead of a (partial, non-deterministic)
+// report.
+func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -201,7 +197,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = RunScenarioContext(ctx, scns[i], cfg.Tel)
+				results[i] = RunScenario(ctx, scns[i], cfg.Tel)
 			}
 		}()
 	}

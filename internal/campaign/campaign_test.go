@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Run(tc.cfg); !errors.Is(err, ErrConfig) {
+			if _, err := Run(context.Background(), tc.cfg); !errors.Is(err, ErrConfig) {
 				t.Fatalf("Run(%+v) = %v, want ErrConfig", tc.cfg, err)
 			}
 		})
@@ -117,12 +118,12 @@ func TestGenerateScenariosLanesPinned(t *testing.T) {
 func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 	cfg := Config{Runs: 12, Seed: 5, Chaos: true}
 	cfg.Parallel = 1
-	seq, err := Run(cfg)
+	seq, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Parallel = 4
-	par, err := Run(cfg)
+	par, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 // wrong keys, conformance mismatches or unexpected verdicts.
 func TestCampaignAcceptance(t *testing.T) {
 	tel := obs.New()
-	rep, err := Run(Config{Runs: 100, Parallel: 4, Seed: 1, Chaos: true, Tel: tel})
+	rep, err := Run(context.Background(), Config{Runs: 100, Parallel: 4, Seed: 1, Chaos: true, Tel: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestRunScenarioPerFault(t *testing.T) {
 			t.Fatalf("no unprotected scenario with fault %q in 60 draws", f)
 		}
 		t.Run(string(f), func(t *testing.T) {
-			r := RunScenario(s, nil)
+			r := RunScenario(context.Background(), s, nil)
 			if r.Verdict != VerdictCleanFailure {
 				t.Fatalf("verdict=%s outcome=%s error=%q, want clean_failure", r.Verdict, r.Outcome, r.Error)
 			}
@@ -251,7 +252,7 @@ func TestRunScenarioPerFault(t *testing.T) {
 }
 
 func TestReportJSONShape(t *testing.T) {
-	rep, err := Run(Config{Runs: 1, Parallel: 1, Seed: 11})
+	rep, err := Run(context.Background(), Config{Runs: 1, Parallel: 1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,9 @@ import (
 func TestRunContextCancelledBeforeDispatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := RunContext(ctx, Config{Runs: 4, Seed: 11, Parallel: 2})
+	rep, err := Run(ctx, Config{Runs: 4, Seed: 11, Parallel: 2})
 	if !errors.Is(err, core.ErrCancelled) {
-		t.Fatalf("RunContext with cancelled ctx = %v, want core.ErrCancelled", err)
+		t.Fatalf("Run with cancelled ctx = %v, want core.ErrCancelled", err)
 	}
 	if rep != nil {
 		t.Fatal("cancelled campaign returned a partial report")
@@ -32,7 +32,7 @@ func TestRunContextCancelMidCampaign(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		rep, err = RunContext(ctx, Config{Runs: 32, Seed: 3, Parallel: 2})
+		rep, err = Run(ctx, Config{Runs: 32, Seed: 3, Parallel: 2})
 	}()
 	// Let a couple of scenarios start, then pull the plug.
 	time.Sleep(150 * time.Millisecond)
@@ -50,11 +50,11 @@ func TestRunContextCancelMidCampaign(t *testing.T) {
 	}
 }
 
-func TestRunScenarioContextCancelledOutcome(t *testing.T) {
+func TestRunScenarioCancelledOutcome(t *testing.T) {
 	scns := GenerateScenarios(Config{Runs: 1, Seed: 19})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := RunScenarioContext(ctx, scns[0], nil)
+	res := RunScenario(ctx, scns[0], nil)
 	if res.Verdict != VerdictCleanFailure || res.Outcome != OutcomeCancelled {
 		t.Fatalf("cancelled scenario classified %s/%s, want %s/%s",
 			res.Verdict, res.Outcome, VerdictCleanFailure, OutcomeCancelled)

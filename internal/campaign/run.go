@@ -100,12 +100,7 @@ func runAttack(ctx context.Context, v core.Victim, s Scenario, tel *obs.Telemetr
 	return atk.Run()
 }
 
-// RunScenario executes one scenario to completion (no cancellation).
-func RunScenario(s Scenario, tel *obs.Telemetry) Result {
-	return RunScenarioContext(context.Background(), s, tel)
-}
-
-// RunScenarioContext builds the scenario's victim, runs the golden-model
+// RunScenario builds the scenario's victim, runs the golden-model
 // conformance stage, executes the attack (through the chaos injector
 // when the scenario carries a fault) and classifies the outcome. The
 // context cancels the attack between phases and sweep chunks; a
@@ -113,7 +108,7 @@ func RunScenario(s Scenario, tel *obs.Telemetry) Result {
 // outcome, never as an invariant violation.
 // It never panics: a panic anywhere in the pipeline is caught and
 // recorded as an invariant violation.
-func RunScenarioContext(ctx context.Context, s Scenario, tel *obs.Telemetry) (res Result) {
+func RunScenario(ctx context.Context, s Scenario, tel *obs.Telemetry) (res Result) {
 	res.Scenario = s
 	res.Conformance = "ok"
 	span := tel.StartSpan("campaign.scenario",

@@ -430,21 +430,6 @@ func TestBinomialSmall(t *testing.T) {
 	}
 }
 
-func BenchmarkEndToEndAttack(b *testing.B) {
-	victim := buildVictim(b, false, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		atk, err := NewAttack(victim, attackIV, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := atk.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFindLUTOnVictimImage(b *testing.B) {
 	victim := buildVictim(b, false, false)
 	img := victim.ReadFlash()

@@ -128,9 +128,7 @@ type Scanner struct {
 	// Compiled anchor index, built by the first Scan and reused across
 	// calls until AddFunction invalidates it. The multi-bitstream
 	// serving scenario scans one query set over many images; rebuilding
-	// the 64K-way index per image is pure waste there (it was also half
-	// of the BENCH_PR2 batch-vs-sequential throughput inversion — the
-	// old harness paid compilation inside the timed loop).
+	// the 64K-way index per image is pure waste there.
 	dirty      bool
 	catalogues [][]candidate
 	byAnchor   [][]scanRef

@@ -228,21 +228,17 @@ func NewDir(dir string) (*DirSource, error) {
 	return s, nil
 }
 
-// Next reads the next file. Empty files and sealed images are errors —
-// a zero-byte "bitstream" scanning to zero matches would read as a
-// clean negative result.
+// Next reads the next file through bitstream.ReadImageFile. Empty,
+// oversized (bitstream.ErrImageTooLarge) and sealed images are errors.
 func (s *DirSource) Next() (Design, bool, error) {
 	if s.pos >= len(s.names) {
 		return Design{}, false, nil
 	}
 	name := s.names[s.pos]
 	s.pos++
-	b, err := os.ReadFile(filepath.Join(s.dir, name))
+	b, err := bitstream.ReadImageFile(filepath.Join(s.dir, name))
 	if err != nil {
 		return Design{}, false, fmt.Errorf("corpus: %w", err)
-	}
-	if len(b) == 0 {
-		return Design{}, false, fmt.Errorf("corpus: %s is empty (0 bytes) — not a bitstream", name)
 	}
 	if bitstream.IsEncrypted(b) {
 		return Design{}, false, fmt.Errorf("%w: %s", ErrEncrypted, name)

@@ -43,9 +43,9 @@ type Batch struct {
 	// with the walker path below.
 	st *progState
 	// walk switches settle to the legacy description-walking evaluator,
-	// kept as the differential/bench baseline (SetWalker). Both
+	// kept as the differential oracle (setWalker, test-only). Both
 	// evaluators read the state's LUT rows (st.rows), so a lane patch is
-	// written once and seen by both; SetWalker materializes the rows the
+	// written once and seen by both; setWalker materializes the rows the
 	// compiled path never needed.
 	walk bool
 	// bramTab is the shared (base) content; bramOver[b][L] overrides it
@@ -214,11 +214,12 @@ func (b *Batch) rebuildBRAM(lane int, region []byte, frames []int) error {
 	return nil
 }
 
-// SetWalker switches the batch between the compiled-program evaluator
+// setWalker switches the batch between the compiled-program evaluator
 // (default) and the legacy description-walking evaluator. Both run over
 // the same register file and lane patches, so results are identical;
-// the walker is kept as the differential and benchmark baseline.
-func (b *Batch) SetWalker(on bool) {
+// the walker is kept as the oracle of the program differential tests
+// and FuzzProgramDifferential, which are its only callers.
+func (b *Batch) setWalker(on bool) {
 	if on {
 		// The walker reads and latches the ff array directly; fold any
 		// inline flip-flop state back into it first. It also evaluates

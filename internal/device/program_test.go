@@ -19,7 +19,7 @@ import (
 func keystreamBatchToggling(b *Batch, n int) [][]uint32 {
 	clocks := 0
 	tick := func() {
-		b.SetWalker(clocks/3%2 == 1)
+		b.setWalker(clocks/3%2 == 1)
 		clocks++
 		b.ClockBatch()
 	}
@@ -104,7 +104,7 @@ func miniBatch(t testing.TB, desc *bitstream.Description, tts []boolfn.TT, tabs 
 func diffCycles(t *testing.T, mk func() *Batch, cycles int, drive func(b *Batch, cycle int)) {
 	t.Helper()
 	cb, wb := mk(), mk()
-	wb.SetWalker(true)
+	wb.setWalker(true)
 	outs := make([]string, 0, len(cb.outPins))
 	for name := range cb.outPins {
 		outs = append(outs, name)
@@ -300,7 +300,7 @@ func TestPartialWidthMasking(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch.SetWalker(walk)
+			batch.setWalker(walk)
 			return batch
 		}
 		cb, wb := mkDev(false), mkDev(true)
@@ -323,7 +323,7 @@ func TestPartialWidthMasking(t *testing.T) {
 		}
 		for _, walk := range []bool{false, true} {
 			b := miniBatch(t, inv, invTT, nil, lanes)
-			b.SetWalker(walk)
+			b.setWalker(walk)
 			in := rowPattern(lanes, 1)
 			b.SetInputLanes("in", in)
 			b.ClockBatch()
@@ -364,7 +364,7 @@ func TestCompiledMatchesWalkerKeystream(t *testing.T) {
 	}
 	const n = 8
 	compiled, walker, mixed := mk(), mk(), mk()
-	walker.SetWalker(true)
+	walker.setWalker(true)
 	zc := hdl.GenerateKeystreamBatch(compiled, testIV, n)
 	zw := hdl.GenerateKeystreamBatch(walker, testIV, n)
 	zm := keystreamBatchToggling(mixed, n)
@@ -420,7 +420,7 @@ func TestCompiledMatchesWalkerAfterPartialReconfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.SetWalker(walk)
+		b.setWalker(walk)
 		return hdl.GenerateKeystreamBatch(b, testIV, n)
 	}
 	zc, zw := mkBatch(false), mkBatch(true)
@@ -563,7 +563,7 @@ func FuzzProgramDifferential(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.SetWalker(walk)
+			b.setWalker(walk)
 			return hdl.GenerateKeystreamBatch(b, iv, 3)
 		}
 		zc, zw := mk(false), mk(true)
@@ -598,7 +598,7 @@ func TestConcurrentBatchesOverOneDescription(t *testing.T) {
 			t.Fatal(err)
 		}
 		if w%2 == 1 {
-			b.SetWalker(true) // both evaluators must honor the contract
+			b.setWalker(true) // both evaluators must honor the contract
 		}
 		wg.Add(1)
 		go func(w int, b *Batch) {

@@ -108,7 +108,7 @@ func (e *Engine) execFindLUT(ctx context.Context, j *job) (any, error) {
 
 func (e *Engine) execCampaign(ctx context.Context, j *job) (any, error) {
 	cs := j.spec.Campaign
-	rep, err := campaign.RunContext(ctx, campaign.Config{
+	rep, err := campaign.Run(ctx, campaign.Config{
 		Runs:     cs.Runs,
 		Parallel: cs.Parallel,
 		Seed:     cs.Seed,

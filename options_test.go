@@ -8,20 +8,15 @@ import (
 )
 
 // normalizeReport zeroes the report fields that are not part of the
-// semantic attack outcome: wall-clock scan timings, the process-wide
+// semantic attack outcome: wall-clock scan timings and the process-wide
 // candidate-catalogue cache counters (which depend on what earlier
-// tests already compiled), and the width-dependent simulator counters
-// (two runs at different sweep widths do the same attack in a
-// different number of fabric passes).
+// tests already compiled).
 func normalizeReport(r *Report) *Report {
 	c := r.Clone()
 	c.Scan.CompileTime = 0
 	c.Scan.ScanTime = 0
 	c.Scan.CatalogueHits = 0
 	c.Scan.CatalogueMisses = 0
-	c.Batch.Width = 0
-	c.Batch.Passes = 0
-	c.Batch.LaneWords = 0
 	return c
 }
 
@@ -32,99 +27,6 @@ func buildTestVictim(t *testing.T) *Victim {
 		t.Fatal(err)
 	}
 	return v
-}
-
-// TestDeprecatedAttackWrappersEquivalent pins the facade redesign
-// contract: every deprecated fixed-signature entrypoint produces a
-// report identical to its options-based replacement on the same victim
-// design, with and without telemetry attached.
-func TestDeprecatedAttackWrappersEquivalent(t *testing.T) {
-	ctx := context.Background()
-
-	oldRep, err := RunAttackLanes(buildTestVictim(t), PaperIV, nil, MaxLanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRep, err := Attack(ctx, buildTestVictim(t), PaperIV, WithLanes(MaxLanes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalizeReport(oldRep), normalizeReport(newRep)) {
-		t.Fatalf("RunAttackLanes and Attack reports diverge:\nold: %+v\nnew: %+v", oldRep, newRep)
-	}
-	if !newRep.Verified || newRep.Key != PaperKey {
-		t.Fatalf("options attack failed: verified=%v key=%08x", newRep.Verified, newRep.Key)
-	}
-
-	// Traced variant: telemetry must not change the report.
-	oldTel, newTel := NewTelemetry(), NewTelemetry()
-	oldTraced, err := RunAttackTraced(buildTestVictim(t), PaperIV, nil, 8, oldTel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newTraced, err := Attack(ctx, buildTestVictim(t), PaperIV, WithLanes(8), WithTelemetry(newTel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalizeReport(oldTraced), normalizeReport(newTraced)) {
-		t.Fatal("RunAttackTraced and Attack(WithTelemetry) reports diverge")
-	}
-	// Across lane widths only the simulator-side BatchStats may differ;
-	// the modeled hardware cost and the recovered secrets are invariant.
-	if oldRep.Loads != newTraced.Loads || oldRep.Key != newTraced.Key || oldRep.IV != newTraced.IV {
-		t.Fatalf("lane width changed the modeled attack outcome: loads %d vs %d",
-			oldRep.Loads, newTraced.Loads)
-	}
-	if len(newTel.Tracer.Roots()) == 0 {
-		t.Fatal("WithTelemetry recorded no spans")
-	}
-}
-
-func TestDeprecatedCensusWrapperEquivalent(t *testing.T) {
-	oldRep, err := RunCensusAttackLanes(buildTestVictim(t), PaperIV, nil, MaxLanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRep, err := CensusAttack(context.Background(), buildTestVictim(t), PaperIV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalizeReport(oldRep), normalizeReport(newRep)) {
-		t.Fatal("RunCensusAttackLanes and CensusAttack reports diverge")
-	}
-	if !newRep.Verified || newRep.Key != PaperKey {
-		t.Fatalf("census attack failed: verified=%v key=%08x", newRep.Verified, newRep.Key)
-	}
-}
-
-func TestDeprecatedFindFunctionWrapperEquivalent(t *testing.T) {
-	flash := buildTestVictim(t).Device.ReadFlash()
-	const expr = "(a1^a2^a3)a4a5!a6"
-	// Warm the process-wide catalogue cache so both passes see the same
-	// cache state.
-	if _, err := FindFunction(flash, expr); err != nil {
-		t.Fatal(err)
-	}
-	oldHits, oldStats, err := FindFunctionStats(flash, expr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newHits, newStats, err := FindLUTs(context.Background(), flash, expr, WithParallel(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldHits, newHits) {
-		t.Fatalf("match divergence: old %v, new %v", oldHits, newHits)
-	}
-	oldStats.CompileTime, oldStats.ScanTime = 0, 0
-	newStats.CompileTime, newStats.ScanTime = 0, 0
-	if !reflect.DeepEqual(oldStats, newStats) {
-		t.Fatalf("stats divergence:\nold: %+v\nnew: %+v", oldStats, newStats)
-	}
-	// INIT-literal dispatch (ParseAuto) still works through both paths.
-	if _, err := FindFunction(flash, "64'hFFF7F7FF00080800"); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestAttackCancelledViaFacade(t *testing.T) {
@@ -140,22 +42,83 @@ func TestAttackCancelledViaFacade(t *testing.T) {
 	if _, _, err := FindLUTs(ctx, v.Device.ReadFlash(), "(a1^a2^a3)a4a5!a6"); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("FindLUTs with cancelled ctx = %v, want ErrCancelled", err)
 	}
-	if _, err := RunCampaignContext(ctx, CampaignConfig{Runs: 2, Seed: 1}); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("RunCampaignContext with cancelled ctx = %v, want ErrCancelled", err)
+	if _, err := RunCampaign(ctx, CampaignConfig{Runs: 2, Seed: 1}); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("RunCampaign with cancelled ctx = %v, want ErrCancelled", err)
 	}
 }
 
+// TestLaneValidationViaFacade runs both attack entrypoints across the
+// sweep-width range: out-of-range widths fail with ErrLanes, and every
+// legal width recovers the key with the same modeled outcome. Telemetry
+// must record spans without changing the report.
 func TestLaneValidationViaFacade(t *testing.T) {
-	v := buildTestVictim(t)
-	for _, lanes := range []int{0, -1, MaxLanes + 1} {
-		if _, err := Attack(context.Background(), v, PaperIV, WithLanes(lanes)); !errors.Is(err, ErrLanes) {
-			t.Fatalf("Attack(WithLanes(%d)) = %v, want ErrLanes", lanes, err)
-		}
-		if err := ValidateLanes(lanes); !errors.Is(err, ErrLanes) {
-			t.Fatalf("ValidateLanes(%d) = %v, want ErrLanes", lanes, err)
-		}
+	type kindLanes struct {
+		census bool
+		lanes  int
 	}
-	if err := ValidateLanes(MaxLanes); err != nil {
-		t.Fatalf("ValidateLanes(MaxLanes) = %v", err)
+	first := map[bool]*Report{}         // first report per entrypoint
+	untraced := map[kindLanes]*Report{} // per entrypoint and width
+	for _, tc := range []struct {
+		name    string
+		census  bool
+		lanes   int
+		traced  bool
+		wantErr error
+	}{
+		{"attack lanes 0", false, 0, false, ErrLanes},
+		{"attack lanes -1", false, -1, false, ErrLanes},
+		{"attack lanes max+1", false, MaxLanes + 1, false, ErrLanes},
+		{"census lanes max+1", true, MaxLanes + 1, false, ErrLanes},
+		{"attack lanes max", false, MaxLanes, false, nil},
+		{"attack lanes 8", false, 8, false, nil},
+		{"attack lanes 8 traced", false, 8, true, nil},
+		{"census lanes max", true, MaxLanes, false, nil},
+	} {
+		run := Attack
+		if tc.census {
+			run = CensusAttack
+		}
+		var tel *Telemetry
+		if tc.traced {
+			tel = NewTelemetry()
+		}
+		rep, err := run(context.Background(), buildTestVictim(t), PaperIV, WithLanes(tc.lanes), WithTelemetry(tel))
+		if tc.wantErr != nil {
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
+			}
+			if err := ValidateLanes(tc.lanes); !errors.Is(err, ErrLanes) {
+				t.Fatalf("%s: ValidateLanes = %v, want ErrLanes", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := ValidateLanes(tc.lanes); err != nil {
+			t.Fatalf("%s: ValidateLanes = %v", tc.name, err)
+		}
+		if !rep.Verified || rep.Key != PaperKey {
+			t.Fatalf("%s: verified=%v key=%08x", tc.name, rep.Verified, rep.Key)
+		}
+		// Across widths only the simulator-side BatchStats may differ;
+		// the modeled hardware cost and the recovered secrets are
+		// invariant.
+		if f := first[tc.census]; f == nil {
+			first[tc.census] = rep
+		} else if rep.Loads != f.Loads || rep.Key != f.Key || rep.IV != f.IV {
+			t.Fatalf("%s: lane width changed the modeled outcome: loads %d vs %d", tc.name, rep.Loads, f.Loads)
+		}
+		k := kindLanes{tc.census, tc.lanes}
+		if !tc.traced {
+			untraced[k] = rep
+			continue
+		}
+		if len(tel.Tracer.Roots()) == 0 {
+			t.Fatalf("%s: WithTelemetry recorded no spans", tc.name)
+		}
+		if !reflect.DeepEqual(normalizeReport(rep), normalizeReport(untraced[k])) {
+			t.Fatalf("%s: telemetry changed the report", tc.name)
+		}
 	}
 }

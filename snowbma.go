@@ -15,12 +15,10 @@
 //	report, _ := snowbma.Attack(ctx, victim, iv, snowbma.WithLogf(log.Printf))
 //	fmt.Printf("recovered key %08x\n", report.Key)
 //
-// The context-first entrypoints (Attack, CensusAttack, FindLUTs,
-// RunCampaignContext) take functional options (WithLanes,
-// WithTelemetry, WithLogf, WithParallel) and honor cancellation at the
-// attack's phase and sweep-chunk checkpoints. The older fixed-signature
-// functions (RunAttack, RunAttackLanes, RunAttackTraced, ...) remain as
-// deprecated wrappers over them.
+// Each operation has one entry point. The context-first ones (Attack,
+// CensusAttack, FindLUTs, RunCampaign) honor cancellation at the
+// attack's phase and sweep-chunk checkpoints; the first three take
+// functional options (WithLanes, WithTelemetry, WithLogf, WithParallel).
 //
 // The sub-packages under internal/ carry the implementation; their doc
 // comments map each module to the paper sections it reproduces (see
@@ -315,16 +313,11 @@ type CampaignReport = campaign.Report
 // injected fault per scenario — executes each over a bounded worker
 // pool with a golden-model conformance pre-check, and aggregates the
 // typed verdicts (key recovered / clean failure / invariant violation).
-func RunCampaign(cfg CampaignConfig) (*CampaignReport, error) {
-	return campaign.Run(cfg)
-}
-
-// RunCampaignContext is RunCampaign with cancellation: when ctx is
-// cancelled, no new scenarios start, in-flight attacks stop at their
-// next checkpoint, and the call returns an error wrapping ErrCancelled
-// instead of a partial report.
-func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignReport, error) {
-	return campaign.RunContext(ctx, cfg)
+// When ctx is cancelled, no new scenarios start, in-flight attacks stop
+// at their next checkpoint, and the call returns an error wrapping
+// ErrCancelled instead of a partial report.
+func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignReport, error) {
+	return campaign.Run(ctx, cfg)
 }
 
 // CandidateCount is one row of the Table II / Table VI measurement.
@@ -336,15 +329,9 @@ type CandidateCount = core.CandidateCount
 type ScanStats = core.ScanStats
 
 // CountCandidates runs FINDLUT on the victim's bitstream for every
-// Table II candidate function and reports match counts.
-func CountCandidates(v *Victim, iv IV) ([]CandidateCount, error) {
-	rows, _, err := CountCandidatesStats(v, iv)
-	return rows, err
-}
-
-// CountCandidatesStats is CountCandidates plus the scan-engine counters
-// of the single batch pass that produced the table.
-func CountCandidatesStats(v *Victim, iv IV) ([]CandidateCount, ScanStats, error) {
+// Table II candidate function and reports match counts, plus the
+// scan-engine counters of the single batch pass that produced the table.
+func CountCandidates(v *Victim, iv IV) ([]CandidateCount, ScanStats, error) {
 	atk, err := core.NewAttack(v.Device, iv, nil)
 	if err != nil {
 		return nil, ScanStats{}, err
@@ -383,15 +370,10 @@ func FindLUTs(ctx context.Context, bits []byte, expr string, opts ...Option) ([]
 
 // DualXORHits runs the Section VII-B search over [lo, hi) byte positions
 // (hi ≤ 0 scans to the end): dual-output LUTs with a 2-input XOR in one
-// half.
-func DualXORHits(bits []byte, lo, hi int) []int {
-	return core.FindDualXOR(bits, lo, hi)
-}
-
-// DualXORHitsStats is DualXORHits plus the scan-engine counters —
-// notably how many probe positions passed the 16-bit lane prefilter
-// and paid for an exact lane-key check.
-func DualXORHitsStats(bits []byte, lo, hi int) ([]int, ScanStats) {
+// half. It also returns the scan-engine counters — notably how many
+// probe positions passed the 16-bit lane prefilter and paid for an
+// exact lane-key check.
+func DualXORHits(bits []byte, lo, hi int) ([]int, ScanStats) {
 	s := core.NewScanner(core.FindOptions{})
 	s.AddDualXOR("w", lo, hi)
 	res := s.Scan(bits)
