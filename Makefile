@@ -109,10 +109,13 @@ census-smoke:
 
 # Short fuzz passes over the differential targets: the batch scanner
 # vs FindLUT and the decode-based dual-XOR oracle, and the compiled
-# fabric program vs the graph walker.
+# fabric program vs the graph walker. The packet walker gets a pass of
+# its own: untrusted bytes must parse or fail with an error, and a
+# parsed CRC write must reseal to a stream that passes CheckCRC.
 fuzz:
 	$(GO) test ./internal/core/ -run FuzzScannerDifferential -fuzz FuzzScannerDifferential -fuzztime 30s
 	$(GO) test ./internal/device/ -run FuzzProgramDifferential -fuzz FuzzProgramDifferential -fuzztime 30s
+	$(GO) test ./internal/bitstream/ -run FuzzParsePackets -fuzz FuzzParsePackets -fuzztime 30s
 
 clean:
 	$(GO) clean -testcache

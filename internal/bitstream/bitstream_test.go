@@ -202,6 +202,10 @@ func TestCRCCheckDetectsTamper(t *testing.T) {
 	if q.CRCOffset >= 0 {
 		t.Fatal("CRC write still present after disable")
 	}
+	// With no CRC write left there is nothing to recompute.
+	if err := RecomputeCRC(img); err == nil {
+		t.Fatal("RecomputeCRC accepted a CRC-disabled image")
+	}
 }
 
 func TestDescriptionRoundTrip(t *testing.T) {
@@ -365,25 +369,26 @@ func TestPadFramesGrowImage(t *testing.T) {
 }
 
 func TestParsePacketsErrors(t *testing.T) {
-	if _, err := ParsePackets([]byte{1, 2, 3}); err == nil {
-		t.Fatal("unaligned input accepted")
+	words := func(ws ...uint32) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = binary.BigEndian.AppendUint32(b, w)
+		}
+		return b
 	}
-	buf := make([]byte, 16)
-	if _, err := ParsePackets(buf); err == nil {
-		t.Fatal("missing sync word accepted")
-	}
-	// Sync word present but truncated FDRI.
-	w := make([]byte, 0, 20)
-	add := func(v uint32) {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], v)
-		w = append(w, b[:]...)
-	}
-	add(SyncWord)
-	add(Type1(RegFDRI, 0))
-	add(Type2(1000))
-	if _, err := ParsePackets(w); err == nil {
-		t.Fatal("truncated FDRI accepted")
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"unaligned input", []byte{1, 2, 3}},
+		{"missing sync word", make([]byte, 16)},
+		{"truncated FDRI", words(SyncWord, Type1(RegFDRI, 0), Type2(1000))},
+		// The "write CRC" header is the last word: no CRC value follows.
+		{"truncated CRC write", words(SyncWord, Type1(RegFDRI, 0), Type2(2), 0x01234567, 0x89ABCDEF, writeCRCHeader)},
+	} {
+		if _, err := ParsePackets(tc.data); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

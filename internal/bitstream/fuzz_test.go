@@ -25,6 +25,17 @@ func FuzzParsePackets(f *testing.F) {
 		}
 		_ = p.FDRI(data)
 		_ = CheckCRC(data)
+		// A reported CRC write must be resealable: recomputing it on a
+		// copy yields a stream that passes its own check.
+		if p.CRCOffset >= 0 {
+			fixed := append([]byte(nil), data...)
+			if err := RecomputeCRC(fixed); err != nil {
+				t.Fatalf("RecomputeCRC on a parsed stream with a CRC write: %v", err)
+			}
+			if err := CheckCRC(fixed); err != nil {
+				t.Fatalf("CheckCRC after RecomputeCRC: %v", err)
+			}
+		}
 	})
 }
 

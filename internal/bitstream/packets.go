@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 )
 
 // Configuration register addresses (7-series subset).
@@ -51,21 +52,38 @@ func Type2(wordCount int) uint32 {
 
 // crcUpdate folds one (register address, data word) pair into the
 // running configuration CRC. 7-series hardware computes a CRC-32C over
-// the 37-bit value {addr[4:0], data[31:0]} per written word; we implement
-// the same bit-serial construction (polynomial 0x1EDC6F41, LSB-first).
+// the 37-bit value {addr[4:0], data[31:0]} per written word, LSB first
+// (polynomial 0x1EDC6F41, reflected 0x82F63B78). The fold is table
+// driven: four byte steps through the reflected Castagnoli table for the
+// data word, low byte first, then one 5-bit step for the address. The
+// bit-serial definition it replaces is the oracle in crc_test.go.
 func crcUpdate(crc uint32, reg uint32, word uint32) uint32 {
-	const poly = 0x82F63B78 // reversed Castagnoli
-	val := uint64(reg&0x1F)<<32 | uint64(word)
-	for i := 0; i < 37; i++ {
-		crc ^= uint32(val>>uint(i)) & 1
-		if crc&1 == 1 {
-			crc = crc>>1 ^ poly
-		} else {
-			crc >>= 1
-		}
-	}
-	return crc
+	crc = crcByteTable[byte(crc^word)] ^ crc>>8
+	crc = crcByteTable[byte(crc^word>>8)] ^ crc>>8
+	crc = crcByteTable[byte(crc^word>>16)] ^ crc>>8
+	crc = crcByteTable[byte(crc^word>>24)] ^ crc>>8
+	return crcAddrTable[(crc^reg)&0x1F] ^ crc>>5
 }
+
+// crcByteTable advances the CRC register by eight zero bits from each
+// low-byte value; crcAddrTable does the same for five bits.
+var (
+	crcByteTable = crc32.MakeTable(crc32.Castagnoli)
+	crcAddrTable = func() (t [32]uint32) {
+		for i := range t {
+			c := uint32(i)
+			for k := 0; k < 5; k++ {
+				if c&1 == 1 {
+					c = c>>1 ^ crc32.Castagnoli
+				} else {
+					c >>= 1
+				}
+			}
+			t[i] = c
+		}
+		return t
+	}()
+)
 
 // Header is the unsynchronized preamble: pad words, bus-width detection
 // pattern, and the sync word.
@@ -183,6 +201,9 @@ func ParsePackets(b []byte) (*Parsed, error) {
 				continue
 			}
 			if reg == RegCRC && count == 1 {
+				if i+1 >= n {
+					return nil, errors.New("bitstream: CRC write truncated at end of image")
+				}
 				p.CRCOffset = 4 * i
 				p.CRCValue = word(i + 1)
 			}

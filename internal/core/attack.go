@@ -124,21 +124,16 @@ type Attack struct {
 	// bitsliced simulator pass evaluates (SetLanes; 1 = scalar).
 	lanes int
 	// batchInfo caches the frame geometry for candidate diff
-	// classification; resealer / crcCache hold the incremental
-	// reconfiguration state for the scalar path. All are built lazily on
-	// the first candidate trial.
+	// classification, built lazily on the first candidate trial.
 	batchInfo  *batchInfo
 	batchTried bool
 	// baseLive is true while the victim device still holds the unmodified
 	// base configuration from the previous fabric pass, letting the next
 	// pass skip the base image decode (device.FPGA.BatchOf).
-	baseLive      bool
-	resealer      *bitstream.Resealer
-	resealerErr   error
-	resealerTried bool
-	crcCache      *bitstream.CRCCache
-	crcCacheErr   error
-	crcCacheTried bool
+	baseLive bool
+	// sealedBase is the encrypted victim's base image, sealed once on the
+	// first fabric pass and reused by every later one.
+	sealedBase []byte
 }
 
 type envelope struct {
@@ -250,37 +245,25 @@ func (a *Attack) working() []byte {
 	return append([]byte(nil), a.plain...)
 }
 
-// runCandidate prepares candidate image b for the victim — incremental
-// frame-level reseal when the original was encrypted, incremental CRC
-// recompute in recompute mode, both falling back to the full-image
-// paths — then loads it and collects n keystream words. It does NOT
-// count a modeled hardware load; callers that consume a result do
-// (loadAndRun and the sweep consumers), so speculative batch lanes
-// never inflate Report.Loads.
+// runCandidate prepares candidate image b for the victim — resealed
+// when the original was encrypted, its CRC recomputed in recompute mode
+// — then loads it and collects n keystream words. It does NOT count a
+// modeled hardware load; callers that consume a result do (loadAndRun
+// and the sweep consumers), so speculative batch lanes never inflate
+// Report.Loads.
 func (a *Attack) runCandidate(b []byte, n int) ([]uint32, error) {
 	img := b
 	if a.env != nil {
-		var sealed []byte
-		var err error
-		if r, rerr := a.ensureResealer(); rerr == nil {
-			sealed, err = r.ResealFrames(b)
-		} else {
-			sealed, err = bitstream.Reseal(b, a.env.kE, a.env.kA, a.env.cbcIV)
-		}
+		sealed, err := bitstream.Reseal(b, a.env.kE, a.env.kA, a.env.cbcIV)
 		if err != nil {
 			return nil, err
 		}
 		img = sealed
 	} else if a.recomputeCRC {
-		if c, cerr := a.ensureCRCCache(); cerr == nil {
-			if err := c.RecomputeCRC(b); err != nil {
-				return nil, err
-			}
-		} else if err := bitstream.RecomputeCRC(b); err != nil {
+		if err := bitstream.RecomputeCRC(b); err != nil {
 			return nil, err
 		}
 	}
-	a.syncIncrementalStats()
 	a.baseLive = false // the victim now holds this candidate, not the base
 	if err := a.dev.Load(img); err != nil {
 		return nil, err
@@ -440,14 +423,7 @@ func (a *Attack) verifyZPathWith(zfn boolfn.TT) error {
 			return cerr
 		}
 		m := cands[ci]
-		skip := false
-		for _, c := range confirmed {
-			if c.Match.Overlaps(m) {
-				skip = true
-				break
-			}
-		}
-		if skip {
+		if overlapsAny(m, confirmed, confirmedMatch) {
 			continue
 		}
 		z, err := sw.run(ci)
@@ -494,14 +470,7 @@ func (a *Attack) CollectFeedbackCandidates() error {
 	prune := func(ms []Match) []Match {
 		var out []Match
 		for _, m := range ms {
-			clash := false
-			for _, c := range a.rep.LUT1 {
-				if c.Match.Overlaps(m) {
-					clash = true
-					break
-				}
-			}
-			if !clash {
+			if !overlapsAny(m, a.rep.LUT1, confirmedMatch) {
 				out = append(out, m)
 			}
 		}
@@ -598,23 +567,12 @@ func (a *Attack) MakeKeyIndependent() (*betaState, error) {
 			if !a.aligned(m) {
 				continue
 			}
-			clash := false
-			for _, c := range a.rep.LUT1 {
-				if c.Match.Overlaps(m) {
-					clash = true
-					break
-				}
+			if overlapsAny(m, a.rep.LUT1, confirmedMatch) ||
+				overlapsAny(m, a.rep.LUT2, sameMatch) || overlapsAny(m, a.rep.LUT3, sameMatch) {
+				continue
 			}
-			for _, c := range append(a.rep.LUT2, a.rep.LUT3...) {
-				if c.Overlaps(m) {
-					clash = true
-					break
-				}
-			}
-			if !clash {
-				matches = append(matches, m)
-				specOf = append(specOf, s)
-			}
+			matches = append(matches, m)
+			specOf = append(specOf, s)
 		}
 	}
 	a.rep.MuxMatches = len(matches)

@@ -66,12 +66,6 @@ type BatchStats struct {
 	Lanes         int // candidate lanes evaluated across all passes
 	Fallbacks     int // candidates diverted to the scalar path
 	PatchedFrames int // frame patches applied across all lanes
-	// Scalar-path incremental reconfiguration counters (mirrors of the
-	// bitstream.Resealer / bitstream.CRCCache counters).
-	IncrementalReseals int
-	FullReseals        int
-	IncrementalCRCs    int
-	FullCRCs           int
 }
 
 // batchLoader is the optional fast path of a Victim: a device whose
@@ -133,46 +127,14 @@ func (a *Attack) baseImage() ([]byte, error) {
 	if a.env == nil {
 		return a.plain, nil
 	}
-	r, err := a.ensureResealer()
-	if err != nil {
-		return nil, err
-	}
-	return r.SealedBase(), nil
-}
-
-func (a *Attack) ensureResealer() (*bitstream.Resealer, error) {
-	if !a.resealerTried {
-		a.resealerTried = true
-		a.resealer, a.resealerErr = bitstream.NewResealer(a.plain, a.env.kE, a.env.kA, a.env.cbcIV)
-		if a.resealer != nil {
-			a.resealer.Tel = a.tel
+	if a.sealedBase == nil {
+		sealed, err := bitstream.Seal(a.plain, a.env.kE, a.env.kA, a.env.cbcIV)
+		if err != nil {
+			return nil, err
 		}
+		a.sealedBase = sealed
 	}
-	return a.resealer, a.resealerErr
-}
-
-func (a *Attack) ensureCRCCache() (*bitstream.CRCCache, error) {
-	if !a.crcCacheTried {
-		a.crcCacheTried = true
-		a.crcCache, a.crcCacheErr = bitstream.NewCRCCache(a.plain)
-		if a.crcCache != nil {
-			a.crcCache.Tel = a.tel
-		}
-	}
-	return a.crcCache, a.crcCacheErr
-}
-
-// syncIncrementalStats mirrors the incremental-reconfiguration counters
-// into the report.
-func (a *Attack) syncIncrementalStats() {
-	if a.resealer != nil {
-		a.rep.Batch.IncrementalReseals = a.resealer.Incremental
-		a.rep.Batch.FullReseals = a.resealer.Full
-	}
-	if a.crcCache != nil {
-		a.rep.Batch.IncrementalCRCs = a.crcCache.Incremental
-		a.rep.Batch.FullCRCs = a.crcCache.Full
-	}
+	return a.sealedBase, nil
 }
 
 // sweep evaluates a family of candidate modifications lazily: candidate

@@ -130,30 +130,16 @@ func (a *Attack) RunCensusGuided() (rep *Report, err error) {
 		m     Match
 		alpha boolfn.TT
 	}
+	modMatch := func(md fbMod) Match { return md.m }
 	collect := func(subset []CensusClass) []fbMod {
 		var mods []fbMod
 		for _, c := range subset {
 			alpha := boolfn.StuckXorZero(c.Canon, pairOf(c))
 			for _, m := range a.matchesFor(c.Canon) {
-				if !a.aligned(m) {
+				if !a.aligned(m) || overlapsAny(m, a.rep.LUT1, confirmedMatch) || overlapsAny(m, mods, modMatch) {
 					continue
 				}
-				clash := false
-				for _, z := range a.rep.LUT1 {
-					if z.Match.Overlaps(m) {
-						clash = true
-						break
-					}
-				}
-				for _, prev := range mods {
-					if prev.m.Overlaps(m) {
-						clash = true
-						break
-					}
-				}
-				if !clash {
-					mods = append(mods, fbMod{m: m, alpha: alpha})
-				}
+				mods = append(mods, fbMod{m: m, alpha: alpha})
 			}
 		}
 		return mods
@@ -197,26 +183,11 @@ func (a *Attack) RunCensusGuided() (rep *Report, err error) {
 				zeroSel0: boolfn.ZeroMuxBranch(c.Canon, sel, false),
 			}
 			for _, m := range a.matchesFor(c.Canon) {
-				if !a.aligned(m) {
+				if !a.aligned(m) || overlapsAny(m, a.rep.LUT1, confirmedMatch) || overlapsAny(m, mods, modMatch) {
 					continue
 				}
-				clash := false
-				for _, z := range a.rep.LUT1 {
-					if z.Match.Overlaps(m) {
-						clash = true
-						break
-					}
-				}
-				for _, md := range mods {
-					if md.m.Overlaps(m) {
-						clash = true
-						break
-					}
-				}
-				if !clash {
-					matches = append(matches, m)
-					specs = append(specs, spec)
-				}
+				matches = append(matches, m)
+				specs = append(specs, spec)
 			}
 		}
 		a.rep.MuxMatches = len(matches)

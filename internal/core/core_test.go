@@ -358,6 +358,36 @@ func TestMatchOverlap(t *testing.T) {
 	}
 }
 
+// TestMatchOverlapsMatchesByteSets checks the closed-form overlap rule
+// against the byte sets Bytes() defines, for every index difference out
+// to one sub-vector stride past the widest possible collision.
+func TestMatchOverlapsMatchesByteSets(t *testing.T) {
+	const d = bitstream.SubVectorOffset
+	a := Match{Index: 5 * d}
+	overlapping := 0
+	for delta := -4*d - 3; delta <= 4*d+3; delta++ {
+		b := Match{Index: a.Index + delta}
+		want := false
+		for _, x := range a.Bytes() {
+			for _, y := range b.Bytes() {
+				want = want || x == y
+			}
+		}
+		if got := a.Overlaps(b); got != want {
+			t.Fatalf("Overlaps at Δ=%d = %v, byte sets say %v", delta, got, want)
+		}
+		if b.Overlaps(a) != want {
+			t.Fatalf("Overlaps not symmetric at Δ=%d", delta)
+		}
+		if want {
+			overlapping++
+		}
+	}
+	if overlapping != 21 {
+		t.Fatalf("%d overlapping deltas, want 21 (7 strides × 3 byte offsets)", overlapping)
+	}
+}
+
 func TestFindOptionsAblation(t *testing.T) {
 	frames := make([]byte, 8*bitstream.FrameBytes)
 	for s := 0; s < 5; s++ {
@@ -462,24 +492,12 @@ func TestGroupTestingExcludesHarmfulMuxCandidate(t *testing.T) {
 	var specOf []muxSpec
 	for _, s := range muxCatalogue() {
 		for _, m := range FindLUT(atk.plain, s.fn, FindOptions{}) {
-			if !atk.aligned(m) {
+			if !atk.aligned(m) || overlapsAny(m, atk.rep.LUT1, confirmedMatch) ||
+				overlapsAny(m, atk.rep.LUT2, sameMatch) || overlapsAny(m, atk.rep.LUT3, sameMatch) {
 				continue
 			}
-			clash := false
-			for _, c := range atk.rep.LUT1 {
-				if c.Match.Overlaps(m) {
-					clash = true
-				}
-			}
-			for _, c := range append(atk.rep.LUT2, atk.rep.LUT3...) {
-				if c.Overlaps(m) {
-					clash = true
-				}
-			}
-			if !clash {
-				matches = append(matches, m)
-				specOf = append(specOf, s)
-			}
+			matches = append(matches, m)
+			specOf = append(specOf, s)
 		}
 	}
 	harm := muxSpec{name: "poison",

@@ -41,18 +41,36 @@ func (m Match) Bytes() [8]int {
 	return out
 }
 
-// Overlaps reports whether two matches share a bitstream byte.
+// Overlaps reports whether two matches share a bitstream byte. With Δ
+// the index difference, sub-vector q of one match and q' of the other
+// collide iff Δ + (q'−q)·d lies within one byte of 0, so the rule is
+// |Δ + k·d| ≤ 1 for some k in [−3, 3]. Bytes() defines the same rule
+// (TestMatchOverlapsMatchesByteSets).
 func (m Match) Overlaps(o Match) bool {
-	a, b := m.Bytes(), o.Bytes()
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
+	const d = bitstream.SubVectorOffset
+	delta := o.Index - m.Index
+	if delta < 0 {
+		delta = -delta
+	}
+	// |Δ| = k·d + e with k in [0, 3] and e in {−1, 0, 1}.
+	return delta <= (bitstream.SubVectors-1)*d+1 && (delta+1)%d <= 2
+}
+
+// overlapsAny reports whether m overlaps the match of any element of
+// claimed: the Section VI-C rule that a candidate sharing a byte with an
+// already-claimed LUT cannot be a LUT itself.
+func overlapsAny[T any](m Match, claimed []T, matchOf func(T) Match) bool {
+	for _, c := range claimed {
+		if matchOf(c).Overlaps(m) {
+			return true
 		}
 	}
 	return false
 }
+
+// confirmedMatch and sameMatch adapt the claimed sets to overlapsAny.
+func confirmedMatch(c ConfirmedLUT) Match { return c.Match }
+func sameMatch(m Match) Match             { return m }
 
 // FindOptions tunes the search.
 type FindOptions struct {

@@ -23,8 +23,6 @@ import (
 //	batch.lanes_per_pass        histogram, observed per fabric pass
 //	batch.lane_utilisation      gauge, Lanes / (Passes · Width)
 //	device.*                    FPGA events (live counters, device package)
-//	bitstream.reseal.*          Resealer fast-path hits (live counters)
-//	bitstream.crc.*             CRCCache fast-path hits + checkpoints
 //	core.catalogue.*            process-wide catalogue cache (obs.Default)
 //
 // When a live event bus is attached (obs.Telemetry.AttachBus, done by
@@ -37,9 +35,8 @@ import (
 // SetTelemetry attaches a telemetry handle to the attack: phase spans,
 // the metrics registry, and (when tel.Log is set) the leveled logger
 // replace the attack's current sinks. It also forwards the handle to
-// the victim device (when it supports it) and to any already-built
-// incremental-reconfiguration caches. A nil tel detaches everything
-// except the logger.
+// the victim device (when it supports it). A nil tel detaches
+// everything except the logger.
 func (a *Attack) SetTelemetry(tel *obs.Telemetry) {
 	a.tel = tel
 	if tel != nil && tel.Log != nil {
@@ -47,12 +44,6 @@ func (a *Attack) SetTelemetry(tel *obs.Telemetry) {
 	}
 	if d, ok := a.dev.(interface{ SetTelemetry(*obs.Telemetry) }); ok {
 		d.SetTelemetry(tel)
-	}
-	if a.resealer != nil {
-		a.resealer.Tel = tel
-	}
-	if a.crcCache != nil {
-		a.crcCache.Tel = tel
 	}
 }
 
@@ -82,12 +73,6 @@ func (a *Attack) publishStats() {
 	}
 	publishScanStats(a.tel.Metrics, a.rep.Scan)
 	publishBatchStats(a.tel.Metrics, a.rep.Batch)
-	if a.crcCache != nil {
-		a.tel.Gauge("bitstream.crc.checkpoints").Set(float64(a.crcCache.Checkpoints()))
-	}
-	if a.resealer != nil {
-		a.tel.Gauge("bitstream.reseal.checkpoints").Set(float64(a.resealer.Checkpoints()))
-	}
 }
 
 func publishScanStats(m *obs.Registry, s ScanStats) {
@@ -138,10 +123,6 @@ func publishBatchStats(m *obs.Registry, s BatchStats) {
 	m.Counter("batch.lanes").Set(int64(s.Lanes))
 	m.Counter("batch.fallbacks").Set(int64(s.Fallbacks))
 	m.Counter("batch.patched_frames").Set(int64(s.PatchedFrames))
-	m.Counter("batch.reseal_incremental").Set(int64(s.IncrementalReseals))
-	m.Counter("batch.reseal_full").Set(int64(s.FullReseals))
-	m.Counter("batch.crc_incremental").Set(int64(s.IncrementalCRCs))
-	m.Counter("batch.crc_full").Set(int64(s.FullCRCs))
 	util := 0.0
 	if s.Passes > 0 && s.Width > 0 {
 		util = float64(s.Lanes) / float64(s.Passes*s.Width)
@@ -152,16 +133,12 @@ func publishBatchStats(m *obs.Registry, s BatchStats) {
 // batchStatsFromMetrics is the inverse of publishBatchStats.
 func batchStatsFromMetrics(m *obs.Registry) BatchStats {
 	return BatchStats{
-		Width:              int(m.Gauge("batch.width").Value()),
-		Passes:             int(m.Counter("batch.passes").Value()),
-		LaneWords:          int(m.Counter("batch.lane_words").Value()),
-		Lanes:              int(m.Counter("batch.lanes").Value()),
-		Fallbacks:          int(m.Counter("batch.fallbacks").Value()),
-		PatchedFrames:      int(m.Counter("batch.patched_frames").Value()),
-		IncrementalReseals: int(m.Counter("batch.reseal_incremental").Value()),
-		FullReseals:        int(m.Counter("batch.reseal_full").Value()),
-		IncrementalCRCs:    int(m.Counter("batch.crc_incremental").Value()),
-		FullCRCs:           int(m.Counter("batch.crc_full").Value()),
+		Width:         int(m.Gauge("batch.width").Value()),
+		Passes:        int(m.Counter("batch.passes").Value()),
+		LaneWords:     int(m.Counter("batch.lane_words").Value()),
+		Lanes:         int(m.Counter("batch.lanes").Value()),
+		Fallbacks:     int(m.Counter("batch.fallbacks").Value()),
+		PatchedFrames: int(m.Counter("batch.patched_frames").Value()),
 	}
 }
 

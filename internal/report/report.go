@@ -101,8 +101,8 @@ func ScanStats(s core.ScanStats) string {
 
 // BatchStats renders the bitsliced candidate-sweep counters: fabric
 // passes actually executed by the simulator next to the modeled
-// hardware loads they stand in for, lane utilization, scalar fallbacks
-// and the incremental-reconfiguration fast-path hits.
+// hardware loads they stand in for, lane utilization and scalar
+// fallbacks.
 func BatchStats(s core.BatchStats) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "batch sweeps:          %d lane(s) wide, %d fabric pass(es), %d candidate lanes, %d scalar fallbacks\n",
@@ -111,14 +111,6 @@ func BatchStats(s core.BatchStats) string {
 		fmt.Fprintf(&b, "  register words:      %d 64-lane word(s) swept\n", s.LaneWords)
 	}
 	fmt.Fprintf(&b, "  frame patches:       %d applied across all lanes\n", s.PatchedFrames)
-	if s.IncrementalReseals+s.FullReseals > 0 {
-		fmt.Fprintf(&b, "  reseal:              %d incremental, %d full\n",
-			s.IncrementalReseals, s.FullReseals)
-	}
-	if s.IncrementalCRCs+s.FullCRCs > 0 {
-		fmt.Fprintf(&b, "  crc recompute:       %d incremental, %d full\n",
-			s.IncrementalCRCs, s.FullCRCs)
-	}
 	return b.String()
 }
 

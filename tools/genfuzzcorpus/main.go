@@ -80,6 +80,14 @@ func main() {
 		log.Fatalf("seal: %v", err)
 	}
 
+	// A "write CRC" header as the image's last word, with no value word
+	// after it: sync, FDRI Type 1 + Type 2 with two words, CRC header.
+	var crcTail []byte
+	for _, w := range []uint32{bitstream.SyncWord, bitstream.Type1(bitstream.RegFDRI, 0), bitstream.Type2(2),
+		0x01234567, 0x89ABCDEF, bitstream.Type1(bitstream.RegCRC, 1)} {
+		crcTail = binary.BigEndian.AppendUint32(crcTail, w)
+	}
+
 	noCRC := append([]byte(nil), img...)
 	if err := bitstream.DisableCRC(noCRC); err != nil {
 		log.Fatalf("disable CRC: %v", err)
@@ -122,6 +130,7 @@ func main() {
 		{"internal/bitstream/testdata/fuzz/FuzzParsePackets", "seed-synth-image", []any{img}},
 		{"internal/bitstream/testdata/fuzz/FuzzParsePackets", "seed-truncated-header", []any{img[:8]}},
 		{"internal/bitstream/testdata/fuzz/FuzzParsePackets", "seed-sealed-envelope", []any{sealed}},
+		{"internal/bitstream/testdata/fuzz/FuzzParsePackets", "seed-truncated-crc-write", []any{crcTail}},
 		{"internal/bitstream/testdata/fuzz/FuzzParseRegions", "seed-synth-fdri", []any{fdri}},
 		{"internal/bitstream/testdata/fuzz/FuzzParseRegions", "seed-header-frame-only", []any{fdri[:bitstream.FrameBytes]}},
 		{"internal/bitstream/testdata/fuzz/FuzzUnmarshalDescription", "seed-synth-description", []any{desc}},
@@ -134,6 +143,7 @@ func main() {
 		{"internal/device/testdata/fuzz/FuzzLoad", "seed-synth-image", []any{img}},
 		{"internal/device/testdata/fuzz/FuzzLoad", "seed-crc-disabled", []any{noCRC}},
 		{"internal/device/testdata/fuzz/FuzzLoad", "seed-short-image", []any{img[:len(img)-1]}},
+		{"internal/device/testdata/fuzz/FuzzLoad", "seed-truncated-crc-write", []any{crcTail}},
 
 		// device batch differential: lane counts around the width
 		// boundaries with distinct patch/IV seeds.

@@ -215,10 +215,6 @@ func Summary(t *Trace) string {
 		catHits, catMisses = t.Counters["core.catalogue.hits"], t.Counters["core.catalogue.misses"]
 	}
 	fmt.Fprintf(&b, "catalogue cache:       %s\n", rate(catHits, catMisses))
-	fmt.Fprintf(&b, "incremental reseal:    %s\n",
-		rate(t.Counters["bitstream.reseal.incremental"], t.Counters["bitstream.reseal.full"]))
-	fmt.Fprintf(&b, "incremental crc:       %s\n",
-		rate(t.Counters["bitstream.crc.incremental"], t.Counters["bitstream.crc.full"]))
 
 	if h, ok := t.Hists["batch.lanes_per_pass"]; ok && h.Count > 0 {
 		fmt.Fprintf(&b, "batch lanes/pass:      mean %.1f, min %d, max %d over %d pass(es)\n",

@@ -15,8 +15,8 @@ const sampleTrace = `{"type":"meta","version":1}
 {"type":"counter","name":"attack.loads","value":47}
 {"type":"counter","name":"core.catalogue.hits","value":30}
 {"type":"counter","name":"core.catalogue.misses","value":10}
-{"type":"counter","name":"bitstream.crc.incremental","value":40}
-{"type":"counter","name":"bitstream.crc.full","value":8}
+{"type":"counter","name":"device.loads","value":47}
+{"type":"counter","name":"batch.passes","value":4}
 {"type":"gauge","name":"batch.lane_utilisation","value":0.25}
 {"type":"hist","name":"batch.lanes_per_pass","count":4,"sum":44,"min":1,"max":39}
 `
@@ -61,10 +61,8 @@ func TestSummaryContent(t *testing.T) {
 		"trace version 1: 1 root span(s), 5 spans total",
 		"attack.batch_scan",
 		"attack.extract_key",
-		"bitstream loads:       47",
+		"bitstream loads:       47 (device observed 47)",
 		"catalogue cache:       75.0% (30/40)",
-		"incremental crc:       83.3% (40/48)",
-		"incremental reseal:    n/a",
 		"batch lanes/pass:      mean 11.0, min 1, max 39 over 4 pass(es)",
 		"batch lane utilisation 25.0%",
 		"hot leaf spans:",
