@@ -111,11 +111,16 @@ census-smoke:
 # vs FindLUT and the decode-based dual-XOR oracle, and the compiled
 # fabric program vs the graph walker. The packet walker gets a pass of
 # its own: untrusted bytes must parse or fail with an error, and a
-# parsed CRC write must reseal to a stream that passes CheckCRC.
+# parsed CRC write must reseal to a stream that passes CheckCRC. So
+# does device.Load: a mutated image must configure or fail with an
+# error, and a configured device must survive a clock. Its new inputs
+# are ~70 kB images, each try a full configuration, so minimization is
+# capped at 2 s to leave the pass time to fuzz.
 fuzz:
 	$(GO) test ./internal/core/ -run FuzzScannerDifferential -fuzz FuzzScannerDifferential -fuzztime 30s
 	$(GO) test ./internal/device/ -run FuzzProgramDifferential -fuzz FuzzProgramDifferential -fuzztime 30s
 	$(GO) test ./internal/bitstream/ -run FuzzParsePackets -fuzz FuzzParsePackets -fuzztime 30s
+	$(GO) test ./internal/device/ -run FuzzLoad -fuzz FuzzLoad -fuzztime 30s -fuzzminimizetime 2s
 
 clean:
 	$(GO) clean -testcache

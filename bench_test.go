@@ -136,31 +136,26 @@ func BenchmarkFindLUT10MB(b *testing.B) {
 	}
 }
 
-// BenchmarkAttackEndToEnd contrasts the candidate-sweep widths on the
-// complete attack: lanes-1 evaluates every faulty bitstream on the
-// scalar device (one full load + settle walk per candidate), lanes-64
-// packs up to 64 candidates into each bitsliced fabric pass. Both
-// recover the same key with identical Report.Loads; only wall-clock
-// changes — the ratio is the PR's headline speedup. The traced variant
-// reruns the batch width with a live telemetry handle (fresh tracer,
+// BenchmarkAttackEndToEnd times the complete attack through the facade,
+// which packs up to 64 candidates into each bitsliced fabric pass. The
+// traced variant reruns it with a live telemetry handle (fresh tracer,
 // metrics registry, span per phase and per chunk) so batch-64 vs
 // batch-64-traced pins the observability overhead — the budget is <5%.
 // The streamed variant additionally publishes every span and progress
 // event onto an EventBus with one live SSE subscriber draining the
-// firehose over real HTTP (ISSUE 8): batch-64 vs batch-64-streamed pins
-// the full live-streaming overhead against the same <5% budget.
+// firehose over real HTTP: batch-64 vs batch-64-streamed pins the full
+// live-streaming overhead against the same <5% budget. The scalar
+// contrast lives in BenchmarkCandidateSweep.
 func BenchmarkAttackEndToEnd(b *testing.B) {
 	u, _, _ := fixtures(b)
 	for _, bc := range []struct {
 		name     string
-		lanes    int
 		traced   bool
 		streamed bool
 	}{
-		{"scalar-1", 1, false, false},
-		{"batch-64", 64, false, false},
-		{"batch-64-traced", 64, true, false},
-		{"batch-64-streamed", 64, true, true},
+		{"batch-64", false, false},
+		{"batch-64-traced", true, false},
+		{"batch-64-streamed", true, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var bus *obs.EventBus
@@ -194,7 +189,7 @@ func BenchmarkAttackEndToEnd(b *testing.B) {
 						tel.AttachBus(bus, "bench")
 					}
 				}
-				rep, err := Attack(context.Background(), u, PaperIV, WithLanes(bc.lanes), WithTelemetry(tel))
+				rep, err := Attack(context.Background(), u, PaperIV, WithTelemetry(tel))
 				if err != nil {
 					b.Fatal(err)
 				}

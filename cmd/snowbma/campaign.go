@@ -8,7 +8,6 @@ import (
 	"os"
 
 	"snowbma"
-	"snowbma/internal/core"
 	"snowbma/internal/report"
 )
 
@@ -52,7 +51,6 @@ func cmdCampaign(args []string) error {
 	seed := fs.Int64("seed", 1, "master seed; identical seeds reproduce the report byte for byte")
 	chaos := fs.Bool("chaos", false, "mix seeded fault-injection scenarios into the campaign")
 	jsonOut := fs.String("json", "", "write the campaign report as JSON to this file")
-	lanes := fs.Int("lanes", 0, "pin the candidate-sweep width for every scenario (0 = randomize)")
 	_ = fs.Parse(args)
 	if *chaos && !flagSet(fs, "runs") {
 		return fmt.Errorf("campaign: %w (say how many scenarios back the chaos assertion)", ErrChaosFlag)
@@ -66,16 +64,9 @@ func cmdCampaign(args []string) error {
 	if *parallel < 0 {
 		return fmt.Errorf("campaign: -parallel must be non-negative, got %d (0 means all CPUs)", *parallel)
 	}
-	// 0 means "randomize per scenario"; anything else must be a valid
-	// sweep width, checked by the same validator every layer shares.
-	if *lanes != 0 {
-		if err := core.ValidateLanes(*lanes); err != nil {
-			return fmt.Errorf("campaign: -lanes: %w", err)
-		}
-	}
 	tel := snowbma.NewTelemetry()
 	rep, err := snowbma.RunCampaign(context.Background(), snowbma.CampaignConfig{
-		Runs: *runs, Parallel: *parallel, Seed: *seed, Chaos: *chaos, Lanes: *lanes, Tel: tel,
+		Runs: *runs, Parallel: *parallel, Seed: *seed, Chaos: *chaos, Tel: tel,
 	})
 	if err != nil {
 		return err

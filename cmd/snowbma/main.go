@@ -5,8 +5,8 @@
 // Usage:
 //
 //	snowbma synth      [-protected] [-key k0,k1,k2,k3] [-pad N] [-seed N] [-o out.bit]
-//	snowbma attack     [-protected] [-encrypted] [-census] [-lanes N] [-stats] [-trace file] [-key ...] [-iv ...] [-v]
-//	snowbma campaign   [-runs N] [-parallel N] [-seed N] [-chaos] [-lanes N] [-json file]
+//	snowbma attack     [-protected] [-encrypted] [-census] [-stats] [-trace file] [-key ...] [-iv ...] [-v]
+//	snowbma campaign   [-runs N] [-parallel N] [-seed N] [-chaos] [-json file]
 //	snowbma findlut    -bits file [-f expr] [-parallel N] [-stats] [-trace file]
 //	snowbma census     -bits file [-min N] | -corpus [-n N] [-seed N] [-dir dir] [-dedup=false] [-json file] [-stats]
 //	snowbma table2     [-key ...] [-stats]
@@ -150,9 +150,9 @@ func readBitstream(cmd, path string) ([]byte, error) {
 	return bits, nil
 }
 
-// ErrTracePath is the named validation error for the -trace flag, in
-// the same spirit as core.ErrLanes: callers (and tests) can match it
-// with errors.Is regardless of the wrapping command.
+// ErrTracePath is the named validation error for the -trace flag:
+// callers (and tests) can match it with errors.Is regardless of the
+// wrapping command.
 var ErrTracePath = errors.New("invalid -trace path")
 
 // traceFlag registers the shared -trace flag.
@@ -260,16 +260,11 @@ func cmdAttack(args []string) error {
 	encrypted := fs.Bool("encrypted", false, "victim uses an encrypted bitstream")
 	verbose := fs.Bool("v", false, "log attack progress")
 	census := fs.Bool("census", false, "use census-guided discovery instead of the Table II catalogue")
-	lanes := fs.Int("lanes", snowbma.DefaultLanes,
-		fmt.Sprintf("candidate-sweep width: simulator lanes per fabric pass (1 = scalar, up to %d)", snowbma.MaxLanes))
 	stats := fs.Bool("stats", false, "print scan-engine and batch-sweep counters even on failure")
 	tracePath := traceFlag(fs)
 	keyStr := keyFlag(fs)
 	ivStr := ivFlag(fs)
 	_ = fs.Parse(args)
-	if err := core.ValidateLanes(*lanes); err != nil {
-		return fmt.Errorf("attack: -lanes: %w", err)
-	}
 	traceFile, err := openTrace("attack", fs, *tracePath)
 	if err != nil {
 		return err
@@ -305,7 +300,7 @@ func cmdAttack(args []string) error {
 		run = snowbma.CensusAttack
 	}
 	rep, err := run(context.Background(), victim, iv,
-		snowbma.WithLogf(logf), snowbma.WithLanes(*lanes), snowbma.WithTelemetry(tel))
+		snowbma.WithLogf(logf), snowbma.WithTelemetry(tel))
 	// The trace is written whatever the attack outcome — a failed run's
 	// trace is exactly the one worth reading — and a truncated trace
 	// fails the command even when the attack succeeded.

@@ -3,11 +3,12 @@ package main
 import (
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"snowbma/internal/bitstream"
-	"snowbma/internal/core"
 )
 
 func TestParseWords(t *testing.T) {
@@ -109,12 +110,6 @@ func TestCmdFlagValidation(t *testing.T) {
 		{"census zero -min", func() error { return cmdCensus([]string{"-bits", empty, "-min", "0"}) }},
 		{"verify zero -ivs", func() error { return cmdVerify([]string{"-bits", empty, "-ivs", "0"}) }},
 		{"verify zero -n", func() error { return cmdVerify([]string{"-bits", empty, "-n", "-2"}) }},
-		{"attack zero -lanes", func() error { return cmdAttack([]string{"-lanes", "0"}) }},
-		{"attack negative -lanes", func() error { return cmdAttack([]string{"-lanes", "-4"}) }},
-		{"attack oversized -lanes", func() error { return cmdAttack([]string{"-lanes", "65"}) }},
-		{"census attack oversized -lanes", func() error {
-			return cmdAttack([]string{"-census", "-lanes", "100"})
-		}},
 	} {
 		if err := tc.run(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
@@ -157,21 +152,29 @@ func TestCmdAttackEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("attack CLI test skipped in -short mode")
 	}
-	if err := cmdAttack([]string{"-lanes", "32", "-stats"}); err != nil {
+	if err := cmdAttack([]string{"-stats"}); err != nil {
 		t.Fatalf("attack command failed: %v", err)
 	}
 }
 
+// TestCmdAttackLanesErrorMessage: the sweep width is not a flag, so
+// -lanes is undefined on attack and campaign and flag.ExitOnError exits
+// 2. The commands run in a child process because they exit it.
 func TestCmdAttackLanesErrorMessage(t *testing.T) {
-	// Lane validation is unified across CLI, facade, campaign and service:
-	// the command wraps the shared core.ErrLanes instead of formatting its
-	// own bound.
-	err := cmdAttack([]string{"-lanes", "65"})
-	if !errors.Is(err, core.ErrLanes) {
-		t.Fatalf("attack -lanes 65 = %v, want core.ErrLanes", err)
+	if args := os.Getenv("SNOWBMA_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"snowbma"}, strings.Fields(args)...)
+		main()
+		return
 	}
-	if err := cmdCampaign([]string{"-lanes", "65", "-runs", "1"}); !errors.Is(err, core.ErrLanes) {
-		t.Fatalf("campaign -lanes 65 = %v, want core.ErrLanes", err)
+	for _, args := range []string{"attack -lanes 64", "campaign -runs 1 -lanes 64"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCmdAttackLanesErrorMessage$")
+		cmd.Env = append(os.Environ(), "SNOWBMA_TEST_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+			!strings.Contains(string(out), "flag provided but not defined: -lanes") {
+			t.Fatalf("snowbma %s: err %v, output:\n%s", args, err, out)
+		}
 	}
 }
 

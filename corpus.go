@@ -60,11 +60,6 @@ func DirCorpus(dir string) (CorpusSource, error) {
 // ErrCancelled.
 func CensusCorpus(ctx context.Context, src CorpusSource, opts ...Option) (*CorpusReport, error) {
 	o := buildOptions(opts)
-	if err := ValidateLanes(o.lanes); err != nil {
-		// The census never sweeps candidates, but an explicit WithLanes
-		// out of range is still a caller bug worth failing loudly on.
-		return nil, err
-	}
 	cen, err := corpus.New(corpus.Options{
 		NoDedup:  o.noDedup,
 		Parallel: o.parallel,

@@ -1,6 +1,6 @@
 // Package campaign runs randomized end-to-end attack campaigns: many
 // scenarios — each a freshly synthesized victim with its own key, IV,
-// placement, decoy configuration, lane width and optional chaos fault —
+// placement, decoy configuration and optional chaos fault —
 // executed over a bounded worker pool, with every outcome classified
 // into a typed verdict and aggregated into a deterministic JSON report.
 //
@@ -15,7 +15,7 @@
 // invariant violation that fails the campaign.
 //
 // Determinism contract: the report is a pure function of (Seed, Runs,
-// Chaos, Lanes). Scenario generation is sequential, execution order is
+// Chaos). Scenario generation is sequential, execution order is
 // irrelevant (results land in their scenario's slot), and the report
 // carries no wall-clock data, so identical seeds produce byte-identical
 // JSON regardless of the worker-pool width.
@@ -46,9 +46,6 @@ type Config struct {
 	// Chaos mixes seeded fault-injection scenarios (about half) into
 	// the campaign.
 	Chaos bool
-	// Lanes pins the candidate-sweep width for every scenario
-	// (1..device.MaxLanes); 0 randomizes it per scenario.
-	Lanes int
 	// Tel optionally records campaign.* spans and counters.
 	Tel *obs.Telemetry
 }
@@ -62,13 +59,6 @@ func (c Config) validate() error {
 	}
 	if c.Parallel < 0 {
 		return fmt.Errorf("%w: Parallel must be non-negative, got %d", ErrConfig, c.Parallel)
-	}
-	if c.Lanes != 0 {
-		// Lanes 0 means "randomize per scenario"; anything else must be a
-		// valid sweep width by the one shared validator.
-		if err := core.ValidateLanes(c.Lanes); err != nil {
-			return fmt.Errorf("%w: Lanes: %w", ErrConfig, err)
-		}
 	}
 	return nil
 }
@@ -140,14 +130,13 @@ type Aggregate struct {
 }
 
 // Report is the full campaign record. It contains no wall-clock data by
-// design: identical (Seed, Runs, Chaos, Lanes) inputs must marshal to
+// design: identical (Seed, Runs, Chaos) inputs must marshal to
 // byte-identical JSON whatever the worker-pool width.
 type Report struct {
 	Schema    int       `json:"schema"`
 	Seed      int64     `json:"seed"`
 	Runs      int       `json:"runs"`
 	Chaos     bool      `json:"chaos"`
-	Lanes     int       `json:"lanes,omitempty"`
 	Results   []Result  `json:"results"`
 	Aggregate Aggregate `json:"aggregate"`
 }
@@ -220,7 +209,6 @@ dispatch:
 		Seed:    cfg.Seed,
 		Runs:    cfg.Runs,
 		Chaos:   cfg.Chaos,
-		Lanes:   cfg.Lanes,
 		Results: results,
 	}
 	rep.Aggregate = aggregate(results)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"snowbma/internal/campaign/chaos"
-	"snowbma/internal/device"
 	"snowbma/internal/obs"
 )
 
@@ -19,8 +18,6 @@ func TestConfigValidation(t *testing.T) {
 		{"zero runs", Config{Runs: 0}},
 		{"negative runs", Config{Runs: -3}},
 		{"negative parallel", Config{Runs: 1, Parallel: -1}},
-		{"negative lanes", Config{Runs: 1, Lanes: -1}},
-		{"lanes over max", Config{Runs: 1, Lanes: device.MaxLanes + 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,11 +55,9 @@ func TestGenerateScenariosDeterministic(t *testing.T) {
 func TestGenerateScenariosCoverage(t *testing.T) {
 	scns := GenerateScenarios(Config{Runs: 200, Seed: 7, Chaos: true})
 	faults := map[chaos.Fault]int{}
-	lanes := map[int]int{}
 	var counter, encrypted, census, recompute, pad int
 	for _, s := range scns {
 		faults[s.Fault]++
-		lanes[s.Lanes]++
 		if s.Countermeasure != CounterNone {
 			counter++
 		}
@@ -93,22 +88,9 @@ func TestGenerateScenariosCoverage(t *testing.T) {
 			t.Errorf("fault %q never generated in 200 scenarios", f)
 		}
 	}
-	for _, w := range []int{1, 2, 8, device.MaxLanes} {
-		if lanes[w] == 0 {
-			t.Errorf("lane width %d never generated", w)
-		}
-	}
 	if counter == 0 || encrypted == 0 || census == 0 || recompute == 0 || pad == 0 {
 		t.Errorf("dimension never generated: countermeasure=%d encrypted=%d census=%d recomputeCRC=%d pad=%d",
 			counter, encrypted, census, recompute, pad)
-	}
-}
-
-func TestGenerateScenariosLanesPinned(t *testing.T) {
-	for _, s := range GenerateScenarios(Config{Runs: 32, Seed: 3, Lanes: 2}) {
-		if s.Lanes != 2 {
-			t.Fatalf("scenario %d: Lanes=%d, want pinned 2", s.Index, s.Lanes)
-		}
 	}
 }
 

@@ -52,8 +52,8 @@ func buildVictim(s Scenario) (*device.FPGA, error) {
 // conformance cross-checks three implementations of the scenario's
 // cipher instance over the first conformanceWords keystream words: the
 // snow3g software reference, the gate-level device simulation driven by
-// the hdl control protocol, and every lane of a bitsliced device.Batch
-// at the scenario's sweep width. It returns "ok" or a description of
+// the hdl control protocol, and every lane of a full-width bitsliced
+// device.Batch. It returns "ok" or a description of
 // the first mismatch. The stage runs on the bare device, before any
 // chaos wrapping — it checks the models against each other, not the
 // fault injectors.
@@ -67,7 +67,7 @@ func conformance(fpga *device.FPGA, s Scenario) string {
 			return fmt.Sprintf("hdl keystream word %d: got %08x, reference %08x", t, got[t], ref[t])
 		}
 	}
-	batch, err := fpga.BatchOf(make([]bitstream.PatchSet, s.Lanes))
+	batch, err := fpga.BatchOf(make([]bitstream.PatchSet, device.MaxLanes))
 	if err != nil {
 		return fmt.Sprintf("batch build: %v", err)
 	}
@@ -87,9 +87,6 @@ func conformance(fpga *device.FPGA, s Scenario) string {
 func runAttack(ctx context.Context, v core.Victim, s Scenario, tel *obs.Telemetry) (*core.Report, error) {
 	atk, err := core.NewAttackCRCMode(v, s.IV, nil, s.RecomputeCRC)
 	if err != nil {
-		return nil, err
-	}
-	if err := atk.SetLanes(s.Lanes); err != nil {
 		return nil, err
 	}
 	atk.SetTelemetry(tel)

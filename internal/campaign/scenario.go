@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"snowbma/internal/campaign/chaos"
-	"snowbma/internal/device"
 	"snowbma/internal/snow3g"
 )
 
@@ -24,7 +23,7 @@ const (
 
 // Scenario is one randomized end-to-end attack configuration: which
 // design is synthesized (key, placement seed, padding, decoys,
-// encryption), how the attack runs against it (IV, sweep width, CRC
+// encryption), how the attack runs against it (IV, CRC
 // mode, census flow) and which chaos fault — if any — is injected into
 // the pipeline. Every field is derived deterministically from Seed, so
 // a scenario is replayable in isolation.
@@ -40,7 +39,6 @@ type Scenario struct {
 	Encrypted       bool           `json:"encrypted"`
 	// Attack configuration.
 	IV           snow3g.IV `json:"iv"`
-	Lanes        int       `json:"lanes"`
 	RecomputeCRC bool      `json:"recompute_crc"`
 	Census       bool      `json:"census"`
 	// Chaos injection (chaos.None when the campaign runs clean).
@@ -51,14 +49,10 @@ type Scenario struct {
 	ExpectRecovery bool `json:"expect_recovery"`
 }
 
-// laneChoices is the sweep-width dimension: scalar, narrow, partial and
-// full bitsliced batches.
-var laneChoices = []int{1, 2, 8, device.MaxLanes}
-
 // GenerateScenarios derives the campaign's scenario list from the
 // master seed. Generation is sequential and independent of Parallel, so
 // the list — and therefore the whole report — is a pure function of
-// (Seed, Runs, Chaos, Lanes).
+// (Seed, Runs, Chaos).
 func GenerateScenarios(cfg Config) []Scenario {
 	master := rand.New(rand.NewSource(cfg.Seed))
 	out := make([]Scenario, cfg.Runs)
@@ -69,10 +63,7 @@ func GenerateScenarios(cfg Config) []Scenario {
 		s.Key = snow3g.Key{sr.Uint32(), sr.Uint32(), sr.Uint32(), sr.Uint32()}
 		s.IV = snow3g.IV{sr.Uint32(), sr.Uint32(), sr.Uint32(), sr.Uint32()}
 		s.DesignSeed = 1 + sr.Int63n(1<<32)
-		s.Lanes = laneChoices[sr.Intn(len(laneChoices))]
-		if cfg.Lanes != 0 {
-			s.Lanes = cfg.Lanes
-		}
+		_ = sr.Intn(4) // the retired sweep-width draw, kept so every seed keeps its scenario
 		if sr.Intn(4) == 0 {
 			s.PadFrames = 1 + sr.Intn(2)
 		}

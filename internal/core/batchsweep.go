@@ -20,32 +20,19 @@ import (
 // actually executed.
 
 // DefaultLanes is the sweep width a new Attack starts with: the full
-// 64-lane register word. The standard attack's sweeps hold 44
-// candidates in total, so every one of its fabric passes fits in one
-// word.
+// 64-lane register word.
 const DefaultLanes = device.MaxLanes
 
-// ErrLanes is wrapped by ValidateLanes (and therefore SetLanes) for
-// out-of-range sweep widths.
+// ErrLanes is wrapped by SetLanes for out-of-range sweep widths.
 var ErrLanes = errors.New("lanes out of range")
-
-// ValidateLanes is the single lane-width validator: every boundary that
-// accepts a sweep width — the facade options, the CLI flags, the
-// campaign config, the service job spec — routes through it, so the
-// accepted range and the error shape cannot drift apart.
-func ValidateLanes(n int) error {
-	if n < 1 || n > device.MaxLanes {
-		return fmt.Errorf("core: %w: must be between 1 and %d, got %d", ErrLanes, device.MaxLanes, n)
-	}
-	return nil
-}
 
 // SetLanes sets the candidate-sweep width (lanes per bitsliced fabric
 // pass). Width 1 disables batching and evaluates every candidate on the
-// scalar path.
+// scalar path: the oracle of the differential sweep tests. Entry points
+// never call it; they all sweep at DefaultLanes.
 func (a *Attack) SetLanes(n int) error {
-	if err := ValidateLanes(n); err != nil {
-		return err
+	if n < 1 || n > device.MaxLanes {
+		return fmt.Errorf("core: %w: must be between 1 and %d, got %d", ErrLanes, device.MaxLanes, n)
 	}
 	a.lanes = n
 	a.rep.Batch.Width = n
@@ -150,10 +137,6 @@ type sweep struct {
 	z     [][]uint32
 	errs  []error
 	done  []bool
-	// lanes is the chunk width: candidate i belongs to the chunk
-	// starting at i - i%lanes. Fixed at sweep creation from the width
-	// the attack ran with at that point.
-	lanes int
 	// completed counts evaluated candidates, so chunk progress events
 	// carry done/total without rescanning the done slice.
 	completed int
@@ -162,17 +145,17 @@ type sweep struct {
 func (a *Attack) newSweep(count, n int, build func(int, []byte)) *sweep {
 	return &sweep{
 		a: a, n: n, build: build,
-		z:     make([][]uint32, count),
-		errs:  make([]error, count),
-		done:  make([]bool, count),
-		lanes: a.lanes,
+		z:    make([][]uint32, count),
+		errs: make([]error, count),
+		done: make([]bool, count),
 	}
 }
 
-// chunkOf returns the [lo, hi) candidate span of the chunk containing i.
+// chunkOf returns the [lo, hi) span of the Attack.lanes-wide chunk
+// containing candidate i.
 func (s *sweep) chunkOf(i int) (int, int) {
-	lo := i - i%s.lanes
-	return lo, min(lo+s.lanes, len(s.done))
+	lo := i - i%s.a.lanes
+	return lo, min(lo+s.a.lanes, len(s.done))
 }
 
 // run returns candidate i's keystream. It does no load accounting:

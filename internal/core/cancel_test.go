@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"snowbma/internal/device"
 	"snowbma/internal/snow3g"
 )
 
@@ -124,18 +123,5 @@ func TestSetContextNilRestoresBackground(t *testing.T) {
 	}
 	if !rep.Verified || rep.Key != secretKey {
 		t.Fatal("attack with background context failed to recover the key")
-	}
-}
-
-func TestValidateLanes(t *testing.T) {
-	for _, n := range []int{1, 2, DefaultLanes, device.MaxLanes} {
-		if err := ValidateLanes(n); err != nil {
-			t.Fatalf("ValidateLanes(%d) = %v, want nil", n, err)
-		}
-	}
-	for _, n := range []int{0, -1, device.MaxLanes + 1} {
-		if err := ValidateLanes(n); !errors.Is(err, ErrLanes) {
-			t.Fatalf("ValidateLanes(%d) = %v, want ErrLanes", n, err)
-		}
 	}
 }

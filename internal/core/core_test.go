@@ -399,7 +399,6 @@ func TestFindOptionsAblation(t *testing.T) {
 	base := FindLUT(frames, boolfn.F2, FindOptions{})
 	noDedup := FindLUT(frames, boolfn.F2, FindOptions{NoPermDedup: true})
 	serial := FindLUT(frames, boolfn.F2, FindOptions{Parallel: 1})
-	exhaustive := FindLUT(frames, boolfn.F2, FindOptions{ExhaustiveOrders: true})
 	contains := func(ms []Match, idx int) bool {
 		for _, m := range ms {
 			if m.Index == idx {
@@ -410,8 +409,7 @@ func TestFindOptionsAblation(t *testing.T) {
 	}
 	for s := 0; s < 5; s++ {
 		idx := s*bitstream.FrameBytes + 3*s*bitstream.SubVectorBytes
-		for name, ms := range map[string][]Match{"base": base, "noDedup": noDedup,
-			"serial": serial, "exhaustive": exhaustive} {
+		for name, ms := range map[string][]Match{"base": base, "noDedup": noDedup, "serial": serial} {
 			if !contains(ms, idx) {
 				t.Errorf("%s scan missed planted LUT %d", name, s)
 			}
@@ -424,9 +422,6 @@ func TestFindOptionsAblation(t *testing.T) {
 		if base[i].Index != serial[i].Index {
 			t.Fatal("parallel and serial scans disagree")
 		}
-	}
-	if len(exhaustive) < len(base) {
-		t.Fatal("exhaustive order scan found fewer matches than the physical orders")
 	}
 }
 

@@ -72,12 +72,10 @@ func overlapsAny[T any](m Match, claimed []T, matchOf func(T) Match) bool {
 func confirmedMatch(c ConfirmedLUT) Match { return c.Match }
 func sameMatch(m Match) Match             { return m }
 
-// FindOptions tunes the search.
+// FindOptions tunes the search. The scan checks only the two sub-vector
+// orders that occur on 7-series parts (Section V-A); FindLUTReference's
+// AllOrders keeps the 4! orders of the generic Algorithm 1 statement.
 type FindOptions struct {
-	// ExhaustiveOrders checks all 4! sub-vector orders as in the generic
-	// Algorithm 1 statement; the default checks only the two orders that
-	// occur on 7-series parts (Section V-A).
-	ExhaustiveOrders bool
 	// NoPermDedup disables the skipping of input permutations that
 	// produce a truth table already searched (ablation; Algorithm 1 as
 	// written re-scans duplicates and relies on marking).
@@ -152,46 +150,19 @@ func matchAt(b []byte, l int, c *candidate) bool {
 // boolfn.PermutedTables memo; the compiled catalogue itself is cached by
 // catalogueFor, so callers should go through that.
 func buildCandidates(f boolfn.TT, opt FindOptions) []candidate {
-	tables := boolfn.PermutedTables(f, !opt.NoPermDedup)
-	orders := []bitstream.SliceType{bitstream.SliceL, bitstream.SliceM}
 	seen := make(map[[4]uint16]bool)
 	var out []candidate
-	addPattern := func(sub [4]uint16, perm []int, order bitstream.SliceType) {
-		if seen[sub] {
-			return
-		}
-		seen[sub] = true
-		out = append(out, candidate{sub: sub, anchor: pickAnchor(sub), perm: perm, order: order})
-	}
-	for _, pt := range tables {
-		table, p := pt.Table, pt.Perm
-		if opt.ExhaustiveOrders {
-			xi := bitstream.Xi(table)
-			var quarters [4]uint16
-			for q := 0; q < 4; q++ {
-				quarters[q] = uint16(xi >> (16 * uint(q)))
-			}
-			for _, jp := range boolfn.Permutations(4) {
-				var sub [4]uint16
-				for q := 0; q < 4; q++ {
-					sub[q] = quarters[jp[q]]
-				}
-				// Attribute the physical type when the order coincides.
-				order := bitstream.SliceL
-				if jp[0] == 3 && jp[1] == 2 && jp[2] == 0 && jp[3] == 1 {
-					order = bitstream.SliceM
-				}
-				addPattern(sub, p, order)
-			}
-			continue
-		}
-		for _, order := range orders {
-			enc := bitstream.EncodeLUT(table, order)
+	for _, pt := range boolfn.PermutedTables(f, !opt.NoPermDedup) {
+		for _, order := range []bitstream.SliceType{bitstream.SliceL, bitstream.SliceM} {
+			enc := bitstream.EncodeLUT(pt.Table, order)
 			var sub [4]uint16
 			for q := 0; q < 4; q++ {
 				sub[q] = uint16(enc[q][0]) | uint16(enc[q][1])<<8
 			}
-			addPattern(sub, p, order)
+			if !seen[sub] {
+				seen[sub] = true
+				out = append(out, candidate{sub: sub, anchor: pickAnchor(sub), perm: pt.Perm, order: order})
+			}
 		}
 	}
 	return out

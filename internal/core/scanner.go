@@ -495,8 +495,8 @@ func (t *dualLanes) exact(b []byte, l, j int, pre uint8) bool {
 // the compiled catalogues instead of re-expanding them per image.
 
 type catKey struct {
-	f                  boolfn.TT
-	exhaustive, noPerm bool
+	f      boolfn.TT
+	noPerm bool
 }
 
 var (
@@ -514,7 +514,7 @@ const catCacheMax = 1 << 12
 // slice is shared and must be treated as read-only. The second result
 // reports whether the catalogue came from the cache.
 func catalogueFor(f boolfn.TT, opt FindOptions) ([]candidate, bool) {
-	key := catKey{f: f, exhaustive: opt.ExhaustiveOrders, noPerm: opt.NoPermDedup}
+	key := catKey{f: f, noPerm: opt.NoPermDedup}
 	catMu.RLock()
 	cands, ok := catCache[key]
 	catMu.RUnlock()

@@ -103,8 +103,6 @@ func TestScannerBatchEquivalence(t *testing.T) {
 		{Parallel: 1},
 		{Parallel: 64},
 		{NoPermDedup: true},
-		{ExhaustiveOrders: true},
-		{ExhaustiveOrders: true, NoPermDedup: true},
 	} {
 		label := fmt.Sprintf("opt=%+v", opt)
 		s := NewScanner(opt)
@@ -123,23 +121,16 @@ func TestScannerBatchEquivalence(t *testing.T) {
 func TestScannerMatchesAlgorithm1Reference(t *testing.T) {
 	img := plantImage(t)[:6*bitstream.FrameBytes] // the reference is slow
 	for _, f := range scannerTestFuncs() {
-		for _, exhaustive := range []bool{false, true} {
-			opt := FindOptions{ExhaustiveOrders: exhaustive}
-			p := SevenSeries()
-			p.AllOrders = exhaustive
-			want := FindLUTReference(img, f, p)
-			s := NewScanner(opt)
-			s.AddFunction("f", f)
-			got := s.Scan(img).Matches["f"]
-			if len(got) != len(want) {
-				t.Fatalf("%v exhaustive=%v: scanner %d indexes, Algorithm 1 %d",
-					f, exhaustive, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Index != want[i] {
-					t.Fatalf("%v exhaustive=%v: index %d is %d, Algorithm 1 says %d",
-						f, exhaustive, i, got[i].Index, want[i])
-				}
+		want := FindLUTReference(img, f, SevenSeries())
+		s := NewScanner(FindOptions{})
+		s.AddFunction("f", f)
+		got := s.Scan(img).Matches["f"]
+		if len(got) != len(want) {
+			t.Fatalf("%v: scanner %d indexes, Algorithm 1 %d", f, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Index != want[i] {
+				t.Fatalf("%v: index %d is %d, Algorithm 1 says %d", f, i, got[i].Index, want[i])
 			}
 		}
 	}

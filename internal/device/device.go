@@ -170,6 +170,10 @@ func decodeConfig(fdri []byte) (*config, error) {
 	if err != nil {
 		return nil, fmt.Errorf("device: %w", err)
 	}
+	// Validated first: slice types and BRAM widths drive the reads below.
+	if err := validate(desc); err != nil {
+		return nil, fmt.Errorf("device: %w", err)
+	}
 	clb := fdri[regions.CLBOff : regions.CLBOff+regions.CLBLen]
 	lutTT := make([]boolfn.TT, len(desc.LUTs))
 	for i, rec := range desc.LUTs {
@@ -191,9 +195,6 @@ func decodeConfig(fdri []byte) (*config, error) {
 			tab[e] = binary.BigEndian.Uint64(bram[rec.ContentOff+8*e:])
 		}
 		bramTab[i] = tab
-	}
-	if err := validate(desc); err != nil {
-		return nil, fmt.Errorf("device: %w", err)
 	}
 	return &config{
 		desc:    desc,
@@ -390,33 +391,53 @@ func (f *FPGA) Readback() ([]byte, error) {
 // the flat instruction encoding.
 const MaxNets = 16384
 
-// validate checks net references before trusting a description.
+// maxBRAMAddrBits bounds a block RAM's address width (a cascaded pair
+// of 7-series RAMB36 holds 64K entries), so 1<<len(Addr) stays small.
+const maxBRAMAddrBits = 16
+
+// validate checks net references, slice types and table widths before
+// the description is trusted with any table read or compiled program.
 func validate(d *bitstream.Description) error {
 	if d.NumNets > MaxNets {
 		return fmt.Errorf("description declares %d nets, fabric capacity is %d", d.NumNets, MaxNets)
 	}
-	ok := func(id uint32) bool { return id < d.NumNets }
+	ok := func(ids ...uint32) bool {
+		for _, id := range ids {
+			if id >= d.NumNets {
+				return false
+			}
+		}
+		return true
+	}
 	for _, p := range d.Ports {
 		if !ok(p.Net) {
 			return fmt.Errorf("port %s references invalid net", p.Name)
 		}
 	}
 	for i, ff := range d.FFs {
-		if !ok(ff.Q) || !ok(ff.D) {
+		if !ok(ff.Q, ff.D) {
 			return fmt.Errorf("flip-flop %d references invalid net", i)
+		}
+	}
+	for i, b := range d.BRAMs {
+		if len(b.Addr) > maxBRAMAddrBits || len(b.Out) > LaneWordBits || !ok(b.Addr...) || !ok(b.Out...) {
+			return fmt.Errorf("BRAM %d: %d address bits, %d outputs or an invalid net", i, len(b.Addr), len(b.Out))
+		}
+	}
+	for i, a := range d.Adders {
+		if len(a.B) != len(a.A) || len(a.Sum) != len(a.A) || !ok(a.A...) || !ok(a.B...) || !ok(a.Sum...) {
+			return fmt.Errorf("adder %d: ragged operands or an invalid net", i)
 		}
 	}
 	for i, l := range d.LUTs {
 		if !ok(l.O6) || (l.O5 != bitstream.NoNet && !ok(l.O5)) {
 			return fmt.Errorf("LUT %d output invalid", i)
 		}
-		if len(l.Inputs) > 6 {
-			return fmt.Errorf("LUT %d has %d inputs", i, len(l.Inputs))
+		if len(l.Inputs) > 6 || !ok(l.Inputs...) {
+			return fmt.Errorf("LUT %d: %d inputs or an invalid one", i, len(l.Inputs))
 		}
-		for _, in := range l.Inputs {
-			if !ok(in) {
-				return fmt.Errorf("LUT %d input invalid", i)
-			}
+		if l.Loc.Type > bitstream.SliceM {
+			return fmt.Errorf("LUT %d has unknown slice type %d", i, l.Loc.Type)
 		}
 	}
 	for i, e := range d.Eval {

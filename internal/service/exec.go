@@ -49,13 +49,6 @@ func (e *Engine) execAttack(ctx context.Context, j *job) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	lanes := j.spec.Lanes
-	if lanes == 0 {
-		lanes = core.DefaultLanes
-	}
-	if err := atk.SetLanes(lanes); err != nil {
-		return nil, err
-	}
 	atk.SetTelemetry(j.tel)
 	atk.SetContext(ctx)
 	var rep *core.Report
@@ -113,7 +106,6 @@ func (e *Engine) execCampaign(ctx context.Context, j *job) (any, error) {
 		Parallel: cs.Parallel,
 		Seed:     cs.Seed,
 		Chaos:    cs.Chaos,
-		Lanes:    cs.Lanes,
 		Tel:      j.tel,
 	})
 	if err != nil {

@@ -85,7 +85,6 @@ type CampaignSpec struct {
 	Parallel int   `json:"parallel,omitempty"`
 	Seed     int64 `json:"seed,omitempty"`
 	Chaos    bool  `json:"chaos,omitempty"`
-	Lanes    int   `json:"lanes,omitempty"`
 }
 
 // CorpusSpec parameterizes a corpus census job: a seeded design corpus
@@ -121,9 +120,6 @@ type JobSpec struct {
 	// Victim and IV drive attack, census and findlut jobs.
 	Victim VictimSpec `json:"victim,omitempty"`
 	IV     snow3g.IV  `json:"iv,omitempty"`
-	// Lanes pins the candidate-sweep width, 1..device.MaxLanes
-	// (0 = core.DefaultLanes). Wider values fail validation with ErrSpec.
-	Lanes int `json:"lanes,omitempty"`
 	// RecomputeCRC makes the attack recompute frame CRCs instead of
 	// disabling the check.
 	RecomputeCRC bool `json:"recompute_crc,omitempty"`
@@ -156,11 +152,6 @@ func (s JobSpec) Validate() error {
 		if s.Campaign == nil || s.Campaign.Runs < 1 {
 			return fmt.Errorf("%w: campaign jobs need campaign.runs >= 1", ErrSpec)
 		}
-		if s.Campaign.Lanes != 0 {
-			if err := core.ValidateLanes(s.Campaign.Lanes); err != nil {
-				return fmt.Errorf("%w: campaign.lanes: %w", ErrSpec, err)
-			}
-		}
 	case KindCorpus:
 		c := s.Corpus
 		if c == nil {
@@ -183,11 +174,6 @@ func (s JobSpec) Validate() error {
 	default:
 		return fmt.Errorf("%w: unknown kind %q (want %s|%s|%s|%s|%s)",
 			ErrSpec, s.Kind, KindAttack, KindCensus, KindFindLUT, KindCampaign, KindCorpus)
-	}
-	if s.Lanes != 0 {
-		if err := core.ValidateLanes(s.Lanes); err != nil {
-			return fmt.Errorf("%w: lanes: %w", ErrSpec, err)
-		}
 	}
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("%w: timeout_ms must be non-negative, got %d", ErrSpec, s.TimeoutMS)

@@ -163,9 +163,9 @@ func (e *Engine) restoreTerminal(r store.Record, now time.Time) {
 // requeueRecovered re-admits a job that was queued or running when the
 // previous process died. Quotas and the global depth bound do not
 // apply on the way back in (the job was already admitted once); a spec
-// that cannot be decoded, or that this version's validator rejects
-// (a log written by a build that accepted wider sweeps), turns into a
-// failed job rather than silently vanishing, being clamped, or running.
+// that cannot be decoded, or that this version's validator rejects,
+// turns into a failed job rather than silently vanishing or running.
+// Unlike POST /jobs the decode ignores fields this build retired.
 func (e *Engine) requeueRecovered(r store.Record, now time.Time) bool {
 	var spec JobSpec
 	reason := "job spec lost or corrupt in store"

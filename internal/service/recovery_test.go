@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"snowbma/internal/core"
 	"snowbma/internal/store"
 )
 
@@ -265,12 +264,13 @@ func TestRecoveryCorruptSpec(t *testing.T) {
 	}
 }
 
-// TestRecoveryRejectsWideLanes: a queued attack job logged with
-// "lanes":128 — a width earlier builds accepted — replays as a failed
-// job carrying the lane validation error. It is not clamped to the
-// current maximum and never reaches an executor, in this process or
-// after the next restart.
-func TestRecoveryRejectsWideLanes(t *testing.T) {
+// TestRecoveryRunsRetiredLanesSpec: a queued attack job logged with
+// "lanes":128 by a build that still took a sweep width replays and runs
+// at the fixed width, because the width never changed a result.
+// Recovery decodes leniently, unlike POST /jobs, so the retired field
+// is ignored rather than failing the job. It runs exactly once across
+// two restarts.
+func TestRecoveryRunsRetiredLanesSpec(t *testing.T) {
 	dir := t.TempDir()
 	w, err := store.OpenDir(dir)
 	if err != nil {
@@ -286,7 +286,7 @@ func TestRecoveryRejectsWideLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var runs atomic.Int32
-	never := func(context.Context, *job) (any, error) {
+	count := func(context.Context, *job) (any, error) {
 		runs.Add(1)
 		return "ran", nil
 	}
@@ -295,28 +295,20 @@ func TestRecoveryRejectsWideLanes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := Open(Config{Workers: 1, Store: st, execOverride: never})
+		e, err := Open(Config{Workers: 1, Store: st, execOverride: count})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := e.Get("job-0001")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.State != StateFailed || s.Recovered {
-			t.Fatalf("round %d: wide-lanes job restored as %+v, want failed and not re-enqueued", round, s)
-		}
-		for _, want := range []string{"recovery", ErrSpec.Error(), core.ErrLanes.Error(), "got 128"} {
-			if !strings.Contains(s.Error, want) {
-				t.Fatalf("round %d: error %q lacks %q", round, s.Error, want)
-			}
+		s := waitState(t, e, "job-0001", StateDone)
+		if s.Error != "" || (round == 0 && !s.Recovered) {
+			t.Fatalf("round %d: retired-lanes job restored as %+v, want done and recovered", round, s)
 		}
 		if err := e.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := runs.Load(); n != 0 {
-		t.Fatalf("wide-lanes job executed %d times, want 0", n)
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("retired-lanes job executed %d times, want 1", n)
 	}
 }
 

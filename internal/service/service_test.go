@@ -5,9 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"snowbma/internal/core"
-	"snowbma/internal/device"
 )
 
 // newStubEngine builds an engine whose job bodies run fn instead of
@@ -60,20 +57,14 @@ func TestSubmitValidation(t *testing.T) {
 	bad := []JobSpec{
 		{Kind: "exfiltrate"},
 		{Kind: KindFindLUT},
-		{Kind: KindAttack, Lanes: device.MaxLanes + 1},
-		{Kind: KindAttack, Lanes: -1},
 		{Kind: KindCampaign},
 		{Kind: KindCampaign, Campaign: &CampaignSpec{Runs: 0}},
-		{Kind: KindCampaign, Campaign: &CampaignSpec{Runs: 1, Lanes: -2}},
 		{Kind: KindAttack, TimeoutMS: -1},
 	}
 	for _, spec := range bad {
 		if _, err := e.Submit(spec); !errors.Is(err, ErrSpec) {
 			t.Fatalf("Submit(%+v) = %v, want ErrSpec", spec, err)
 		}
-	}
-	if _, err := e.Submit(JobSpec{Kind: KindAttack, Lanes: device.MaxLanes + 1}); !errors.Is(err, core.ErrLanes) {
-		t.Fatal("lane validation must route through core.ValidateLanes (ErrLanes)")
 	}
 }
 

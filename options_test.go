@@ -47,78 +47,38 @@ func TestAttackCancelledViaFacade(t *testing.T) {
 	}
 }
 
-// TestLaneValidationViaFacade runs both attack entrypoints across the
-// sweep-width range: out-of-range widths fail with ErrLanes, and every
-// legal width recovers the key with the same modeled outcome. Telemetry
-// must record spans without changing the report.
+// TestLaneValidationViaFacade runs both attack entrypoints at the one
+// sweep width every entry point uses: each recovers the key in fabric
+// passes DefaultLanes wide, and telemetry must record spans without
+// changing the report.
 func TestLaneValidationViaFacade(t *testing.T) {
-	type kindLanes struct {
-		census bool
-		lanes  int
-	}
-	first := map[bool]*Report{}         // first report per entrypoint
-	untraced := map[kindLanes]*Report{} // per entrypoint and width
-	for _, tc := range []struct {
-		name    string
-		census  bool
-		lanes   int
-		traced  bool
-		wantErr error
-	}{
-		{"attack lanes 0", false, 0, false, ErrLanes},
-		{"attack lanes -1", false, -1, false, ErrLanes},
-		{"attack lanes max+1", false, MaxLanes + 1, false, ErrLanes},
-		{"census lanes max+1", true, MaxLanes + 1, false, ErrLanes},
-		{"attack lanes max", false, MaxLanes, false, nil},
-		{"attack lanes 8", false, 8, false, nil},
-		{"attack lanes 8 traced", false, 8, true, nil},
-		{"census lanes max", true, MaxLanes, false, nil},
-	} {
+	for _, census := range []bool{false, true} {
 		run := Attack
-		if tc.census {
+		if census {
 			run = CensusAttack
 		}
-		var tel *Telemetry
-		if tc.traced {
-			tel = NewTelemetry()
-		}
-		rep, err := run(context.Background(), buildTestVictim(t), PaperIV, WithLanes(tc.lanes), WithTelemetry(tel))
-		if tc.wantErr != nil {
-			if !errors.Is(err, tc.wantErr) {
-				t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
-			}
-			if err := ValidateLanes(tc.lanes); !errors.Is(err, ErrLanes) {
-				t.Fatalf("%s: ValidateLanes = %v, want ErrLanes", tc.name, err)
-			}
-			continue
-		}
+		untraced, err := run(context.Background(), buildTestVictim(t), PaperIV)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("census=%v: %v", census, err)
 		}
-		if err := ValidateLanes(tc.lanes); err != nil {
-			t.Fatalf("%s: ValidateLanes = %v", tc.name, err)
+		tel := NewTelemetry()
+		traced, err := run(context.Background(), buildTestVictim(t), PaperIV, WithTelemetry(tel))
+		if err != nil {
+			t.Fatalf("census=%v traced: %v", census, err)
 		}
-		if !rep.Verified || rep.Key != PaperKey {
-			t.Fatalf("%s: verified=%v key=%08x", tc.name, rep.Verified, rep.Key)
-		}
-		// Across widths only the simulator-side BatchStats may differ;
-		// the modeled hardware cost and the recovered secrets are
-		// invariant.
-		if f := first[tc.census]; f == nil {
-			first[tc.census] = rep
-		} else if rep.Loads != f.Loads || rep.Key != f.Key || rep.IV != f.IV {
-			t.Fatalf("%s: lane width changed the modeled outcome: loads %d vs %d", tc.name, rep.Loads, f.Loads)
-		}
-		k := kindLanes{tc.census, tc.lanes}
-		if !tc.traced {
-			untraced[k] = rep
-			continue
+		for _, rep := range []*Report{untraced, traced} {
+			if !rep.Verified || rep.Key != PaperKey {
+				t.Fatalf("census=%v: verified=%v key=%08x", census, rep.Verified, rep.Key)
+			}
+			if rep.Batch.Width != DefaultLanes {
+				t.Fatalf("census=%v: sweep width %d, want %d", census, rep.Batch.Width, DefaultLanes)
+			}
 		}
 		if len(tel.Tracer.Roots()) == 0 {
-			t.Fatalf("%s: WithTelemetry recorded no spans", tc.name)
+			t.Fatalf("census=%v: WithTelemetry recorded no spans", census)
 		}
-		if !reflect.DeepEqual(normalizeReport(rep), normalizeReport(untraced[k])) {
-			t.Fatalf("%s: telemetry changed the report", tc.name)
+		if !reflect.DeepEqual(normalizeReport(traced), normalizeReport(untraced)) {
+			t.Fatalf("census=%v: telemetry changed the report", census)
 		}
 	}
 }

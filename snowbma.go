@@ -18,7 +18,7 @@
 // Each operation has one entry point. The context-first ones (Attack,
 // CensusAttack, FindLUTs, RunCampaign) honor cancellation at the
 // attack's phase and sweep-chunk checkpoints; the first three take
-// functional options (WithLanes, WithTelemetry, WithLogf, WithParallel).
+// functional options (WithTelemetry, WithLogf, WithParallel).
 //
 // The sub-packages under internal/ carry the implementation; their doc
 // comments map each module to the paper sections it reproduces (see
@@ -158,20 +158,10 @@ type Report = core.Report
 // Report.Loads (modeled hardware reconfigurations, one per candidate).
 type BatchStats = core.BatchStats
 
-// MaxLanes is the lane capacity of the bitsliced candidate sweep: how
-// many virtual devices one simulator pass evaluates at most: one
-// 64-bit register word per net.
-const MaxLanes = device.MaxLanes
-
-// DefaultLanes is the sweep width entrypoints use when WithLanes is not
-// given: the full MaxLanes word. The standard attack's sweeps hold 44
+// DefaultLanes is the sweep width every entry point uses: one full
+// 64-lane register word. The standard attack's sweeps hold 44
 // candidates in total, so each of its fabric passes fits in one word.
 const DefaultLanes = core.DefaultLanes
-
-// ErrLanes is returned (wrapped) for out-of-range candidate-sweep
-// widths — by WithLanes-carrying entrypoints, the CLI and the campaign
-// and service configs, all through the same validator.
-var ErrLanes = core.ErrLanes
 
 // ErrCancelled is returned (wrapped) when a context-first entrypoint is
 // cancelled: the attack stops at its next checkpoint (between phases
@@ -179,16 +169,11 @@ var ErrLanes = core.ErrLanes
 // bitstream, and reports no key.
 var ErrCancelled = core.ErrCancelled
 
-// ValidateLanes reports whether n is a legal candidate-sweep width
-// (1..MaxLanes), wrapping ErrLanes when it is not.
-func ValidateLanes(n int) error { return core.ValidateLanes(n) }
-
 // Option configures a context-first entrypoint (Attack, CensusAttack,
 // FindLUTs).
 type Option func(*options)
 
 type options struct {
-	lanes    int
 	tel      *Telemetry
 	logf     func(string, ...any)
 	parallel int
@@ -196,20 +181,12 @@ type options struct {
 }
 
 func buildOptions(opts []Option) options {
-	o := options{lanes: DefaultLanes}
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
 	return o
 }
-
-// WithLanes sets the candidate-sweep width: how many modified bitstream
-// variants one bitsliced simulator pass evaluates (1..MaxLanes; 1
-// forces the scalar path). The width changes only wall-clock time —
-// Report.Loads and HardwareEstimate model per-candidate hardware
-// reconfigurations and are invariant under it. Out-of-range widths fail
-// the entrypoint with an error wrapping ErrLanes.
-func WithLanes(n int) Option { return func(o *options) { o.lanes = n } }
 
 // WithTelemetry attaches an observability handle: every attack phase,
 // scanner pass, sweep chunk and device event is recorded into tel's
@@ -250,9 +227,6 @@ func Attack(ctx context.Context, v *Victim, iv IV, opts ...Option) (*Report, err
 func newAttack(ctx context.Context, v *Victim, iv IV, o options) (*core.Attack, error) {
 	atk, err := core.NewAttack(v.Device, iv, o.logf)
 	if err != nil {
-		return nil, err
-	}
-	if err := atk.SetLanes(o.lanes); err != nil {
 		return nil, err
 	}
 	atk.SetTelemetry(o.tel)
@@ -297,19 +271,18 @@ func CensusAttack(ctx context.Context, v *Victim, iv IV, opts ...Option) (*Repor
 
 // CampaignConfig parameterizes a randomized attack campaign: how many
 // scenarios, the worker-pool width, the master seed, whether chaos
-// fault-injection scenarios are mixed in, and an optional pinned
-// candidate-sweep lane width.
+// fault-injection scenarios are mixed in.
 type CampaignConfig = campaign.Config
 
 // CampaignReport is the deterministic outcome of a campaign: one
 // classified result per scenario plus the aggregate verdict tally.
-// Identical (Seed, Runs, Chaos, Lanes) inputs marshal to byte-identical
+// Identical (Seed, Runs, Chaos) inputs marshal to byte-identical
 // JSON regardless of the worker-pool width.
 type CampaignReport = campaign.Report
 
 // RunCampaign generates CampaignConfig.Runs randomized end-to-end
 // attack scenarios from the master seed — fresh design placement, key,
-// IV, lane width, optional countermeasure / bitstream encryption /
+// IV, optional countermeasure / bitstream encryption /
 // injected fault per scenario — executes each over a bounded worker
 // pool with a golden-model conformance pre-check, and aggregates the
 // typed verdicts (key recovered / clean failure / invariant violation).

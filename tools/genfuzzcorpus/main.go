@@ -21,6 +21,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"snowbma"
 	"snowbma/internal/bitstream"
@@ -88,6 +89,28 @@ func main() {
 		crcTail = binary.BigEndian.AppendUint32(crcTail, w)
 	}
 
+	// Descriptions that once panicked device.Load: a LUT with an unknown
+	// slice type, and a constant ROM output net past NumNets. Neither
+	// edit changes the length, so the description is rewritten in place.
+	craft := func(edit func(*bitstream.Description)) []byte {
+		d, err := bitstream.UnmarshalDescription(desc)
+		if err != nil {
+			log.Fatalf("decode description: %v", err)
+		}
+		edit(d)
+		out := append([]byte(nil), img...)
+		copy(out[p.FDRIOffset+r.DescOff:], bitstream.MarshalDescription(d))
+		if err := bitstream.RecomputeCRC(out); err != nil {
+			log.Fatalf("recompute CRC: %v", err)
+		}
+		return out
+	}
+	badSlice := craft(func(d *bitstream.Description) { d.LUTs[0].Loc.Type = 9 })
+	badROMNet := craft(func(d *bitstream.Description) {
+		i := slices.IndexFunc(d.BRAMs, func(b bitstream.BRAMRec) bool { return len(b.Addr) == 0 })
+		d.BRAMs[i].Out[0] = 1 << 24
+	})
+
 	noCRC := append([]byte(nil), img...)
 	if err := bitstream.DisableCRC(noCRC); err != nil {
 		log.Fatalf("disable CRC: %v", err)
@@ -139,11 +162,14 @@ func main() {
 		{"internal/bitstream/testdata/fuzz/FuzzOpenEnvelope", "seed-clipped-tail", []any{sealed[:len(sealed)-16]}},
 
 		// device: a loadable image, its CRC-disabled variant (content
-		// mutations get past the checksum) and a one-byte-short copy.
+		// mutations get past the checksum), a one-byte-short copy and
+		// two crafted descriptions.
 		{"internal/device/testdata/fuzz/FuzzLoad", "seed-synth-image", []any{img}},
 		{"internal/device/testdata/fuzz/FuzzLoad", "seed-crc-disabled", []any{noCRC}},
 		{"internal/device/testdata/fuzz/FuzzLoad", "seed-short-image", []any{img[:len(img)-1]}},
 		{"internal/device/testdata/fuzz/FuzzLoad", "seed-truncated-crc-write", []any{crcTail}},
+		{"internal/device/testdata/fuzz/FuzzLoad", "seed-bad-slice-type", []any{badSlice}},
+		{"internal/device/testdata/fuzz/FuzzLoad", "seed-rom-net-out-of-range", []any{badROMNet}},
 
 		// device batch differential: lane counts around the width
 		// boundaries with distinct patch/IV seeds.
