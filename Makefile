@@ -90,12 +90,12 @@ fleet-smoke:
 		-run 'TestFleetKillRestartSmoke|TestFleetLeaseReassignment' ./internal/fleet/
 
 # census-smoke is the census-at-scale exercise under the race detector:
-# a seeded 200-design corpus streams through the shared scan engine with
-# content-addressed dedup, and the report invariants are checked exactly
-# — every fourth design carries the countermeasure and must census to 0
-# target-class LUTs (covered), every other design to exactly 32
-# (exposed), dedup must actually hit, and the frame accounting must
-# balance. The fleet sharding path (composite corpus job split across
+# a seeded 200-design corpus streams through the shared scan engine,
+# and the report invariants are checked exactly — every fourth design
+# carries the countermeasure and must census to 0 target-class LUTs
+# (covered), every other design to exactly 32 (exposed), and every
+# first add must scan all of its frames. The re-add table checks that a
+# re-add rescans exactly the windows its edit changed. The fleet sharding path (composite corpus job split across
 # two real worker processes, merged report equal to the single-engine
 # run) and the CLI surface ride along.
 census-smoke:
@@ -113,13 +113,14 @@ census-smoke:
 # its own: untrusted bytes must parse or fail with an error, and a
 # parsed CRC write must reseal to a stream that passes CheckCRC. So
 # does device.Load: a mutated image must configure or fail with an
-# error, and a configured device must survive a clock. Its new inputs
-# are ~70 kB images, each try a full configuration, so minimization is
-# capped at 2 s to leave the pass time to fuzz.
+# error, and a configured device must survive a clock. Both take ~70 kB
+# images as new inputs (for device.Load each try is a full
+# configuration), so minimization is capped at 2 s to leave the pass
+# time to fuzz.
 fuzz:
 	$(GO) test ./internal/core/ -run FuzzScannerDifferential -fuzz FuzzScannerDifferential -fuzztime 30s
 	$(GO) test ./internal/device/ -run FuzzProgramDifferential -fuzz FuzzProgramDifferential -fuzztime 30s
-	$(GO) test ./internal/bitstream/ -run FuzzParsePackets -fuzz FuzzParsePackets -fuzztime 30s
+	$(GO) test ./internal/bitstream/ -run FuzzParsePackets -fuzz FuzzParsePackets -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/device/ -run FuzzLoad -fuzz FuzzLoad -fuzztime 30s -fuzzminimizetime 2s
 
 clean:

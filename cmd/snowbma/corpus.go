@@ -16,7 +16,6 @@ type corpusOpts struct {
 	n         int
 	seed      int64
 	dir       string
-	dedup     bool
 	parallel  int
 	jsonOut   string
 	stats     bool
@@ -53,10 +52,7 @@ func runCensusCorpus(fs *flag.FlagSet, o corpusOpts) error {
 		src = snowbma.SeededCorpus(o.n, o.seed)
 	}
 
-	opts := []snowbma.Option{
-		snowbma.WithDedup(o.dedup),
-		snowbma.WithParallel(o.parallel),
-	}
+	opts := []snowbma.Option{snowbma.WithParallel(o.parallel)}
 	var tel *snowbma.Telemetry
 	if traceFile != nil {
 		tel = snowbma.NewTelemetry()

@@ -8,7 +8,7 @@
 //	snowbma attack     [-protected] [-encrypted] [-census] [-stats] [-trace file] [-key ...] [-iv ...] [-v]
 //	snowbma campaign   [-runs N] [-parallel N] [-seed N] [-chaos] [-json file]
 //	snowbma findlut    -bits file [-f expr] [-parallel N] [-stats] [-trace file]
-//	snowbma census     -bits file [-min N] | -corpus [-n N] [-seed N] [-dir dir] [-dedup=false] [-json file] [-stats]
+//	snowbma census     -bits file [-min N] | -corpus [-n N] [-seed N] [-dir dir] [-json file] [-stats]
 //	snowbma table2     [-key ...] [-stats]
 //	snowbma table6     [-key ...] [-stats]
 //	snowbma keystream  [-key ...] [-iv ...] [-n 16] [-stuck-init] [-stuck-gen] [-zero-lfsr]
@@ -558,7 +558,6 @@ func cmdCensus(args []string) error {
 	n := fs.Int("n", 50, "corpus mode: seeded designs to synthesize")
 	seed := fs.Int64("seed", 1, "corpus mode: master seed; identical seeds reproduce the report")
 	dir := fs.String("dir", "", "corpus mode: census every bitstream file of this directory instead of synthesizing")
-	dedup := fs.Bool("dedup", true, "corpus mode: content-addressed frame dedup")
 	parallel := fs.Int("parallel", 0, "corpus mode: scan worker-pool width (0 = all CPUs)")
 	jsonOut := fs.String("json", "", "corpus mode: write the corpus report as JSON to this file")
 	stats := fs.Bool("stats", false, "corpus mode: print accumulated scan-engine counters")
@@ -568,7 +567,7 @@ func cmdCensus(args []string) error {
 			return errors.New("census: -corpus and -bits are mutually exclusive (use -dir to ingest files)")
 		}
 		return runCensusCorpus(fs, corpusOpts{
-			n: *n, seed: *seed, dir: *dir, dedup: *dedup, parallel: *parallel,
+			n: *n, seed: *seed, dir: *dir, parallel: *parallel,
 			jsonOut: *jsonOut, stats: *stats, tracePath: *tracePath,
 		})
 	}

@@ -157,23 +157,28 @@ func TestCmdAttackEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCmdAttackLanesErrorMessage: the sweep width is not a flag, so
-// -lanes is undefined on attack and campaign and flag.ExitOnError exits
-// 2. The commands run in a child process because they exit it.
+// TestCmdAttackLanesErrorMessage: retired knobs are not flags. The
+// sweep width (-lanes on attack and campaign) and the census window
+// memo (-dedup) are undefined, so flag.ExitOnError exits 2. The commands
+// run in a child process because they exit it.
 func TestCmdAttackLanesErrorMessage(t *testing.T) {
 	if args := os.Getenv("SNOWBMA_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"snowbma"}, strings.Fields(args)...)
 		main()
 		return
 	}
-	for _, args := range []string{"attack -lanes 64", "campaign -runs 1 -lanes 64"} {
+	for _, row := range []struct{ args, flag string }{
+		{"attack -lanes 64", "lanes"},
+		{"campaign -runs 1 -lanes 64", "lanes"},
+		{"census -corpus -n 4 -dedup=false", "dedup"},
+	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestCmdAttackLanesErrorMessage$")
-		cmd.Env = append(os.Environ(), "SNOWBMA_TEST_ARGS="+args)
+		cmd.Env = append(os.Environ(), "SNOWBMA_TEST_ARGS="+row.args)
 		out, err := cmd.CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
-			!strings.Contains(string(out), "flag provided but not defined: -lanes") {
-			t.Fatalf("snowbma %s: err %v, output:\n%s", args, err, out)
+			!strings.Contains(string(out), "flag provided but not defined: -"+row.flag) {
+			t.Fatalf("snowbma %s: err %v, output:\n%s", row.args, err, out)
 		}
 	}
 }

@@ -10,8 +10,7 @@ import (
 // Census at scale: the paper evaluates FINDLUT against one bitstream;
 // the fleet-scale threat model triages thousands. CensusCorpus streams
 // a corpus of designs through one shared scan engine — the candidate
-// catalogue compiles once, and with dedup on (the default) every
-// distinct frame window is scanned once corpus-wide — and reports which
+// catalogue compiles once for the whole corpus — and reports which
 // designs genuinely expose the W-XOR target and which the Section VII-A
 // countermeasure covers.
 
@@ -26,7 +25,7 @@ type CorpusSource = corpus.Source
 
 // CorpusReport is the deterministic corpus-wide vulnerability report:
 // designs scanned, W-XOR exposure and countermeasure coverage counts,
-// dedup hit rate, per-design results.
+// frame accounting, per-design results.
 type CorpusReport = corpus.Report
 
 // CorpusResult is one design's row of the report.
@@ -53,15 +52,13 @@ func DirCorpus(dir string) (CorpusSource, error) {
 
 // CensusCorpus runs the census-at-scale pass: every design of src is
 // scanned for the W-XOR target by one shared engine and classified by
-// its extracted-LUT census. Options: WithDedup (content-addressed frame
-// memo, on by default), WithParallel (scan worker pool), WithTelemetry
-// (per-design progress events and the census span), WithLogf.
-// Cancelling ctx stops between designs with an error wrapping
+// its extracted-LUT census. Options: WithParallel (scan worker pool),
+// WithTelemetry (per-design progress events and the census span),
+// WithLogf. Cancelling ctx stops between designs with an error wrapping
 // ErrCancelled.
 func CensusCorpus(ctx context.Context, src CorpusSource, opts ...Option) (*CorpusReport, error) {
 	o := buildOptions(opts)
 	cen, err := corpus.New(corpus.Options{
-		NoDedup:  o.noDedup,
 		Parallel: o.parallel,
 		Tel:      o.tel,
 		Logf:     o.logf,

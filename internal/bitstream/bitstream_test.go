@@ -5,6 +5,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -239,6 +240,40 @@ func TestDescriptionRejectsGarbage(t *testing.T) {
 	d[0] ^= 0xFF
 	if _, err := UnmarshalDescription(d); err == nil {
 		t.Fatal("accepted bad magic")
+	}
+}
+
+// craftedIDListDescription is 32 bytes declaring a 2^20-entry BRAM
+// address list: magic, three zero sizes, no ports or flip-flops, one
+// BRAM, then the lying count.
+func craftedIDListDescription() []byte {
+	b := binary.BigEndian.AppendUint32(nil, descMagic)
+	for _, v := range []uint32{0, 0, 0, 0, 0, 1, 1 << 20} {
+		b = binary.BigEndian.AppendUint32(b, v)
+	}
+	return b
+}
+
+// TestDescriptionIDListBoundedByInput: a declared id count is checked
+// against the bytes left before anything is allocated, so the crafted
+// 32-byte description fails without allocating its 4 MiB list.
+func TestDescriptionIDListBoundedByInput(t *testing.T) {
+	crafted := craftedIDListDescription()
+	if len(crafted) != 32 {
+		t.Fatalf("crafted description is %d bytes, want 32", len(crafted))
+	}
+	if _, err := UnmarshalDescription(crafted); err == nil {
+		t.Fatal("accepted an id list longer than the description")
+	}
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_, _ = UnmarshalDescription(crafted)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+		t.Fatalf("rejecting the crafted description allocated %d B per call, want < 1 KiB", per)
 	}
 }
 

@@ -213,7 +213,7 @@ func (r *descReader) str() string {
 
 func (r *descReader) ids() []uint32 {
 	n := int(r.u32())
-	if r.err != nil || n > 1<<20 {
+	if r.err != nil || n > 1<<20 || 4*n > len(r.b)-r.pos {
 		r.err = errors.New("bitstream: bad id list in description")
 		return nil
 	}

@@ -62,6 +62,7 @@ func FuzzUnmarshalDescription(f *testing.F) {
 	f.Add(MarshalDescription(&Description{NumNets: 3,
 		Ports: []Port{{Name: "a", Dir: In, Net: 2}}}))
 	f.Add([]byte{0x53, 0x42, 0x4D, 0x41})
+	f.Add(craftedIDListDescription())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := UnmarshalDescription(data)
 		if err != nil {

@@ -52,10 +52,10 @@ func benchFixture(b *testing.B) ([]Design, []*victim.Victim) {
 }
 
 // BenchmarkCorpusCensus measures corpus triage throughput (designs/sec
-// and MB/s) with the content-addressed frame dedup on and off, against
-// the two per-design sequential baselines — a fresh FindLUT per design
-// (no shared scanner) and the full end-to-end attack per design (what a
-// corpus-scale adversary would otherwise pay).
+// and MB/s) of one census pass, against the two per-design sequential
+// baselines — a fresh FindLUT per design (no shared scanner) and the
+// full end-to-end attack per design (what a corpus-scale adversary
+// would otherwise pay).
 func BenchmarkCorpusCensus(b *testing.B) {
 	designs, victims := benchFixture(b)
 	target, err := boolfn.ParseAuto(DefaultTargetExpr)
@@ -63,11 +63,11 @@ func BenchmarkCorpusCensus(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	runCensusBench := func(b *testing.B, noDedup bool) {
+	b.Run("census", func(b *testing.B) {
 		b.SetBytes(benchBytes)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c, err := New(Options{NoDedup: noDedup})
+			c, err := New(Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -81,10 +81,7 @@ func BenchmarkCorpusCensus(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(b.N*len(designs))/b.Elapsed().Seconds(), "designs/sec")
-	}
-
-	b.Run("dedup-on", func(b *testing.B) { runCensusBench(b, false) })
-	b.Run("dedup-off", func(b *testing.B) { runCensusBench(b, true) })
+	})
 
 	b.Run("sequential-findlut", func(b *testing.B) {
 		b.SetBytes(benchBytes)

@@ -2,8 +2,8 @@ package corpus
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
+	"hash/maphash"
 	"sort"
 
 	"snowbma/internal/bitstream"
@@ -22,32 +22,26 @@ import (
 // the visible 3-XOR into indistinguishable XOR2s — is covered.
 const DefaultTargetExpr = "(a1^a2^a3)a4a5!a6"
 
-// ChunkBytes is the dedup granularity: one fabric frame. Images chunk
-// on this fixed grid and each chunk's scan result is memoized by
-// content hash.
+// ChunkBytes is the re-add granularity: one fabric frame. Images are
+// cut on this fixed grid, and a re-add rescans only the chunks whose
+// scan window changed since the design's previous add.
 const ChunkBytes = bitstream.FrameBytes
 
 // chunkOverlap is how far past its chunk a scan window must extend so
 // every base position inside the chunk sees its full candidate span:
 // a FINDLUT match at position l reads bytes [l, l+span), so the last
 // in-chunk position needs span-1 trailing bytes. The overlap is part of
-// the hashed content — a chunk's result depends on those bytes too.
+// the digested window — a chunk's result depends on those bytes too.
 const chunkOverlap = (bitstream.SubVectors-1)*bitstream.SubVectorOffset + bitstream.SubVectorBytes - 1
-
-// memoMax bounds the content-addressed memo; past the cap, windows are
-// scanned but not retained (an adversarial corpus must not grow memory
-// without limit). At ~64 bytes per entry the cap is a few hundred MB of
-// worst-case distinct frames.
-const memoMax = 1 << 21
 
 // Options parameterizes a Census engine.
 type Options struct {
-	// NoDedup disables the content-addressed frame memo: every design is
-	// scanned as one whole image (the PR6 batch shape). The results are
-	// identical either way — pinned by the differential suite.
+	// NoDedup makes every add, re-adds included, scan the whole image:
+	// the oracle of the window-reuse path. The results are identical
+	// either way — pinned by the re-add table.
 	NoDedup bool
 	// Parallel bounds the whole-image scan worker pool (0 = all CPUs).
-	// Chunked scans are single-worker: a 708-byte window does not
+	// Re-add window scans are single-worker: a 708-byte window does not
 	// amortize a pool.
 	Parallel int
 	// Expr overrides the census target function ("" = DefaultTargetExpr).
@@ -60,10 +54,12 @@ type Options struct {
 	Logf func(string, ...any)
 }
 
-// memoEntry is one chunk window's memoized scan result, window-relative.
-type memoEntry struct {
-	matches []core.Match
-	duals   []int32
+// record is what a design's last add leaves for its next re-add: one
+// digest per chunk window and the absolute dual-XOR positions (its
+// matches sit in the design's result).
+type record struct {
+	windows []uint64
+	duals   []int
 }
 
 // DesignResult is one design's census outcome.
@@ -71,9 +67,10 @@ type DesignResult struct {
 	ID        string `json:"id"`
 	Protected bool   `json:"protected,omitempty"`
 	Bytes     int    `json:"bytes"`
-	// Frames is the image's chunk count; FramesScanned how many missed
-	// the memo and paid for a scan during this (re-)add. With dedup off
-	// the whole image is one pass and FramesScanned == Frames.
+	// Frames is the image's chunk count; FramesScanned how many were
+	// scanned during this add, and DedupHits how many windows were
+	// reused from this design's previous add. A first add scans the
+	// whole image: FramesScanned == Frames and DedupHits == 0.
 	Frames        int `json:"frames"`
 	FramesScanned int `json:"frames_scanned"`
 	DedupHits     int `json:"dedup_hits,omitempty"`
@@ -109,8 +106,8 @@ type Report struct {
 	Exposed   int `json:"exposed"`
 	Covered   int `json:"covered"`
 	Protected int `json:"protected"`
-	// Frames / FramesScanned / DedupHits account the memo across every
-	// add (including incremental re-scans); DedupRate = DedupHits/Frames.
+	// Frames / FramesScanned / DedupHits sum the per-add counts across
+	// every add (re-adds included); DedupRate = DedupHits/Frames.
 	Frames        int64   `json:"frames"`
 	FramesScanned int64   `json:"frames_scanned"`
 	DedupHits     int64   `json:"dedup_hits"`
@@ -118,8 +115,8 @@ type Report struct {
 	BytesTotal    int64   `json:"bytes_total"`
 	Matches       int     `json:"matches"`
 	DualHits      int     `json:"dual_hits"`
-	// Scan accumulates the stats of every real scanner pass (memo hits
-	// pay nothing and appear only in DedupHits).
+	// Scan accumulates the stats of every real scanner pass (reused
+	// windows pay nothing and appear only in DedupHits).
 	Scan    core.ScanStats `json:"scan"`
 	Results []DesignResult `json:"results"`
 }
@@ -130,12 +127,15 @@ type Report struct {
 type Census struct {
 	opt  Options
 	tel  *obs.Telemetry
-	full *core.Scanner // whole-image path (dedup off)
-	chnk *core.Scanner // chunk-window path (dedup on)
+	full *core.Scanner // whole-image path (first adds)
+	chnk *core.Scanner // chunk-window path (re-adds)
 
-	memo    map[[sha256.Size]byte]*memoEntry
-	byID    map[string]int // design ID → index into results
+	// seed keys the window digests; it is drawn per engine, so an
+	// outside image cannot be crafted to collide with a known window.
+	seed    maphash.Seed
+	byID    map[string]int // design ID → index into results and recs
 	results []DesignResult
+	recs    []record
 
 	// canon is the target's P-class representative; classCache memoizes
 	// table → in-target-class across every design (designs repeat tables
@@ -165,7 +165,7 @@ func New(opt Options) (*Census, error) {
 	c := &Census{
 		opt:        opt,
 		tel:        opt.Tel,
-		memo:       map[[sha256.Size]byte]*memoEntry{},
+		seed:       maphash.MakeSeed(),
 		byID:       map[string]int{},
 		canon:      boolfn.PClassCanon(f),
 		classCache: map[boolfn.TT]bool{},
@@ -177,11 +177,10 @@ func New(opt Options) (*Census, error) {
 	return c, nil
 }
 
-// Add scans one design and folds it into the report. Re-adding an
-// existing ID is the incremental path: with dedup on, only chunks whose
-// content hash changed (the delta, plus the preceding chunk whose
-// overlap window covers it) are rescanned — everything else is served
-// from the memo.
+// Add scans one design and folds it into the report. The first add of
+// an ID scans the whole image. Re-adding a known ID rescans only the
+// chunk windows whose digest changed since that ID's last add, and
+// reuses the previous result everywhere else.
 func (c *Census) Add(d Design) (DesignResult, error) {
 	if d.ID == "" {
 		return DesignResult{}, fmt.Errorf("corpus: design without an ID")
@@ -195,17 +194,14 @@ func (c *Census) Add(d Design) (DesignResult, error) {
 		Bytes:     len(d.Image),
 		Frames:    (len(d.Image) + ChunkBytes - 1) / ChunkBytes,
 	}
-	if c.opt.NoDedup {
-		res := c.full.Scan(d.Image)
-		c.scan.Accumulate(res.Stats)
-		dr.FramesScanned = dr.Frames
-		for _, m := range res.Matches["t"] {
-			dr.Matches = append(dr.Matches, m.Index)
-		}
-		dr.DualHits = len(res.DualHits["w"])
+	i, known := c.byID[d.ID]
+	var rec record
+	if known && !c.opt.NoDedup {
+		rec = c.rescan(d.Image, c.recs[i], c.results[i].Matches, &dr)
 	} else {
-		c.addChunked(d.Image, &dr)
+		rec = c.scanWhole(d.Image, &dr)
 	}
+	dr.DualHits = len(rec.duals)
 	dr.TargetLUTs = c.classify(d.Image)
 	if dr.TargetLUTs >= 0 {
 		dr.Exposed = dr.TargetLUTs > 0
@@ -217,58 +213,83 @@ func (c *Census) Add(d Design) (DesignResult, error) {
 	c.framesScanned += int64(dr.FramesScanned)
 	c.dedupHits += int64(dr.DedupHits)
 	c.bytesTotal += int64(dr.Bytes)
-	if i, ok := c.byID[d.ID]; ok {
+	if known {
 		dr.Rescans = c.results[i].Rescans + 1
-		c.results[i] = dr
+		c.results[i], c.recs[i] = dr, rec
 	} else {
 		c.byID[d.ID] = len(c.results)
 		c.results = append(c.results, dr)
+		c.recs = append(c.recs, rec)
 	}
 	return dr, nil
 }
 
-// addChunked is the dedup path: the image is cut on the ChunkBytes
-// grid, each chunk is scanned as a window extended by chunkOverlap
-// trailing bytes, and the window's result is memoized under the hash of
-// its full content. Reconstruction is exact: a window of
-// ChunkBytes+chunkOverlap bytes scans precisely the base positions
-// owned by its chunk (the last in-chunk position's span ends at the
-// window's last byte), and a truncated final window excludes exactly
-// the positions a whole-image scan would exclude.
-func (c *Census) addChunked(img []byte, dr *DesignResult) {
-	for start := 0; start < len(img); start += ChunkBytes {
+// scanWhole is the first-add path: one whole-image scan, plus the
+// window digests the next re-add compares against.
+func (c *Census) scanWhole(img []byte, dr *DesignResult) record {
+	res := c.full.Scan(img)
+	c.scan.Accumulate(res.Stats)
+	dr.FramesScanned = dr.Frames
+	for _, m := range res.Matches["t"] {
+		dr.Matches = append(dr.Matches, m.Index)
+	}
+	rec := record{duals: res.DualHits["w"]}
+	if !c.opt.NoDedup {
+		rec.windows = make([]uint64, 0, dr.Frames)
+		for start := 0; start < len(img); start += ChunkBytes {
+			rec.windows = append(rec.windows, maphash.Bytes(c.seed, window(img, start)))
+		}
+	}
+	return rec
+}
+
+// rescan is the re-add path. Window w is clean iff the previous image
+// had a window w with the same digest: its bytes are then equal (a
+// 64-bit collision under the engine's secret seed aside), so the
+// previous matches and dual positions of its chunk stand. A dirty
+// window is scanned alone; it holds every byte its chunk's positions
+// read, and a truncated last window excludes exactly the positions a
+// whole-image scan would. A length change needs no case of its own: a
+// window that runs into the new end hashes different bytes.
+func (c *Census) rescan(img []byte, old record, prev []int, dr *DesignResult) record {
+	rec := record{windows: make([]uint64, 0, dr.Frames)}
+	for w, start := 0, 0; start < len(img); w, start = w+1, start+ChunkBytes {
+		win := window(img, start)
+		h := maphash.Bytes(c.seed, win)
+		rec.windows = append(rec.windows, h)
 		end := start + ChunkBytes
-		if end > len(img) {
-			end = len(img)
-		}
-		wend := start + ChunkBytes + chunkOverlap
-		if wend > len(img) {
-			wend = len(img)
-		}
-		window := img[start:wend]
-		h := sha256.Sum256(window)
-		e, ok := c.memo[h]
-		if ok {
+		if w < len(old.windows) && old.windows[w] == h {
 			dr.DedupHits++
-		} else {
-			e = c.scanWindow(window)
-			dr.FramesScanned++
-			if len(c.memo) < memoMax {
-				c.memo[h] = e
-			}
+			dr.Matches = append(dr.Matches, within(prev, start, end)...)
+			rec.duals = append(rec.duals, within(old.duals, start, end)...)
+			continue
 		}
-		chunkLen := end - start
-		for _, m := range e.matches {
-			if m.Index < chunkLen { // the next chunk owns the rest
+		dr.FramesScanned++
+		res := c.chnk.Scan(win)
+		c.scan.Accumulate(res.Stats)
+		for _, m := range res.Matches["t"] {
+			if m.Index < ChunkBytes { // the next chunk owns the rest
 				dr.Matches = append(dr.Matches, start+m.Index)
 			}
 		}
-		for _, p := range e.duals {
-			if int(p) < chunkLen {
-				dr.DualHits++
+		for _, p := range res.DualHits["w"] {
+			if p < ChunkBytes {
+				rec.duals = append(rec.duals, start+p)
 			}
 		}
 	}
+	return rec
+}
+
+// window is the scan window of the chunk at start: the chunk plus
+// chunkOverlap trailing bytes, clipped to the image.
+func window(img []byte, start int) []byte {
+	return img[start:min(start+ChunkBytes+chunkOverlap, len(img))]
+}
+
+// within returns the ascending xs that fall in [lo, hi).
+func within(xs []int, lo, hi int) []int {
+	return xs[sort.SearchInts(xs, lo):sort.SearchInts(xs, hi)]
 }
 
 // classify counts the design's occupied LUT slots in the target's
@@ -293,24 +314,14 @@ func (c *Census) classify(img []byte) int {
 	return n
 }
 
-// scanWindow runs the shared chunk scanner over one window and captures
-// its window-relative result for the memo.
-func (c *Census) scanWindow(window []byte) *memoEntry {
-	res := c.chnk.Scan(window)
-	c.scan.Accumulate(res.Stats)
-	e := &memoEntry{}
-	if ms := res.Matches["t"]; len(ms) > 0 {
-		e.matches = append([]core.Match(nil), ms...)
+// MemoLen reports the number of window digests held for re-adds.
+func (c *Census) MemoLen() int {
+	n := 0
+	for _, r := range c.recs {
+		n += len(r.windows)
 	}
-	for _, p := range res.DualHits["w"] {
-		e.duals = append(e.duals, int32(p))
-	}
-	return e
+	return n
 }
-
-// MemoLen reports the number of distinct frame windows held by the
-// dedup memo.
-func (c *Census) MemoLen() int { return len(c.memo) }
 
 // Report assembles the corpus-wide report from the engine's current
 // state. It may be called repeatedly; each call reflects every Add so
@@ -352,7 +363,7 @@ func (c *Census) Run(ctx context.Context, src Source) (*Report, error) {
 	if cl, ok := src.(interface{ Close() }); ok {
 		defer cl.Close()
 	}
-	span := c.tel.StartSpan("corpus.census", obs.KV("dedup", !c.opt.NoDedup))
+	span := c.tel.StartSpan("corpus.census")
 	defer span.End()
 	n := 0
 	for {
@@ -384,15 +395,15 @@ func (c *Census) Run(ctx context.Context, src Source) (*Report, error) {
 	span.SetAttr("dedup_hits", rep.DedupHits)
 	c.tel.Gauge("corpus.designs").Set(float64(rep.Designs))
 	c.tel.Gauge("corpus.exposed").Set(float64(rep.Exposed))
-	c.tel.Gauge("corpus.memo_entries").Set(float64(len(c.memo)))
+	c.tel.Gauge("corpus.memo_entries").Set(float64(c.MemoLen()))
 	return rep, nil
 }
 
 // Merge folds shard reports into one fleet-wide report: counters sum,
 // per-design results concatenate sorted by ID (shards arrive in worker
 // order, which is not deterministic), and the headline tallies are
-// recounted from the merged results. Dedup remains per-shard: a frame
-// repeated across two workers' shards was scanned once per worker.
+// recounted from the merged results. Window reuse is per engine: only a
+// re-add on the same worker reuses a design's previous windows.
 func Merge(reps ...*Report) *Report {
 	out := &Report{}
 	for _, r := range reps {

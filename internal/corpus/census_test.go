@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -77,9 +78,9 @@ func normalizeReport(rep *Report) {
 	rep.Scan.CatalogueMisses = 0
 }
 
-// TestCorpusDifferential pins the tentpole equivalence over the seeded
-// 50-design corpus: dedup-on == dedup-off == per-design sequential
-// FindLUT + FindDualXOR, match for match.
+// TestCorpusDifferential pins the census over the seeded 50-design
+// corpus: default == NoDedup == per-design sequential FindLUT +
+// FindDualXOR, match for match.
 func TestCorpusDifferential(t *testing.T) {
 	designs := fixture(t)
 	f, err := boolfn.ParseAuto(DefaultTargetExpr)
@@ -91,7 +92,7 @@ func TestCorpusDifferential(t *testing.T) {
 	off := runCensus(t, designs, Options{NoDedup: true})
 
 	if on.Designs != len(designs) || off.Designs != len(designs) {
-		t.Fatalf("designs: dedup-on %d, dedup-off %d, want %d", on.Designs, off.Designs, len(designs))
+		t.Fatalf("designs: default %d, NoDedup %d, want %d", on.Designs, off.Designs, len(designs))
 	}
 	for i, d := range designs {
 		seqMatches := core.FindLUT(d.Image, f, core.FindOptions{})
@@ -122,36 +123,29 @@ func TestCorpusDifferential(t *testing.T) {
 		}
 	}
 
-	// The two census modes must agree on the whole report body.
+	// The two census modes must agree on the whole report body, frame
+	// accounting included: a first add is the same whole-image scan.
 	nOn, nOff := *on, *off
-	normalizeReport(&nOn)
-	normalizeReport(&nOff)
 	nOn.Scan, nOff.Scan = core.ScanStats{}, core.ScanStats{}
-	nOn.Frames, nOff.Frames = 0, 0
-	nOn.FramesScanned, nOff.FramesScanned = 0, 0
-	nOn.DedupHits, nOff.DedupHits = 0, 0
-	nOn.DedupRate, nOff.DedupRate = 0, 0
 	onResults, offResults := nOn.Results, nOff.Results
 	nOn.Results, nOff.Results = nil, nil
 	if !reflect.DeepEqual(nOn, nOff) {
-		t.Errorf("dedup-on and dedup-off headline reports diverge:\n on: %+v\noff: %+v", nOn, nOff)
+		t.Errorf("default and NoDedup headline reports diverge:\n on: %+v\noff: %+v", nOn, nOff)
 	}
 	for i := range onResults {
 		a, b := onResults[i], offResults[i]
-		a.FramesScanned, b.FramesScanned = 0, 0
-		a.DedupHits, b.DedupHits = 0, 0
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("design %d: dedup-on result %+v != dedup-off %+v", i, a, b)
+			t.Errorf("design %d: default result %+v != NoDedup %+v", i, a, b)
 		}
 	}
 
-	// Dedup must actually have deduplicated something (padding and blank
-	// frames repeat within and across designs).
-	if on.DedupHits == 0 {
-		t.Error("dedup-on corpus reports zero dedup hits")
-	}
-	if on.FramesScanned+on.DedupHits != on.Frames {
-		t.Errorf("frames %d != scanned %d + dedup hits %d", on.Frames, on.FramesScanned, on.DedupHits)
+	// A first add scans the whole image: every frame scanned, none
+	// reused, on both paths.
+	for _, rep := range []*Report{on, off} {
+		if rep.FramesScanned != rep.Frames || rep.DedupHits != 0 {
+			t.Errorf("first adds: %d of %d frames scanned, %d reused; want all scanned, none reused",
+				rep.FramesScanned, rep.Frames, rep.DedupHits)
+		}
 	}
 }
 
@@ -171,75 +165,119 @@ func TestCorpusDeterministic(t *testing.T) {
 	}
 }
 
-// TestCorpusIncrementalRescan flips bytes in two frames of one design
-// and re-adds it: only the touched chunk windows may rescan, and the
-// incremental result must equal a fresh full scan of the modified
-// image.
+// TestCorpusIncrementalRescan edits one design and re-adds it under
+// its ID. Each row pins how many windows the re-add scans and reuses,
+// checks that the scanned ones are exactly the windows whose bytes
+// changed, and compares the answer with a fresh census's first add of
+// the edited image.
 func TestCorpusIncrementalRescan(t *testing.T) {
 	designs := fixture(t)
-	c, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range designs[:8] {
-		if _, err := c.Add(d); err != nil {
-			t.Fatal(err)
+	base := designs[3].Image
+	frames := (len(base) + ChunkBytes - 1) / ChunkBytes
+	flip := func(offs ...int) func() []byte {
+		return func() []byte {
+			img := append([]byte(nil), base...)
+			for _, off := range offs {
+				img[off] ^= 0xA5
+			}
+			return img
 		}
 	}
-	scannedBefore := c.Report().Scan.BytesScanned
+	rows := []struct {
+		name    string
+		edit    func() []byte
+		noDedup bool
+		// scanned is the FramesScanned the re-add must report; every
+		// other window is reused.
+		scanned int
+	}{
+		// Past the overlap: the previous window ends chunkOverlap bytes
+		// into this chunk, so only this chunk's window changes.
+		{"flip past the overlap", flip(40*ChunkBytes + chunkOverlap + 20), false, 1},
+		// Inside the overlap: the previous window reads the byte too.
+		{"flip inside the overlap", flip(40*ChunkBytes + 10), false, 2},
+		{"two frames flipped", flip(40*ChunkBytes+chunkOverlap+20, 90*ChunkBytes+chunkOverlap+20), false, 2},
+		{"identical", flip(), false, 0},
+		// 100 chunks and 37 bytes: windows 99 and 100 now run into the
+		// new end.
+		{"truncated off the grid", func() []byte { return append([]byte(nil), base[:100*ChunkBytes+37]...) }, false, 2},
+		// The two old windows that ran into the end grow.
+		{"extended", func() []byte { return append(append([]byte(nil), base...), 1, 2, 3, 4, 5) }, false, 2},
+		// Placement and padding differ, so no window lines up.
+		{"another design's image", func() []byte { return append([]byte(nil), designs[5].Image...) }, false,
+			(len(designs[5].Image) + ChunkBytes - 1) / ChunkBytes},
+		{"NoDedup", flip(40*ChunkBytes + chunkOverlap + 20), true, frames},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			c, err := New(Options{NoDedup: row.noDedup})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range designs[:8] {
+				if _, err := c.Add(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scannedBefore := c.Report().Scan.BytesScanned
+			mod := row.edit()
+			dr, err := c.Add(Design{ID: designs[3].ID, Image: mod, Protected: designs[3].Protected})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dr.Rescans != 1 {
+				t.Errorf("rescans = %d, want 1", dr.Rescans)
+			}
+			if dr.FramesScanned != row.scanned || dr.DedupHits != dr.Frames-row.scanned {
+				t.Errorf("re-add scanned %d and reused %d of %d windows, want %d scanned",
+					dr.FramesScanned, dr.DedupHits, dr.Frames, row.scanned)
+			}
+			if !row.noDedup {
+				if dirty := dirtyWindows(base, mod); dirty != row.scanned {
+					t.Errorf("row pins %d scanned windows, but %d windows changed bytes", row.scanned, dirty)
+				}
+				// ScanStats must account only the rescanned windows.
+				maxWindow := int64(ChunkBytes + chunkOverlap)
+				if delta := c.Report().Scan.BytesScanned - scannedBefore; delta > int64(row.scanned)*maxWindow {
+					t.Errorf("re-add scanned %d bytes, want <= %d (%d windows)", delta, int64(row.scanned)*maxWindow, row.scanned)
+				}
+			}
 
-	// Flip one byte in each of two frames, past the chunkOverlap point
-	// so the preceding chunk's window (which hashes chunkOverlap bytes
-	// of the next chunk) is untouched: exactly two windows change.
-	mod := append([]byte(nil), designs[3].Image...)
-	for _, frame := range []int{40, 90} {
-		off := frame*ChunkBytes + chunkOverlap + 20
-		if off >= len(mod) {
-			t.Fatalf("flip offset %d outside image of %d bytes", off, len(mod))
+			// Ground truth: a fresh census's first add of the edited image.
+			want := runCensus(t, []Design{{ID: "mod", Image: mod}}, Options{}).Results[0]
+			if !reflect.DeepEqual(dr.Matches, want.Matches) {
+				t.Errorf("re-add matches %v != first-add matches %v", dr.Matches, want.Matches)
+			}
+			if dr.DualHits != want.DualHits || dr.TargetLUTs != want.TargetLUTs {
+				t.Errorf("re-add dual hits %d, target LUTs %d; first add %d, %d",
+					dr.DualHits, dr.TargetLUTs, want.DualHits, want.TargetLUTs)
+			}
+
+			// The report holds the design once, with the updated result.
+			if rep := c.Report(); rep.Designs != 8 || !reflect.DeepEqual(rep.Results[3], dr) {
+				t.Errorf("report holds %d designs and row %+v after the re-add, want 8 and %+v", rep.Designs, rep.Results[3], dr)
+			}
+		})
+	}
+}
+
+// dirtyWindows counts the chunk windows of img whose bytes differ from
+// the same window of old (or that old does not have): the fewest a
+// re-add can scan.
+func dirtyWindows(old, img []byte) int {
+	n := 0
+	for start := 0; start < len(img); start += ChunkBytes {
+		if start >= len(old) || !bytes.Equal(window(old, start), window(img, start)) {
+			n++
 		}
-		mod[off] ^= 0xA5
 	}
-	dr, err := c.Add(Design{ID: designs[3].ID, Image: mod, Protected: designs[3].Protected})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dr.Rescans != 1 {
-		t.Errorf("rescans = %d, want 1", dr.Rescans)
-	}
-	if dr.FramesScanned != 2 {
-		t.Errorf("incremental re-add scanned %d frames, want exactly the 2 touched ones", dr.FramesScanned)
-	}
-	if dr.DedupHits != dr.Frames-2 {
-		t.Errorf("incremental re-add: %d dedup hits, want %d", dr.DedupHits, dr.Frames-2)
-	}
-
-	// ScanStats must account only the touched windows.
-	scannedAfter := c.Report().Scan.BytesScanned
-	maxWindow := int64(ChunkBytes + chunkOverlap)
-	if delta := scannedAfter - scannedBefore; delta > 2*maxWindow {
-		t.Errorf("incremental re-add scanned %d bytes, want <= %d (2 windows)", delta, 2*maxWindow)
-	}
-
-	// Ground truth: a fresh dedup-off scan of the modified image.
-	fresh := runCensus(t, []Design{{ID: "mod", Image: mod}}, Options{NoDedup: true})
-	want := fresh.Results[0]
-	if !reflect.DeepEqual(dr.Matches, want.Matches) && !(len(dr.Matches) == 0 && len(want.Matches) == 0) {
-		t.Errorf("incremental matches %v != fresh full-scan matches %v", dr.Matches, want.Matches)
-	}
-	if dr.DualHits != want.DualHits {
-		t.Errorf("incremental dual hits %d != fresh %d", dr.DualHits, want.DualHits)
-	}
-
-	// The report holds the design once, with the updated result.
-	rep := c.Report()
-	if rep.Designs != 8 {
-		t.Errorf("report designs = %d after re-add, want 8", rep.Designs)
-	}
+	return n
 }
 
 // TestCorpusMerge pins the fleet-side shard merge: splitting the corpus
 // into shards and merging their reports reproduces the single-engine
-// headline (modulo dedup, which is per-shard).
+// report, frame accounting included (first adds scan every frame on any
+// engine).
 func TestCorpusMerge(t *testing.T) {
 	designs := fixture(t)
 	whole := runCensus(t, designs, Options{})
@@ -250,7 +288,8 @@ func TestCorpusMerge(t *testing.T) {
 	if merged.Designs != whole.Designs || merged.Exposed != whole.Exposed ||
 		merged.Covered != whole.Covered || merged.Protected != whole.Protected ||
 		merged.Matches != whole.Matches || merged.DualHits != whole.DualHits ||
-		merged.BytesTotal != whole.BytesTotal || merged.Frames != whole.Frames {
+		merged.BytesTotal != whole.BytesTotal || merged.Frames != whole.Frames ||
+		merged.FramesScanned != whole.FramesScanned || merged.DedupHits != whole.DedupHits {
 		t.Errorf("merged headline diverges from whole-corpus run:\nmerged: %+v\n whole: %+v",
 			merged, whole)
 	}
@@ -265,8 +304,6 @@ func TestCorpusMerge(t *testing.T) {
 		if !ok {
 			t.Fatalf("merged report holds unknown design %s", shortID(dr.ID))
 		}
-		dr.FramesScanned, w.FramesScanned = 0, 0
-		dr.DedupHits, w.DedupHits = 0, 0
 		if !reflect.DeepEqual(dr, w) {
 			t.Errorf("design %s: merged %+v != whole %+v", shortID(dr.ID), dr, w)
 		}
@@ -303,11 +340,9 @@ func TestCorpusCensusSmoke(t *testing.T) {
 		t.Errorf("covered %d != protected %d: the countermeasure must hide the target class exactly",
 			rep.Covered, rep.Protected)
 	}
-	if rep.DedupHits == 0 || rep.DedupRate <= 0 {
-		t.Error("zero dedup hits over a 200-design corpus")
-	}
-	if rep.FramesScanned+rep.DedupHits != rep.Frames {
-		t.Errorf("frames %d != scanned %d + dedup %d", rep.Frames, rep.FramesScanned, rep.DedupHits)
+	if rep.FramesScanned != rep.Frames || rep.DedupHits != 0 || rep.DedupRate != 0 {
+		t.Errorf("distinct IDs: %d of %d frames scanned, %d reused; want all scanned, none reused",
+			rep.FramesScanned, rep.Frames, rep.DedupHits)
 	}
 	if got := int64(0); true {
 		for _, dr := range rep.Results {
@@ -317,9 +352,8 @@ func TestCorpusCensusSmoke(t *testing.T) {
 			t.Errorf("bytes_total %d != sum of per-design bytes %d", rep.BytesTotal, got)
 		}
 	}
-	t.Logf("census: %d designs, %d exposed, %d covered (%d protected), dedup rate %.1f%%, %d/%d frames scanned",
-		rep.Designs, rep.Exposed, rep.Covered, rep.Protected,
-		100*rep.DedupRate, rep.FramesScanned, rep.Frames)
+	t.Logf("census: %d designs, %d exposed, %d covered (%d protected), %d/%d frames scanned",
+		rep.Designs, rep.Exposed, rep.Covered, rep.Protected, rep.FramesScanned, rep.Frames)
 }
 
 // TestCorpusCancellation pins the Run contract: a cancelled context

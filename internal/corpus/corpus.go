@@ -1,18 +1,19 @@
 // Package corpus is the census-at-scale subsystem: it streams thousands
 // of distinct synthesized designs through a single shared core.Scanner
-// with one immutable candidate catalogue, dedupes identical frames
-// content-addressed (hash → scan-result memo, so structurally repeated
-// frames across designs are scanned once), and produces a deterministic
+// with one immutable candidate catalogue and produces a deterministic
 // fleet-wide vulnerability report — how many designs expose the W-XOR
-// target, how many the countermeasure covers, and what the dedup bought.
+// target and how many the countermeasure covers. A design's first add
+// scans its whole image; re-adding its ID with a small change (a
+// patched bitstream) rescans only the frame windows whose bytes
+// changed, found from per-window digests of that design's last add.
 //
 // The paper evaluates FINDLUT against a single bitstream; the threat
 // model is fleet-scale (ROADMAP item 3): an attacker triages a large
 // design population before committing an edit. The Scanner's cached
 // compiled anchor index (built in PR 6 for exactly the
 // scan-one-query-set-over-many-images shape) is what makes the corpus
-// pass cheap: the catalogue compiles once and every design — and with
-// dedup on, every *distinct frame* — pays only the walk.
+// pass cheap: the catalogue compiles once and every design pays only
+// the walk.
 //
 // Two Source implementations feed the engine: a seeded generator over
 // victim.Config variations (NewSeeded; the per-index config derivation

@@ -97,7 +97,8 @@ func TestFleetCorpusSharding(t *testing.T) {
 	if merged.Designs != whole.Designs || merged.Exposed != whole.Exposed ||
 		merged.Covered != whole.Covered || merged.Protected != whole.Protected ||
 		merged.Matches != whole.Matches || merged.DualHits != whole.DualHits ||
-		merged.BytesTotal != whole.BytesTotal || merged.Frames != whole.Frames {
+		merged.BytesTotal != whole.BytesTotal || merged.Frames != whole.Frames ||
+		merged.FramesScanned != whole.FramesScanned || merged.DedupHits != whole.DedupHits {
 		t.Errorf("fleet-merged headline diverges from single-engine census:\nfleet: %+v\nlocal: %+v",
 			merged, whole)
 	}
@@ -110,9 +111,6 @@ func TestFleetCorpusSharding(t *testing.T) {
 		if !ok {
 			t.Fatalf("fleet report holds unknown design %.24s", dr.ID)
 		}
-		// Dedup accounting is per-shard; everything else must agree.
-		dr.FramesScanned, w.FramesScanned = 0, 0
-		dr.DedupHits, w.DedupHits = 0, 0
 		if !reflect.DeepEqual(dr, w) {
 			t.Errorf("design %.24s: fleet %+v != local %+v", dr.ID, dr, w)
 		}
@@ -168,6 +166,7 @@ func TestErrorShapeParity(t *testing.T) {
 		{"corpus without designs", `{"kind":"corpus","corpus":{"designs":0}}`, http.StatusBadRequest},
 		{"corpus negative index", `{"kind":"corpus","corpus":{"designs":4,"indices":[-1]}}`, http.StatusBadRequest},
 		{"corpus index out of range", `{"kind":"corpus","corpus":{"designs":4,"indices":[9]}}`, http.StatusBadRequest},
+		{"corpus retired no_dedup", `{"kind":"corpus","corpus":{"designs":4,"no_dedup":true}}`, http.StatusBadRequest},
 		{"invalid lanes", `{"kind":"attack","lanes":-5}`, http.StatusBadRequest},
 		{"lanes above one word", `{"kind":"attack","lanes":65}`, http.StatusBadRequest},
 		{"campaign without runs", `{"kind":"campaign","campaign":{"runs":0}}`, http.StatusBadRequest},

@@ -8,7 +8,7 @@ import (
 )
 
 // Corpus renders the census-at-scale report: the fleet-wide headline
-// (designs, exposure, coverage, dedup economics) followed by one row per
+// (designs, exposure, coverage, frame accounting) followed by one row per
 // design. Exposed designs are flagged — each is a bitstream an attacker
 // could modify per the paper; covered designs carry (or behave as if
 // they carry) the Section VII-A countermeasure.
@@ -21,8 +21,8 @@ func Corpus(rep *corpus.Report) string {
 	fmt.Fprintf(&b, "  candidates:         %d matches, %d dual-XOR hits\n",
 		rep.Matches, rep.DualHits)
 	fmt.Fprintf(&b, "  bytes:              %d\n", rep.BytesTotal)
-	fmt.Fprintf(&b, "  frames:             %d (%d scanned, %d dedup hits, %.1f%% dedup rate)\n",
-		rep.Frames, rep.FramesScanned, rep.DedupHits, 100*rep.DedupRate)
+	fmt.Fprintf(&b, "  frames:             %d (%d scanned, %d reused by re-adds)\n",
+		rep.Frames, rep.FramesScanned, rep.DedupHits)
 	b.WriteString("designs:\n")
 	for _, dr := range rep.Results {
 		verdict := "covered"

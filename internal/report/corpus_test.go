@@ -15,7 +15,7 @@ func TestCorpusRenderer(t *testing.T) {
 		Covered:   1,
 		Protected: 1,
 		Frames:    528,
-		// 350 scanned + 178 memo hits.
+		// 350 scanned + 178 windows reused by re-adds.
 		FramesScanned: 350,
 		DedupHits:     178,
 		DedupRate:     178.0 / 528.0,
@@ -40,7 +40,7 @@ func TestCorpusRenderer(t *testing.T) {
 		"exposed:            2",
 		"covered:            1 (1 protected)",
 		"139 matches, 12 dual-XOR hits",
-		"528 (350 scanned, 178 dedup hits, 33.7% dedup rate)",
+		"528 (350 scanned, 178 reused by re-adds)",
 		"aaaa1111",
 		"EXPOSED",
 		"32 target LUTs, 56 candidates",

@@ -117,7 +117,6 @@ func (e *Engine) execCampaign(ctx context.Context, j *job) (any, error) {
 func (e *Engine) execCorpus(ctx context.Context, j *job) (any, error) {
 	cs := j.spec.Corpus
 	cen, err := corpus.New(corpus.Options{
-		NoDedup:  cs.NoDedup,
 		Parallel: cs.Parallel,
 		Expr:     cs.Expr,
 		Tel:      j.tel,

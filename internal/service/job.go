@@ -25,7 +25,7 @@ const (
 	// KindCampaign runs a randomized multi-scenario attack campaign.
 	KindCampaign = "campaign"
 	// KindCorpus runs a census-at-scale pass over a seeded design corpus
-	// through one shared scanner with content-addressed frame dedup.
+	// through one shared scanner.
 	KindCorpus = "corpus"
 )
 
@@ -100,8 +100,6 @@ type CorpusSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Indices selects an explicit design subset — the fleet's shard unit.
 	Indices []int `json:"indices,omitempty"`
-	// NoDedup disables the content-addressed frame memo.
-	NoDedup bool `json:"no_dedup,omitempty"`
 	// Parallel bounds the scan worker pool (0 = all CPUs); Workers the
 	// synthesis pipeline (0 = engine default).
 	Parallel int `json:"parallel,omitempty"`

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,30 +263,39 @@ func TestRecoveryCorruptSpec(t *testing.T) {
 	}
 }
 
-// TestRecoveryRunsRetiredLanesSpec: a queued attack job logged with
-// "lanes":128 by a build that still took a sweep width replays and runs
-// at the fixed width, because the width never changed a result.
-// Recovery decodes leniently, unlike POST /jobs, so the retired field
-// is ignored rather than failing the job. It runs exactly once across
-// two restarts.
+// TestRecoveryRunsRetiredLanesSpec: queued jobs logged with a retired
+// field by an older build replay and run — an attack with "lanes":128
+// (the sweep width never changed a result) and a corpus census with
+// "no_dedup":true (the window memo never changed one either). Recovery
+// decodes leniently, unlike POST /jobs, so the retired field is ignored
+// rather than failing the job. Each runs exactly once across two
+// restarts.
 func TestRecoveryRunsRetiredLanesSpec(t *testing.T) {
 	dir := t.TempDir()
 	w, err := store.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(store.Record{
-		Job: "job-0001", State: StateQueued, Kind: KindAttack,
-		Spec: json.RawMessage(`{"kind":"attack","victim":{"seed":5},"lanes":128}`),
-	}); err != nil {
-		t.Fatal(err)
+	retired := []store.Record{
+		{Job: "job-0001", State: StateQueued, Kind: KindAttack,
+			Spec: json.RawMessage(`{"kind":"attack","victim":{"seed":5},"lanes":128}`)},
+		{Job: "job-0002", State: StateQueued, Kind: KindCorpus,
+			Spec: json.RawMessage(`{"kind":"corpus","corpus":{"designs":4,"no_dedup":true}}`)},
+	}
+	for _, r := range retired {
+		if _, err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var runs atomic.Int32
-	count := func(context.Context, *job) (any, error) {
-		runs.Add(1)
+	var mu sync.Mutex
+	runs := map[string]int{}
+	count := func(_ context.Context, j *job) (any, error) {
+		mu.Lock()
+		runs[j.id]++
+		mu.Unlock()
 		return "ran", nil
 	}
 	for round := 0; round < 2; round++ {
@@ -299,16 +307,22 @@ func TestRecoveryRunsRetiredLanesSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := waitState(t, e, "job-0001", StateDone)
-		if s.Error != "" || (round == 0 && !s.Recovered) {
-			t.Fatalf("round %d: retired-lanes job restored as %+v, want done and recovered", round, s)
+		for _, r := range retired {
+			s := waitState(t, e, r.Job, StateDone)
+			if s.Error != "" || (round == 0 && !s.Recovered) {
+				t.Fatalf("round %d: retired-field %s job restored as %+v, want done and recovered", round, r.Kind, s)
+			}
 		}
 		if err := e.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := runs.Load(); n != 1 {
-		t.Fatalf("retired-lanes job executed %d times, want 1", n)
+	mu.Lock()
+	defer mu.Unlock()
+	for _, r := range retired {
+		if n := runs[r.Job]; n != 1 {
+			t.Fatalf("retired-field %s job executed %d times, want 1", r.Kind, n)
+		}
 	}
 }
 

@@ -177,7 +177,6 @@ type options struct {
 	tel      *Telemetry
 	logf     func(string, ...any)
 	parallel int
-	noDedup  bool
 }
 
 func buildOptions(opts []Option) options {
@@ -199,13 +198,6 @@ func WithLogf(logf func(string, ...any)) Option { return func(o *options) { o.lo
 // WithParallel bounds the FindLUTs and CensusCorpus scan worker pools
 // (0 = all CPUs). Attack entrypoints ignore it.
 func WithParallel(n int) Option { return func(o *options) { o.parallel = n } }
-
-// WithDedup toggles the content-addressed frame memo of CensusCorpus
-// (on by default): identical frame windows across — and within —
-// designs are scanned once and served from the memo after. The census
-// results are identical either way; only the work changes. Other
-// entrypoints ignore it.
-func WithDedup(on bool) Option { return func(o *options) { o.noDedup = !on } }
 
 // Attack executes the complete bitstream modification attack against
 // the victim: probe flash (decrypting via the side-channel oracle when
