@@ -116,12 +116,15 @@ census-smoke:
 # error, and a configured device must survive a clock. Both take ~70 kB
 # images as new inputs (for device.Load each try is a full
 # configuration), so minimization is capped at 2 s to leave the pass
-# time to fuzz.
+# time to fuzz. JobSpec JSON gets a pass too: a POST /jobs body must
+# decode and validate or fail with ErrSpec, and an accepted spec must
+# keep every size field within its cap.
 fuzz:
 	$(GO) test ./internal/core/ -run FuzzScannerDifferential -fuzz FuzzScannerDifferential -fuzztime 30s
 	$(GO) test ./internal/device/ -run FuzzProgramDifferential -fuzz FuzzProgramDifferential -fuzztime 30s
 	$(GO) test ./internal/bitstream/ -run FuzzParsePackets -fuzz FuzzParsePackets -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/device/ -run FuzzLoad -fuzz FuzzLoad -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/service/ -run FuzzDecodeSpec -fuzz FuzzDecodeSpec -fuzztime 30s -fuzzminimizetime 2s
 
 clean:
 	$(GO) clean -testcache

@@ -1,0 +1,34 @@
+package boolfn
+
+// PermTable is one input-permuted version of a function: the permuted
+// truth table together with the permutation that produced it.
+type PermTable struct {
+	Table TT
+	Perm  []int
+}
+
+// PermutedTables expands f over all 6! input permutations in the
+// deterministic Permutations order. With dedup set, permutations whose
+// permuted truth table was already produced by an earlier permutation are
+// dropped (the symmetry pruning of the optimized FINDLUT); without it the
+// full 720-entry expansion is returned (Algorithm 1 as written). Every
+// call returns fresh Perm slices, so callers may keep or hand them on.
+func PermutedTables(f TT, dedup bool) []PermTable {
+	perms := Permutations(MaxVars)
+	out := make([]PermTable, 0, len(perms))
+	var seen map[TT]bool
+	if dedup {
+		seen = make(map[TT]bool, len(perms))
+	}
+	for _, p := range perms {
+		table := f.Permute(p)
+		if dedup {
+			if seen[table] {
+				continue
+			}
+			seen[table] = true
+		}
+		out = append(out, PermTable{Table: table, Perm: p})
+	}
+	return out
+}

@@ -146,9 +146,9 @@ func matchAt(b []byte, l int, c *candidate) bool {
 
 // buildCandidates expands f over input permutations and sub-vector
 // orders into the raw byte patterns to search for. The permutation
-// expansion (and its symmetry dedup) comes from the process-wide
-// boolfn.PermutedTables memo; the compiled catalogue itself is cached by
-// catalogueFor, so callers should go through that.
+// expansion (and its symmetry dedup) comes from boolfn.PermutedTables;
+// the compiled catalogue is cached by catalogueFor under the (f, dedup)
+// key, so callers should go through that.
 func buildCandidates(f boolfn.TT, opt FindOptions) []candidate {
 	seen := make(map[[4]uint16]bool)
 	var out []candidate

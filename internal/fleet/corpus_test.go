@@ -170,6 +170,12 @@ func TestErrorShapeParity(t *testing.T) {
 		{"invalid lanes", `{"kind":"attack","lanes":-5}`, http.StatusBadRequest},
 		{"lanes above one word", `{"kind":"attack","lanes":65}`, http.StatusBadRequest},
 		{"campaign without runs", `{"kind":"campaign","campaign":{"runs":0}}`, http.StatusBadRequest},
+		{"campaign runs over cap", `{"kind":"campaign","campaign":{"runs":1073741824}}`, http.StatusBadRequest},
+		{"campaign negative parallel", `{"kind":"campaign","campaign":{"runs":1,"parallel":-1}}`, http.StatusBadRequest},
+		{"campaign parallel over cap", `{"kind":"campaign","campaign":{"runs":1,"parallel":1073741824}}`, http.StatusBadRequest},
+		{"corpus designs over cap", `{"kind":"corpus","corpus":{"designs":1000000000}}`, http.StatusBadRequest},
+		{"corpus workers over cap", `{"kind":"corpus","corpus":{"designs":4,"workers":257}}`, http.StatusBadRequest},
+		{"findlut parallel over cap", `{"kind":"findlut","expr":"a1^a2","parallel":257}`, http.StatusBadRequest},
 		{"body over MaxSpecBytes", oversized, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {

@@ -1,11 +1,12 @@
 // Package mapper implements k-LUT technology mapping for Boolean networks
 // in the style sketched in Section II-B of the paper: k-feasible cuts are
-// enumerated bottom-up (cut enumeration with priority-cut pruning), a
-// depth-optimal cover is selected, and an optional area-recovery pass
-// trades depth slack for area. Nodes already mapped are reused when
-// searching for k-feasible cuts, which — as the paper notes — is exactly
-// the mapper behaviour that makes target nodes appear inside several LUTs
-// (LUT₁/LUT₂/LUT₃ all cover the FSM output XOR v).
+// enumerated bottom-up (cut enumeration with priority-cut pruning), and a
+// depth-optimal cover is selected with area flow breaking depth ties, in
+// two passes whose second refines the fanout estimates of the first.
+// Nodes already mapped are reused when searching for k-feasible cuts,
+// which — as the paper notes — is exactly the mapper behaviour that makes
+// target nodes appear inside several LUTs (LUT₁/LUT₂/LUT₃ all cover the
+// FSM output XOR v).
 //
 // The mapper also implements the paper's countermeasure (Section VII-A):
 // nodes listed in Options.TrivialCuts are forced to be covered by the
@@ -138,16 +139,19 @@ func cutLess(a, b *Cut) bool {
 // absorb it instead of reading it as a net.
 type fanoutEst func(netlist.NodeID) int
 
-// enumerateCuts computes the pruned cut sets for every node. It returns
-// two views: selfCuts[v] are the covers selectable when mapping v itself,
-// and fanoutCuts[v] are the cuts v exposes to its fanouts. Terminal nodes
-// (PIs, constants, flip-flop outputs, BRAM ports) expose only the trivial
-// cut. Trivially-cut (countermeasure) nodes also expose only the trivial
-// cut — fanouts must treat them as leaves — and their sole self cover is
-// the forced fanin cut.
-func enumerateCuts(n *netlist.Netlist, opt Options, depthOpt []int, flowOpt []float64, fo fanoutEst) (selfCuts, fanoutCuts [][]Cut) {
-	selfCuts = make([][]Cut, n.NumNodes())
-	fanoutCuts = make([][]Cut, n.NumNodes())
+// enumerateCuts computes the pruned cut set of every gate: the covers
+// selectable when mapping it, sorted by cutLess. Each node also exposes
+// a cut set to its fanouts (fanoutCuts). Terminal nodes (PIs, constants,
+// flip-flop outputs, BRAM ports) expose only the trivial cut.
+// Trivially-cut (countermeasure) nodes also expose only the trivial cut
+// — fanouts must treat them as leaves — and their sole cover is the
+// forced fanin cut. depthOpt and flowOpt hold each node's best depth
+// and area flow, which its fanouts' cut costs read.
+func enumerateCuts(n *netlist.Netlist, opt Options, fo fanoutEst) [][]Cut {
+	depthOpt := make([]int, n.NumNodes())
+	flowOpt := make([]float64, n.NumNodes())
+	selfCuts := make([][]Cut, n.NumNodes())
+	fanoutCuts := make([][]Cut, n.NumNodes())
 	for id := 0; id < n.NumNodes(); id++ {
 		nd := &n.Nodes[id]
 		v := netlist.NodeID(id)
@@ -178,7 +182,7 @@ func enumerateCuts(n *netlist.Netlist, opt Options, depthOpt []int, flowOpt []fl
 			fanoutCuts[id] = append(append([]Cut(nil), set...), trivial)
 		}
 	}
-	return selfCuts, fanoutCuts
+	return selfCuts
 }
 
 // forcedCut builds the cut consisting of v's fanins (minus constants).

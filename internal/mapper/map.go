@@ -8,33 +8,12 @@ import (
 	"snowbma/internal/netlist"
 )
 
-// Objective selects the primary optimization goal, mirroring the mapper
-// families surveyed in Section II-B of the paper (depth-oriented à la
-// DAG-map/FlowMap, area-oriented à la Chortle-crf).
-type Objective int
-
-const (
-	// Depth minimizes the number of LUT levels, breaking ties by area
-	// flow. This is the default and matches commercial behaviour.
-	Depth Objective = iota
-	// Area minimizes area flow regardless of depth.
-	Area
-)
-
 // Options configures a mapping run.
 type Options struct {
 	// K is the LUT input count (default 6, the Xilinx 7-series value).
 	K int
 	// CutLimit bounds the priority-cut set per node (default 8).
 	CutLimit int
-	// Objective is the primary cost (default Depth).
-	Objective Objective
-	// AreaRecovery enables the required-time-constrained area pass.
-	AreaRecovery bool
-	// ExactArea enables the exact-local-area refinement sweep, which
-	// replaces cuts by true-incremental-LUT-count minimization under the
-	// selection's depth budget.
-	ExactArea bool
 	// TrivialCuts lists nodes that must be covered by trivial cuts — the
 	// countermeasure's KEEP/DONT_TOUCH analogue. Each listed node becomes
 	// its own LUT and is never absorbed into another cone.
@@ -92,38 +71,22 @@ func Map(n *netlist.Netlist, opt Options) (*Result, error) {
 	roots := requiredRoots(n)
 
 	// Pass 1: area flow with static fanout estimates.
-	pass1 := selectCover(n, opt, roots, func(v netlist.NodeID) int { return n.Fanout(v) })
+	chosen, needed := selectCover(n, opt, roots, func(v netlist.NodeID) int { return n.Fanout(v) })
 
 	// Pass 2: refine fanout estimates to the leaf-reference counts of the
 	// first selection. This corrects area flow's habit of discounting a
 	// node whose other fanouts absorb it inside their cones rather than
 	// reading it as a mapped net.
 	refs := make([]int, n.NumNodes())
-	for v := range pass1.needed {
-		for _, l := range pass1.chosen[v].Leaves {
+	for v := range needed {
+		for _, l := range chosen[v].Leaves {
 			refs[l]++
 		}
 	}
 	for _, r := range roots {
 		refs[r]++
 	}
-	sel := selectCover(n, opt, roots, func(v netlist.NodeID) int { return refs[v] })
-	cuts, chosen, needed := sel.cuts, sel.chosen, sel.needed
-	depthOpt, flowOpt := sel.depthOpt, sel.flowOpt
-	pick := sel.pick
-
-	if opt.AreaRecovery {
-		recoverArea(n, opt, cuts, chosen, depthOpt, flowOpt, roots, needed)
-	}
-	if opt.ExactArea {
-		// ELA needs every node's chosen cut materialized first.
-		for v := range needed {
-			if chosen[v] == nil {
-				chosen[v] = pick(v, -1)
-			}
-		}
-		refineExactArea(n, opt, cuts, chosen, roots, needed, depthOpt)
-	}
+	chosen, needed = selectCover(n, opt, roots, func(v netlist.NodeID) int { return refs[v] })
 
 	// Extract LUTs in topological (ascending ID) order.
 	var order []netlist.NodeID
@@ -135,9 +98,6 @@ func Map(n *netlist.Netlist, opt Options) (*Result, error) {
 	level := make([]int, n.NumNodes())
 	for _, v := range order {
 		c := chosen[v]
-		if c == nil { // can happen after area recovery re-selection
-			c = pick(v, -1)
-		}
 		fn := coneFunction(n, v, c.Leaves)
 		res.LUTIndex[v] = len(res.LUTs)
 		res.LUTs = append(res.LUTs, LUT{Root: v, Inputs: append([]netlist.NodeID(nil), c.Leaves...), Fn: fn})
@@ -155,40 +115,16 @@ func Map(n *netlist.Netlist, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// selection bundles the artefacts of one cover-selection pass.
-type selection struct {
-	cuts     [][]Cut
-	chosen   []*Cut
-	needed   map[netlist.NodeID]bool
-	depthOpt []int
-	flowOpt  []float64
-	pick     func(v netlist.NodeID, maxDepth int) *Cut
-}
-
 // selectCover enumerates cuts under the given fanout estimator and picks
-// a cover by backward traversal from the required roots.
-func selectCover(n *netlist.Netlist, opt Options, roots []netlist.NodeID, fo fanoutEst) *selection {
-	depthOpt := make([]int, n.NumNodes())
-	flowOpt := make([]float64, n.NumNodes())
-	cuts, _ := enumerateCuts(n, opt, depthOpt, flowOpt, fo)
-	chosen := make([]*Cut, n.NumNodes())
-	pick := func(v netlist.NodeID, maxDepth int) *Cut {
-		set := cuts[v]
-		best := -1
-		for i := range set {
-			if maxDepth >= 0 && set[i].depth > maxDepth {
-				continue
-			}
-			if best == -1 || better(opt, &set[i], &set[best]) {
-				best = i
-			}
-		}
-		if best == -1 {
-			best = 0 // depth bound unsatisfiable; fall back to fastest
-		}
-		return &set[best]
-	}
-	needed := map[netlist.NodeID]bool{}
+// a cover by backward traversal from the required roots: the chosen cut
+// of every needed node. Each node takes the head of its cut set:
+// insertCut keeps every set sorted by cutLess (depth, then area flow,
+// then the larger cut), and a forced (countermeasure) set holds its one
+// fanin cut, so the head is the depth-optimal, least-flow cover.
+func selectCover(n *netlist.Netlist, opt Options, roots []netlist.NodeID, fo fanoutEst) (chosen []*Cut, needed map[netlist.NodeID]bool) {
+	cuts := enumerateCuts(n, opt, fo)
+	chosen = make([]*Cut, n.NumNodes())
+	needed = map[netlist.NodeID]bool{}
 	var queue []netlist.NodeID
 	push := func(v netlist.NodeID) {
 		if n.Nodes[v].Op.IsGate() && !needed[v] {
@@ -202,24 +138,13 @@ func selectCover(n *netlist.Netlist, opt Options, roots []netlist.NodeID, fo fan
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		c := pick(v, -1)
+		c := &cuts[v][0]
 		chosen[v] = c
 		for _, l := range c.Leaves {
 			push(l)
 		}
 	}
-	return &selection{cuts: cuts, chosen: chosen, needed: needed,
-		depthOpt: depthOpt, flowOpt: flowOpt, pick: pick}
-}
-
-func better(opt Options, a, b *Cut) bool {
-	if opt.Objective == Area {
-		if a.flow != b.flow {
-			return a.flow < b.flow
-		}
-		return a.depth < b.depth
-	}
-	return cutLess(a, b)
+	return chosen, needed
 }
 
 // requiredRoots collects the nets that must be visible after mapping.
@@ -253,81 +178,6 @@ func requiredRoots(n *netlist.Netlist) []netlist.NodeID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// recoverArea re-selects cuts minimizing area flow subject to per-node
-// required times derived from the global depth, then rebuilds the needed
-// set. One pass suffices for the networks in this project.
-func recoverArea(n *netlist.Netlist, opt Options, cuts [][]Cut, chosen []*Cut,
-	depthOpt []int, flowOpt []float64, roots []netlist.NodeID, needed map[netlist.NodeID]bool) {
-	globalDepth := 0
-	for _, r := range roots {
-		if depthOpt[r] > globalDepth {
-			globalDepth = depthOpt[r]
-		}
-	}
-	required := make([]int, n.NumNodes())
-	for i := range required {
-		required[i] = -1
-	}
-	// Process needed nodes in reverse topological order.
-	var order []netlist.NodeID
-	for v := range needed {
-		order = append(order, v)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] > order[j] })
-	for _, r := range roots {
-		required[r] = globalDepth
-	}
-	areaPick := func(v netlist.NodeID, maxDepth int) *Cut {
-		set := cuts[v]
-		best := -1
-		for i := range set {
-			if set[i].depth > maxDepth {
-				continue
-			}
-			if best == -1 || set[i].flow < set[best].flow ||
-				(set[i].flow == set[best].flow && set[i].depth < set[best].depth) {
-				best = i
-			}
-		}
-		if best == -1 {
-			best = 0
-		}
-		return &set[best]
-	}
-	for v := range needed {
-		delete(needed, v)
-	}
-	var queue []netlist.NodeID
-	push := func(v netlist.NodeID, req int) {
-		if !n.Nodes[v].Op.IsGate() {
-			return
-		}
-		if required[v] < req {
-			required[v] = req
-		}
-		if !needed[v] {
-			needed[v] = true
-			queue = append(queue, v)
-		}
-	}
-	for _, r := range roots {
-		push(r, globalDepth)
-	}
-	for len(queue) > 0 {
-		// Pop the highest ID so required times are final before a node is
-		// processed (all fanouts have higher... lower? fanouts have
-		// HIGHER ids, so process descending).
-		sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		c := areaPick(v, required[v])
-		chosen[v] = c
-		for _, l := range c.Leaves {
-			push(l, required[v]-1)
-		}
-	}
 }
 
 // coneFunction computes the truth table of node v over the given leaves

@@ -66,14 +66,12 @@ func TestMapRandomEquivalence(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		n := buildRandom(rng, 8, 120)
 		for _, k := range []int{4, 6} {
-			for _, obj := range []Objective{Depth, Area} {
-				r, err := Map(n, Options{K: k, Objective: obj, AreaRecovery: obj == Depth})
-				if err != nil {
-					t.Fatalf("trial %d k=%d: %v", trial, k, err)
-				}
-				if err := r.Verify(48, int64(trial)); err != nil {
-					t.Fatalf("trial %d k=%d obj=%d: %v", trial, k, obj, err)
-				}
+			r, err := Map(n, Options{K: k})
+			if err != nil {
+				t.Fatalf("trial %d k=%d: %v", trial, k, err)
+			}
+			if err := r.Verify(48, int64(trial)); err != nil {
+				t.Fatalf("trial %d k=%d: %v", trial, k, err)
 			}
 		}
 	}
@@ -219,28 +217,6 @@ func TestMapWithFFsAndBRAM(t *testing.T) {
 	}
 }
 
-func TestAreaObjectiveUsesFewerOrEqualLUTs(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	better := 0
-	for trial := 0; trial < 8; trial++ {
-		n := buildRandom(rng, 10, 200)
-		rd, err := Map(n, Options{K: 6, Objective: Depth})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ra, err := Map(n, Options{K: 6, Objective: Area})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ra.LUTs) <= len(rd.LUTs) {
-			better++
-		}
-	}
-	if better < 5 {
-		t.Fatalf("area objective beat depth objective on only %d/8 netlists", better)
-	}
-}
-
 func TestCutLimitAblation(t *testing.T) {
 	// More priority cuts may never hurt depth.
 	rng := rand.New(rand.NewSource(23))
@@ -301,11 +277,11 @@ func TestPackKeepsFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phys := Pack(r, PackPolicy{All: true})
+	phys := Pack(r, PackPolicy{Prefer: map[netlist.NodeID]bool{f1: true, f2: true}})
+	if len(phys) != 1 || !phys[0].Dual {
+		t.Fatalf("f1 and f2 packed into %d physical LUTs (want one dual LUT): %+v", len(phys), phys)
+	}
 	for _, p := range phys {
-		if !p.Dual {
-			continue
-		}
 		// Exhaustively compare each half against the source logic.
 		for m := uint(0); m < 1<<uint(len(p.Inputs)); m++ {
 			val := map[netlist.NodeID]bool{}
@@ -431,34 +407,6 @@ func BenchmarkMapperCutLimit(b *testing.B) {
 	}
 }
 
-func TestAreaRecoveryKeepsDepthReducesArea(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	worseArea := 0
-	for trial := 0; trial < 10; trial++ {
-		n := buildRandom(rng, 12, 300)
-		plain, err := Map(n, Options{K: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := Map(n, Options{K: 6, AreaRecovery: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Depth > plain.Depth {
-			t.Fatalf("trial %d: area recovery increased depth %d → %d", trial, plain.Depth, rec.Depth)
-		}
-		if err := rec.Verify(48, int64(trial)); err != nil {
-			t.Fatalf("trial %d: area recovery broke equivalence: %v", trial, err)
-		}
-		if len(rec.LUTs) > len(plain.LUTs) {
-			worseArea++
-		}
-	}
-	if worseArea > 3 {
-		t.Fatalf("area recovery increased LUT count on %d/10 netlists", worseArea)
-	}
-}
-
 func TestTopPathsOrderedAndConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := buildRandom(rng, 10, 200)
@@ -546,37 +494,10 @@ func TestPlanCountermeasureRejectsMixedTargets(t *testing.T) {
 	}
 }
 
-func TestExactAreaRefinement(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	improved, worse := 0, 0
-	for trial := 0; trial < 10; trial++ {
-		n := buildRandom(rng, 12, 300)
-		base, err := Map(n, Options{K: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ela, err := Map(n, Options{K: 6, ExactArea: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ela.Verify(48, int64(trial)); err != nil {
-			t.Fatalf("trial %d: ELA broke equivalence: %v", trial, err)
-		}
-		if ela.Depth > base.Depth+1 {
-			t.Fatalf("trial %d: ELA depth %d far above baseline %d", trial, ela.Depth, base.Depth)
-		}
-		if len(ela.LUTs) < len(base.LUTs) {
-			improved++
-		} else if len(ela.LUTs) > len(base.LUTs) {
-			worse++
-		}
-	}
-	if worse > improved {
-		t.Fatalf("ELA made area worse more often (%d) than better (%d)", worse, improved)
-	}
-}
-
-func TestExactAreaOnSequentialDesign(t *testing.T) {
+// TestMapSequentialFeedback maps an FF feedback mux over a parity of the
+// same registers: the parity is both a primary output and a leaf of every
+// register's next-state LUT.
+func TestMapSequentialFeedback(t *testing.T) {
 	n := netlist.New()
 	q := n.FFWord("q", 6, 1)
 	acc := q[0]
@@ -587,32 +508,13 @@ func TestExactAreaOnSequentialDesign(t *testing.T) {
 		n.ConnectFF(q[i], n.Mux(n.Input("en"), acc, q[i]))
 	}
 	n.Output("p", acc)
-	r, err := Map(n, Options{K: 6, ExactArea: true})
+	r, err := Map(n, Options{K: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Verify(64, 3); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func BenchmarkELAAblation(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	n := buildRandom(rng, 16, 1500)
-	b.Run("areaflow", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Map(n, Options{K: 6}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("exactarea", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Map(n, Options{K: 6, ExactArea: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func TestVerifyFormalOnRandomDesigns(t *testing.T) {

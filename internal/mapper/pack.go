@@ -36,8 +36,6 @@ type PackPolicy struct {
 	// PairWithOthers lets a leftover preferred LUT share a physical LUT
 	// with any other ≤5-input LUT when their input union fits.
 	PairWithOthers bool
-	// All packs every compatible pair, preferred or not.
-	All bool
 }
 
 // Pack assigns the logical LUTs of a mapping to physical LUTs.
@@ -70,16 +68,10 @@ func Pack(r *Result, pol PackPolicy) []PhysLUT {
 	}
 
 	candidate := func(i int) bool {
-		if used[i] || len(r.LUTs[i].Inputs) > 5 {
-			return false
-		}
-		if pol.All {
-			return true
-		}
-		return pol.Prefer[r.LUTs[i].Root]
+		return !used[i] && len(r.LUTs[i].Inputs) <= 5 && pol.Prefer[r.LUTs[i].Root]
 	}
 
-	// First pass: pair preferred (or all, under pol.All) LUTs greedily.
+	// First pass: pair preferred LUTs greedily.
 	for i := range r.LUTs {
 		if !candidate(i) {
 			continue

@@ -84,6 +84,21 @@ func httpError(w http.ResponseWriter, err error) {
 // coordinator. A JobSpec carries no bitstream, so 1 MiB is ample.
 const MaxSpecBytes = 1 << 20
 
+// Caps on a JobSpec's size fields. A spec of a few dozen bytes must not
+// be able to ask for a billion scenarios, designs or goroutines: each of
+// those is allocated or started before the job can fail. Validate, the
+// one gate for engine submits, the fleet coordinator and WAL recovery,
+// rejects any value above its cap with ErrSpec.
+const (
+	// MaxSpecRuns caps campaign.runs.
+	MaxSpecRuns = 1 << 14
+	// MaxSpecDesigns caps corpus.designs and the length of corpus.indices.
+	MaxSpecDesigns = 1 << 14
+	// MaxSpecWorkers caps every worker-count field: parallel,
+	// campaign.parallel, corpus.parallel and corpus.workers.
+	MaxSpecWorkers = 256
+)
+
 // DecodeSpec reads one JobSpec from r's body, capped at MaxSpecBytes and
 // rejecting unknown fields. Decode failures take the same typed-error
 // path as validation failures: every one wraps ErrSpec, so clients (and

@@ -158,6 +158,14 @@ func (s JobSpec) Validate() error {
 		if c.Designs < 1 && len(c.Indices) == 0 {
 			return fmt.Errorf("%w: corpus jobs need corpus.designs >= 1 or corpus.indices", ErrSpec)
 		}
+	default:
+		return fmt.Errorf("%w: unknown kind %q (want %s|%s|%s|%s|%s)",
+			ErrSpec, s.Kind, KindAttack, KindCensus, KindFindLUT, KindCampaign, KindCorpus)
+	}
+	if err := s.checkSizes(); err != nil {
+		return err
+	}
+	if c := s.Corpus; c != nil {
 		for _, i := range c.Indices {
 			if i < 0 {
 				return fmt.Errorf("%w: corpus.indices must be non-negative, got %d", ErrSpec, i)
@@ -166,18 +174,43 @@ func (s JobSpec) Validate() error {
 				return fmt.Errorf("%w: corpus index %d outside [0, %d)", ErrSpec, i, c.Designs)
 			}
 		}
-		if c.Parallel < 0 || c.Workers < 0 {
-			return fmt.Errorf("%w: corpus.parallel and corpus.workers must be non-negative", ErrSpec)
-		}
-	default:
-		return fmt.Errorf("%w: unknown kind %q (want %s|%s|%s|%s|%s)",
-			ErrSpec, s.Kind, KindAttack, KindCensus, KindFindLUT, KindCampaign, KindCorpus)
 	}
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("%w: timeout_ms must be non-negative, got %d", ErrSpec, s.TimeoutMS)
 	}
 	if len(s.Tenant) > 64 {
 		return fmt.Errorf("%w: tenant name longer than 64 bytes", ErrSpec)
+	}
+	return nil
+}
+
+// checkSizes holds every size field to [0, its cap] whatever the kind:
+// a section the kind never reads is still stored and forwarded. An
+// absent section checks as its zero value.
+func (s JobSpec) checkSizes() error {
+	var camp CampaignSpec
+	if s.Campaign != nil {
+		camp = *s.Campaign
+	}
+	var corp CorpusSpec
+	if s.Corpus != nil {
+		corp = *s.Corpus
+	}
+	for _, z := range []struct {
+		field  string
+		v, max int
+	}{
+		{"parallel", s.Parallel, MaxSpecWorkers},
+		{"campaign.runs", camp.Runs, MaxSpecRuns},
+		{"campaign.parallel", camp.Parallel, MaxSpecWorkers},
+		{"corpus.designs", corp.Designs, MaxSpecDesigns},
+		{"len(corpus.indices)", len(corp.Indices), MaxSpecDesigns},
+		{"corpus.parallel", corp.Parallel, MaxSpecWorkers},
+		{"corpus.workers", corp.Workers, MaxSpecWorkers},
+	} {
+		if z.v < 0 || z.v > z.max {
+			return fmt.Errorf("%w: %s must be in [0, %d], got %d", ErrSpec, z.field, z.max, z.v)
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -52,20 +53,59 @@ func waitState(t *testing.T, e *Engine, id, want string) Status {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	e := newStubEngine(1, 1, instant)
-	defer e.Shutdown(context.Background())
 	bad := []JobSpec{
 		{Kind: "exfiltrate"},
 		{Kind: KindFindLUT},
 		{Kind: KindCampaign},
 		{Kind: KindCampaign, Campaign: &CampaignSpec{Runs: 0}},
 		{Kind: KindAttack, TimeoutMS: -1},
+		// Size fields over their caps: each would allocate or start
+		// that many scenarios, designs or goroutines once run.
+		{Kind: KindCampaign, Campaign: &CampaignSpec{Runs: 1 << 30}},
+		{Kind: KindCampaign, Campaign: &CampaignSpec{Runs: MaxSpecRuns + 1}},
+		{Kind: KindCampaign, Campaign: &CampaignSpec{Runs: 1, Parallel: 1 << 30}},
+		{Kind: KindCampaign, Campaign: &CampaignSpec{Runs: 1, Parallel: -1}},
+		{Kind: KindCorpus, Corpus: &CorpusSpec{Designs: 1e9}},
+		{Kind: KindCorpus, Corpus: &CorpusSpec{Designs: MaxSpecDesigns + 1}},
+		{Kind: KindCorpus, Corpus: &CorpusSpec{Indices: make([]int, MaxSpecDesigns+1)}},
+		{Kind: KindCorpus, Corpus: &CorpusSpec{Designs: 4, Parallel: MaxSpecWorkers + 1}},
+		{Kind: KindCorpus, Corpus: &CorpusSpec{Designs: 4, Workers: 1 << 30}},
+		{Kind: KindFindLUT, Expr: "a1^a2", Parallel: MaxSpecWorkers + 1},
+		{Kind: KindFindLUT, Expr: "a1^a2", Parallel: -1},
+		// A section the kind never reads is held to the same caps.
+		{Kind: KindAttack, Campaign: &CampaignSpec{Runs: 1 << 30}},
 	}
+	// A queue slot per row, so a spec that slips past validation is
+	// reported as accepted rather than masked by ErrQueueFull.
+	e := newStubEngine(1, len(bad), instant)
+	defer e.Shutdown(context.Background())
 	for _, spec := range bad {
 		if _, err := e.Submit(spec); !errors.Is(err, ErrSpec) {
-			t.Fatalf("Submit(%+v) = %v, want ErrSpec", spec, err)
+			t.Errorf("Submit(%s) = %v, want ErrSpec", specString(spec), err)
 		}
 	}
+	// Every size field at exactly its cap is accepted.
+	atCap := []JobSpec{
+		{Kind: KindCampaign, Campaign: &CampaignSpec{Runs: MaxSpecRuns, Parallel: MaxSpecWorkers}},
+		{Kind: KindCorpus, Corpus: &CorpusSpec{Designs: MaxSpecDesigns, Parallel: MaxSpecWorkers, Workers: MaxSpecWorkers}},
+		{Kind: KindCorpus, Corpus: &CorpusSpec{Indices: make([]int, MaxSpecDesigns)}},
+		{Kind: KindFindLUT, Expr: "a1^a2", Parallel: MaxSpecWorkers},
+	}
+	for _, spec := range atCap {
+		if err := spec.Validate(); err != nil {
+			t.Errorf("Validate(%s) = %v, want nil", specString(spec), err)
+		}
+	}
+}
+
+// specString renders a spec for a failure message without printing a
+// 16k-entry index list.
+func specString(s JobSpec) string {
+	b, _ := json.Marshal(s)
+	if len(b) > 200 {
+		return string(b[:200]) + "..."
+	}
+	return string(b)
 }
 
 func TestQueueBackpressure(t *testing.T) {
