@@ -118,13 +118,16 @@ census-smoke:
 # configuration), so minimization is capped at 2 s to leave the pass
 # time to fuzz. JobSpec JSON gets a pass too: a POST /jobs body must
 # decode and validate or fail with ErrSpec, and an accepted spec must
-# keep every size field within its cap.
+# keep every size field within its cap. So does an SSE Last-Event-ID:
+# any header must replay exactly the events after the id it names, or
+# after the stream's own resume point when it names none.
 fuzz:
 	$(GO) test ./internal/core/ -run FuzzScannerDifferential -fuzz FuzzScannerDifferential -fuzztime 30s
 	$(GO) test ./internal/device/ -run FuzzProgramDifferential -fuzz FuzzProgramDifferential -fuzztime 30s
 	$(GO) test ./internal/bitstream/ -run FuzzParsePackets -fuzz FuzzParsePackets -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/device/ -run FuzzLoad -fuzz FuzzLoad -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/service/ -run FuzzDecodeSpec -fuzz FuzzDecodeSpec -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/obs/ -run FuzzSSELastEventID -fuzz FuzzSSELastEventID -fuzztime 30s -fuzzminimizetime 2s
 
 clean:
 	$(GO) clean -testcache

@@ -24,6 +24,9 @@ type AssembleOptions struct {
 // design description, BRAM content, all wrapped in 7-series packets with
 // a valid configuration CRC.
 func Assemble(n *netlist.Netlist, phys []mapper.PhysLUT, opt AssembleOptions) ([]byte, error) {
+	if opt.PadFrames < 0 {
+		return nil, fmt.Errorf("bitstream: PadFrames must be non-negative, got %d", opt.PadFrames)
+	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	// Placement: scatter LUTs over enough frames to leave ~30% slots

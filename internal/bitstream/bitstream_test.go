@@ -500,3 +500,20 @@ func TestHistogramCensus(t *testing.T) {
 		t.Fatalf("census shows %d f2-class LUTs, want ≥ 32", hist[f2])
 	}
 }
+
+// A negative pad used to reach rand.Intn with a non-positive frame
+// count and panic; it is an error now.
+func TestAssembleRejectsNegativePad(t *testing.T) {
+	key := snow3g.Key{0x2BD6459F, 0x82C5B300, 0x952C4910, 0x4881FF48}
+	d := hdl.Build(hdl.Config{Key: key})
+	r, err := mapper.Map(d.N, mapper.Options{K: 6, Boundaries: d.Boundaries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys := mapper.Pack(r, mapper.PackPolicy{})
+	for _, pad := range []int{-1, -1000} {
+		if _, err := Assemble(d.N, phys, AssembleOptions{Seed: 1, PadFrames: pad}); err == nil {
+			t.Errorf("Assemble with PadFrames %d = nil error", pad)
+		}
+	}
+}

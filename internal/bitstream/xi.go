@@ -38,28 +38,44 @@ var xiInverse = func() [64]byte {
 	return inv
 }()
 
+// xiBytes[q][v] and xiInvBytes[q][v] are ξ and ξ⁻¹ of the 64-bit word
+// holding v in byte q and zeros elsewhere. Both maps only move bits, so
+// a whole word's image is the OR of its eight bytes' images: 2 × 16 KiB
+// of tables turn 64 single-bit moves into eight lookups.
+var xiBytes, xiInvBytes = xiByteTables(&xiTable), xiByteTables(&xiInverse)
+
+func xiByteTables(to *[64]byte) *[8][256]uint64 {
+	var t [8][256]uint64
+	for q := range t {
+		for v := range t[q] {
+			for bit := 0; bit < 8; bit++ {
+				if v>>bit&1 == 1 {
+					t[q][v] |= 1 << to[8*q+bit]
+				}
+			}
+		}
+	}
+	return &t
+}
+
+// xiApply maps w through one of the byte tables.
+func xiApply(t *[8][256]uint64, w uint64) (out uint64) {
+	for q := range t {
+		out |= t[q][byte(w>>(8*q))]
+	}
+	return out
+}
+
 // XiPosition returns ξ's image of truth-table position i, exposing Table
 // I programmatically (used by tests and the CLI inspect command).
 func XiPosition(i int) int { return int(xiTable[i&63]) }
 
 // Xi permutes a 64-bit truth table F into the bitstream-order vector
 // B = ξ(F).
-func Xi(f boolfn.TT) uint64 {
-	var b uint64
-	for i := 0; i < 64; i++ {
-		b |= uint64(f>>uint(i)&1) << xiTable[i]
-	}
-	return b
-}
+func Xi(f boolfn.TT) uint64 { return xiApply(xiBytes, uint64(f)) }
 
 // XiInv recovers the truth table from its bitstream-order vector.
-func XiInv(b uint64) boolfn.TT {
-	var f boolfn.TT
-	for j := 0; j < 64; j++ {
-		f |= boolfn.TT(b>>uint(j)&1) << xiInverse[j]
-	}
-	return f
-}
+func XiInv(b uint64) boolfn.TT { return boolfn.TT(xiApply(xiInvBytes, b)) }
 
 // xiFormula is the closed form of Table I, used as a structural
 // cross-check against transcription errors: the B index of F[a6..a1] is

@@ -111,24 +111,42 @@ func (f TT) SupportSize() int {
 
 // Permute returns the truth table of f with inputs reordered so that the
 // new variable j reads the old variable perm[j]. perm must be a
-// permutation of 0..5 (extend shorter permutations with identity).
+// permutation of 0..len(perm)-1 with len(perm) ≤ 6; variables from
+// len(perm) on keep their place. Anything else panics.
+//
+// The permutation runs as at most five transpositions: position j, in
+// turn, takes old variable perm[j] from the position k ≥ j that holds
+// it. Swapping variables j < k exchanges every minterm with a_j = 1,
+// a_k = 0 and its partner 2^k − 2^j above it, which is one masked delta
+// swap on the 64-bit table.
 func (f TT) Permute(perm []int) TT {
-	var p [MaxVars]int
-	for j := 0; j < MaxVars; j++ {
-		p[j] = j
+	if len(perm) > MaxVars {
+		panic(fmt.Sprintf("boolfn: permutation of length %d exceeds %d variables", len(perm), MaxVars))
 	}
-	copy(p[:], perm)
-	var out TT
-	for m := uint(0); m < 64; m++ {
-		var src uint
-		for j := uint(0); j < MaxVars; j++ {
-			if m>>j&1 == 1 {
-				src |= 1 << uint(p[j])
-			}
+	var seen uint
+	for _, v := range perm {
+		if v < 0 || v >= len(perm) || seen>>uint(v)&1 != 0 {
+			panic(fmt.Sprintf("boolfn: %v is not a permutation of 0..%d", perm, len(perm)-1))
 		}
-		out |= TT(f>>src&1) << m
+		seen |= 1 << uint(v)
 	}
-	return out
+	// at[j] is the old variable now at position j; pos is its inverse.
+	var at, pos [MaxVars]int
+	for j := range at {
+		at[j], pos[j] = j, j
+	}
+	for j, v := range perm {
+		k := pos[v]
+		if k == j {
+			continue
+		}
+		shift := uint(1)<<uint(k) - uint(1)<<uint(j)
+		t := (f>>shift ^ f) & (varMasks[j] &^ varMasks[k])
+		f ^= t | t<<shift
+		at[j], at[k] = v, at[j]
+		pos[v], pos[at[k]] = j, k
+	}
+	return f
 }
 
 // Permutations returns all permutations of 0..k-1 in a deterministic
@@ -164,6 +182,8 @@ func Permutations(k int) [][]int {
 	return out
 }
 
+// perms6 is Permutations(6), shared read-only by every expansion over
+// all input orders.
 var perms6 = Permutations(MaxVars)
 
 // PClassCanon returns the canonical representative of the P-equivalence

@@ -12,15 +12,15 @@ type PermTable struct {
 // permuted truth table was already produced by an earlier permutation are
 // dropped (the symmetry pruning of the optimized FINDLUT); without it the
 // full 720-entry expansion is returned (Algorithm 1 as written). Every
-// call returns fresh Perm slices, so callers may keep or hand them on.
+// call returns fresh Perm slices, carved from one backing array sized to
+// the kept permutations, so callers may keep or hand them on.
 func PermutedTables(f TT, dedup bool) []PermTable {
-	perms := Permutations(MaxVars)
-	out := make([]PermTable, 0, len(perms))
+	out := make([]PermTable, 0, len(perms6))
 	var seen map[TT]bool
 	if dedup {
-		seen = make(map[TT]bool, len(perms))
+		seen = make(map[TT]bool, len(perms6))
 	}
-	for _, p := range perms {
+	for _, p := range perms6 {
 		table := f.Permute(p)
 		if dedup {
 			if seen[table] {
@@ -29,6 +29,12 @@ func PermutedTables(f TT, dedup bool) []PermTable {
 			seen[table] = true
 		}
 		out = append(out, PermTable{Table: table, Perm: p})
+	}
+	backing := make([]int, len(out)*MaxVars)
+	for i, pt := range out {
+		perm := backing[i*MaxVars : (i+1)*MaxVars : (i+1)*MaxVars]
+		copy(perm, pt.Perm)
+		out[i].Perm = perm
 	}
 	return out
 }

@@ -128,10 +128,14 @@ type Scanner struct {
 	// Compiled anchor index, built by the first Scan and reused across
 	// calls until AddFunction invalidates it. The multi-bitstream
 	// serving scenario scans one query set over many images; rebuilding
-	// the 64K-way index per image is pure waste there.
+	// the index per image is pure waste there. The index is compressed
+	// sparse rows over the 16-bit anchor key: the refs of key k are
+	// refs[start[k]:start[k+1]], so it costs one flat slice sized by
+	// the candidates plus a fixed 256 KiB offset table.
 	dirty      bool
 	catalogues [][]candidate
-	byAnchor   [][]scanRef
+	start      *[1<<16 + 1]uint32
+	refs       []scanRef
 	maxAnchor  int
 	compiled   int // candidates held by the index
 }
@@ -226,7 +230,7 @@ func (s *Scanner) Scan(b []byte) *ScanResult {
 		res.Stats.CatalogueHits = len(s.fns)
 	}
 	res.Stats.CandidatesCompiled = s.compiled
-	catalogues, byAnchor, maxAnchor := s.catalogues, s.byAnchor, s.maxAnchor
+	catalogues, maxAnchor := s.catalogues, s.maxAnchor
 	res.Stats.CompileTime = time.Since(compileStart)
 	compileSpan.SetAttr("candidates", res.Stats.CandidatesCompiled)
 	compileSpan.End()
@@ -305,14 +309,16 @@ func (s *Scanner) Scan(b []byte) *ScanResult {
 			var local []fnHit
 			var localDual []int
 			var st ScanStats
+			start, refs := s.start, s.refs
 			for p, end := lo, min(hi, anchorEnd); p < end; p++ {
 				st.AnchorProbes++
-				refs := byAnchor[uint16(b[p])|uint16(b[p+1])<<8]
-				if refs == nil {
+				k := int(uint16(b[p]) | uint16(b[p+1])<<8)
+				from, to := start[k], start[k+1]
+				if from == to {
 					continue
 				}
 				st.AnchorHits++
-				for _, r := range refs {
+				for _, r := range refs[from:to] {
 					c := &catalogues[r.fn][r.ci]
 					l := p - c.anchor*bitstream.SubVectorOffset
 					if l < 0 || l > limit {
@@ -376,15 +382,16 @@ func (s *Scanner) Scan(b []byte) *ScanResult {
 }
 
 // recompile rebuilds the scanner's cached anchor index from its current
-// function set, folding catalogue-cache hit/miss counters into st.
+// function set, folding catalogue-cache hit/miss counters into st. The
+// index is filled by a counting sort on the anchor key: count each key
+// into start, prefix-sum so start[k] ends bucket k, then place the refs
+// back to front so each bucket keeps candidate order and start[k] ends
+// up at its first ref.
 func (s *Scanner) recompile(st *ScanStats) {
 	s.catalogues = make([][]candidate, len(s.fns))
-	s.byAnchor = nil
+	s.refs = nil
 	s.maxAnchor = 0
 	s.compiled = 0
-	if len(s.fns) > 0 {
-		s.byAnchor = make([][]scanRef, 1<<16)
-	}
 	for fi, t := range s.fns {
 		cands, hit := catalogueFor(t.fn, s.opt)
 		s.catalogues[fi] = cands
@@ -394,16 +401,37 @@ func (s *Scanner) recompile(st *ScanStats) {
 			st.CatalogueMisses++
 		}
 		s.compiled += len(cands)
-		for ci := range cands {
-			c := &cands[ci]
-			if c.anchor > s.maxAnchor {
-				s.maxAnchor = c.anchor
-			}
-			k := c.sub[c.anchor]
-			s.byAnchor[k] = append(s.byAnchor[k], scanRef{fn: int32(fi), ci: int32(ci)})
-		}
 	}
 	s.dirty = false
+	if len(s.fns) == 0 {
+		s.start = nil
+		return
+	}
+	if s.start == nil {
+		s.start = new([1<<16 + 1]uint32)
+	} else {
+		*s.start = [1<<16 + 1]uint32{}
+	}
+	start := s.start
+	for _, cands := range s.catalogues {
+		for ci := range cands {
+			c := &cands[ci]
+			s.maxAnchor = max(s.maxAnchor, c.anchor)
+			start[c.sub[c.anchor]]++
+		}
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	s.refs = make([]scanRef, s.compiled)
+	for fi := len(s.catalogues) - 1; fi >= 0; fi-- {
+		cands := s.catalogues[fi]
+		for ci := len(cands) - 1; ci >= 0; ci-- {
+			k := cands[ci].sub[cands[ci].anchor]
+			start[k]--
+			s.refs[start[k]] = scanRef{fn: int32(fi), ci: int32(ci)}
+		}
+	}
 }
 
 // The Section VII-B predicate as raw-byte lookups. Table I puts ¬a6 on

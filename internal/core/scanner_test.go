@@ -352,6 +352,99 @@ func TestScannerIndexReuse(t *testing.T) {
 		FindLUT(img, boolfn.F19, FindOptions{}))
 }
 
+// checkAnchorIndex verifies the compiled CSR index against the
+// scanner's catalogues: offsets ascend to the candidate count, each
+// bucket holds exactly the candidates anchored on its key, in
+// (function, candidate) order. It returns the number of keys shared by
+// candidates of two or more functions.
+func checkAnchorIndex(t *testing.T, s *Scanner) (shared int) {
+	t.Helper()
+	if got := int(s.start[len(s.start)-1]); got != s.compiled || len(s.refs) != s.compiled {
+		t.Fatalf("index ends at %d with %d refs, want %d candidates", got, len(s.refs), s.compiled)
+	}
+	for k := 0; k < 1<<16; k++ {
+		from, to := s.start[k], s.start[k+1]
+		if from > to {
+			t.Fatalf("key %04x: offsets %d > %d", k, from, to)
+		}
+		fns := map[int32]bool{}
+		for i := from; i < to; i++ {
+			r := s.refs[i]
+			c := s.catalogues[r.fn][r.ci]
+			if int(c.sub[c.anchor]) != k {
+				t.Fatalf("key %04x holds candidate %d/%d anchored on %04x", k, r.fn, r.ci, c.sub[c.anchor])
+			}
+			if i > from {
+				p := s.refs[i-1]
+				if p.fn > r.fn || p.fn == r.fn && p.ci >= r.ci {
+					t.Fatalf("key %04x: ref %+v follows %+v", k, r, p)
+				}
+			}
+			fns[r.fn] = true
+		}
+		if len(fns) > 1 {
+			shared++
+		}
+	}
+	return shared
+}
+
+// checkScanAgainstOracles compares every function's batch matches with
+// a FindLUT of its own and with Algorithm 1 as written.
+func checkScanAgainstOracles(t *testing.T, label string, img []byte, s *Scanner, fns map[string]boolfn.TT) {
+	t.Helper()
+	res := s.Scan(img)
+	for key, f := range fns {
+		got := res.Matches[key]
+		matchesEqual(t, label+" "+key, got, FindLUT(img, f, FindOptions{}))
+		want := FindLUTReference(img, f, SevenSeries())
+		if len(got) != len(want) {
+			t.Fatalf("%s %s: scanner %d indexes, Algorithm 1 %d", label, key, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Index != want[i] {
+				t.Fatalf("%s %s: index %d is %d, Algorithm 1 says %d", label, key, i, got[i].Index, want[i])
+			}
+		}
+	}
+}
+
+// TestScannerSharedAnchorKeys batches functions whose candidates share
+// anchor keys (a function under two keys, a P-equivalent variant, and
+// small-support shapes whose sub-vectors recur), so index buckets mix
+// functions. Re-adding after a Scan rebuilds the index in place.
+func TestScannerSharedAnchorKeys(t *testing.T) {
+	img := plantImage(t)[:8*bitstream.FrameBytes] // every function's plants; the reference is slow
+	fns := map[string]boolfn.TT{
+		"f2":       boolfn.F2,
+		"f2 again": boolfn.F2,
+		"f2 perm":  boolfn.F2.Permute([]int{3, 0, 5, 1, 4, 2}),
+		"f8":       boolfn.F8,
+		"xor2":     boolfn.MustParse("a1^a2"),
+		"mux":      boolfn.MustParse("a1a2 + !a1a3"),
+	}
+	keys := make([]string, 0, len(fns))
+	for k := range fns {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	s := NewScanner(FindOptions{})
+	for _, k := range keys {
+		s.AddFunction(k, fns[k])
+	}
+	checkScanAgainstOracles(t, "shared", img, s, fns)
+	if shared := checkAnchorIndex(t, s); shared == 0 {
+		t.Fatal("no anchor key is shared by two functions; the row tests nothing")
+	}
+
+	// Re-add after a Scan: replace one key's function and add a new key.
+	fns["xor2"] = boolfn.F19
+	fns["f19 perm"] = boolfn.F19.Permute([]int{5, 4, 3, 2, 1, 0})
+	s.AddFunction("xor2", fns["xor2"]).AddFunction("f19 perm", fns["f19 perm"])
+	checkScanAgainstOracles(t, "re-added", img, s, fns)
+	checkAnchorIndex(t, s)
+}
+
 func TestScannerWorkerCapOnTinyInput(t *testing.T) {
 	frames := make([]byte, 2*bitstream.FrameBytes)
 	if err := bitstream.WriteLUT(frames, bitstream.Loc{Frame: 0, Slot: 5}, boolfn.F8); err != nil {

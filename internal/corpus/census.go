@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 
 	"snowbma/internal/bitstream"
@@ -137,12 +138,10 @@ type Census struct {
 	results []DesignResult
 	recs    []record
 
-	// canon is the target's P-class representative; classCache memoizes
-	// table → in-target-class across every design (designs repeat tables
-	// heavily, so classification costs one canonicalization per distinct
-	// table corpus-wide).
-	canon      boolfn.TT
-	classCache map[boolfn.TT]bool
+	// class is the target's P-class, sorted: at most 720 tables, fixed
+	// at New, so classifying untrusted LUT contents grows nothing. A
+	// table g is in it iff PClassCanon(g) == PClassCanon(target).
+	class []boolfn.TT
 
 	frames, framesScanned, dedupHits, bytesTotal int64
 	scan                                         core.ScanStats
@@ -163,12 +162,11 @@ func New(opt Options) (*Census, error) {
 		return nil, fmt.Errorf("corpus: expr: %w", err)
 	}
 	c := &Census{
-		opt:        opt,
-		tel:        opt.Tel,
-		seed:       maphash.MakeSeed(),
-		byID:       map[string]int{},
-		canon:      boolfn.PClassCanon(f),
-		classCache: map[boolfn.TT]bool{},
+		opt:   opt,
+		tel:   opt.Tel,
+		seed:  maphash.MakeSeed(),
+		byID:  map[string]int{},
+		class: boolfn.PClass(f),
 	}
 	c.full = core.NewScanner(core.FindOptions{Parallel: opt.Parallel})
 	c.full.AddFunction("t", f).AddDualXOR("w", 0, 0)
@@ -302,12 +300,7 @@ func (c *Census) classify(img []byte) int {
 	}
 	n := 0
 	for _, l := range luts {
-		hit, ok := c.classCache[l.Init]
-		if !ok {
-			hit = boolfn.PClassCanon(l.Init) == c.canon
-			c.classCache[l.Init] = hit
-		}
-		if hit {
+		if _, hit := slices.BinarySearch(c.class, l.Init); hit {
 			n++
 		}
 	}

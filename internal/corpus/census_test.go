@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"snowbma/internal/bitstream"
 	"snowbma/internal/boolfn"
 	"snowbma/internal/core"
 )
@@ -354,6 +355,60 @@ func TestCorpusCensusSmoke(t *testing.T) {
 	}
 	t.Logf("census: %d designs, %d exposed, %d covered (%d protected), %d/%d frames scanned",
 		rep.Designs, rep.Exposed, rep.Covered, rep.Protected, rep.FramesScanned, rep.Frames)
+}
+
+// TestClassifyMatchesPClassCanon pins the fixed class set against the
+// definition it replaces: over the seeded 200-design corpus, every
+// design's TargetLUTs is the number of its extracted LUTs whose
+// P-class representative is the target's.
+func TestClassifyMatchesPClassCanon(t *testing.T) {
+	f, err := boolfn.ParseAuto(DefaultTargetExpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon := boolfn.PClassCanon(f)
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewSeeded(SeedOptions{Designs: 200, Seed: 42})
+	defer src.Close()
+	memo := map[boolfn.TT]bool{} // designs share most tables
+	n := 0
+	for ; ; n++ {
+		d, ok, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		dr, err := c.Add(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		luts, err := bitstream.ExtractLUTs(d.Image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for _, l := range luts {
+			inClass, ok := memo[l.Init]
+			if !ok {
+				inClass = boolfn.PClassCanon(l.Init) == canon
+				memo[l.Init] = inClass
+			}
+			if inClass {
+				want++
+			}
+		}
+		if dr.TargetLUTs != want {
+			t.Errorf("design %d: TargetLUTs %d, PClassCanon count %d", n, dr.TargetLUTs, want)
+		}
+	}
+	if n != 200 {
+		t.Fatalf("corpus yielded %d designs, want 200", n)
+	}
 }
 
 // TestCorpusCancellation pins the Run contract: a cancelled context

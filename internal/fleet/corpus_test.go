@@ -176,6 +176,8 @@ func TestErrorShapeParity(t *testing.T) {
 		{"corpus designs over cap", `{"kind":"corpus","corpus":{"designs":1000000000}}`, http.StatusBadRequest},
 		{"corpus workers over cap", `{"kind":"corpus","corpus":{"designs":4,"workers":257}}`, http.StatusBadRequest},
 		{"findlut parallel over cap", `{"kind":"findlut","expr":"a1^a2","parallel":257}`, http.StatusBadRequest},
+		{"negative pad_frames", `{"kind":"attack","victim":{"pad_frames":-1000}}`, http.StatusBadRequest},
+		{"pad_frames over cap", `{"kind":"attack","victim":{"pad_frames":131073}}`, http.StatusBadRequest},
 		{"body over MaxSpecBytes", oversized, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {

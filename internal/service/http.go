@@ -97,6 +97,10 @@ const (
 	// MaxSpecWorkers caps every worker-count field: parallel,
 	// campaign.parallel, corpus.parallel and corpus.workers.
 	MaxSpecWorkers = 256
+	// MaxSpecPadFrames caps victim.pad_frames. Each pad frame adds
+	// bitstream.FrameBytes (404) to the image, so the cap adds at most
+	// 53 MB and a padded victim stays under bitstream.MaxImageBytes.
+	MaxSpecPadFrames = 1 << 17
 )
 
 // DecodeSpec reads one JobSpec from r's body, capped at MaxSpecBytes and

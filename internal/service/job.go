@@ -201,6 +201,7 @@ func (s JobSpec) checkSizes() error {
 		v, max int
 	}{
 		{"parallel", s.Parallel, MaxSpecWorkers},
+		{"victim.pad_frames", s.Victim.PadFrames, MaxSpecPadFrames},
 		{"campaign.runs", camp.Runs, MaxSpecRuns},
 		{"campaign.parallel", camp.Parallel, MaxSpecWorkers},
 		{"corpus.designs", corp.Designs, MaxSpecDesigns},

@@ -74,6 +74,11 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: KindFindLUT, Expr: "a1^a2", Parallel: -1},
 		// A section the kind never reads is held to the same caps.
 		{Kind: KindAttack, Campaign: &CampaignSpec{Runs: 1 << 30}},
+		// A negative pad panicked victim.Build's placement; a huge one
+		// sized the image at pad × FrameBytes.
+		{Kind: KindAttack, Victim: VictimSpec{PadFrames: -1000}},
+		{Kind: KindAttack, Victim: VictimSpec{PadFrames: MaxSpecPadFrames + 1}},
+		{Kind: KindFindLUT, Expr: "a1^a2", Victim: VictimSpec{PadFrames: 1 << 40}},
 	}
 	// A queue slot per row, so a spec that slips past validation is
 	// reported as accepted rather than masked by ErrQueueFull.
@@ -90,6 +95,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: KindCorpus, Corpus: &CorpusSpec{Designs: MaxSpecDesigns, Parallel: MaxSpecWorkers, Workers: MaxSpecWorkers}},
 		{Kind: KindCorpus, Corpus: &CorpusSpec{Indices: make([]int, MaxSpecDesigns)}},
 		{Kind: KindFindLUT, Expr: "a1^a2", Parallel: MaxSpecWorkers},
+		{Kind: KindAttack, Victim: VictimSpec{PadFrames: MaxSpecPadFrames}},
 	}
 	for _, spec := range atCap {
 		if err := spec.Validate(); err != nil {

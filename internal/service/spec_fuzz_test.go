@@ -35,6 +35,8 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"kind":"corpus","corpus":{"designs":1000000000}}`,
 		`{"kind":"corpus","corpus":{"designs":4,"workers":257}}`,
 		`{"kind":"findlut","expr":"a1^a2","parallel":257}`,
+		`{"kind":"attack","victim":{"pad_frames":-1000}}`,
+		`{"kind":"attack","victim":{"pad_frames":131073}}`,
 		`{"kind":"attack","victim":{"key":[735462815,2193994496,2502707472,1216479048]},"iv":[3926017812,2908507524,3743390501,470545503]}`,
 		`{"kind":"findlut","expr":"(a1^a2^a3)a4a5!a6","parallel":2,"timeout_ms":5000}`,
 		`{"kind":"campaign","campaign":{"runs":25,"parallel":2,"seed":7,"chaos":true}}`,
@@ -60,6 +62,7 @@ func FuzzDecodeSpec(f *testing.F) {
 			}
 		}
 		within("parallel", spec.Parallel, MaxSpecWorkers)
+		within("victim.pad_frames", spec.Victim.PadFrames, MaxSpecPadFrames)
 		if c := spec.Campaign; c != nil {
 			within("campaign.runs", c.Runs, MaxSpecRuns)
 			within("campaign.parallel", c.Parallel, MaxSpecWorkers)
