@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test tier1 race bench examples trace-smoke campaign-smoke serve-smoke sse-smoke fleet-smoke census-smoke fuzz clean
+.PHONY: all build vet test tier1 race bench bench-layout examples trace-smoke campaign-smoke serve-smoke sse-smoke fleet-smoke census-smoke fuzz clean
 
 all: tier1
 
@@ -29,6 +29,22 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# bench-layout builds snowbench the way bench/run.sh does (same module,
+# environment and build cache, into .bench_build/layout) and prints
+# where the linker placed the ledger's calibration kernel and the
+# SHA-256 block function it hashes with, modulo 64. The kernel's time
+# moves with that placement (ROADMAP item 9), so two commits compare
+# cleanly only when both print the same offsets.
+bench-layout:
+	@root=$$(pwd); out=$$root/.bench_build; mkdir -p $$out/layout; \
+	(cd bench && GOCACHE=$$out/go-cache GOPATH=$$out/go-path GOTOOLCHAIN=local GOWORK=off \
+		$(GO) build -o $$out/layout/snowbench ./cmd/snowbench) || exit 1; \
+	$(GO) tool nm $$out/layout/snowbench | while read addr kind sym; do \
+		case "$$sym" in 'main.(*kernelState).run'|crypto/internal/fips140/sha256.block) \
+			printf '%-40s 0x%s  mod 64 = %d\n' "$$sym" "$$addr" $$((0x$$addr % 64));; \
+		esac; \
+	done
 
 # examples runs every program under examples/ end to end; each exits
 # non-zero if the facade calls it demonstrates stop working.

@@ -313,16 +313,18 @@ func cmdAttack(args []string) error {
 			if *stats {
 				fmt.Print(report.ScanStats(rep.Scan))
 				fmt.Print(report.BatchStats(rep.Batch))
-				fmt.Print(report.FabricStats(rep.Fabric))
+				fmt.Print(report.FabricStats(rep.Fabric, tel))
 				fmt.Print(report.Trace(tel))
 			}
 		}
 		return fmt.Errorf("attack failed (as expected for -protected): %w", err)
 	}
 	// The success report carries the scan and batch-sweep sections.
-	fmt.Print(report.Attack(rep))
 	if *stats {
+		fmt.Print(report.AttackStats(rep, tel))
 		fmt.Print(report.Trace(tel))
+	} else {
+		fmt.Print(report.Attack(rep))
 	}
 	if *verbose {
 		fmt.Println("\nidentified covers (Fig 5 analogue):")

@@ -7,6 +7,12 @@
 // Load, bitstream modifications change device behaviour exactly as on
 // real hardware, which is the property the attack exploits.
 //
+// Decoding is re-done on every Load; compiling is not. A device keeps
+// the Compiled form of the configuration it was programmed with, and a
+// Load whose frame bytes equal it byte for byte (compared in full, never
+// by a hash) reuses it outright, while one that changes only LUT or BRAM
+// content decodes those tables from the bytes and reuses its Program.
+//
 // The package also models the attack surface of Section IV-A: the
 // bitstream can be probed from flash (ReadFlash), and the AES bitstream
 // key K_E can be recovered through a side-channel oracle standing in for
@@ -14,6 +20,7 @@
 package device
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,6 +61,9 @@ type FPGA struct {
 	prog  *Program
 	st    *progState
 	dirty bool
+	// base is the compiled configuration Loads are compared against:
+	// the programmed image's, or the first one loaded (see Load).
+	base *Compiled
 	// tel optionally records configuration-path spans and event counters
 	// (SetTelemetry; nil-safe, zero overhead when unset).
 	tel *obs.Telemetry
@@ -70,11 +80,27 @@ func New(kE [bitstream.KeySize]byte) *FPGA {
 }
 
 // Program writes an image into the external flash and configures the
-// device from it, like a production programmer would.
+// device from it, like a production programmer would. The image's
+// compiled configuration becomes the one later Loads reuse.
 func (f *FPGA) Program(img []byte) error {
+	return f.ProgramCompiled(img, nil)
+}
+
+// ProgramCompiled is Program for an image whose configuration c was
+// already compiled, by any device (Compiled). The Load still runs in
+// full — CRC or HMAC check, packet parse, byte comparison — and only
+// skips the decode and compile when the frame bytes equal c's. A nil c
+// is Program.
+func (f *FPGA) ProgramCompiled(img []byte, c *Compiled) error {
 	f.flash = append([]byte(nil), img...)
+	f.base = c
 	return f.Load(img)
 }
+
+// Compiled returns the compiled configuration the device compares Loads
+// against (nil before the first successful Load). It is immutable, so
+// it can program any number of other devices through ProgramCompiled.
+func (f *FPGA) Compiled() *Compiled { return f.base }
 
 // ReadFlash models the paper's bitstream extraction: "reading the
 // bitstream with a probe when it is transferred from the Flash memory to
@@ -95,6 +121,14 @@ func (f *FPGA) SideChannelKey() [bitstream.KeySize]byte { return f.kE }
 // failed Load leaves a cleared, unconfigured fabric — never a partially
 // decoded one — mirroring the house-cleaning pass real devices run
 // before writing frames.
+//
+// Every Load runs the CRC or HMAC check and parses the packets. Its
+// frame bytes then take one of three paths against the device's
+// Compiled: equal bytes install it with a fresh evaluator state, no
+// decode and no compile; an equal description region reuses its
+// Program, with the LUT and BRAM tables decoded from the bytes and the
+// LUTs that differ patched in; anything else is decoded and compiled in
+// full. The first full compile of a device becomes its Compiled.
 func (f *FPGA) Load(img []byte) error {
 	span := f.tel.StartSpan("device.load", obs.KV("bytes", len(img)))
 	defer span.End()
@@ -126,12 +160,18 @@ func (f *FPGA) Load(img []byte) error {
 		f.tel.Counter("device.load_errors").Inc()
 		return fmt.Errorf("device: %w", err)
 	}
-	cfg, err := decodeConfig(p.FDRI(packets))
-	if err != nil {
-		f.tel.Counter("device.load_errors").Inc()
-		return err
+	fdri := p.FDRI(packets)
+	if c := f.base; c != nil && bytes.Equal(fdri, c.cfg.fdri) {
+		f.tel.Counter("device.identical_loads").Inc()
+		f.commit(&c.cfg, false)
+	} else {
+		cfg, err := decodeConfig(fdri, f.base)
+		if err != nil {
+			f.tel.Counter("device.load_errors").Inc()
+			return err
+		}
+		f.commit(cfg, false)
 	}
-	f.commit(cfg, false)
 	f.loaded = true
 	f.status.Configured = true
 	return nil
@@ -151,28 +191,72 @@ func (f *FPGA) clear() {
 }
 
 // config is a fully decoded frame region, staged before being committed
-// to the live fabric.
+// to the live fabric. Once committed it is never written again: devices
+// replace a config, they do not edit one, so a Compiled's config can be
+// installed by many devices at once.
 type config struct {
 	desc    *bitstream.Description
 	lutTT   []boolfn.TT
 	bramTab [][]uint64
 	fdri    []byte // owned copy
+	descRaw []byte // the description region of fdri
+	// base is the Compiled whose description this config reuses (its
+	// description bytes were equal), nil when the config needs its own
+	// compile.
+	base *Compiled
+}
+
+// Compiled is one decoded configuration — description, LUT truth
+// tables, BRAM content and the frame bytes they were read from — plus
+// the Program it compiles to. It is immutable: a device that loads the
+// same bytes again, a device programmed from a cached image, and every
+// Batch over them share it, each with evaluator state of its own.
+type Compiled struct {
+	cfg     config
+	prog    *Program
+	inPins  map[string]uint32
+	outPins map[string]uint32
+}
+
+// Bytes estimates the heap a Compiled holds — frame bytes, decoded
+// tables and compiled program — for caches that bound what they keep.
+func (c *Compiled) Bytes() int {
+	n := len(c.cfg.fdri) + 8*len(c.cfg.lutTT)
+	for _, tab := range c.cfg.bramTab {
+		n += 8 * len(tab)
+	}
+	p := c.prog
+	n += 12*len(p.insns) + 4*len(p.args) + 8*len(p.sites) + 8*len(p.baseTT)
+	for _, rows := range p.baseRows {
+		n += 8 * len(rows)
+	}
+	return n
 }
 
 // decodeConfig decodes a frame region without touching the live
 // configuration, so errors cannot leave a partially-written fabric.
-func decodeConfig(fdri []byte) (*config, error) {
+// When base is non-nil and the region's description bytes equal base's,
+// the description is base's (the same bytes decode and validate to the
+// same description) and the config is marked to reuse base's Program;
+// the LUT and BRAM tables are always read from fdri.
+func decodeConfig(fdri []byte, base *Compiled) (*config, error) {
 	regions, err := bitstream.ParseRegions(fdri)
 	if err != nil {
 		return nil, fmt.Errorf("device: %w", err)
 	}
-	desc, err := bitstream.UnmarshalDescription(fdri[regions.DescOff : regions.DescOff+regions.DescLen])
-	if err != nil {
-		return nil, fmt.Errorf("device: %w", err)
-	}
-	// Validated first: slice types and BRAM widths drive the reads below.
-	if err := validate(desc); err != nil {
-		return nil, fmt.Errorf("device: %w", err)
+	descRaw := fdri[regions.DescOff : regions.DescOff+regions.DescLen]
+	var desc *bitstream.Description
+	if base != nil && bytes.Equal(descRaw, base.cfg.descRaw) {
+		desc = base.cfg.desc
+	} else {
+		base = nil
+		if desc, err = bitstream.UnmarshalDescription(descRaw); err != nil {
+			return nil, fmt.Errorf("device: %w", err)
+		}
+		// Validated first: slice types and BRAM widths drive the reads below.
+		if err := validate(desc); err != nil {
+			return nil, fmt.Errorf("device: %w", err)
+		}
 	}
 	clb := fdri[regions.CLBOff : regions.CLBOff+regions.CLBLen]
 	lutTT := make([]boolfn.TT, len(desc.LUTs))
@@ -196,39 +280,62 @@ func decodeConfig(fdri []byte) (*config, error) {
 		}
 		bramTab[i] = tab
 	}
+	owned := append([]byte(nil), fdri...)
 	return &config{
 		desc:    desc,
 		lutTT:   lutTT,
 		bramTab: bramTab,
-		fdri:    append([]byte(nil), fdri...),
+		fdri:    owned,
+		descRaw: owned[regions.DescOff : regions.DescOff+regions.DescLen],
+		base:    base,
 	}, nil
 }
 
-// commit installs a staged configuration, compiling it into a fresh
-// Program. Partial reconfiguration preserves register state when the
-// register structure is unchanged; a full (re)configuration resets it.
+// commit installs a staged configuration over a fresh evaluator state.
+// Its Program is the reused base's when the config names one, else a
+// fresh compile, which becomes the device's Compiled if it has none.
+// Partial reconfiguration preserves register state when the register
+// structure is unchanged; a full (re)configuration resets it.
 func (f *FPGA) commit(cfg *config, preserveFF bool) {
+	c := cfg.base
+	if c == nil {
+		c = newCompiled(cfg, f.tel)
+		if f.base == nil {
+			f.base = c
+		}
+	} else {
+		f.tel.Counter("device.reuses").Inc()
+	}
 	f.desc = cfg.desc
 	f.lutTT = cfg.lutTT
 	f.bramTab = cfg.bramTab
 	f.fdri = cfg.fdri
-	f.inPins = map[string]uint32{}
-	f.outPins = map[string]uint32{}
-	for _, port := range cfg.desc.Ports {
-		if port.Dir == bitstream.In {
-			f.inPins[port.Name] = port.Net
-		} else {
-			f.outPins[port.Name] = port.Net
-		}
-	}
+	f.inPins = c.inPins
+	f.outPins = c.outPins
 	old := f.st
-	f.prog = compile(cfg.desc, cfg.lutTT, f.tel)
+	f.prog = c.prog
 	f.st = newProgState(f.prog, cfg.lutTT, cfg.bramTab, 1)
 	if preserveFF && old != nil && len(old.ff) == len(f.st.ff) {
 		old.materializeFF()
 		copy(f.st.ff, old.ff)
 	}
 	f.dirty = true
+}
+
+// newCompiled compiles a decoded configuration. The Compiled's own
+// config names it as its base, so installing it reuses its Program.
+func newCompiled(cfg *config, tel *obs.Telemetry) *Compiled {
+	c := &Compiled{cfg: *cfg, inPins: map[string]uint32{}, outPins: map[string]uint32{}}
+	c.cfg.base = c
+	for _, port := range cfg.desc.Ports {
+		if port.Dir == bitstream.In {
+			c.inPins[port.Name] = port.Net
+		} else {
+			c.outPins[port.Name] = port.Net
+		}
+	}
+	c.prog = compile(cfg.desc, cfg.lutTT, tel)
+	return c
 }
 
 // CompileStats reports the statistics of the currently loaded
@@ -266,7 +373,7 @@ func (f *FPGA) PartialReconfig(frame int, data []byte) error {
 	}
 	staged := append([]byte(nil), f.fdri...)
 	copy(staged[frame*bitstream.FrameBytes:], data)
-	cfg, err := decodeConfig(staged)
+	cfg, err := decodeConfig(staged, f.base)
 	if err != nil {
 		return err
 	}
@@ -508,3 +615,18 @@ func (f *FPGA) Loaded() bool { return f.loaded }
 
 // LUTCount reports the number of configured physical LUTs (diagnostics).
 func (f *FPGA) LUTCount() int { return len(f.desc.LUTs) }
+
+// FlipFlops reports every flip-flop's current value in description
+// order, nil when unconfigured (diagnostics: two devices in the same
+// register state report the same values).
+func (f *FPGA) FlipFlops() []bool {
+	if !f.loaded {
+		return nil
+	}
+	f.st.materializeFF()
+	out := make([]bool, len(f.st.ff))
+	for i, w := range f.st.ff {
+		out[i] = w&1 == 1
+	}
+	return out
+}

@@ -239,15 +239,46 @@ func TestDeviceReinitializable(t *testing.T) {
 	}
 }
 
+// BenchmarkDeviceLoad times the three Load paths: a fresh device
+// (decode and compile), the programmed bytes again (neither), and an
+// image differing from them in one LUT (decode, no compile).
 func BenchmarkDeviceLoad(b *testing.B) {
 	img, _, _ := buildImage(b, false)
-	f := New([bitstream.KeySize]byte{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Load(img); err != nil {
-			b.Fatal(err)
-		}
+	lut := append([]byte(nil), img...)
+	p, err := bitstream.ParsePackets(lut)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fdri := p.FDRI(lut)
+	r, err := bitstream.ParseRegions(fdri)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fdri[r.CLBOff] ^= 1
+	if err := bitstream.RecomputeCRC(lut); err != nil {
+		b.Fatal(err)
+	}
+	programmed := New([bitstream.KeySize]byte{})
+	if err := programmed.Program(img); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		dev  func() *FPGA
+		img  []byte
+	}{
+		{"fresh", func() *FPGA { return New([bitstream.KeySize]byte{}) }, img},
+		{"same-bytes", func() *FPGA { return programmed }, img},
+		{"same-description", func() *FPGA { return programmed }, lut},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.dev().Load(bc.img); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

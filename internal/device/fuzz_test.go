@@ -9,21 +9,39 @@ import (
 
 // FuzzLoad mutates a valid bitstream image arbitrarily: Load must either
 // succeed or fail with an error — never panic or index out of range —
-// and a device that reports success must survive a clock.
+// and a device that reports success must survive a clock. Each input is
+// loaded twice, on a fresh device and on one already programmed with
+// the seed image (whose Compiled a same-bytes or same-description input
+// reuses), and the two must agree on the error, the boot status, the
+// readback and the outputs over a few clocks.
 func FuzzLoad(f *testing.F) {
 	img, _, _ := buildImage(f, false)
-	f.Add(img)
-	if err := bitstream.DisableCRC(img); err != nil {
+	seed := New([bitstream.KeySize]byte{})
+	if err := seed.Program(img); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(img) // CRC-disabled variant lets content mutations through
+	compiled := seed.Compiled()
+	f.Add(img)
+	plain := append([]byte(nil), img...)
+	if err := bitstream.DisableCRC(plain); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(plain) // CRC-disabled variant lets content mutations through
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dev := New([bitstream.KeySize]byte{})
-		if err := dev.Load(data); err != nil {
-			return
+		fresh := New([bitstream.KeySize]byte{})
+		errFresh := fresh.Load(data)
+		warm := New([bitstream.KeySize]byte{})
+		if err := warm.ProgramCompiled(img, compiled); err != nil {
+			t.Fatal(err)
 		}
-		dev.Clock()
+		errWarm := warm.Load(data)
+		if (errFresh == nil) != (errWarm == nil) || (errFresh != nil && errFresh.Error() != errWarm.Error()) {
+			t.Fatalf("fresh Load = %v, Load over the seed's Compiled = %v", errFresh, errWarm)
+		}
+		if got, want := deviceView(warm), deviceView(fresh); got != want {
+			t.Fatalf("device over the seed's Compiled diverges from a fresh one:\n got %s\nwant %s", got, want)
+		}
 	})
 }
 

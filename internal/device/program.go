@@ -807,8 +807,8 @@ func (s *synthCtx) planCost(f boolfn.TT) int {
 	if f == 0 || f == ^boolfn.TT(0) {
 		return 0
 	}
-	sup := support(f)
-	switch len(sup) {
+	sup, n := support(f)
+	switch n {
 	case 1:
 		if f == boolfn.Var(sup[0]) {
 			return 0
@@ -828,7 +828,7 @@ func (s *synthCtx) planCost(f boolfn.TT) int {
 		return int(e.cost)
 	}
 	best, bestV := int(^uint(0)>>1), -1
-	for _, v := range sup {
+	for _, v := range sup[:n] {
 		f0, f1 := f.Cofactor(v, false), f.Cofactor(v, true)
 		var c int
 		switch {
@@ -865,8 +865,9 @@ func (s *synthCtx) planCost(f boolfn.TT) int {
 }
 
 // planCache memoizes the exhaustive Shannon-split search per (folded)
-// truth table across compilations: a candidate sweep recompiles dozens
-// of near-identical designs per attack, and the plan depends only on
+// truth table across compilations: every compile of one design — a
+// fresh process's first victim, a candidate whose patch reaches the
+// description — plans the same functions, and the plan depends only on
 // the function, never on routing. Bounded so adversarial streams of
 // random designs cannot grow memory without limit.
 var (
@@ -899,21 +900,21 @@ func (s *synthCtx) synthOutput(f boolfn.TT, dst uint32) {
 		s.c.insns = append(s.c.insns, insn{op: opConst1, dst: uint16(dst)})
 		return
 	}
-	if sup := support(f); len(sup) >= 3 {
+	if sup, n := support(f); n >= 3 {
 		p := boolfn.TT(0)
-		for _, j := range sup {
+		for _, j := range sup[:n] {
 			p ^= boolfn.Var(j)
 		}
 		if f == p || f == ^p {
 			argOff := uint32(len(s.c.args))
-			for _, j := range sup {
+			for _, j := range sup[:n] {
 				s.c.args = append(s.c.args, s.inputs[j])
 			}
 			comp := 0
 			if f == ^p {
 				comp = 1
 			}
-			s.c.insns = append(s.c.insns, insn{op: opXorK, n: uint8(len(sup)), dst: uint16(dst), a: argOff, c: uint16(comp)})
+			s.c.insns = append(s.c.insns, insn{op: opXorK, n: uint8(n), dst: uint16(dst), a: argOff, c: uint16(comp)})
 			s.c.stats.ParityLUTs++
 			return
 		}
@@ -947,10 +948,10 @@ func (s *synthCtx) synth(f boolfn.TT) uint32 {
 	if r, ok := s.memo[f]; ok {
 		return r
 	}
-	sup := support(f)
+	sup, n := support(f)
 	var r uint32
-	if len(sup) <= 2 {
-		r = s.emitSmall(f, sup)
+	if n <= 2 {
+		r = s.emitSmall(f, &sup, n)
 		s.memo[f] = r
 		return r
 	}
@@ -998,20 +999,21 @@ func (s *synthCtx) negLeaf(f boolfn.TT) (uint32, bool) {
 	if !isNegLeaf(f) {
 		return 0, false
 	}
-	return s.inputs[support(f)[0]], true
+	sup, _ := support(f)
+	return s.inputs[sup[0]], true
 }
 
 func isNegLeaf(f boolfn.TT) bool {
-	sup := support(f)
-	return len(sup) == 1 && f == ^boolfn.Var(sup[0])
+	sup, n := support(f)
+	return n == 1 && f == ^boolfn.Var(sup[0])
 }
 
 // emitSmall produces any function of at most two live variables as a
 // single instruction — the leaf level of the decomposition, where a
 // 16-way table beats further splitting (no separate NOT for the
-// complemented forms).
-func (s *synthCtx) emitSmall(f boolfn.TT, sup []int) uint32 {
-	if len(sup) == 1 {
+// complemented forms). sup holds f's n live variables.
+func (s *synthCtx) emitSmall(f boolfn.TT, sup *[boolfn.MaxVars]int, n int) uint32 {
+	if n == 1 {
 		in := s.inputs[sup[0]]
 		if f == boolfn.Var(sup[0]) {
 			return in
@@ -1052,18 +1054,21 @@ func (s *synthCtx) emitSmall(f boolfn.TT, sup []int) uint32 {
 	panic("device: emitSmall: function is not 2-variable")
 }
 
-// support lists the live variables of f. Bit-parallel: variable j is
-// live iff the two halves of the table along j differ, i.e. shifting
-// the m_j=1 bits onto the m_j=0 positions changes the masked table.
-func support(f boolfn.TT) []int {
-	var sup []int
+// support lists the live variables of f in sup[:n], ascending. Bit-
+// parallel: variable j is live iff the two halves of the table along j
+// differ, i.e. shifting the m_j=1 bits onto the m_j=0 positions changes
+// the masked table. A fixed array rather than an appended slice keeps
+// the synthesis search, which asks for the support of every cofactor it
+// visits, free of heap allocation.
+func support(f boolfn.TT) (sup [boolfn.MaxVars]int, n int) {
 	for j := 0; j < boolfn.MaxVars; j++ {
 		v := boolfn.Var(j)
 		if (f>>(uint(1)<<j))&^v != f&^v {
-			sup = append(sup, j)
+			sup[n] = j
+			n++
 		}
 	}
-	return sup
+	return sup, n
 }
 
 // ---------------------------------------------------------------------

@@ -50,7 +50,12 @@ func State(s [16]uint32) string {
 }
 
 // Attack renders the complete attack report.
-func Attack(rep *core.Report) string {
+func Attack(rep *core.Report) string { return AttackStats(rep, nil) }
+
+// AttackStats renders the attack report of a run traced into tel (the
+// -stats CLI flag): its compiled-fabric line also counts the run's
+// program compiles and reuses. A nil tel renders Attack's report.
+func AttackStats(rep *core.Report, tel *obs.Telemetry) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "encrypted image:       %v\n", rep.Encrypted)
 	fmt.Fprintf(&b, "bitstream loads:       %d\n", rep.Loads)
@@ -65,7 +70,7 @@ func Attack(rep *core.Report) string {
 		b.WriteString(BatchStats(rep.Batch))
 	}
 	if rep.Fabric.Insns > 0 {
-		b.WriteString(FabricStats(rep.Fabric))
+		b.WriteString(FabricStats(rep.Fabric, tel))
 	}
 	b.WriteString("key-independent keystream (Table III analogue):\n")
 	b.WriteString(Keystream(rep.KeyIndependent))
@@ -116,11 +121,19 @@ func BatchStats(s core.BatchStats) string {
 
 // FabricStats renders the compiled flat-program summary of the loaded
 // configuration: how the LUT/FF/BRAM graph flattened into the
-// instruction stream both evaluators execute.
-func FabricStats(s device.CompileStats) string {
+// instruction stream both evaluators execute. With a telemetry handle
+// it adds how many of the run's loads compiled a program and how many
+// reused one already compiled (the device.compiles and device.reuses
+// counters).
+func FabricStats(s device.CompileStats, tel *obs.Telemetry) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "compiled fabric:       %d instructions, %d synthesis temps\n",
+	fmt.Fprintf(&b, "compiled fabric:       %d instructions, %d synthesis temps",
 		s.Insns, s.Temps)
+	if tel != nil && tel.Metrics != nil {
+		fmt.Fprintf(&b, "; %d compile(s), %d reuse(s) this run",
+			tel.Metrics.Counter("device.compiles").Value(), tel.Metrics.Counter("device.reuses").Value())
+	}
+	b.WriteString("\n")
 	fmt.Fprintf(&b, "  lut forms:           %d shannon, %d parity, %d mux-reduce (%d const inputs folded)\n",
 		s.ShannonLUTs, s.ParityLUTs, s.ReduceLUTs, s.FoldedInputs)
 	fmt.Fprintf(&b, "  bram:                %d transpose groups, %d const ROMs primed at compile\n",

@@ -9,6 +9,7 @@ import (
 	"snowbma/internal/device"
 	"snowbma/internal/hdl"
 	"snowbma/internal/mapper"
+	"snowbma/internal/obs"
 	"snowbma/internal/snow3g"
 )
 
@@ -88,6 +89,23 @@ func TestGoldenAttackReport(t *testing.T) {
 	}
 	if !strings.Contains(text, "32 LUT1 + 24 LUT2 + 8 LUT3") {
 		t.Fatalf("confirmed LUT populations diverge:\n%s", text)
+	}
+}
+
+// TestFabricStatsCountsCompilesAndReuses: the compiled-fabric line
+// carries the run's compile and reuse counters when it has telemetry
+// (attack -stats) and is unchanged without (the plain report and repro).
+func TestFabricStatsCountsCompilesAndReuses(t *testing.T) {
+	s := device.CompileStats{Insns: 1148, Temps: 5}
+	const line = "compiled fabric:       1148 instructions, 5 synthesis temps"
+	if got := FabricStats(s, nil); !strings.HasPrefix(got, line+"\n") {
+		t.Fatalf("untraced fabric line:\n%s", got)
+	}
+	tel := obs.New()
+	tel.Counter("device.compiles").Add(3)
+	tel.Counter("device.reuses").Add(44)
+	if got := FabricStats(s, tel); !strings.HasPrefix(got, line+"; 3 compile(s), 44 reuse(s) this run\n") {
+		t.Fatalf("traced fabric line:\n%s", got)
 	}
 }
 

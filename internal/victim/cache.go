@@ -4,12 +4,19 @@ import (
 	"sync"
 
 	"snowbma/internal/bitstream"
+	"snowbma/internal/device"
 	"snowbma/internal/obs"
 	"snowbma/internal/snow3g"
 )
 
 // DefaultCacheSize is the entry cap a zero-configured Cache uses.
 const DefaultCacheSize = 16
+
+// cacheBudget bounds the bytes a Cache keeps: images plus their
+// compiled configurations. A seed-design entry holds about 0.2 MB, so
+// the entry cap binds first; padded designs (up to 2^17 frames, ~53 MB
+// an image and as much again compiled) hit this bound after a couple.
+const cacheBudget = 256 << 20
 
 // cacheKey is the comparable identity of a build: the normalized config
 // with the encryption keys flattened out of their pointer.
@@ -40,29 +47,37 @@ func keyOf(cfg Config) cacheKey {
 	return k
 }
 
-// entry is one cached synthesis: the assembled (possibly sealed) image
-// plus metadata. once gates the build so concurrent first requests for
-// the same design synthesize exactly once. img/meta/err are written
-// inside once.Do and safe to read only after it returns; failed is the
-// mutex-guarded mirror of err != nil that eviction reads (evictLocked
-// runs under c.mu with no happens-before edge to the build goroutine).
+// entry is one cached synthesis: the assembled (possibly sealed) image,
+// its compiled configuration and the synthesis metadata. once gates the
+// build so concurrent first requests for the same design synthesize and
+// compile exactly once. img/compiled/meta/err are written inside
+// once.Do and safe to read only after it returns; failed and bytes are
+// the mutex-guarded facts eviction reads (evictLocked runs under c.mu
+// with no happens-before edge to the build goroutine).
 type entry struct {
-	once    sync.Once
-	img     []byte
-	meta    meta
-	err     error
-	failed  bool  // guarded by Cache.mu
-	lastUse int64 // tick of the most recent hit, for LRU eviction
+	once     sync.Once
+	img      []byte
+	compiled *device.Compiled
+	meta     meta
+	err      error
+	failed   bool  // guarded by Cache.mu
+	bytes    int   // guarded by Cache.mu; 0 until the build is accounted
+	lastUse  int64 // tick of the most recent hit, for LRU eviction
 }
 
-// Cache memoizes victim synthesis by Config. Every Build hit programs a
-// fresh device from the cached image, so callers own their victim
-// outright; only the immutable image bytes are shared (FPGA.Program
-// copies them into flash). Safe for concurrent use.
+// Cache memoizes victim synthesis and compilation by Config. Every
+// Build hit programs a fresh device from the cached image, so callers
+// own their victim outright; only immutable data is shared — the image
+// bytes (FPGA.ProgramCompiled copies them into flash) and the compiled
+// configuration, which the fresh device installs without recompiling
+// once its Load has checked the image and found the same frame bytes.
+// Safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*entry
 	max     int
+	budget  int // byte bound over accounted entries (cacheBudget)
+	bytes   int // bytes held by accounted entries
 	tick    int64
 	// Tel optionally mirrors hit/miss/eviction counts into a metrics
 	// registry (victim.cache.*). Nil-safe.
@@ -72,12 +87,14 @@ type Cache struct {
 }
 
 // NewCache creates a cache holding at most max synthesized designs
-// (≤ 0 selects DefaultCacheSize). Eviction is least-recently-used.
+// (≤ 0 selects DefaultCacheSize) and at most cacheBudget bytes of
+// images and compiled configurations, though always the newest entry.
+// Eviction is least-recently-used.
 func NewCache(max int) *Cache {
 	if max <= 0 {
 		max = DefaultCacheSize
 	}
-	return &Cache{entries: make(map[cacheKey]*entry), max: max}
+	return &Cache{entries: make(map[cacheKey]*entry), max: max, budget: cacheBudget}
 }
 
 // Stats reports the cache's hit/miss/eviction counts.
@@ -94,10 +111,10 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Build returns a freshly programmed victim for cfg, synthesizing the
-// design only if no cache entry exists. Failed builds are cached too
-// (an unbuildable config stays unbuildable), but do not count against
-// the entry cap for long: they are preferred for eviction.
+// Build returns a freshly programmed victim for cfg, synthesizing and
+// compiling the design only if no cache entry exists. Failed builds are
+// cached too (an unbuildable config stays unbuildable), but do not
+// count against the caps for long: they are preferred for eviction.
 func (c *Cache) Build(cfg Config) (*Victim, error) {
 	cfg = cfg.normalized()
 	k := keyOf(cfg)
@@ -106,8 +123,8 @@ func (c *Cache) Build(cfg Config) (*Victim, error) {
 	e, ok := c.entries[k]
 	if !ok {
 		e = &entry{}
-		c.evictLocked()
 		c.entries[k] = e
+		c.evictLocked(e)
 		c.misses++
 		c.Tel.Counter("victim.cache.misses").Inc()
 	} else {
@@ -118,36 +135,60 @@ func (c *Cache) Build(cfg Config) (*Victim, error) {
 	e.lastUse = c.tick
 	c.mu.Unlock()
 
+	// The first caller programs its victim while building the entry:
+	// that Load compiles the configuration the entry then keeps.
+	var first *Victim
 	e.once.Do(func() {
 		e.img, e.meta, e.err = synthesize(cfg)
+		if e.err == nil {
+			first, e.err = program(cfg, e.img, e.meta, nil)
+		}
+		if e.err == nil {
+			e.compiled = first.Device.Compiled()
+		}
 	})
+	c.mu.Lock()
 	if e.err != nil {
-		c.mu.Lock()
 		e.failed = true
-		c.mu.Unlock()
+	} else if e.bytes == 0 && c.entries[k] == e {
+		e.bytes = len(e.img) + e.compiled.Bytes()
+		c.bytes += e.bytes
+		c.evictLocked(e)
+	}
+	c.mu.Unlock()
+	if e.err != nil {
 		return nil, e.err
 	}
-	return program(cfg, e.img, e.meta)
+	if first != nil {
+		return first, nil
+	}
+	return program(cfg, e.img, e.meta, e.compiled)
 }
 
-// evictLocked makes room for one more entry. Failed builds go first,
-// then the least recently used design. Called with c.mu held.
-func (c *Cache) evictLocked() {
-	if len(c.entries) < c.max {
-		return
-	}
-	var victim cacheKey
-	var oldest int64 = -1
-	for k, e := range c.entries {
-		if e.failed {
-			victim, oldest = k, 0
-			break
+// evictLocked drops entries until the cache is within its entry cap and
+// byte budget, never dropping keep (the entry just added or built).
+// Failed builds go first, then the least recently used design. Called
+// with c.mu held.
+func (c *Cache) evictLocked(keep *entry) {
+	for len(c.entries) > c.max || c.bytes > c.budget {
+		var victim cacheKey
+		var oldest int64 = -1
+		for k, e := range c.entries {
+			if e == keep {
+				continue
+			}
+			if e.failed {
+				victim, oldest = k, 0
+				break
+			}
+			if oldest < 0 || e.lastUse < oldest {
+				victim, oldest = k, e.lastUse
+			}
 		}
-		if oldest < 0 || e.lastUse < oldest {
-			victim, oldest = k, e.lastUse
+		if oldest < 0 {
+			return // only keep is left
 		}
-	}
-	if oldest >= 0 {
+		c.bytes -= c.entries[victim].bytes
 		delete(c.entries, victim)
 		c.evictions++
 		c.Tel.Counter("victim.cache.evictions").Inc()

@@ -8,9 +8,10 @@
 // the cost of a victim (mapping and placement are orders of magnitude
 // slower than programming a device from a finished image), and a
 // long-running job service sees the same designs over and over. The
-// cache stores the assembled image and the synthesis metadata; every
-// hit programs a *fresh* device from the cached bytes, so concurrent
-// jobs never share mutable fabric state.
+// cache stores the assembled image, its compiled configuration and the
+// synthesis metadata; every hit programs a *fresh* device from the
+// cached bytes without recompiling, so concurrent jobs share only
+// immutable data, never mutable fabric state.
 package victim
 
 import (
@@ -114,7 +115,7 @@ func Build(cfg Config) (*Victim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return program(cfg, img, meta)
+	return program(cfg, img, meta, nil)
 }
 
 // meta is the synthesis metadata carried alongside a built image.
@@ -171,15 +172,17 @@ func synthesize(cfg Config) ([]byte, meta, error) {
 }
 
 // program is the cheap half: a fresh device configured from a finished
-// image. device.FPGA.Program copies the image into flash, so the same
-// cached bytes can back any number of concurrent victims.
-func program(cfg Config, img []byte, m meta) (*Victim, error) {
+// image. device.FPGA.ProgramCompiled copies the image into flash, and a
+// non-nil compiled (the image's own, from an earlier device) spares the
+// decode and compile, so the same cached entry can back any number of
+// concurrent victims.
+func program(cfg Config, img []byte, m meta, compiled *device.Compiled) (*Victim, error) {
 	var kE [bitstream.KeySize]byte
 	if cfg.Encrypt != nil {
 		kE = cfg.Encrypt.KE
 	}
 	fpga := device.New(kE)
-	if err := fpga.Program(img); err != nil {
+	if err := fpga.ProgramCompiled(img, compiled); err != nil {
 		return nil, fmt.Errorf("victim: programming: %w", err)
 	}
 	return &Victim{

@@ -48,6 +48,9 @@ func TestCacheHitSkipsSynthesisAndIsolatesDevices(t *testing.T) {
 	if a.Device == b.Device {
 		t.Fatal("cache handed out a shared device")
 	}
+	if a.Device.Compiled() == nil || a.Device.Compiled() != b.Device.Compiled() {
+		t.Fatal("cache hit recompiled instead of sharing the entry's Compiled")
+	}
 	// Seed 0 must hit the same entry as the explicit default seed.
 	if _, err := c.Build(Config{Key: testKey, Seed: DefaultSeed}); err != nil {
 		t.Fatal(err)
@@ -108,6 +111,47 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	hits, misses, _ := c.Stats()
 	if hits != 2 || misses != 3 {
 		t.Fatalf("hits=%d misses=%d, want 2/3", hits, misses)
+	}
+}
+
+// TestCacheEvictsByBytes: the byte budget bounds what a cache keeps
+// below its entry cap — images plus compiled configurations, so a few
+// heavily padded designs cannot pin gigabytes — and the newest entry
+// stays even when it alone is over budget. The budget is lowered here
+// instead of building images large enough to reach the real one.
+func TestCacheEvictsByBytes(t *testing.T) {
+	c := NewCache(8)
+	build := func(seed int64) *Victim {
+		t.Helper()
+		v, err := c.Build(Config{Key: testKey, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	a := build(71)
+	one := c.bytes
+	if want := len(a.Image) + a.Device.Compiled().Bytes(); one != want || one <= len(a.Image) {
+		t.Fatalf("cache holds %d bytes, want image + compiled = %d", one, want)
+	}
+	c.budget = one + one/2 // room for one entry, not two
+	b := build(72)
+	if _, _, ev := c.Stats(); c.Len() != 1 || ev != 1 {
+		t.Fatalf("len=%d evictions=%d, want 1/1 (seed 71 evicted for bytes)", c.Len(), ev)
+	}
+	if got, want := c.bytes, len(b.Image)+b.Device.Compiled().Bytes(); got != want {
+		t.Fatalf("cache holds %d bytes after eviction, want %d", got, want)
+	}
+	c.budget = 1 // below any entry: only the newest survives
+	build(73)
+	build(73) // a hit on the newest entry evicts nothing
+	hits, misses, ev := c.Stats()
+	if c.Len() != 1 || hits != 1 || misses != 3 || ev != 2 {
+		t.Fatalf("len=%d hits=%d misses=%d evictions=%d, want 1/1/3/2", c.Len(), hits, misses, ev)
+	}
+	build(71) // evicted earlier: synthesized again
+	if _, misses, _ := c.Stats(); misses != 4 {
+		t.Fatalf("misses=%d, want 4 (seed 71 was evicted)", misses)
 	}
 }
 
