@@ -110,10 +110,12 @@ fleet-smoke:
 # and the report invariants are checked exactly — every fourth design
 # carries the countermeasure and must census to 0 target-class LUTs
 # (covered), every other design to exactly 32 (exposed), and every
-# first add must scan all of its frames. The re-add table checks that a
-# re-add rescans exactly the windows its edit changed. The fleet sharding path (composite corpus job split across
-# two real worker processes, merged report equal to the single-engine
-# run) and the CLI surface ride along.
+# first add must scan all of its frames. The census harness checks that
+# a re-add rescans exactly the windows its edit changed and answers as
+# NoDedup, a first add and the FindLUT definition do. The fleet
+# sharding path (composite corpus job split across two real worker
+# processes, merged report equal to the single-engine run) and the CLI
+# surface ride along.
 census-smoke:
 	$(GO) test -race -count=1 -v -timeout 15m \
 		-run 'TestCorpusCensusSmoke|TestCorpusDifferential|TestCorpusIncrementalRescan' \
@@ -123,23 +125,27 @@ census-smoke:
 	$(GO) run ./cmd/snowbma census -corpus -n 8 -seed 3 -json /tmp/snowbma-corpus.json > /dev/null
 	@test -s /tmp/snowbma-corpus.json || { echo "empty corpus report"; exit 1; }
 
-# Short fuzz passes over the differential targets: the batch scanner
-# vs FindLUT and the decode-based dual-XOR oracle, and the compiled
-# fabric program vs the graph walker. The packet walker gets a pass of
-# its own: untrusted bytes must parse or fail with an error, and a
-# parsed CRC write must reseal to a stream that passes CheckCRC. So
-# does device.Load: a mutated image must configure or fail with an
-# error, and a configured device must survive a clock. Both take ~70 kB
-# images as new inputs (for device.Load each try is a full
-# configuration), so minimization is capped at 2 s to leave the pass
-# time to fuzz. JobSpec JSON gets a pass too: a POST /jobs body must
+# Short fuzz passes over the differential harnesses: the scan harness
+# (batch scanner vs FindLUT, its option paths and the decode-based
+# dual-XOR oracle), the fabric harness (compiled program vs walker,
+# scalar, shared-Compiled and partially reconfigured devices), and the
+# census harness (a re-added design, flipped, truncated or extended,
+# vs NoDedup, a first add and the FindLUT definition). The packet
+# walker gets a pass of its own: untrusted bytes must parse or fail
+# with an error, and a parsed CRC write must reseal to a stream that
+# passes CheckCRC. So does device.Load: a mutated image must configure
+# or fail with an error, and a configured device must survive a clock.
+# Both take ~70 kB images as new inputs (for device.Load each try is a
+# full configuration), so minimization is capped at 2 s to leave the
+# pass time to fuzz. JobSpec JSON gets a pass too: a POST /jobs body must
 # decode and validate or fail with ErrSpec, and an accepted spec must
 # keep every size field within its cap. So does an SSE Last-Event-ID:
 # any header must replay exactly the events after the id it names, or
 # after the stream's own resume point when it names none.
 fuzz:
 	$(GO) test ./internal/core/ -run FuzzScannerDifferential -fuzz FuzzScannerDifferential -fuzztime 30s
-	$(GO) test ./internal/device/ -run FuzzProgramDifferential -fuzz FuzzProgramDifferential -fuzztime 30s
+	$(GO) test ./internal/device/ -run FuzzProgramDifferential -fuzz FuzzProgramDifferential -fuzztime 60s
+	$(GO) test ./internal/corpus/ -run FuzzCorpusReadd -fuzz FuzzCorpusReadd -fuzztime 30s
 	$(GO) test ./internal/bitstream/ -run FuzzParsePackets -fuzz FuzzParsePackets -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/device/ -run FuzzLoad -fuzz FuzzLoad -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/service/ -run FuzzDecodeSpec -fuzz FuzzDecodeSpec -fuzztime 30s -fuzzminimizetime 2s

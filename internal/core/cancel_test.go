@@ -10,11 +10,7 @@ import (
 )
 
 func TestRunCancelledBeforeStart(t *testing.T) {
-	dev := buildVictim(t, false, false)
-	atk, err := NewAttack(dev, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atk := newAttack(t, false, false, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	atk.SetContext(ctx)
@@ -90,11 +86,7 @@ func TestRunCancelledMidSweepStopsWithinOneChunk(t *testing.T) {
 }
 
 func TestRunCensusGuidedCancelled(t *testing.T) {
-	dev := buildVictim(t, false, false)
-	atk, err := NewAttack(dev, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atk := newAttack(t, false, false, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	atk.SetContext(ctx)
@@ -108,11 +100,7 @@ func TestRunCensusGuidedCancelled(t *testing.T) {
 }
 
 func TestSetContextNilRestoresBackground(t *testing.T) {
-	dev := buildVictim(t, false, false)
-	atk, err := NewAttack(dev, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atk := newAttack(t, false, false, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	atk.SetContext(ctx)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"snowbma/internal/bitstream"
@@ -59,6 +60,16 @@ func buildVictim(t testing.TB, protected bool, encrypted bool) *device.FPGA {
 	return f
 }
 
+// newAttack opens an attack with attackIV on a victim from buildVictim.
+func newAttack(t testing.TB, protected, encrypted bool, logf func(string, ...any)) *Attack {
+	t.Helper()
+	atk, err := NewAttack(buildVictim(t, protected, encrypted), attackIV, logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return atk
+}
+
 func TestEndToEndAttackRecoversKey(t *testing.T) {
 	victim := buildVictim(t, false, false)
 	atk, err := NewAttack(victim, attackIV, t.Logf)
@@ -96,11 +107,7 @@ func TestEndToEndAttackTableIIIAndIV(t *testing.T) {
 	// The key-independent keystream observed on the victim must equal
 	// the software model's (the generalization of paper Table III), and
 	// the final faulty keystream must rewind to a consistent γ state.
-	victim := buildVictim(t, false, false)
-	atk, err := NewAttack(victim, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atk := newAttack(t, false, false, nil)
 	rep, err := atk.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -130,11 +137,7 @@ func TestEndToEndAttackPaperTablesExact(t *testing.T) {
 	// With the victim keyed with the ETSI test key and driven with the
 	// paper's IV, the attack's observed keystreams are bit-exactly the
 	// paper's Tables III and IV, and the recovered state is Table V.
-	victim := buildVictim(t, false, false)
-	atk, err := NewAttack(victim, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atk := newAttack(t, false, false, nil)
 	rep, err := atk.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -169,11 +172,7 @@ func TestEndToEndAttackPaperTablesExact(t *testing.T) {
 }
 
 func TestEncryptedBitstreamAttack(t *testing.T) {
-	victim := buildVictim(t, false, true)
-	atk, err := NewAttack(victim, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atk := newAttack(t, false, true, nil)
 	rep, err := atk.Run()
 	if err != nil {
 		t.Fatalf("attack on encrypted bitstream failed: %v", err)
@@ -187,12 +186,8 @@ func TestEncryptedBitstreamAttack(t *testing.T) {
 }
 
 func TestAttackFailsOnProtectedDesign(t *testing.T) {
-	victim := buildVictim(t, true, false)
-	atk, err := NewAttack(victim, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = atk.Run()
+	atk := newAttack(t, true, false, nil)
+	_, err := atk.Run()
 	if err == nil {
 		t.Fatal("attack succeeded against the protected design")
 	}
@@ -209,11 +204,7 @@ func TestAttackFailsOnProtectedDesign(t *testing.T) {
 }
 
 func TestTableIIShape(t *testing.T) {
-	victim := buildVictim(t, false, false)
-	atk, err := NewAttack(victim, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atk := newAttack(t, false, false, nil)
 	counts := map[string]int{}
 	for _, row := range atk.CountCandidates() {
 		counts[row.Name] = row.Count
@@ -233,11 +224,7 @@ func TestTableIIShape(t *testing.T) {
 }
 
 func TestTableVIShape(t *testing.T) {
-	victim := buildVictim(t, true, false)
-	atk, err := NewAttack(victim, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atk := newAttack(t, true, false, nil)
 	counts := map[string]int{}
 	for _, row := range atk.CountCandidates() {
 		counts[row.Name] = row.Count
@@ -273,15 +260,11 @@ func TestFindLUTLocatesKnownLUT(t *testing.T) {
 	// returned by FINDLUT may contain false positives"); the planted LUT
 	// must be among the matches with correct metadata.
 	wantIndex := 3*bitstream.FrameBytes + 11*bitstream.SubVectorBytes
-	var m *Match
-	for i := range matches {
-		if matches[i].Index == wantIndex {
-			m = &matches[i]
-		}
-	}
-	if m == nil {
+	i := slices.IndexFunc(matches, func(m Match) bool { return m.Index == wantIndex })
+	if i < 0 {
 		t.Fatalf("planted LUT at %d not among %d matches", wantIndex, len(matches))
 	}
+	m := &matches[i]
 	if m.Order != bitstream.SliceM {
 		t.Fatalf("match order %v, want SLICEM", m.Order)
 	}
@@ -301,19 +284,13 @@ func TestFindLUTFindsPermutedVariants(t *testing.T) {
 	}
 	matches := FindLUT(frames, f, FindOptions{})
 	wantIndex := 1*bitstream.FrameBytes + 7*bitstream.SubVectorBytes
-	found := false
-	for _, m := range matches {
-		if m.Index != wantIndex {
-			continue
-		}
-		found = true
-		// The reported permutation must reconstruct the stored table.
-		if got := ReadMatch(frames, m); got != f {
-			t.Fatalf("ReadMatch through reported perm gave %v, want the searched %v", got, f)
-		}
-	}
-	if !found {
+	i := slices.IndexFunc(matches, func(m Match) bool { return m.Index == wantIndex })
+	if i < 0 {
 		t.Fatalf("permuted variant at %d not among %d matches", wantIndex, len(matches))
+	}
+	// The reported permutation must reconstruct the stored table.
+	if got := ReadMatch(frames, matches[i]); got != f {
+		t.Fatalf("ReadMatch through reported perm gave %v, want the searched %v", got, f)
 	}
 }
 
@@ -388,6 +365,8 @@ func TestMatchOverlapsMatchesByteSets(t *testing.T) {
 	}
 }
 
+// TestFindOptionsAblation: a scan harness row of F2 planted five times
+// across both slice types; every plant must be found.
 func TestFindOptionsAblation(t *testing.T) {
 	frames := make([]byte, 8*bitstream.FrameBytes)
 	for s := 0; s < 5; s++ {
@@ -396,31 +375,10 @@ func TestFindOptionsAblation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base := FindLUT(frames, boolfn.F2, FindOptions{})
-	noDedup := FindLUT(frames, boolfn.F2, FindOptions{NoPermDedup: true})
-	serial := FindLUT(frames, boolfn.F2, FindOptions{Parallel: 1})
-	contains := func(ms []Match, idx int) bool {
-		for _, m := range ms {
-			if m.Index == idx {
-				return true
-			}
-		}
-		return false
-	}
+	res := checkScan(t, &scanCase{name: "F2 plants", img: frames, fns: []boolfn.TT{boolfn.F2}}, scanImpls)
 	for s := 0; s < 5; s++ {
-		idx := s*bitstream.FrameBytes + 3*s*bitstream.SubVectorBytes
-		for name, ms := range map[string][]Match{"base": base, "noDedup": noDedup, "serial": serial} {
-			if !contains(ms, idx) {
-				t.Errorf("%s scan missed planted LUT %d", name, s)
-			}
-		}
-	}
-	if len(base) != len(serial) {
-		t.Fatal("parallel and serial scans disagree on match count")
-	}
-	for i := range base {
-		if base[i].Index != serial[i].Index {
-			t.Fatal("parallel and serial scans disagree")
+		if idx := s*bitstream.FrameBytes + 3*s*bitstream.SubVectorBytes; !slices.Contains(res.indexes[0], idx) {
+			t.Errorf("scan missed planted LUT %d at %d", s, idx)
 		}
 	}
 }
@@ -470,11 +428,7 @@ func TestGroupTestingExcludesHarmfulMuxCandidate(t *testing.T) {
 	// confirmed z-path LUT disguised as a load MUX): the group-testing
 	// fallback must exclude it and still confirm the key-independent
 	// keystream.
-	victim := buildVictim(t, false, false)
-	atk, err := NewAttack(victim, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atk := newAttack(t, false, false, nil)
 	if err := atk.VerifyZPath(); err != nil {
 		t.Fatal(err)
 	}
@@ -522,24 +476,10 @@ func TestGroupTestingExcludesHarmfulMuxCandidate(t *testing.T) {
 	}
 }
 
+// TestReferenceMatchesOptimizedFindLUT: a scan harness row over a real
+// victim image, every test function.
 func TestReferenceMatchesOptimizedFindLUT(t *testing.T) {
-	// Algorithm 1 as written and the indexed scanner must return exactly
-	// the same index sets on a real victim image, for several functions.
-	victim := buildVictim(t, false, false)
-	img := victim.ReadFlash()
-	for _, c := range []boolfn.TT{boolfn.F2, boolfn.F8, boolfn.F19,
-		boolfn.MustParse("a1a2 + !a1a3")} {
-		ref := FindLUTReference(img, c, SevenSeries())
-		fast := FindLUT(img, c, FindOptions{})
-		if len(ref) != len(fast) {
-			t.Fatalf("fn %v: reference found %d, optimized %d", c, len(ref), len(fast))
-		}
-		for i := range ref {
-			if ref[i] != fast[i].Index {
-				t.Fatalf("fn %v: index %d differs: %d vs %d", c, i, ref[i], fast[i].Index)
-			}
-		}
-	}
+	runScan(t, &scanCase{name: "victim", img: buildVictim(t, false, false).ReadFlash(), fns: scannerTestFuncs()})
 }
 
 func TestReferenceGenericGeometry(t *testing.T) {
@@ -554,13 +494,7 @@ func TestReferenceGenericGeometry(t *testing.T) {
 		copy(bs[base+q*p.D:], sub[q])
 	}
 	hits := FindLUTReference(bs, f, p)
-	found := false
-	for _, l := range hits {
-		if l == base {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(hits, base) {
 		t.Fatalf("generic geometry search missed the planted LUT (hits %v)", hits)
 	}
 }
@@ -1007,11 +941,7 @@ func TestCensusGuidedAttackRecoversKey(t *testing.T) {
 }
 
 func TestCensusGuidedAttackFailsOnProtected(t *testing.T) {
-	victim := buildVictim(t, true, false)
-	atk, err := NewAttack(victim, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atk := newAttack(t, true, false, nil)
 	if _, err := atk.RunCensusGuided(); err == nil {
 		t.Fatal("census-guided attack succeeded against the countermeasure")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snowbma/internal/bitstream"
@@ -17,19 +18,14 @@ func TestFindLUTTinyBuffer(t *testing.T) {
 	}
 }
 
+// TestFindLUTManyWorkersOnSmallInput: a scan harness row of two
+// frames, fewer split points than the parallel-64 value has workers.
 func TestFindLUTManyWorkersOnSmallInput(t *testing.T) {
 	frames := make([]byte, 2*bitstream.FrameBytes)
 	if err := bitstream.WriteLUT(frames, bitstream.Loc{Frame: 0, Slot: 5}, boolfn.F8); err != nil {
 		t.Fatal(err)
 	}
-	got := FindLUT(frames, boolfn.F8, FindOptions{Parallel: 64})
-	found := false
-	for _, m := range got {
-		if m.Index == 10 {
-			found = true
-		}
-	}
-	if !found {
+	if res := checkScan(t, &scanCase{name: "two frames", img: frames, fns: []boolfn.TT{boolfn.F8}}, scanImpls); !slices.Contains(res.indexes[0], 10) {
 		t.Fatal("oversubscribed worker count lost the match")
 	}
 }
@@ -54,16 +50,12 @@ func TestWriteReadMatchProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantIdx := loc.Frame*bitstream.FrameBytes + loc.Slot*bitstream.SubVectorBytes
-		var match *Match
-		for _, m := range FindLUT(frames, f, FindOptions{}) {
-			if m.Index == wantIdx {
-				mm := m
-				match = &mm
-			}
-		}
-		if match == nil {
+		matches := FindLUT(frames, f, FindOptions{})
+		i := slices.IndexFunc(matches, func(m Match) bool { return m.Index == wantIdx })
+		if i < 0 {
 			t.Fatalf("trial %d: plant not found", trial)
 		}
+		match := &matches[i]
 		if got := ReadMatch(frames, *match); got != f {
 			t.Fatalf("trial %d: ReadMatch %v != %v", trial, got, f)
 		}
@@ -83,6 +75,8 @@ func TestWriteReadMatchProperty(t *testing.T) {
 	}
 }
 
+// TestFindDualXORBounds: a scan harness row of one dual-XOR plant; the
+// full sweep must report it and a window ending before it must not.
 func TestFindDualXORBounds(t *testing.T) {
 	frames := make([]byte, 3*bitstream.FrameBytes)
 	d := boolfn.DualLUT{
@@ -94,30 +88,14 @@ func TestFindDualXORBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := bitstream.FrameBytes + 4*bitstream.SubVectorBytes
-	all := FindDualXOR(frames, 0, 0)
-	found := false
-	for _, l := range all {
-		if l == base {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("planted dual-XOR LUT not found in full scan")
-	}
-	// A window excluding the plant must miss it.
-	for _, l := range FindDualXOR(frames, 0, base-10) {
-		if l == base {
-			t.Fatal("window excluded the plant yet it was reported")
-		}
+	res := checkScan(t, &scanCase{name: "bounds", img: frames, windows: [][2]int{{0, 0}, {0, base - 10}}}, scanImpls)
+	if !slices.Contains(res.duals[0], base) || slices.Contains(res.duals[1], base) {
+		t.Fatalf("plant at %d: full sweep %v, window ending before it %v", base, res.duals[0], res.duals[1])
 	}
 }
 
 func TestCandidateCountsStableAcrossCalls(t *testing.T) {
-	victim := buildVictim(t, false, false)
-	atk, err := NewAttack(victim, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atk := newAttack(t, false, false, nil)
 	a := atk.CountCandidates()
 	b := atk.CountCandidates()
 	for i := range a {

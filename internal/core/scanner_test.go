@@ -11,10 +11,147 @@ import (
 	"snowbma/internal/boolfn"
 )
 
-// The differential suite: the batch Scanner must be byte-identical to
-// per-function FindLUT and to FindLUTReference (Algorithm 1 as written)
-// on every option path, and FindDualXOR must be byte-identical to the
-// literal serial sweep it replaced.
+// The scan harness. Every scan path and each oracle it replaced is one
+// value of the implementation axis scanImpls; every row (scanCase) runs
+// on every value, and all values must report the same match indexes
+// and dual-XOR hits — and, where they report them, the same orders and
+// permutations. Each value is driven through its own entry point, so
+// Algorithm 1 as written and the literal serial dual-XOR sweep never
+// call into the scanner they check.
+
+// scanImpls is the implementation axis.
+var scanImpls = []scanImpl{
+	// One batch Scanner over every function and window: one pass.
+	{"scanner", scannerRun(FindOptions{})},
+	// The same batch on one worker, and on more workers than the image
+	// has useful split points.
+	{"parallel-1", scannerRun(FindOptions{Parallel: 1})},
+	{"parallel-64", scannerRun(FindOptions{Parallel: 64})},
+	// Every input permutation scanned, duplicates included.
+	{"no-perm-dedup", scannerRun(FindOptions{NoPermDedup: true})},
+	// One FindLUT per function and one FindDualXOR per window.
+	{"findlut", func(b []byte, c *scanCase) *scanResult {
+		r := &scanResult{}
+		for _, f := range c.fns {
+			r.matches = append(r.matches, FindLUT(b, f, FindOptions{}))
+		}
+		for _, w := range c.windows {
+			r.duals = append(r.duals, FindDualXOR(b, w[0], w[1]))
+		}
+		return r
+	}},
+	// The literal serial dual-XOR sweep: decodes at every offset.
+	{"serial-dual", func(b []byte, c *scanCase) *scanResult {
+		r := &scanResult{}
+		for _, w := range c.windows {
+			r.duals = append(r.duals, findDualXORSerial(b, w[0], w[1]))
+		}
+		return r
+	}},
+	// Algorithm 1 as written. Last on the axis: fuzzScanImpls drops it.
+	{"algorithm1", func(b []byte, c *scanCase) *scanResult {
+		r := &scanResult{}
+		for _, f := range c.fns {
+			r.indexes = append(r.indexes, FindLUTReference(b, f, SevenSeries()))
+		}
+		return r
+	}},
+}
+
+// fuzzScanImpls is the axis the fuzzer runs: Algorithm 1 as written
+// costs ~35 µs per byte per function, too slow to fuzz with, so only
+// the suite's rows run it.
+var fuzzScanImpls = scanImpls[:len(scanImpls)-1]
+
+type scanImpl struct {
+	name string
+	run  func(b []byte, c *scanCase) *scanResult
+}
+
+// scanCase is one harness row: an image, the functions to find in it
+// and the dual-XOR windows to sweep.
+type scanCase struct {
+	name    string
+	img     []byte
+	fns     []boolfn.TT
+	windows [][2]int
+}
+
+// scanResult holds one implementation's answers in row order. An
+// implementation leaves nil what it does not report: the serial
+// dual-XOR sweep reports no functions, Algorithm 1 no windows and no
+// orders or permutations.
+type scanResult struct {
+	matches [][]Match
+	indexes [][]int
+	duals   [][]int
+}
+
+func scannerRun(opt FindOptions) func([]byte, *scanCase) *scanResult {
+	return func(b []byte, c *scanCase) *scanResult {
+		s := NewScanner(opt)
+		for i, f := range c.fns {
+			s.AddFunction(fmt.Sprintf("fn%d", i), f)
+		}
+		for i, w := range c.windows {
+			s.AddDualXOR(fmt.Sprintf("w%d", i), w[0], w[1])
+		}
+		res := s.Scan(b)
+		r := &scanResult{}
+		for i := range c.fns {
+			r.matches = append(r.matches, res.Matches[fmt.Sprintf("fn%d", i)])
+		}
+		for i := range c.windows {
+			r.duals = append(r.duals, res.DualHits[fmt.Sprintf("w%d", i)])
+		}
+		return r
+	}
+}
+
+// checkScan runs one row on every implementation of impls, requires
+// them to agree with the first (the batch scanner, which reports
+// everything), and returns its result.
+func checkScan(t testing.TB, c *scanCase, impls []scanImpl) *scanResult {
+	t.Helper()
+	ref := impls[0].run(c.img, c)
+	for _, ms := range ref.matches {
+		ref.indexes = append(ref.indexes, matchIndexes(ms))
+	}
+	for _, impl := range impls[1:] {
+		got := impl.run(c.img, c)
+		for i, f := range c.fns {
+			label := fmt.Sprintf("%s %v: %s vs %s", c.name, f, impl.name, impls[0].name)
+			switch {
+			case got.matches != nil:
+				matchesEqual(t, label, got.matches[i], ref.matches[i])
+			case got.indexes != nil && !slices.Equal(got.indexes[i], ref.indexes[i]):
+				t.Fatalf("%s: %v != %v", label, got.indexes[i], ref.indexes[i])
+			}
+		}
+		for i, w := range c.windows {
+			if got.duals != nil && !slices.Equal(got.duals[i], ref.duals[i]) {
+				t.Fatalf("%s window %v: %s hits %v, %s %v", c.name, w, impl.name, got.duals[i], impls[0].name, ref.duals[i])
+			}
+		}
+	}
+	return ref
+}
+
+// runScan runs each row as a subtest on the whole axis.
+func runScan(t *testing.T, cases ...*scanCase) {
+	t.Helper()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkScan(t, c, scanImpls) })
+	}
+}
+
+func matchIndexes(ms []Match) []int {
+	idx := make([]int, 0, len(ms))
+	for _, m := range ms {
+		idx = append(idx, m.Index)
+	}
+	return idx
+}
 
 // scannerTestFuncs is the function set the differential tests batch:
 // the three confirmed paper targets plus a guessed MUX shape (small
@@ -81,59 +218,32 @@ func plantImage(t testing.TB) []byte {
 	return img
 }
 
-func matchesEqual(t *testing.T, label string, batch, single []Match) {
+// matchesEqual requires got and want to hold the same matches: index,
+// slice order and permutation.
+func matchesEqual(t testing.TB, label string, got, want []Match) {
 	t.Helper()
-	if len(batch) != len(single) {
-		t.Fatalf("%s: batch found %d matches, sequential %d", label, len(batch), len(single))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d matches, want %d", label, len(got), len(want))
 	}
-	for i := range batch {
-		if batch[i].Index != single[i].Index || batch[i].Order != single[i].Order ||
-			!reflect.DeepEqual(batch[i].Perm, single[i].Perm) {
-			t.Fatalf("%s: match %d differs: batch %+v vs sequential %+v",
-				label, i, batch[i], single[i])
+	for i := range got {
+		if got[i].Index != want[i].Index || got[i].Order != want[i].Order ||
+			!reflect.DeepEqual(got[i].Perm, want[i].Perm) {
+			t.Fatalf("%s: match %d is %+v, want %+v", label, i, got[i], want[i])
 		}
 	}
 }
 
+// TestScannerBatchEquivalence: a scan harness row over the whole
+// planted image — every test function, planted in both slice types,
+// plus the noise tail.
 func TestScannerBatchEquivalence(t *testing.T) {
-	img := plantImage(t)
-	fns := scannerTestFuncs()
-	for _, opt := range []FindOptions{
-		{},
-		{Parallel: 1},
-		{Parallel: 64},
-		{NoPermDedup: true},
-	} {
-		label := fmt.Sprintf("opt=%+v", opt)
-		s := NewScanner(opt)
-		for i, f := range fns {
-			s.AddFunction(fmt.Sprintf("fn%d", i), f)
-		}
-		res := s.Scan(img)
-		for i, f := range fns {
-			single := FindLUT(img, f, opt)
-			matchesEqual(t, fmt.Sprintf("%s fn%d", label, i),
-				res.Matches[fmt.Sprintf("fn%d", i)], single)
-		}
-	}
+	runScan(t, &scanCase{name: "planted", img: plantImage(t), fns: scannerTestFuncs()})
 }
 
+// TestScannerMatchesAlgorithm1Reference: a scan harness row over the
+// head of the planted image, every test function on six frames.
 func TestScannerMatchesAlgorithm1Reference(t *testing.T) {
-	img := plantImage(t)[:6*bitstream.FrameBytes] // the reference is slow
-	for _, f := range scannerTestFuncs() {
-		want := FindLUTReference(img, f, SevenSeries())
-		s := NewScanner(FindOptions{})
-		s.AddFunction("f", f)
-		got := s.Scan(img).Matches["f"]
-		if len(got) != len(want) {
-			t.Fatalf("%v: scanner %d indexes, Algorithm 1 %d", f, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Index != want[i] {
-				t.Fatalf("%v: index %d is %d, Algorithm 1 says %d", f, i, got[i].Index, want[i])
-			}
-		}
-	}
+	runScan(t, &scanCase{name: "head", img: plantImage(t)[:6*bitstream.FrameBytes], fns: scannerTestFuncs()})
 }
 
 // findDualXORSerial is the literal pre-scanner sweep (two full 64-bit
@@ -164,27 +274,22 @@ func findDualXORSerial(b []byte, lo, hi int) []int {
 	return hits
 }
 
+// TestFindDualXORMatchesSerialSweep: a scan harness row of dual-XOR
+// windows over the planted image — whole, head, middle, clamped and
+// open-ended — and every plant must be among the full sweep's hits.
 func TestFindDualXORMatchesSerialSweep(t *testing.T) {
 	img := plantImage(t)
-	for _, window := range [][2]int{
+	res := checkScan(t, &scanCase{name: "windows", img: img, windows: [][2]int{
 		{0, 0},
 		{0, 5 * bitstream.FrameBytes},
 		{3 * bitstream.FrameBytes, 12 * bitstream.FrameBytes},
 		{-7, len(img) + 100},
 		{17 * bitstream.FrameBytes, 0},
-	} {
-		want := findDualXORSerial(img, window[0], window[1])
-		got := FindDualXOR(img, window[0], window[1])
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("window %v: routed %v, serial oracle %v", window, got, want)
-		}
-		if window == [2]int{0, 0} {
-			for _, pl := range dualPlants {
-				l := pl.loc.Frame*bitstream.FrameBytes + pl.loc.Slot*bitstream.SubVectorBytes
-				if !slices.Contains(got, l) {
-					t.Fatalf("full sweep missed the %+v plant at %d", pl, l)
-				}
-			}
+	}}, scanImpls)
+	for _, pl := range dualPlants {
+		l := pl.loc.Frame*bitstream.FrameBytes + pl.loc.Slot*bitstream.SubVectorBytes
+		if !slices.Contains(res.duals[0], l) {
+			t.Fatalf("full sweep missed the %+v plant at %d", pl, l)
 		}
 	}
 }
@@ -220,8 +325,8 @@ func TestDualLaneSeparation(t *testing.T) {
 	}
 }
 
-// TestDualLaneKeysDifferential is a dense differential of the lane-key
-// predicate against the decode-based serial oracle: every XOR2 lane key
+// TestDualLaneKeysDifferential is a dense scan harness row for the
+// lane-key predicate: every XOR2 lane key
 // and each of its one-bit mutations is written into both byte lanes of a
 // frame slot, with the other lane blank, random or another key. Random
 // bytes almost never hit, so this is where the exact key check and the
@@ -257,29 +362,20 @@ func TestDualLaneKeysDifferential(t *testing.T) {
 			}
 		}
 	}
-	want := findDualXORSerial(img, 0, 0)
-	if got := FindDualXOR(img, 0, 0); !reflect.DeepEqual(got, want) {
-		t.Fatalf("lane-key predicate found %d hits, serial oracle %d", len(got), len(want))
-	}
-	if len(want) < len(keys) {
-		t.Fatalf("only %d hits for %d planted keys", len(want), len(keys))
+	res := checkScan(t, &scanCase{name: "lane keys", img: img, windows: [][2]int{{0, 0}}}, scanImpls)
+	if len(res.duals[0]) < len(keys) {
+		t.Fatalf("only %d hits for %d planted keys", len(res.duals[0]), len(keys))
 	}
 }
 
+// TestScannerDualWindowsShareOnePass: two dual-XOR windows take one
+// pass (what each window reports is the scan harness's).
 func TestScannerDualWindowsShareOnePass(t *testing.T) {
-	img := plantImage(t)
 	s := NewScanner(FindOptions{})
 	s.AddDualXOR("all", 0, 0)
 	s.AddDualXOR("head", 0, 5*bitstream.FrameBytes)
-	res := s.Scan(img)
-	if res.Stats.Passes != 1 {
+	if res := s.Scan(plantImage(t)); res.Stats.Passes != 1 {
 		t.Fatalf("two windows took %d passes, want 1", res.Stats.Passes)
-	}
-	if !reflect.DeepEqual(res.DualHits["all"], findDualXORSerial(img, 0, 0)) {
-		t.Fatal("full window diverged from the serial oracle")
-	}
-	if !reflect.DeepEqual(res.DualHits["head"], findDualXORSerial(img, 0, 5*bitstream.FrameBytes)) {
-		t.Fatal("head window diverged from the serial oracle")
 	}
 }
 
@@ -389,60 +485,48 @@ func checkAnchorIndex(t *testing.T, s *Scanner) (shared int) {
 	return shared
 }
 
-// checkScanAgainstOracles compares every function's batch matches with
-// a FindLUT of its own and with Algorithm 1 as written.
-func checkScanAgainstOracles(t *testing.T, label string, img []byte, s *Scanner, fns map[string]boolfn.TT) {
-	t.Helper()
-	res := s.Scan(img)
-	for key, f := range fns {
-		got := res.Matches[key]
-		matchesEqual(t, label+" "+key, got, FindLUT(img, f, FindOptions{}))
-		want := FindLUTReference(img, f, SevenSeries())
-		if len(got) != len(want) {
-			t.Fatalf("%s %s: scanner %d indexes, Algorithm 1 %d", label, key, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Index != want[i] {
-				t.Fatalf("%s %s: index %d is %d, Algorithm 1 says %d", label, key, i, got[i].Index, want[i])
-			}
-		}
-	}
-}
-
-// TestScannerSharedAnchorKeys batches functions whose candidates share
-// anchor keys (a function under two keys, a P-equivalent variant, and
-// small-support shapes whose sub-vectors recur), so index buckets mix
-// functions. Re-adding after a Scan rebuilds the index in place.
+// TestScannerSharedAnchorKeys: scan harness rows batching functions
+// whose candidates share anchor keys (a function under two keys, a
+// P-equivalent variant, and small-support shapes whose sub-vectors
+// recur), so index buckets mix functions. One scanner, scanned, then
+// re-added to, must rebuild its index in place and answer each row as
+// the harness does.
 func TestScannerSharedAnchorKeys(t *testing.T) {
 	img := plantImage(t)[:8*bitstream.FrameBytes] // every function's plants; the reference is slow
-	fns := map[string]boolfn.TT{
-		"f2":       boolfn.F2,
-		"f2 again": boolfn.F2,
-		"f2 perm":  boolfn.F2.Permute([]int{3, 0, 5, 1, 4, 2}),
-		"f8":       boolfn.F8,
-		"xor2":     boolfn.MustParse("a1^a2"),
-		"mux":      boolfn.MustParse("a1a2 + !a1a3"),
+	keys := []string{"f2", "f2 again", "f2 perm", "f8", "mux", "xor2"}
+	fns := []boolfn.TT{
+		boolfn.F2,
+		boolfn.F2,
+		boolfn.F2.Permute([]int{3, 0, 5, 1, 4, 2}),
+		boolfn.F8,
+		boolfn.MustParse("a1a2 + !a1a3"),
+		boolfn.MustParse("a1^a2"),
 	}
-	keys := make([]string, 0, len(fns))
-	for k := range fns {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
 	s := NewScanner(FindOptions{})
-	for _, k := range keys {
-		s.AddFunction(k, fns[k])
+	for i, k := range keys {
+		s.AddFunction(k, fns[i])
 	}
-	checkScanAgainstOracles(t, "shared", img, s, fns)
+	scansLikeRow(t, s, img, keys, checkScan(t, &scanCase{name: "shared", img: img, fns: fns}, scanImpls))
 	if shared := checkAnchorIndex(t, s); shared == 0 {
 		t.Fatal("no anchor key is shared by two functions; the row tests nothing")
 	}
 
 	// Re-add after a Scan: replace one key's function and add a new key.
-	fns["xor2"] = boolfn.F19
-	fns["f19 perm"] = boolfn.F19.Permute([]int{5, 4, 3, 2, 1, 0})
-	s.AddFunction("xor2", fns["xor2"]).AddFunction("f19 perm", fns["f19 perm"])
-	checkScanAgainstOracles(t, "re-added", img, s, fns)
+	fns[5] = boolfn.F19
+	keys, fns = append(keys, "f19 perm"), append(fns, boolfn.F19.Permute([]int{5, 4, 3, 2, 1, 0}))
+	s.AddFunction(keys[5], fns[5]).AddFunction(keys[6], fns[6])
+	scansLikeRow(t, s, img, keys, checkScan(t, &scanCase{name: "re-added", img: img, fns: fns}, scanImpls))
 	checkAnchorIndex(t, s)
+}
+
+// scansLikeRow requires s, holding the row's functions under keys, to
+// scan img to the harness's answer.
+func scansLikeRow(t *testing.T, s *Scanner, img []byte, keys []string, want *scanResult) {
+	t.Helper()
+	res := s.Scan(img)
+	for i, k := range keys {
+		matchesEqual(t, k, res.Matches[k], want.matches[i])
+	}
 }
 
 func TestScannerWorkerCapOnTinyInput(t *testing.T) {
@@ -456,13 +540,7 @@ func TestScannerWorkerCapOnTinyInput(t *testing.T) {
 	if res.Stats.Workers > len(frames) {
 		t.Fatalf("%d workers for %d scannable positions", res.Stats.Workers, len(frames))
 	}
-	found := false
-	for _, m := range res.Matches["f8"] {
-		if m.Index == 10 {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(matchIndexes(res.Matches["f8"]), 10) {
 		t.Fatal("oversubscribed scanner lost the plant")
 	}
 	// The probe window must not extend past the last useful anchor
@@ -484,9 +562,8 @@ func TestScannerEmptyAndTinyBuffers(t *testing.T) {
 	}
 }
 
-// FuzzScannerDifferential feeds random frames to the batch scanner, the
-// per-function FindLUT loop and the serial dual-XOR oracle; any
-// divergence is a bug in the shared-pass demultiplexer.
+// FuzzScannerDifferential is the scan harness under fuzzing: random
+// frames through every implementation but Algorithm 1 as written.
 func FuzzScannerDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 400))
@@ -498,28 +575,11 @@ func FuzzScannerDifferential(f *testing.F) {
 		if len(b) > 1<<14 {
 			b = b[:1<<14]
 		}
-		fns := []boolfn.TT{boolfn.F2, boolfn.F19, boolfn.MustParse("a1a2 + !a1a3")}
-		s := NewScanner(FindOptions{})
-		for i, fn := range fns {
-			s.AddFunction(fmt.Sprintf("fn%d", i), fn)
-		}
-		s.AddDualXOR("dual", 0, 0)
-		res := s.Scan(b)
-		for i, fn := range fns {
-			single := FindLUT(b, fn, FindOptions{})
-			batch := res.Matches[fmt.Sprintf("fn%d", i)]
-			if len(batch) != len(single) {
-				t.Fatalf("fn%d: batch %d vs single %d matches", i, len(batch), len(single))
-			}
-			for j := range batch {
-				if batch[j].Index != single[j].Index || batch[j].Order != single[j].Order ||
-					!reflect.DeepEqual(batch[j].Perm, single[j].Perm) {
-					t.Fatalf("fn%d match %d: %+v vs %+v", i, j, batch[j], single[j])
-				}
-			}
-		}
-		if want := findDualXORSerial(b, 0, 0); !reflect.DeepEqual(res.DualHits["dual"], want) {
-			t.Fatalf("dual hits %v, serial oracle %v", res.DualHits["dual"], want)
-		}
+		checkScan(t, &scanCase{
+			name:    "fuzz",
+			img:     b,
+			fns:     []boolfn.TT{boolfn.F2, boolfn.F19, boolfn.MustParse("a1a2 + !a1a3")},
+			windows: [][2]int{{0, 0}},
+		}, fuzzScanImpls)
 	})
 }

@@ -12,11 +12,7 @@ import (
 // handle and returns the report and the handle.
 func runWithTelemetry(t *testing.T) (*Report, *obs.Telemetry) {
 	t.Helper()
-	victim := buildVictim(t, false, false)
-	atk, err := NewAttack(victim, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atk := newAttack(t, false, false, nil)
 	tel := obs.New()
 	atk.SetTelemetry(tel)
 	rep, err := atk.Run()
@@ -57,18 +53,17 @@ func TestTelemetryDifferentialStats(t *testing.T) {
 
 // TestTelemetryIdenticalToUntraced pins the overhead contract at the
 // semantic level: attaching telemetry must not change a single
-// deterministic report field relative to an untraced run (timing and
-// worker-pool fields excepted).
+// deterministic report field relative to an untraced run (timing
+// fields excepted). Both runs start from an empty catalogue cache, so
+// their catalogue hit/miss counts must agree too.
 func TestTelemetryIdenticalToUntraced(t *testing.T) {
-	victim := buildVictim(t, false, false)
-	atk, err := NewAttack(victim, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atk := newAttack(t, false, false, nil)
+	ResetCatalogueCache()
 	plainRep, err := atk.Run()
 	if err != nil {
 		t.Fatalf("untraced attack failed: %v", err)
 	}
+	ResetCatalogueCache()
 	tracedRep, _ := runWithTelemetry(t)
 
 	norm := func(r *Report) *Report {
@@ -135,7 +130,7 @@ func TestTelemetrySpanTree(t *testing.T) {
 // NDJSON writer: the export must succeed and contain the phase spans and
 // the loads counter.
 func TestTelemetryNDJSONExport(t *testing.T) {
-	rep, tel := runWithTelemetry(t)
+	_, tel := runWithTelemetry(t)
 	var buf bytes.Buffer
 	if err := obs.WriteNDJSON(&buf, tel.Tracer, tel.Metrics); err != nil {
 		t.Fatal(err)
@@ -149,18 +144,13 @@ func TestTelemetryNDJSONExport(t *testing.T) {
 			t.Fatalf("NDJSON export missing %s", want)
 		}
 	}
-	_ = rep
 }
 
 // TestReportMutationDoesNotCorruptRun is the aliasing regression test:
 // Report() hands out a deep copy, so callers scribbling over it (slices
 // included) must not perturb the attack's subsequent phases.
 func TestReportMutationDoesNotCorruptRun(t *testing.T) {
-	victim := buildVictim(t, false, false)
-	atk, err := NewAttack(victim, attackIV, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atk := newAttack(t, false, false, nil)
 	// Partial run, then vandalize the returned snapshot.
 	atk.CountCandidates()
 	snap := atk.Report()

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -34,17 +35,7 @@ func fixture(t testing.TB) []Design {
 	fixOnce.Do(func() {
 		src := NewSeeded(SeedOptions{Designs: fixtureDesigns, Seed: fixtureSeed})
 		defer src.Close()
-		for {
-			d, ok, err := src.Next()
-			if err != nil {
-				fixErr = err
-				return
-			}
-			if !ok {
-				return
-			}
-			fixDesigns = append(fixDesigns, d)
-		}
+		fixDesigns, fixErr = drain(src)
 	})
 	if fixErr != nil {
 		t.Fatalf("corpus fixture: %v", fixErr)
@@ -53,6 +44,18 @@ func fixture(t testing.TB) []Design {
 		t.Fatalf("corpus fixture: got %d designs, want %d", len(fixDesigns), fixtureDesigns)
 	}
 	return fixDesigns
+}
+
+// drain reads src to its end or its first error.
+func drain(src Source) ([]Design, error) {
+	var out []Design
+	for {
+		d, ok, err := src.Next()
+		if err != nil || !ok {
+			return out, err
+		}
+		out = append(out, d)
+	}
 }
 
 func runCensus(t testing.TB, designs []Design, opt Options) *Report {
@@ -79,73 +82,241 @@ func normalizeReport(rep *Report) {
 	rep.Scan.CatalogueMisses = 0
 }
 
-// TestCorpusDifferential pins the census over the seeded 50-design
-// corpus: default == NoDedup == per-design sequential FindLUT +
-// FindDualXOR, match for match.
-func TestCorpusDifferential(t *testing.T) {
-	designs := fixture(t)
-	f, err := boolfn.ParseAuto(DefaultTargetExpr)
+// The census harness. Every way the census answers for a design is one
+// value of the implementation axis censusImpls, next to the oracle the
+// census replaced; every row (censusCase) runs on every value, and all
+// values must report the same result for each design. Each value runs
+// through its own entry point, so the oracle never calls into the
+// census it checks.
+
+// censusImpls is the implementation axis. Each value checks its own
+// add accounting and returns the results with that accounting cleared.
+var censusImpls = []censusImpl{
+	// The production path: the row's designs re-added over the prior
+	// ones, each scanning only the windows whose bytes changed.
+	{"re-add", func(t testing.TB, c *censusCase) []DesignResult {
+		cen, priorBytes, out := addAll(t, c, Options{})
+		// Each ID holds the report row of its first add.
+		pos := map[string]int{}
+		for _, d := range slices.Concat(c.prior, c.designs) {
+			if _, ok := pos[d.ID]; !ok {
+				pos[d.ID] = len(pos)
+			}
+		}
+		before := map[string][]byte{}
+		for _, d := range c.prior {
+			before[d.ID] = d.Image
+		}
+		rep := cen.Report()
+		if rep.Designs != len(pos) || len(rep.Results) != len(pos) {
+			t.Fatalf("report holds %d designs in %d rows, want %d", rep.Designs, len(rep.Results), len(pos))
+		}
+		windows := 0
+		for i, d := range c.designs {
+			dr := out[i]
+			scanned := dr.Frames
+			if old, ok := before[d.ID]; ok {
+				scanned = dirtyWindows(old, d.Image)
+			}
+			windows += scanned
+			if i < len(c.scanned) && c.scanned[i] != scanned {
+				t.Errorf("%s: row pins %d scanned windows, but %d windows changed bytes", d.ID, c.scanned[i], scanned)
+			}
+			if dr.FramesScanned != scanned || dr.DedupHits != dr.Frames-scanned {
+				t.Errorf("%s: add scanned %d and reused %d of %d windows, want %d scanned",
+					d.ID, dr.FramesScanned, dr.DedupHits, dr.Frames, scanned)
+			}
+			// A re-add replaces its ID's row in place.
+			if got := rep.Results[pos[d.ID]]; !reflect.DeepEqual(got, dr) {
+				t.Errorf("%s: report row %d holds %+v, the add returned %+v", d.ID, pos[d.ID], got, dr)
+			}
+			before[d.ID] = d.Image
+		}
+		// ScanStats must account only the scanned windows.
+		if delta, most := rep.Scan.BytesScanned-priorBytes, int64(windows)*(ChunkBytes+chunkOverlap); delta > most {
+			t.Errorf("adds scanned %d bytes, want <= %d (%d windows)", delta, most, windows)
+		}
+		return clearAccounting(out)
+	}},
+	// Every add, re-adds included, scans the whole image.
+	{"no-dedup", func(t testing.TB, c *censusCase) []DesignResult {
+		_, _, out := addAll(t, c, Options{NoDedup: true})
+		return wholeScans(t, out)
+	}},
+	// A census that holds none of the prior designs: every add is a
+	// first add.
+	{"first-add", func(t testing.TB, c *censusCase) []DesignResult {
+		_, _, out := addAll(t, &censusCase{designs: c.designs}, Options{})
+		return wholeScans(t, out)
+	}},
+	// The definitions the census implements: sequential FindLUT and
+	// FindDualXOR over the whole image, and the extracted LUTs whose
+	// P-class representative is the target's.
+	{"definition", func(t testing.TB, c *censusCase) []DesignResult {
+		f, err := boolfn.ParseAuto(DefaultTargetExpr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []DesignResult
+		for _, d := range c.designs {
+			dr := DesignResult{ID: d.ID, Protected: d.Protected, Bytes: len(d.Image),
+				Frames: (len(d.Image) + ChunkBytes - 1) / ChunkBytes}
+			for _, m := range core.FindLUT(d.Image, f, core.FindOptions{}) {
+				dr.Matches = append(dr.Matches, m.Index)
+			}
+			dr.DualHits = len(core.FindDualXOR(d.Image, 0, 0))
+			dr.TargetLUTs = pClassCount(d.Image, f)
+			dr.Exposed = dr.TargetLUTs > 0 || dr.TargetLUTs < 0 && len(dr.Matches) > 0
+			out = append(out, dr)
+		}
+		return out
+	}},
+}
+
+type censusImpl struct {
+	name string
+	run  func(t testing.TB, c *censusCase) []DesignResult
+}
+
+// censusCase is one harness row: prior designs added first, then the
+// designs whose results are compared, under distinct IDs. A design
+// sharing an ID with a prior one is a re-add. scanned, when set, pins
+// how many windows the add of each design must scan.
+type censusCase struct {
+	name    string
+	prior   []Design
+	designs []Design
+	scanned []int
+}
+
+// runCensusHarness runs each row as a subtest on the whole axis.
+func runCensusHarness(t *testing.T, cases ...*censusCase) {
+	t.Helper()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { checkCensus(t, c) })
+	}
+}
+
+// checkCensus runs one row on every implementation, requires them to
+// agree, and returns the first one's results.
+func checkCensus(t testing.TB, c *censusCase) []DesignResult {
+	t.Helper()
+	var ref []DesignResult
+	for _, impl := range censusImpls {
+		got := impl.run(t, c)
+		if ref == nil {
+			ref = got
+			continue
+		}
+		for i := range ref {
+			if !reflect.DeepEqual(got[i], ref[i]) {
+				t.Fatalf("%s design %d: %s %+v != %s %+v", c.name, i, impl.name, got[i], censusImpls[0].name, ref[i])
+			}
+		}
+	}
+	return ref
+}
+
+// addAll adds the row's prior designs, then its designs, to one census,
+// and returns it, the bytes the prior adds scanned and the designs'
+// results. Each design's Rescans must count the earlier adds of its ID.
+func addAll(t testing.TB, c *censusCase, opt Options) (*Census, int64, []DesignResult) {
+	t.Helper()
+	cen, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	on := runCensus(t, designs, Options{})
-	off := runCensus(t, designs, Options{NoDedup: true})
-
-	if on.Designs != len(designs) || off.Designs != len(designs) {
-		t.Fatalf("designs: default %d, NoDedup %d, want %d", on.Designs, off.Designs, len(designs))
+	adds := map[string]int{}
+	for _, d := range c.prior {
+		if _, err := cen.Add(d); err != nil {
+			t.Fatal(err)
+		}
+		adds[d.ID]++
 	}
+	priorBytes := cen.Report().Scan.BytesScanned
+	out := make([]DesignResult, 0, len(c.designs))
+	for _, d := range c.designs {
+		dr, err := cen.Add(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := adds[d.ID]; dr.Rescans != want {
+			t.Errorf("%s: rescans = %d, want %d", d.ID, dr.Rescans, want)
+		}
+		adds[d.ID]++
+		out = append(out, dr)
+	}
+	return cen, priorBytes, out
+}
+
+// clearAccounting zeroes what differs by path: how an add reached its
+// answer, not the answer.
+func clearAccounting(out []DesignResult) []DesignResult {
+	for i := range out {
+		out[i].FramesScanned, out[i].DedupHits, out[i].Rescans = 0, 0, 0
+	}
+	return out
+}
+
+// wholeScans requires every add to have scanned its whole image, then
+// clears the accounting.
+func wholeScans(t testing.TB, out []DesignResult) []DesignResult {
+	t.Helper()
+	for _, dr := range out {
+		if dr.FramesScanned != dr.Frames || dr.DedupHits != 0 {
+			t.Errorf("%s: add scanned %d of %d windows, reused %d; want a whole-image scan",
+				dr.ID, dr.FramesScanned, dr.Frames, dr.DedupHits)
+		}
+	}
+	return clearAccounting(out)
+}
+
+// pClassMemo caches P-class membership by table; designs share most.
+var pClassMemo = map[boolfn.TT]bool{}
+
+// pClassCount counts img's extracted LUTs in f's P-class, -1 when img
+// does not parse as a full bitstream.
+func pClassCount(img []byte, f boolfn.TT) int {
+	luts, err := bitstream.ExtractLUTs(img)
+	if err != nil {
+		return -1
+	}
+	canon := boolfn.PClassCanon(f)
+	n := 0
+	for _, l := range luts {
+		in, ok := pClassMemo[l.Init]
+		if !ok {
+			in = boolfn.PClassCanon(l.Init) == canon
+			pClassMemo[l.Init] = in
+		}
+		if in {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCorpusDifferential: a census harness row over the seeded
+// 50-design corpus, each design re-added with one byte flipped at its
+// own offset. Every unprotected design holds one genuine target LUT
+// per keystream bit; the countermeasure splits every one.
+func TestCorpusDifferential(t *testing.T) {
+	designs := fixture(t)
+	edited := make([]Design, len(designs))
 	for i, d := range designs {
-		seqMatches := core.FindLUT(d.Image, f, core.FindOptions{})
-		seq := make([]int, 0, len(seqMatches))
-		for _, m := range seqMatches {
-			seq = append(seq, m.Index)
-		}
-		seqDuals := core.FindDualXOR(d.Image, 0, 0)
-		for _, rep := range []*Report{on, off} {
-			dr := rep.Results[i]
-			if dr.ID != d.ID {
-				t.Fatalf("design %d: report ID %s, want %s", i, shortID(dr.ID), shortID(d.ID))
-			}
-			if !reflect.DeepEqual(dr.Matches, seq) && !(len(dr.Matches) == 0 && len(seq) == 0) {
-				t.Errorf("design %d: census matches %v, sequential FindLUT %v", i, dr.Matches, seq)
-			}
-			if dr.DualHits != len(seqDuals) {
-				t.Errorf("design %d: census dual hits %d, FindDualXOR %d", i, dr.DualHits, len(seqDuals))
-			}
-			wantLUTs := 32 // one genuine f8 instance per keystream bit
-			if dr.Protected {
-				wantLUTs = 0 // the countermeasure splits every one
-			}
-			if dr.TargetLUTs != wantLUTs || dr.Exposed != (wantLUTs > 0) {
-				t.Errorf("design %d (protected=%v): %d target-class LUTs, exposed=%v, want %d",
-					i, dr.Protected, dr.TargetLUTs, dr.Exposed, wantLUTs)
-			}
-		}
+		img := append([]byte(nil), d.Image...)
+		img[(i*7919*ChunkBytes/13)%len(img)] ^= 0x5A
+		edited[i] = Design{ID: d.ID, Image: img, Protected: d.Protected}
 	}
-
-	// The two census modes must agree on the whole report body, frame
-	// accounting included: a first add is the same whole-image scan.
-	nOn, nOff := *on, *off
-	nOn.Scan, nOff.Scan = core.ScanStats{}, core.ScanStats{}
-	onResults, offResults := nOn.Results, nOff.Results
-	nOn.Results, nOff.Results = nil, nil
-	if !reflect.DeepEqual(nOn, nOff) {
-		t.Errorf("default and NoDedup headline reports diverge:\n on: %+v\noff: %+v", nOn, nOff)
-	}
-	for i := range onResults {
-		a, b := onResults[i], offResults[i]
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("design %d: default result %+v != NoDedup %+v", i, a, b)
+	res := checkCensus(t, &censusCase{name: "flipped corpus", prior: designs, designs: edited})
+	for i, dr := range res {
+		want := 32
+		if dr.Protected {
+			want = 0
 		}
-	}
-
-	// A first add scans the whole image: every frame scanned, none
-	// reused, on both paths.
-	for _, rep := range []*Report{on, off} {
-		if rep.FramesScanned != rep.Frames || rep.DedupHits != 0 {
-			t.Errorf("first adds: %d of %d frames scanned, %d reused; want all scanned, none reused",
-				rep.FramesScanned, rep.Frames, rep.DedupHits)
+		if dr.TargetLUTs != want || dr.Exposed != (want > 0) {
+			t.Errorf("design %d (protected=%v): %d target-class LUTs, exposed=%v, want %d",
+				i, dr.Protected, dr.TargetLUTs, dr.Exposed, want)
 		}
 	}
 }
@@ -166,100 +337,77 @@ func TestCorpusDeterministic(t *testing.T) {
 	}
 }
 
-// TestCorpusIncrementalRescan edits one design and re-adds it under
-// its ID. Each row pins how many windows the re-add scans and reuses,
-// checks that the scanned ones are exactly the windows whose bytes
-// changed, and compares the answer with a fresh census's first add of
-// the edited image.
+// TestCorpusIncrementalRescan: census harness rows editing one design
+// of an eight-design corpus and re-adding it under its ID. Each row
+// pins how many windows the re-add scans.
 func TestCorpusIncrementalRescan(t *testing.T) {
 	designs := fixture(t)
 	base := designs[3].Image
-	frames := (len(base) + ChunkBytes - 1) / ChunkBytes
-	flip := func(offs ...int) func() []byte {
-		return func() []byte {
-			img := append([]byte(nil), base...)
-			for _, off := range offs {
-				img[off] ^= 0xA5
-			}
-			return img
+	flip := func(offs ...int) []byte {
+		img := append([]byte(nil), base...)
+		for _, off := range offs {
+			img[off] ^= 0xA5
 		}
+		return img
 	}
-	rows := []struct {
-		name    string
-		edit    func() []byte
-		noDedup bool
-		// scanned is the FramesScanned the re-add must report; every
-		// other window is reused.
-		scanned int
-	}{
+	row := func(name string, img []byte, scanned int) *censusCase {
+		return &censusCase{name: name, prior: designs[:8], scanned: []int{scanned},
+			designs: []Design{{ID: designs[3].ID, Image: img, Protected: designs[3].Protected}}}
+	}
+	runCensusHarness(t,
 		// Past the overlap: the previous window ends chunkOverlap bytes
 		// into this chunk, so only this chunk's window changes.
-		{"flip past the overlap", flip(40*ChunkBytes + chunkOverlap + 20), false, 1},
+		row("flip past the overlap", flip(40*ChunkBytes+chunkOverlap+20), 1),
 		// Inside the overlap: the previous window reads the byte too.
-		{"flip inside the overlap", flip(40*ChunkBytes + 10), false, 2},
-		{"two frames flipped", flip(40*ChunkBytes+chunkOverlap+20, 90*ChunkBytes+chunkOverlap+20), false, 2},
-		{"identical", flip(), false, 0},
+		row("flip inside the overlap", flip(40*ChunkBytes+10), 2),
+		row("two frames flipped", flip(40*ChunkBytes+chunkOverlap+20, 90*ChunkBytes+chunkOverlap+20), 2),
+		row("identical", flip(), 0),
 		// 100 chunks and 37 bytes: windows 99 and 100 now run into the
 		// new end.
-		{"truncated off the grid", func() []byte { return append([]byte(nil), base[:100*ChunkBytes+37]...) }, false, 2},
+		row("truncated off the grid", append([]byte(nil), base[:100*ChunkBytes+37]...), 2),
 		// The two old windows that ran into the end grow.
-		{"extended", func() []byte { return append(append([]byte(nil), base...), 1, 2, 3, 4, 5) }, false, 2},
+		row("extended", append(append([]byte(nil), base...), 1, 2, 3, 4, 5), 2),
 		// Placement and padding differ, so no window lines up.
-		{"another design's image", func() []byte { return append([]byte(nil), designs[5].Image...) }, false,
-			(len(designs[5].Image) + ChunkBytes - 1) / ChunkBytes},
-		{"NoDedup", flip(40*ChunkBytes + chunkOverlap + 20), true, frames},
-	}
-	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			c, err := New(Options{NoDedup: row.noDedup})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range designs[:8] {
-				if _, err := c.Add(d); err != nil {
-					t.Fatal(err)
-				}
-			}
-			scannedBefore := c.Report().Scan.BytesScanned
-			mod := row.edit()
-			dr, err := c.Add(Design{ID: designs[3].ID, Image: mod, Protected: designs[3].Protected})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dr.Rescans != 1 {
-				t.Errorf("rescans = %d, want 1", dr.Rescans)
-			}
-			if dr.FramesScanned != row.scanned || dr.DedupHits != dr.Frames-row.scanned {
-				t.Errorf("re-add scanned %d and reused %d of %d windows, want %d scanned",
-					dr.FramesScanned, dr.DedupHits, dr.Frames, row.scanned)
-			}
-			if !row.noDedup {
-				if dirty := dirtyWindows(base, mod); dirty != row.scanned {
-					t.Errorf("row pins %d scanned windows, but %d windows changed bytes", row.scanned, dirty)
-				}
-				// ScanStats must account only the rescanned windows.
-				maxWindow := int64(ChunkBytes + chunkOverlap)
-				if delta := c.Report().Scan.BytesScanned - scannedBefore; delta > int64(row.scanned)*maxWindow {
-					t.Errorf("re-add scanned %d bytes, want <= %d (%d windows)", delta, int64(row.scanned)*maxWindow, row.scanned)
-				}
-			}
+		row("another design's image", append([]byte(nil), designs[5].Image...),
+			(len(designs[5].Image)+ChunkBytes-1)/ChunkBytes),
+	)
+	// The no-dedup value's byte accounting: its re-add scans exactly the
+	// bytes a first add of the edited image scans.
+	t.Run("NoDedup", func(t *testing.T) {
+		c := row("", flip(40*ChunkBytes+chunkOverlap+20), 1)
+		cen, priorBytes, _ := addAll(t, c, Options{NoDedup: true})
+		fresh, _, _ := addAll(t, &censusCase{designs: c.designs}, Options{})
+		if got, want := cen.Report().Scan.BytesScanned-priorBytes, fresh.Report().Scan.BytesScanned; got != want {
+			t.Errorf("NoDedup re-add scanned %d bytes, a first add scans %d", got, want)
+		}
+	})
+}
 
-			// Ground truth: a fresh census's first add of the edited image.
-			want := runCensus(t, []Design{{ID: "mod", Image: mod}}, Options{}).Results[0]
-			if !reflect.DeepEqual(dr.Matches, want.Matches) {
-				t.Errorf("re-add matches %v != first-add matches %v", dr.Matches, want.Matches)
+// FuzzCorpusReadd is the census harness under fuzzing: one design of a
+// three-design corpus re-added with bytes flipped (op 0), truncated
+// (op 1) or extended (op 2) at a fuzzed offset.
+func FuzzCorpusReadd(f *testing.F) {
+	f.Add(uint8(0), uint32(40*ChunkBytes+10), []byte{0xA5})
+	f.Add(uint8(0), uint32(7), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(1), uint32(100*ChunkBytes+37), []byte{})
+	f.Add(uint8(2), uint32(0), []byte{1, 2, 3, 4, 5})
+	f.Fuzz(func(t *testing.T, op uint8, at uint32, data []byte) {
+		designs := fixture(t)[:3]
+		img := append([]byte(nil), designs[1].Image...)
+		off := int(at % uint32(len(img)))
+		switch op % 3 {
+		case 0:
+			for i, b := range data {
+				img[(off+i)%len(img)] ^= b
 			}
-			if dr.DualHits != want.DualHits || dr.TargetLUTs != want.TargetLUTs {
-				t.Errorf("re-add dual hits %d, target LUTs %d; first add %d, %d",
-					dr.DualHits, dr.TargetLUTs, want.DualHits, want.TargetLUTs)
-			}
-
-			// The report holds the design once, with the updated result.
-			if rep := c.Report(); rep.Designs != 8 || !reflect.DeepEqual(rep.Results[3], dr) {
-				t.Errorf("report holds %d designs and row %+v after the re-add, want 8 and %+v", rep.Designs, rep.Results[3], dr)
-			}
-		})
-	}
+		case 1:
+			img = img[:off+1]
+		default:
+			img = append(img, data...)
+		}
+		checkCensus(t, &censusCase{name: "fuzz", prior: designs,
+			designs: []Design{{ID: designs[1].ID, Image: img, Protected: designs[1].Protected}}})
+	})
 }
 
 // dirtyWindows counts the chunk windows of img whose bytes differ from
@@ -366,14 +514,12 @@ func TestClassifyMatchesPClassCanon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon := boolfn.PClassCanon(f)
 	c, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := NewSeeded(SeedOptions{Designs: 200, Seed: 42})
 	defer src.Close()
-	memo := map[boolfn.TT]bool{} // designs share most tables
 	n := 0
 	for ; ; n++ {
 		d, ok, err := src.Next()
@@ -387,22 +533,7 @@ func TestClassifyMatchesPClassCanon(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		luts, err := bitstream.ExtractLUTs(d.Image)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0
-		for _, l := range luts {
-			inClass, ok := memo[l.Init]
-			if !ok {
-				inClass = boolfn.PClassCanon(l.Init) == canon
-				memo[l.Init] = inClass
-			}
-			if inClass {
-				want++
-			}
-		}
-		if dr.TargetLUTs != want {
+		if want := pClassCount(d.Image, f); dr.TargetLUTs != want {
 			t.Errorf("design %d: TargetLUTs %d, PClassCanon count %d", n, dr.TargetLUTs, want)
 		}
 	}
@@ -439,15 +570,12 @@ func TestDirSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds, err := drain(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ids []string
-	for {
-		d, ok, err := src.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	for _, d := range ds {
 		ids = append(ids, d.ID)
 	}
 	if !reflect.DeepEqual(ids, []string{"a.bit", "b.bit", "c.bit"}) {
@@ -461,14 +589,8 @@ func TestDirSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		_, ok, err := src.Next()
-		if err != nil {
-			return // the empty file surfaced as an error, as required
-		}
-		if !ok {
-			t.Fatal("empty bitstream file passed the directory source")
-		}
+	if _, err := drain(src); err == nil {
+		t.Fatal("empty bitstream file passed the directory source")
 	}
 }
 
@@ -476,26 +598,21 @@ func TestDirSource(t *testing.T) {
 // identical corpora, and an Indices subset selects exactly those
 // designs.
 func TestSeededSourceDeterminism(t *testing.T) {
-	drain := func(src *SeededSource) []Design {
+	seeded := func(opt SeedOptions) []Design {
+		src := NewSeeded(opt)
 		defer src.Close()
-		var out []Design
-		for {
-			d, ok, err := src.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				return out
-			}
-			out = append(out, d)
+		out, err := drain(src)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return out
 	}
-	a := drain(NewSeeded(SeedOptions{Designs: 6, Seed: 9}))
-	b := drain(NewSeeded(SeedOptions{Designs: 6, Seed: 9}))
+	a := seeded(SeedOptions{Designs: 6, Seed: 9})
+	b := seeded(SeedOptions{Designs: 6, Seed: 9})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two identically-seeded sources streamed different corpora")
 	}
-	sub := drain(NewSeeded(SeedOptions{Designs: 6, Seed: 9, Indices: []int{4, 1}}))
+	sub := seeded(SeedOptions{Designs: 6, Seed: 9, Indices: []int{4, 1}})
 	if len(sub) != 2 || sub[0].ID != a[4].ID || sub[1].ID != a[1].ID {
 		t.Fatal("Indices subset did not select the requested designs in order")
 	}

@@ -2,6 +2,7 @@ package device
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestFailedLoadClearsConfiguration(t *testing.T) {
 	if err := fresh.Load(img); err != nil {
 		t.Fatal(err)
 	}
-	if want := hdl.GenerateKeystream(fresh, testIV, 2); !equalWords(z, want) {
+	if want := hdl.GenerateKeystream(fresh, testIV, 2); !slices.Equal(z, want) {
 		t.Fatalf("recovered device diverges: %08x != %08x", z, want)
 	}
 }

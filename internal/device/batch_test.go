@@ -2,12 +2,13 @@ package device
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"snowbma/internal/bitstream"
 	"snowbma/internal/boolfn"
-	"snowbma/internal/hdl"
 )
 
 // batchFixture decodes the structural pieces of a base image that the
@@ -41,10 +42,10 @@ func newBatchFixture(t testing.TB) *batchFixture {
 	return &batchFixture{img: img, parsed: p, regions: regions, desc: desc}
 }
 
-// withLUT returns a variant image with LUT lut's truth table replaced.
-func (fx *batchFixture) withLUT(t testing.TB, lut int, tt boolfn.TT) []byte {
+// withLUT returns a copy of img with LUT lut's truth table replaced.
+func (fx *batchFixture) withLUT(t testing.TB, img []byte, lut int, tt boolfn.TT) []byte {
 	t.Helper()
-	mod := append([]byte(nil), fx.img...)
+	mod := append([]byte(nil), img...)
 	fdri := fx.parsed.FDRI(mod)
 	clb := fdri[fx.regions.CLBOff : fx.regions.CLBOff+fx.regions.CLBLen]
 	if err := bitstream.WriteLUT(clb, fx.desc.LUTs[lut].Loc, tt); err != nil {
@@ -53,18 +54,24 @@ func (fx *batchFixture) withLUT(t testing.TB, lut int, tt boolfn.TT) []byte {
 	return mod
 }
 
-// withBRAMWord returns a variant image with one BRAM content word
+// withBRAMWord returns a copy of img with one BRAM content word
 // replaced.
-func (fx *batchFixture) withBRAMWord(t testing.TB, bram, entry int, w uint64) []byte {
-	t.Helper()
-	mod := append([]byte(nil), fx.img...)
-	fdri := fx.parsed.FDRI(mod)
+func (fx *batchFixture) withBRAMWord(img []byte, bram, entry int, w uint64) []byte {
+	mod := append([]byte(nil), img...)
 	off := fx.regions.BRAMOff + fx.desc.BRAMs[bram].ContentOff + 8*entry
-	for k := 7; k >= 0; k-- {
-		fdri[off+k] = byte(w)
-		w >>= 8
-	}
+	binary.BigEndian.PutUint64(fx.parsed.FDRI(mod)[off:], w)
 	return mod
+}
+
+// randomLUT and randomBRAMWord rewrite one LUT or one BRAM word of img,
+// drawn from rng.
+func (fx *batchFixture) randomLUT(t testing.TB, img []byte, rng *rand.Rand) []byte {
+	return fx.withLUT(t, img, rng.Intn(len(fx.desc.LUTs)), boolfn.TT(rng.Uint64()))
+}
+
+func (fx *batchFixture) randomBRAMWord(img []byte, rng *rand.Rand) []byte {
+	bram := rng.Intn(len(fx.desc.BRAMs))
+	return fx.withBRAMWord(img, bram, rng.Intn(1<<len(fx.desc.BRAMs[bram].Addr)), rng.Uint64())
 }
 
 func (fx *batchFixture) diff(t testing.TB, mod []byte) bitstream.PatchSet {
@@ -76,76 +83,36 @@ func (fx *batchFixture) diff(t testing.TB, mod []byte) bitstream.PatchSet {
 	return ps
 }
 
-// scalarKeystream loads an image into a fresh scalar device and runs the
-// keystream protocol — the reference the batch lanes must match.
-func scalarKeystream(t testing.TB, img []byte, n int) []uint32 {
-	t.Helper()
-	f := New([bitstream.KeySize]byte{})
-	if err := f.Load(img); err != nil {
-		t.Fatal(err)
-	}
-	return hdl.GenerateKeystream(f, testIV, n)
-}
-
-// TestBatchMatchesScalarLanes pins the tentpole property: every lane of
-// a patched batch produces the exact keystream a scalar device loaded
-// with that lane's full image would — at full and partial widths — with
-// LUT patches, BRAM patches, multi-frame patches and clean lanes mixed.
+// TestBatchMatchesScalarLanes: fabric harness rows mixing clean lanes,
+// one LUT, one BRAM word and two LUTs in (likely) different frames, at
+// full and partial widths.
 func TestBatchMatchesScalarLanes(t *testing.T) {
 	fx := newBatchFixture(t)
 	rng := rand.New(rand.NewSource(99))
-	const n = 6
+	var cases []*fabricCase
 	for _, lanes := range []int{1, 5, 37, MaxLanes} {
-		patches := make([]bitstream.PatchSet, lanes)
 		images := make([][]byte, lanes)
-		for L := 0; L < lanes; L++ {
+		for L := range images {
 			switch L % 4 {
 			case 0: // clean lane
 				images[L] = fx.img
 			case 1: // one LUT modified
-				lut := rng.Intn(len(fx.desc.LUTs))
-				images[L] = fx.withLUT(t, lut, boolfn.TT(rng.Uint64()))
+				images[L] = fx.randomLUT(t, fx.img, rng)
 			case 2: // one BRAM word modified
-				bram := rng.Intn(len(fx.desc.BRAMs))
-				entry := rng.Intn(1 << len(fx.desc.BRAMs[bram].Addr))
-				images[L] = fx.withBRAMWord(t, bram, entry, rng.Uint64())
+				images[L] = fx.randomBRAMWord(fx.img, rng)
 			default: // two LUTs in (likely) different frames
-				a := rng.Intn(len(fx.desc.LUTs))
-				b := rng.Intn(len(fx.desc.LUTs))
-				mod := fx.withLUT(t, a, boolfn.TT(rng.Uint64()))
-				fdri := fx.parsed.FDRI(mod)
-				clb := fdri[fx.regions.CLBOff : fx.regions.CLBOff+fx.regions.CLBLen]
-				if err := bitstream.WriteLUT(clb, fx.desc.LUTs[b].Loc, boolfn.TT(rng.Uint64())); err != nil {
-					t.Fatal(err)
-				}
-				images[L] = mod
-			}
-			patches[L] = fx.diff(t, images[L])
-		}
-		f := New([bitstream.KeySize]byte{})
-		batch, err := f.LoadPatched(fx.img, patches)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch.Lanes() != lanes {
-			t.Fatalf("Lanes() = %d, want %d", batch.Lanes(), lanes)
-		}
-		got := hdl.GenerateKeystreamBatch(batch, testIV, n)
-		for L := 0; L < lanes; L++ {
-			want := scalarKeystream(t, images[L], n)
-			for i := range want {
-				if got[L][i] != want[i] {
-					t.Fatalf("lanes=%d lane %d word %d: batch %08x != scalar %08x",
-						lanes, L, i, got[L][i], want[i])
-				}
+				images[L] = fx.randomLUT(t, fx.randomLUT(t, fx.img, rng), rng)
 			}
 		}
+		cases = append(cases, fx.imageCase(t, fmt.Sprintf("lanes=%d", lanes), images, testIV, 6))
 	}
+	runFabric(t, cases...)
 }
 
-// TestBatchEncryptedBase verifies the batch evaluator accepts an
-// encrypted base image (the attacker's simulator models the victim, so
-// it is not bound by the PartialReconfig security fuse).
+// TestBatchEncryptedBase: a fabric harness row over a sealed base. The
+// batch evaluator is the attacker's model of the victim, so it is not
+// bound by the PartialReconfig security fuse; each scalar lane loads
+// its own sealed image.
 func TestBatchEncryptedBase(t *testing.T) {
 	fx := newBatchFixture(t)
 	var kE, kA [bitstream.KeySize]byte
@@ -153,45 +120,23 @@ func TestBatchEncryptedBase(t *testing.T) {
 		kE[i] = byte(i + 1)
 		kA[i] = byte(i + 101)
 	}
-	var cbcIV [16]byte
-	sealed, err := bitstream.Seal(fx.img, kE, kA, cbcIV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lut := 17 % len(fx.desc.LUTs)
-	modImg := fx.withLUT(t, lut, boolfn.TT(0xDEADBEEFCAFEF00D))
-	f := New(kE)
-	batch, err := f.LoadPatched(sealed, []bitstream.PatchSet{nil, fx.diff(t, modImg)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := hdl.GenerateKeystreamBatch(batch, testIV, 4)
-	if want := scalarKeystream(t, fx.img, 4); !equalWords(got[0], want) {
-		t.Fatalf("clean lane diverges under encrypted base: %08x != %08x", got[0], want)
-	}
-	fm := New(kE)
-	sealedMod, err := bitstream.Seal(modImg, kE, kA, cbcIV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fm.Load(sealedMod); err != nil {
-		t.Fatal(err)
-	}
-	if want := hdl.GenerateKeystream(fm, testIV, 4); !equalWords(got[1], want) {
-		t.Fatalf("patched lane diverges under encrypted base: %08x != %08x", got[1], want)
-	}
-}
-
-func equalWords(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	seal := func(img []byte) []byte {
+		sealed, err := bitstream.Seal(img, kE, kA, [16]byte{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return sealed
 	}
-	return true
+	modImg := fx.withLUT(t, fx.img, 17%len(fx.desc.LUTs), boolfn.TT(0xDEADBEEFCAFEF00D))
+	runFabric(t, &fabricCase{
+		name:    "sealed base",
+		kE:      kE,
+		base:    seal(fx.img),
+		patches: []bitstream.PatchSet{nil, fx.diff(t, modImg)},
+		images:  [][]byte{seal(fx.img), seal(modImg)},
+		iv:      testIV,
+		words:   4,
+	})
 }
 
 func TestLoadPatchedValidation(t *testing.T) {
@@ -226,15 +171,14 @@ func TestLoadPatchedValidation(t *testing.T) {
 	}
 }
 
-// TestPartialReconfigReadbackRoundtripUnderPatchedLanes closes the loop
-// between the three reconfiguration paths: a lane patch applied through
-// PartialReconfig must (a) read back as exactly the patched frame bytes
-// and (b) steer the live device to the same keystream the batch lane
-// computes.
+// TestPartialReconfigReadbackRoundtripUnderPatchedLanes: a lane patch
+// applied through PartialReconfig must read back as exactly the patched
+// frame bytes. (That it steers the live device to the batch lane's
+// keystream is the fabric harness's "reconfigured" value, on every row.)
 func TestPartialReconfigReadbackRoundtripUnderPatchedLanes(t *testing.T) {
 	fx := newBatchFixture(t)
 	lut := 3 % len(fx.desc.LUTs)
-	modImg := fx.withLUT(t, lut, boolfn.TT(0x5A5A_F0F0_3C3C_9696))
+	modImg := fx.withLUT(t, fx.img, lut, boolfn.TT(0x5A5A_F0F0_3C3C_9696))
 	ps := fx.diff(t, modImg)
 	if len(ps) == 0 {
 		t.Fatal("LUT patch produced no frame diff")
@@ -263,15 +207,5 @@ func TestPartialReconfigReadbackRoundtripUnderPatchedLanes(t *testing.T) {
 	}
 	if !bytes.Equal(rb, want) {
 		t.Fatal("readback does not round-trip the patched frames")
-	}
-
-	live := hdl.GenerateKeystream(f, testIV, 5)
-	fb := New([bitstream.KeySize]byte{})
-	batch, err := fb.LoadPatched(fx.img, []bitstream.PatchSet{ps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hdl.GenerateKeystreamBatch(batch, testIV, 5); !equalWords(got[0], live) {
-		t.Fatalf("batch lane %08x != partially reconfigured device %08x", got[0], live)
 	}
 }

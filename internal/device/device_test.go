@@ -41,38 +41,17 @@ func buildImage(t testing.TB, protected bool) ([]byte, *hdl.Design, *mapper.Resu
 	return img, d, r
 }
 
+// TestDeviceMatchesModel: a fabric harness row of the unmodified design.
 func TestDeviceMatchesModel(t *testing.T) {
 	img, _, _ := buildImage(t, false)
-	f := New([bitstream.KeySize]byte{})
-	if err := f.Program(img); err != nil {
-		t.Fatal(err)
-	}
-	got := hdl.GenerateKeystream(f, testIV, 8)
-	ref := snow3g.New(snow3g.Fault{})
-	ref.Init(testKey, testIV)
-	want := ref.KeystreamWords(8)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("device z%d = %08x, model %08x", i+1, got[i], want[i])
-		}
-	}
+	runFabric(t, modelCase("unprotected", [bitstream.KeySize]byte{}, img, 8))
 }
 
+// TestProtectedDeviceMatchesModel: a fabric harness row of the design
+// under the countermeasure.
 func TestProtectedDeviceMatchesModel(t *testing.T) {
 	img, _, _ := buildImage(t, true)
-	f := New([bitstream.KeySize]byte{})
-	if err := f.Program(img); err != nil {
-		t.Fatal(err)
-	}
-	got := hdl.GenerateKeystream(f, testIV, 4)
-	ref := snow3g.New(snow3g.Fault{})
-	ref.Init(testKey, testIV)
-	want := ref.KeystreamWords(4)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("protected device z%d = %08x, model %08x", i+1, got[i], want[i])
-		}
-	}
+	runFabric(t, modelCase("protected", [bitstream.KeySize]byte{}, img, 4))
 }
 
 func TestDeviceRejectsCorruptedCRC(t *testing.T) {
@@ -95,12 +74,14 @@ func TestDeviceRejectsCorruptedCRC(t *testing.T) {
 	}
 }
 
-func TestLUTModificationChangesBehaviour(t *testing.T) {
-	// Zero one z-path LUT directly via its known location (white-box
-	// test; the attack does the same through FINDLUT): that keystream
-	// bit must go dead.
-	img, _, r := buildImage(t, false)
-	p, _ := bitstream.ParsePackets(img)
+// f2LUT returns img's frame region, its layout and the location of the
+// first f2-class LUT of the mapping r, which drives a z-path register.
+func f2LUT(t *testing.T, img []byte, r *mapper.Result) ([]byte, *bitstream.Regions, bitstream.Loc) {
+	t.Helper()
+	p, err := bitstream.ParsePackets(img)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fdri := p.FDRI(img)
 	regions, err := bitstream.ParseRegions(fdri)
 	if err != nil {
@@ -110,24 +91,28 @@ func TestLUTModificationChangesBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find the description record of the LUT driving z bit 0's register:
-	// its O6 root is the FF D net of zreg[0]. Identify via the mapping.
-	var zLUT *bitstream.LUTRec
 	for _, lut := range r.LUTs {
 		if boolfn.PEquivalent(lut.Fn, boolfn.F2) {
-			for i := range desc.LUTs {
-				if desc.LUTs[i].O6 == uint32(lut.Root) {
-					zLUT = &desc.LUTs[i]
+			for _, rec := range desc.LUTs {
+				if rec.O6 == uint32(lut.Root) {
+					return fdri, regions, rec.Loc
 				}
 			}
 			break
 		}
 	}
-	if zLUT == nil {
-		t.Fatal("no f2-class LUT found in image")
-	}
+	t.Fatal("no f2-class LUT found in image")
+	return nil, nil, bitstream.Loc{}
+}
+
+func TestLUTModificationChangesBehaviour(t *testing.T) {
+	// Zero one z-path LUT directly via its known location (white-box
+	// test; the attack does the same through FINDLUT): that keystream
+	// bit must go dead.
+	img, _, r := buildImage(t, false)
+	fdri, regions, loc := f2LUT(t, img, r)
 	clb := fdri[regions.CLBOff : regions.CLBOff+regions.CLBLen]
-	if err := bitstream.WriteLUT(clb, zLUT.Loc, boolfn.Const0); err != nil {
+	if err := bitstream.WriteLUT(clb, loc, boolfn.Const0); err != nil {
 		t.Fatal(err)
 	}
 	if err := bitstream.RecomputeCRC(img); err != nil {
@@ -171,16 +156,10 @@ func TestEncryptedLoadPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	runFabric(t, modelCase("sealed", kE, enc, 2))
 	right := New(kE)
 	if err := right.Program(enc); err != nil {
 		t.Fatalf("device with correct eFuse key rejected encrypted image: %v", err)
-	}
-	got := hdl.GenerateKeystream(right, testIV, 2)
-	ref := snow3g.New(snow3g.Fault{})
-	ref.Init(testKey, testIV)
-	want := ref.KeystreamWords(2)
-	if got[0] != want[0] || got[1] != want[1] {
-		t.Fatal("encrypted boot produced wrong keystream")
 	}
 	wrong := New([bitstream.KeySize]byte{9})
 	if err := wrong.Load(enc); err == nil {
@@ -461,42 +440,15 @@ func TestPartialReconfigInjectsFaultKeepingState(t *testing.T) {
 	if err := f.Program(img); err != nil {
 		t.Fatal(err)
 	}
-	// Locate an f2-class LUT and the frame holding it.
-	p, _ := bitstream.ParsePackets(img)
-	fdri := p.FDRI(img)
-	regions, err := bitstream.ParseRegions(fdri)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc, err := bitstream.UnmarshalDescription(fdri[regions.DescOff : regions.DescOff+regions.DescLen])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var loc bitstream.Loc
-	found := false
-	for _, lut := range r.LUTs {
-		if boolfn.PEquivalent(lut.Fn, boolfn.F2) {
-			for _, rec := range desc.LUTs {
-				if rec.O6 == uint32(lut.Root) {
-					loc, found = rec.Loc, true
-				}
-			}
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no f2 LUT located")
-	}
+	fdri, _, loc := f2LUT(t, img, r)
 	// Build the modified frame: zero that LUT within its frame bytes.
-	clbStart := bitstream.FrameBytes // header frame precedes CLB region
-	frameIdx := 1 + loc.Frame        // absolute frame index in fdri
+	frameIdx := 1 + loc.Frame // absolute frame index in fdri (the header frame precedes the CLB region)
 	frame := append([]byte(nil),
 		fdri[frameIdx*bitstream.FrameBytes:(frameIdx+1)*bitstream.FrameBytes]...)
 	sub := bitstream.EncodeLUT(boolfn.Const0, loc.Type)
 	for q := 0; q < bitstream.SubVectors; q++ {
 		copy(frame[q*bitstream.SubVectorOffset+loc.Slot*bitstream.SubVectorBytes:], sub[q][:])
 	}
-	_ = clbStart
 
 	// Run half an initialization, inject mid-flight, finish: the fault
 	// must take effect without resetting the registers.

@@ -3,6 +3,7 @@ package device
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,65 +11,7 @@ import (
 	"snowbma/internal/boolfn"
 	"snowbma/internal/hdl"
 	"snowbma/internal/obs"
-	"snowbma/internal/snow3g"
 )
-
-// keystreamBatchToggling mirrors hdl.GenerateKeystreamBatch but flips
-// the batch between the compiled and walker evaluators every third
-// clock, exercising the inline-FF materialization handoff mid-protocol.
-func keystreamBatchToggling(b *Batch, n int) [][]uint32 {
-	clocks := 0
-	tick := func() {
-		b.setWalker(clocks/3%2 == 1)
-		clocks++
-		b.ClockBatch()
-	}
-	for i := 0; i < 4; i++ {
-		var words [32]uint64
-		for bit := 0; bit < 32; bit++ {
-			if testIV[i]>>uint(bit)&1 == 1 {
-				words[bit] = ^uint64(0)
-			}
-			b.SetInputLanes(fmt.Sprintf("%s[%d]", hdl.IVPort(i), bit), words[bit])
-		}
-	}
-	ctl := func(load, init, run, gen bool) {
-		all := func(v bool) uint64 {
-			if v {
-				return ^uint64(0)
-			}
-			return 0
-		}
-		b.SetInputLanes(hdl.PortLoad, all(load))
-		b.SetInputLanes(hdl.PortInit, all(init))
-		b.SetInputLanes(hdl.PortRun, all(run))
-		b.SetInputLanes(hdl.PortGen, all(gen))
-	}
-	ctl(true, false, true, false)
-	tick()
-	ctl(false, true, true, false)
-	for i := 0; i < 32; i++ {
-		tick()
-	}
-	ctl(false, false, true, true)
-	tick()
-	out := make([][]uint32, b.Lanes())
-	for L := range out {
-		out[L] = make([]uint32, n)
-	}
-	for t := 0; t < n; t++ {
-		tick()
-		for i := 0; i < 32; i++ {
-			mask := b.ReadLanes(fmt.Sprintf("%s[%d]", hdl.PortZ, i))
-			for L := range out {
-				if mask>>uint(L)&1 == 1 {
-					out[L][t] |= 1 << uint(i)
-				}
-			}
-		}
-	}
-	return out
-}
 
 // miniBatch assembles a Batch directly from an in-memory Description,
 // bypassing the bitstream container: the compiled program and the walker
@@ -98,32 +41,6 @@ func miniBatch(t testing.TB, desc *bitstream.Description, tts []boolfn.TT, tabs 
 	return b
 }
 
-// diffCycles drives two identically-built batches — one compiled, one
-// walking the description — through the same stimulus and requires every
-// output to agree on every cycle.
-func diffCycles(t *testing.T, mk func() *Batch, cycles int, drive func(b *Batch, cycle int)) {
-	t.Helper()
-	cb, wb := mk(), mk()
-	wb.setWalker(true)
-	outs := make([]string, 0, len(cb.outPins))
-	for name := range cb.outPins {
-		outs = append(outs, name)
-	}
-	for cy := 0; cy < cycles; cy++ {
-		if drive != nil {
-			drive(cb, cy)
-			drive(wb, cy)
-		}
-		for _, o := range outs {
-			if g, w := cb.ReadLanes(o), wb.ReadLanes(o); g != w {
-				t.Fatalf("cycle %d output %q: compiled %016x walker %016x", cy, o, g, w)
-			}
-		}
-		cb.ClockBatch()
-		wb.ClockBatch()
-	}
-}
-
 // TestCompileFoldsConstantInputs pins the constant-folding compile path:
 // a LUT with two of three inputs tied to the constant nets must fold to
 // a function of the live input alone, and still match the walker, which
@@ -146,13 +63,13 @@ func TestCompileFoldsConstantInputs(t *testing.T) {
 	if prog.stats.FoldedInputs != 2 {
 		t.Fatalf("FoldedInputs = %d, want 2", prog.stats.FoldedInputs)
 	}
-	diffCycles(t, func() *Batch { return miniBatch(t, desc, tts, nil, 64) }, 4,
-		func(b *Batch, cy int) { b.SetInputLanes("in", uint64(0x0123456789ABCDEF)<<uint(cy)) })
+	runFabric(t, &fabricCase{name: "folded", mini: &miniCase{desc: desc, tts: tts, lanes: 64, cycles: 4,
+		drive: func(b hdl.BatchDevice, cy int) { b.SetInputLanes("in", uint64(0x0123456789ABCDEF)<<uint(cy)) }}})
 }
 
-// TestCompileLUTEdges covers the degenerate LUT shapes: a zero-input
-// constant LUT and a fractured LUT with fewer than five shared inputs,
-// both against the walker's reduce.
+// TestCompileLUTEdges: fabric harness rows for the degenerate LUT
+// shapes, a zero-input constant LUT and a fractured LUT with fewer than
+// five shared inputs.
 func TestCompileLUTEdges(t *testing.T) {
 	t.Run("const-k0", func(t *testing.T) {
 		desc := &bitstream.Description{
@@ -166,10 +83,12 @@ func TestCompileLUTEdges(t *testing.T) {
 			},
 			Eval: []bitstream.EvalItem{{Kind: bitstream.EvalLUT, Index: 0}},
 		}
+		var cases []*fabricCase
 		for _, tt := range []boolfn.TT{0, 1, ^boolfn.TT(0)} {
-			tts := []boolfn.TT{tt}
-			diffCycles(t, func() *Batch { return miniBatch(t, desc, tts, nil, 64) }, 2, nil)
+			cases = append(cases, &fabricCase{name: fmt.Sprintf("tt=%016x", tt),
+				mini: &miniCase{desc: desc, tts: []boolfn.TT{tt}, lanes: 64, cycles: 2}})
 		}
+		runFabric(t, cases...)
 	})
 	t.Run("fractured-2in", func(t *testing.T) {
 		desc := &bitstream.Description{
@@ -186,14 +105,16 @@ func TestCompileLUTEdges(t *testing.T) {
 			Eval: []bitstream.EvalItem{{Kind: bitstream.EvalLUT, Index: 0}},
 		}
 		rng := rand.New(rand.NewSource(99))
+		var cases []*fabricCase
 		for trial := 0; trial < 8; trial++ {
-			tts := []boolfn.TT{boolfn.TT(rng.Uint64())}
-			diffCycles(t, func() *Batch { return miniBatch(t, desc, tts, nil, 64) }, 4,
-				func(b *Batch, cy int) {
+			cases = append(cases, &fabricCase{name: fmt.Sprintf("trial=%d", trial), mini: &miniCase{
+				desc: desc, tts: []boolfn.TT{boolfn.TT(rng.Uint64())}, lanes: 64, cycles: 4,
+				drive: func(b hdl.BatchDevice, cy int) {
 					b.SetInputLanes("a", rowPattern(trial, cy))
 					b.SetInputLanes("b", rowPattern(cy, trial+1))
-				})
+				}}})
 		}
+		runFabric(t, cases...)
 	})
 }
 
@@ -204,8 +125,8 @@ func rowPattern(i, j int) uint64 {
 // TestClockEdgePlanner pins both halves of the fused clock edge: a
 // flip-flop swap ring forces the parallel-move sequentializer to spill
 // through a temporary, and a LUT driving a Q net directly must disable
-// the fused path entirely and fall back to inject/latch — in both cases
-// bit-identically to the walker.
+// the fused path entirely and fall back to inject/latch. Each shape is
+// also a fabric harness row.
 func TestClockEdgePlanner(t *testing.T) {
 	t.Run("swap-ring-spill", func(t *testing.T) {
 		desc := &bitstream.Description{
@@ -219,14 +140,12 @@ func TestClockEdgePlanner(t *testing.T) {
 				{Init: false, Q: 3, D: 2},
 			},
 		}
-		mk := func() *Batch { return miniBatch(t, desc, nil, nil, 64) }
-		b := mk()
-		if !b.st.prog.ffSafe {
+		if !miniBatch(t, desc, nil, nil, 64).st.prog.ffSafe {
 			t.Fatal("swap ring should keep the fused clock edge")
 		}
-		diffCycles(t, mk, 6, nil)
+		runFabric(t, &fabricCase{name: "ring", mini: &miniCase{desc: desc, lanes: 64, cycles: 6}})
 		// And the values actually swap.
-		b2 := mk()
+		b2 := miniBatch(t, desc, nil, nil, 64)
 		for cy := 0; cy < 4; cy++ {
 			p, q := b2.ReadLanes("p"), b2.ReadLanes("q")
 			if cy%2 == 0 && (p != ^uint64(0) || q != 0) {
@@ -265,21 +184,31 @@ func TestClockEdgePlanner(t *testing.T) {
 		if b.st.prog.ffSafe {
 			t.Fatal("LUT driving a Q net must disable the fused clock edge")
 		}
-		diffCycles(t, func() *Batch { return miniBatch(t, desc, tts, nil, 64) }, 6,
-			func(b *Batch, cy int) { b.SetInputLanes("in", rowPattern(cy, cy)) })
+		runFabric(t, &fabricCase{name: "fallback", mini: &miniCase{desc: desc, tts: tts, lanes: 64, cycles: 6,
+			drive: func(b hdl.BatchDevice, cy int) { b.SetInputLanes("in", rowPattern(cy, cy)) }}})
 	})
 }
 
-// TestPartialWidthMasking pins the stale-bit contract for partial
-// batches: register bits above the active lane count may carry garbage
-// internally (the evaluators compute full 64-lane words), but ReadLanes
-// must mask them off, in both evaluators. The SNOW 3G fabric pins the
-// compiled and walker outputs against each other; a combinational
-// inverter pins the exact mask: internally its output word is the
-// complement of the driven pattern in all 64 bits, so every inactive
-// lane holding a 1 there must read back as 0.
+// TestPartialWidthMasking: fabric harness rows at every width 1..64
+// over the SNOW 3G fabric (clean lanes and lanes with one LUT and one
+// BRAM word rewritten, in turn), and a combinational inverter at widths
+// 1, 3, 63 and 64, whose output word is the complement of the driven
+// pattern in all 64 bits internally. The inverter rows want each lane's
+// complemented input bit, and the harness fails on any output bit at or
+// above the lane count, so every value must read back exactly
+// ^in & mask: the inactive lanes holding ones must read as zero.
 func TestPartialWidthMasking(t *testing.T) {
 	fx := newBatchFixture(t)
+	patched := fx.withLUT(t, fx.img, 5%len(fx.desc.LUTs), boolfn.TT(0x0F0F_3C3C_5A5A_9696))
+	pool := [][]byte{fx.img, fx.withBRAMWord(patched, 0, 1, 0xFEDC_BA98_7654_3210)}
+	var cases []*fabricCase
+	for lanes := 1; lanes <= MaxLanes; lanes++ {
+		images := make([][]byte, lanes)
+		for L := range images {
+			images[L] = pool[L%len(pool)]
+		}
+		cases = append(cases, fx.imageCase(t, fmt.Sprintf("lanes=%d", lanes), images, testIV, 2))
+	}
 	inv := &bitstream.Description{
 		NumNets: 4,
 		Ports: []bitstream.Port{
@@ -291,148 +220,55 @@ func TestPartialWidthMasking(t *testing.T) {
 		},
 		Eval: []bitstream.EvalItem{{Kind: bitstream.EvalLUT, Index: 0}},
 	}
-	invTT := []boolfn.TT{boolfn.TT(0x5555555555555555)} // ^in
 	for _, lanes := range []int{1, 3, 63, 64} {
-		mask := ^uint64(0) >> uint(64-lanes)
-		mkDev := func(walk bool) *Batch {
-			dev := New([bitstream.KeySize]byte{})
-			batch, err := dev.LoadPatched(fx.img, make([]bitstream.PatchSet, lanes))
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch.setWalker(walk)
-			return batch
-		}
-		cb, wb := mkDev(false), mkDev(true)
-		for _, b := range []*Batch{cb, wb} {
-			// Drive the run input high so outputs carry live data, then
-			// clock a few cycles into the protocol.
-			b.SetInputLanes(hdl.PortRun, ^uint64(0))
-			for i := 0; i < 4; i++ {
-				b.ClockBatch()
+		want := make([][]uint32, lanes)
+		for L := range want {
+			for cy := 0; cy < 2; cy++ {
+				want[L] = append(want[L], uint32(^rowPattern(lanes, cy)>>uint(L)&1))
 			}
 		}
-		for name := range cb.outPins {
-			g, w := cb.ReadLanes(name), wb.ReadLanes(name)
-			if g != w {
-				t.Fatalf("lanes=%d %q: compiled %016x != walker %016x", lanes, name, g, w)
-			}
-			if g&^mask != 0 {
-				t.Fatalf("lanes=%d %q: bits above lane count leak: %016x", lanes, name, g)
-			}
-		}
-		for _, walk := range []bool{false, true} {
-			b := miniBatch(t, inv, invTT, nil, lanes)
-			b.setWalker(walk)
-			in := rowPattern(lanes, 1)
-			b.SetInputLanes("in", in)
-			b.ClockBatch()
-			if got, want := b.ReadLanes("out"), ^in&mask; got != want {
-				t.Fatalf("lanes=%d walker=%v: out %016x, want %016x", lanes, walk, got, want)
-			}
-		}
+		cases = append(cases, &fabricCase{name: fmt.Sprintf("inverter lanes=%d", lanes), want: want, mini: &miniCase{
+			desc: inv, tts: []boolfn.TT{boolfn.TT(0x5555555555555555)}, lanes: lanes, cycles: 2, // ^in
+			drive: func(b hdl.BatchDevice, cy int) { b.SetInputLanes("in", rowPattern(lanes, cy)) }}})
 	}
+	runFabric(t, cases...)
 }
 
-// TestCompiledMatchesWalkerKeystream runs the full keystream protocol
-// over mixed patched lanes in both evaluator modes, including a
-// mid-stream evaluator switch (which exercises the inline-FF
-// materialization handoff in both directions).
+// TestCompiledMatchesWalkerKeystream: a fabric harness row of 64 lanes,
+// each clean, LUT-patched or BRAM-patched at random.
 func TestCompiledMatchesWalkerKeystream(t *testing.T) {
 	fx := newBatchFixture(t)
 	rng := rand.New(rand.NewSource(7))
-	const lanes = 64
-	patches := make([]bitstream.PatchSet, lanes)
-	for L := 0; L < lanes; L++ {
-		switch rng.Intn(3) {
-		case 0: // clean lane
-		case 1:
-			patches[L] = fx.diff(t, fx.withLUT(t, rng.Intn(len(fx.desc.LUTs)), boolfn.TT(rng.Uint64())))
-		default:
-			bram := rng.Intn(len(fx.desc.BRAMs))
-			entry := rng.Intn(1 << len(fx.desc.BRAMs[bram].Addr))
-			patches[L] = fx.diff(t, fx.withBRAMWord(t, bram, entry, rng.Uint64()))
-		}
+	images := make([][]byte, MaxLanes)
+	for L := range images {
+		images[L] = fx.randomImage(t, rng)
 	}
-	mk := func() *Batch {
-		dev := New([bitstream.KeySize]byte{})
-		b, err := dev.LoadPatched(fx.img, patches)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	const n = 8
-	compiled, walker, mixed := mk(), mk(), mk()
-	walker.setWalker(true)
-	zc := hdl.GenerateKeystreamBatch(compiled, testIV, n)
-	zw := hdl.GenerateKeystreamBatch(walker, testIV, n)
-	zm := keystreamBatchToggling(mixed, n)
-	for L := 0; L < lanes; L++ {
-		if !equalWords(zc[L], zw[L]) {
-			t.Fatalf("lane %d: compiled %08x != walker %08x", L, zc[L], zw[L])
-		}
-		if !equalWords(zc[L], zm[L]) {
-			t.Fatalf("lane %d: compiled %08x != mode-switching %08x", L, zc[L], zm[L])
-		}
-	}
+	runFabric(t, fx.imageCase(t, "random mix", images, testIV, 8))
 }
 
-// TestCompiledMatchesWalkerAfterPartialReconfig pins the patch-only
-// reconfiguration path: after PartialReconfig rewrites a CLB frame and a
-// BRAM frame, a batch built over the patched device must agree between
-// evaluators and with a scalar device loaded from the equivalent full
-// image.
+// TestCompiledMatchesWalkerAfterPartialReconfig: a fabric harness row
+// over the patch-only reconfiguration path. PartialReconfig rewrites a
+// CLB frame and a BRAM frame of the loaded base, and 40 clean lanes
+// built over the patched device — a partial word — must each reproduce
+// the edited design.
 func TestCompiledMatchesWalkerAfterPartialReconfig(t *testing.T) {
 	fx := newBatchFixture(t)
 	rng := rand.New(rand.NewSource(21))
-	mod := fx.withLUT(t, rng.Intn(len(fx.desc.LUTs)), boolfn.TT(rng.Uint64()))
-	// Stack a BRAM change on top of the LUT change.
-	{
-		parsed, err := bitstream.ParsePackets(mod)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fdri := parsed.FDRI(mod)
-		bram := rng.Intn(len(fx.desc.BRAMs))
-		entry := rng.Intn(1 << len(fx.desc.BRAMs[bram].Addr))
-		off := fx.regions.BRAMOff + fx.desc.BRAMs[bram].ContentOff + 8*entry
-		w := rng.Uint64()
-		for k := 7; k >= 0; k-- {
-			fdri[off+k] = byte(w)
-			w >>= 8
-		}
+	mod := fx.randomBRAMWord(fx.randomLUT(t, fx.img, rng), rng) // a LUT and a BRAM word
+	const lanes = 40
+	images := make([][]byte, lanes)
+	for L := range images {
+		images[L] = mod
 	}
-	dev := New([bitstream.KeySize]byte{})
-	if err := dev.Load(fx.img); err != nil {
-		t.Fatal(err)
-	}
-	for _, fp := range fx.diff(t, mod) {
-		if err := dev.PartialReconfig(fp.Frame, fp.Data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 40 clean lanes over the patched base: a partial word, and every
-	// lane must reproduce the reconfigured design.
-	const n, lanes = 6, 40
-	mkBatch := func(walk bool) [][]uint32 {
-		b, err := dev.BatchOf(make([]bitstream.PatchSet, lanes))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.setWalker(walk)
-		return hdl.GenerateKeystreamBatch(b, testIV, n)
-	}
-	zc, zw := mkBatch(false), mkBatch(true)
-	zs := scalarKeystream(t, mod, n)
-	for L := 0; L < lanes; L++ {
-		if !equalWords(zc[L], zw[L]) {
-			t.Fatalf("after partial reconfig lane %d: compiled %08x != walker %08x", L, zc[L], zw[L])
-		}
-		if !equalWords(zc[L], zs) {
-			t.Fatalf("after partial reconfig lane %d: compiled %08x != scalar full-image %08x", L, zc[L], zs)
-		}
-	}
+	runFabric(t, &fabricCase{
+		name:     "CLB and BRAM frames",
+		base:     fx.img,
+		reconfig: fx.diff(t, mod),
+		patches:  make([]bitstream.PatchSet, lanes),
+		images:   images,
+		iv:       testIV,
+		words:    6,
+	})
 }
 
 // TestValidateRejectsOversizedFabric pins the capacity check that backs
@@ -530,51 +366,6 @@ func TestCoalesceCopies(t *testing.T) {
 	}
 }
 
-// FuzzProgramDifferential is the compiled evaluator's oracle: for fuzzed
-// lane counts in 1..MaxLanes and per-lane LUT/BRAM patches, the compiled program and the description walker
-// must emit identical keystreams over identical register files.
-func FuzzProgramDifferential(f *testing.F) {
-	fx := newBatchFixture(f)
-	f.Add(uint8(0), int64(1), uint64(0xEA024714AD5C4D84))
-	f.Add(uint8(5), int64(42), uint64(0xDF1F9B251C0BF45F))
-	f.Add(uint8(63), int64(1234), uint64(0x0123456789ABCDEF))
-	f.Add(uint8(99), int64(77), uint64(0x243F6A8885A308D3)) // 36 lanes
-	f.Add(uint8(200), int64(9), uint64(0x13198A2E03707344)) // 9 lanes
-	f.Add(uint8(255), int64(3), uint64(0xA4093822299F31D0)) // 64 lanes: full word
-	f.Fuzz(func(t *testing.T, laneByte uint8, patchSeed int64, ivSeed uint64) {
-		lanes := 1 + int(laneByte)%MaxLanes
-		rng := rand.New(rand.NewSource(patchSeed))
-		iv := snow3g.IV{uint32(ivSeed), uint32(ivSeed >> 32), uint32(ivSeed) ^ 0xA5A5A5A5, uint32(ivSeed>>32) ^ 0x5A5A5A5A}
-		patches := make([]bitstream.PatchSet, lanes)
-		for L := 0; L < lanes; L++ {
-			switch rng.Intn(3) {
-			case 0:
-			case 1:
-				patches[L] = fx.diff(t, fx.withLUT(t, rng.Intn(len(fx.desc.LUTs)), boolfn.TT(rng.Uint64())))
-			default:
-				bram := rng.Intn(len(fx.desc.BRAMs))
-				entry := rng.Intn(1 << len(fx.desc.BRAMs[bram].Addr))
-				patches[L] = fx.diff(t, fx.withBRAMWord(t, bram, entry, rng.Uint64()))
-			}
-		}
-		mk := func(walk bool) [][]uint32 {
-			dev := New([bitstream.KeySize]byte{})
-			b, err := dev.LoadPatched(fx.img, patches)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.setWalker(walk)
-			return hdl.GenerateKeystreamBatch(b, iv, 3)
-		}
-		zc, zw := mk(false), mk(true)
-		for L := 0; L < lanes; L++ {
-			if !equalWords(zc[L], zw[L]) {
-				t.Fatalf("lane %d/%d: compiled %08x != walker %08x", L, lanes, zc[L], zw[L])
-			}
-		}
-	})
-}
-
 // TestConcurrentBatchesOverOneDescription pins the concurrency contract
 // documented on Batch: one Batch is single-goroutine, but distinct
 // Batches over one loaded configuration share only immutable data — the
@@ -608,7 +399,7 @@ func TestConcurrentBatchesOverOneDescription(t *testing.T) {
 	}
 	wg.Wait()
 	for w := 1; w < workers; w++ {
-		if !equalWords(results[w], results[0]) {
+		if !slices.Equal(results[w], results[0]) {
 			t.Fatalf("worker %d diverges: %08x != %08x", w, results[w], results[0])
 		}
 	}

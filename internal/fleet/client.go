@@ -36,8 +36,11 @@ type client struct {
 	hc *http.Client
 }
 
-func newClient(timeout time.Duration) *client {
-	return &client{hc: &http.Client{Timeout: timeout}}
+// requestTimeout bounds each HTTP call to a worker.
+const requestTimeout = 10 * time.Second
+
+func newClient() *client {
+	return &client{hc: &http.Client{Timeout: requestTimeout}}
 }
 
 // decodeError extracts the service API's {"error": ...} body.

@@ -45,11 +45,6 @@ type Config struct {
 	// LeaseTTL is how long a worker may go unheard-from before its jobs
 	// are reassigned (0 = DefaultLeaseFactor * HealthInterval).
 	LeaseTTL time.Duration
-	// VNodes is the consistent-hash virtual node count per worker
-	// (0 = DefaultVNodes).
-	VNodes int
-	// RequestTimeout bounds each HTTP call to a worker (0 = 10s).
-	RequestTimeout time.Duration
 	// EventBuffer bounds the coordinator's event bus ring
 	// (0 = obs.DefaultEventBuffer).
 	EventBuffer int
@@ -189,9 +184,6 @@ func New(cfg Config) *Coordinator {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseFactor * cfg.HealthInterval
 	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 10 * time.Second
-	}
 	tel := cfg.Tel
 	if tel == nil {
 		tel = obs.New()
@@ -205,8 +197,8 @@ func New(cfg Config) *Coordinator {
 		tel:     tel,
 		logf:    logf,
 		bus:     obs.NewEventBus(cfg.EventBuffer),
-		rpc:     newClient(cfg.RequestTimeout),
-		ring:    NewRing(cfg.VNodes),
+		rpc:     newClient(),
+		ring:    NewRing(),
 		workers: map[string]*worker{},
 		jobs:    map[string]*fleetJob{},
 		stop:    make(chan struct{}),
@@ -347,9 +339,8 @@ func (c *Coordinator) Submit(spec service.JobSpec) (Status, error) {
 	c.mu.Unlock()
 
 	if err := c.dispatch(j); err != nil {
-		c.mu.Lock()
-		c.seq-- // the id never escaped; reuse it
-		c.mu.Unlock()
+		// The id is not handed back: another Submit may already hold a
+		// later one, and reusing this one would give two jobs one id.
 		c.tel.Counter("fleet.jobs_rejected").Inc()
 		return Status{}, err
 	}

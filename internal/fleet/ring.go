@@ -10,6 +10,7 @@ package fleet
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -21,7 +22,6 @@ const DefaultVNodes = 64
 // Ring is a consistent-hash ring over named workers. Not safe for
 // concurrent use; the Coordinator guards it with its own mutex.
 type Ring struct {
-	vnodes  int
 	points  []ringPoint // sorted by hash
 	members map[string]bool
 }
@@ -31,12 +31,9 @@ type ringPoint struct {
 	member string
 }
 
-// NewRing builds an empty ring (vnodes <= 0 picks DefaultVNodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	return &Ring{vnodes: vnodes, members: map[string]bool{}}
+// NewRing builds an empty ring with DefaultVNodes points per member.
+func NewRing() *Ring {
+	return &Ring{members: map[string]bool{}}
 }
 
 func hashKey(s string) uint32 {
@@ -52,7 +49,9 @@ func (r *Ring) Add(member string) {
 		return
 	}
 	r.members[member] = true
-	for i := 0; i < r.vnodes; i++ {
+	// One allocation per join for the member's points.
+	r.points = slices.Grow(r.points, DefaultVNodes)
+	for i := 0; i < DefaultVNodes; i++ {
 		r.points = append(r.points, ringPoint{
 			hash:   hashKey(fmt.Sprintf("%s#%d", member, i)),
 			member: member,

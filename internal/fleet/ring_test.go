@@ -16,7 +16,7 @@ import (
 func TestRingJoinMovesOnlyToJoiner(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
-		r := NewRing(0)
+		r := NewRing()
 		n := 2 + rng.Intn(6)
 		for i := 0; i < n; i++ {
 			r.Add(fmt.Sprintf("w%d", i))
@@ -58,7 +58,7 @@ func TestRingJoinMovesOnlyToJoiner(t *testing.T) {
 // worker reclaims precisely the shards (and warm caches) it had.
 func TestRingLeaveRestoresMapping(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < 5; i++ {
 		r.Add(fmt.Sprintf("w%d", i))
 	}
@@ -91,7 +91,7 @@ func TestRingLeaveRestoresMapping(t *testing.T) {
 // TestRingGetLiveWalksOverDead: a dead owner's keys divert to the next
 // live member; everyone else's keys stay put.
 func TestRingGetLiveDiversion(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < 4; i++ {
 		r.Add(fmt.Sprintf("w%d", i))
 	}
@@ -127,7 +127,7 @@ func TestIdenticalVictimsSameShard(t *testing.T) {
 	if shardKey(a) == shardKey(c) {
 		t.Fatal("different victims share a shard key")
 	}
-	r := NewRing(0)
+	r := NewRing()
 	r.Add("w0")
 	r.Add("w1")
 	r.Add("w2")

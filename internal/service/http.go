@@ -276,7 +276,6 @@ func (e *Engine) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (e *Engine) serveSSE(w http.ResponseWriter, r *http.Request, opt obs.SSEOptions) {
-	opt.Heartbeat = e.cfg.Heartbeat
 	e.tel.Counter("service.sse_streams").Inc()
 	obs.ServeSSE(w, r, e.bus, opt) //nolint:errcheck // stream is committed; nothing to signal
 }

@@ -33,7 +33,7 @@ type TenantConfig struct {
 }
 
 // DefaultTenantConfig is the contract applied to tenants absent from
-// Config.Tenants when no Config.DefaultTenant override is given.
+// Config.Tenants.
 var DefaultTenantConfig = TenantConfig{Weight: 1}
 
 // tenantQ is one tenant's FIFO plus its stride-scheduling state.

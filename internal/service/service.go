@@ -68,11 +68,6 @@ type Config struct {
 	CacheSize int
 	// EventBuffer bounds the live event bus ring (0 = obs.DefaultEventBuffer).
 	EventBuffer int
-	// FlushInterval is the cadence at which counter/gauge changes stream
-	// onto the event bus (0 = obs.DefaultFlushInterval).
-	FlushInterval time.Duration
-	// Heartbeat is the SSE keep-alive cadence (0 = obs.DefaultHeartbeat).
-	Heartbeat time.Duration
 	// RuntimePoll is the runtime-profiling sample cadence
 	// (0 = obs.DefaultRuntimePoll).
 	RuntimePoll time.Duration
@@ -84,12 +79,9 @@ type Config struct {
 	// Open, not New.
 	Store store.JobStore
 	// Tenants maps tenant names to their scheduling contracts
-	// (weights, quotas, priority classes). Tenants not listed get
-	// DefaultTenant (or DefaultTenantConfig when that is nil too).
+	// (weights, quotas, priority classes). Tenants not listed, the
+	// anonymous "" tenant included, get DefaultTenantConfig.
 	Tenants map[string]TenantConfig
-	// DefaultTenant overrides the contract applied to unlisted
-	// tenants, including the anonymous "" tenant.
-	DefaultTenant *TenantConfig
 	// RigLatency models the per-job occupancy of one physical attack
 	// rig (bitstream programming + keystream capture on real hardware
 	// is device-bound, not CPU-bound). When nonzero, every job holds a
@@ -112,9 +104,6 @@ type Config struct {
 func (cfg Config) tenantConfig(tenant string) TenantConfig {
 	if tc, ok := cfg.Tenants[tenant]; ok {
 		return tc
-	}
-	if cfg.DefaultTenant != nil {
-		return *cfg.DefaultTenant
 	}
 	return DefaultTenantConfig
 }
@@ -214,7 +203,7 @@ func Open(cfg Config) (*Engine, error) {
 	tel.BucketHistogram("service.job_run_ms", obs.DurationBucketsMS)
 
 	e.bus = obs.NewEventBus(cfg.EventBuffer)
-	e.stopFlush = obs.NewMetricsStreamer(tel.Metrics, e.bus, "").Start(cfg.FlushInterval)
+	e.stopFlush = obs.NewMetricsStreamer(tel.Metrics, e.bus, "").Start(obs.DefaultFlushInterval)
 	e.stopRuntime = obs.StartRuntimeMetrics(tel.Metrics, cfg.RuntimePoll, e.sampleEngineGauges)
 
 	if cfg.Store != nil {
@@ -418,7 +407,7 @@ func (e *Engine) run(j *job) {
 	// Stream the job registry's counter/gauge movement while it runs;
 	// the stop below performs a final flush so terminal values land on
 	// the bus before the terminal job event does.
-	stopFlush := obs.NewMetricsStreamer(j.tel.Metrics, e.bus, j.id).Start(e.cfg.FlushInterval)
+	stopFlush := obs.NewMetricsStreamer(j.tel.Metrics, e.bus, j.id).Start(obs.DefaultFlushInterval)
 
 	span := j.tel.StartSpan("service.job",
 		obs.KV("id", j.id), obs.KV("kind", j.spec.Kind))
