@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test tier1 race bench bench-layout examples trace-smoke campaign-smoke serve-smoke sse-smoke fleet-smoke census-smoke fuzz clean
+.PHONY: all build vet test tier1 race bench bench-layout unreached examples trace-smoke campaign-smoke serve-smoke sse-smoke fleet-smoke census-smoke fuzz clean
 
 all: tier1
 
@@ -45,6 +45,13 @@ bench-layout:
 			printf '%-40s 0x%s  mod 64 = %d\n' "$$sym" "$$addr" $$((0x$$addr % 64));; \
 		esac; \
 	done
+
+# unreached prints every production function of the module that none of
+# its binaries links (tools/unreached.sh builds them with inlining off
+# and reads their symbol tables). It only prints; DESIGN.md's "Unreached
+# by design" table names the functions expected in its output.
+unreached:
+	@sh tools/unreached.sh
 
 # examples runs every program under examples/ end to end; each exits
 # non-zero if the facade calls it demonstrates stop working.
@@ -136,20 +143,25 @@ census-smoke:
 # passes CheckCRC. So does device.Load: a mutated image must configure
 # or fail with an error, and a configured device must survive a clock.
 # Both take ~70 kB images as new inputs (for device.Load each try is a
-# full configuration), so minimization is capped at 2 s to leave the
-# pass time to fuzz. JobSpec JSON gets a pass too: a POST /jobs body must
-# decode and validate or fail with ErrSpec, and an accepted spec must
-# keep every size field within its cap. So does an SSE Last-Event-ID:
-# any header must replay exactly the events after the id it names, or
-# after the stream's own resume point when it names none.
+# full configuration). JobSpec JSON gets a pass too: a POST /jobs body
+# must decode and validate or fail with ErrSpec, and an accepted spec
+# must keep every size field within its cap. So does an SSE
+# Last-Event-ID: any header must replay exactly the events after the id
+# it names, or after the stream's own resume point when it names none.
+# So does the WAL decoder: corrupt bytes must end in a typed error with
+# a usable record prefix. Minimizing a new input is capped at 2 s on
+# every pass that stalls without the cap (the scanner and WAL passes
+# made no executions for most of a 20 s run uncapped), so the pass time
+# goes to fuzzing.
 fuzz:
-	$(GO) test ./internal/core/ -run FuzzScannerDifferential -fuzz FuzzScannerDifferential -fuzztime 30s
+	$(GO) test ./internal/core/ -run FuzzScannerDifferential -fuzz FuzzScannerDifferential -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/device/ -run FuzzProgramDifferential -fuzz FuzzProgramDifferential -fuzztime 60s
 	$(GO) test ./internal/corpus/ -run FuzzCorpusReadd -fuzz FuzzCorpusReadd -fuzztime 30s
 	$(GO) test ./internal/bitstream/ -run FuzzParsePackets -fuzz FuzzParsePackets -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/device/ -run FuzzLoad -fuzz FuzzLoad -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/service/ -run FuzzDecodeSpec -fuzz FuzzDecodeSpec -fuzztime 30s -fuzzminimizetime 2s
 	$(GO) test ./internal/obs/ -run FuzzSSELastEventID -fuzz FuzzSSELastEventID -fuzztime 30s -fuzzminimizetime 2s
+	$(GO) test ./internal/store/ -run FuzzWALDecode -fuzz FuzzWALDecode -fuzztime 30s -fuzzminimizetime 2s
 
 clean:
 	$(GO) clean -testcache

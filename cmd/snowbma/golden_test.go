@@ -1,0 +1,62 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite the table golden files from this run")
+
+// TestCmdTableGolden pins the stdout of `snowbma table2` and `snowbma
+// table6` byte for byte against testdata/table2.golden and
+// table6.golden: the Table II and Table VI candidate counts and the
+// dual-output XOR search. Each command runs in a child process (this
+// test binary re-executed as the CLI), so it sees a fresh process as a
+// user's shell would. Run with -update to accept a change on purpose.
+func TestCmdTableGolden(t *testing.T) {
+	if args := os.Getenv("SNOWBMA_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"snowbma"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, name := range []string{"table2", "table6"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCmdTableGolden$")
+		cmd.Env = append(os.Environ(), "SNOWBMA_TEST_ARGS="+name)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("snowbma %s: %v\n%s", name, err, stderr.Bytes())
+		}
+		// The child's test framework ends its stdout with its verdict.
+		got, ok := bytes.CutSuffix(out, []byte("PASS\n"))
+		if !ok {
+			t.Fatalf("snowbma %s: child did not end with PASS:\n%s", name, out)
+		}
+		path := filepath.Join("testdata", name+".golden")
+		if *update {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got, want) {
+			continue
+		}
+		g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(g) && i < len(w); i++ {
+			if !bytes.Equal(g[i], w[i]) {
+				t.Fatalf("%s line %d:\n got %s\nwant %s\n(rerun with -update to accept the new output)", path, i+1, g[i], w[i])
+			}
+		}
+		t.Fatalf("%s: output has %d lines, golden %d (rerun with -update to accept)", path, len(g), len(w))
+	}
+}

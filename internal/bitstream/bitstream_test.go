@@ -15,12 +15,26 @@ import (
 	"snowbma/internal/snow3g"
 )
 
+// xiFormula is the closed form of Table I, used as a structural
+// cross-check against transcription errors: the B index of F[a6..a1] is
+// {¬a4, ¬(a1⊕a4), ¬a6, ¬a5, ¬a3, ¬a2} from MSB to LSB.
+func xiFormula(i int) int {
+	a := func(n uint) uint64 { return uint64(i) >> (n - 1) & 1 }
+	out5 := 1 - a(4)
+	out4 := 1 - (a(1) ^ a(4))
+	out3 := 1 - a(6)
+	out2 := 1 - a(5)
+	out1 := 1 - a(3)
+	out0 := 1 - a(2)
+	return int(out5<<5 | out4<<4 | out3<<3 | out2<<2 | out1<<1 | out0)
+}
+
 func TestXiTableIStructure(t *testing.T) {
 	// The hardcoded Table I must agree with its closed form and be a
 	// permutation.
 	var seen [64]bool
 	for i := 0; i < 64; i++ {
-		j := XiPosition(i)
+		j := int(xiTable[i])
 		if j != xiFormula(i) {
 			t.Errorf("Table I row %d: table says B[%d], formula says B[%d]", i, j, xiFormula(i))
 		}
@@ -32,7 +46,7 @@ func TestXiTableIStructure(t *testing.T) {
 	// Spot rows straight from the paper.
 	rows := map[int]int{0: 63, 1: 47, 8: 15, 31: 24, 32: 55, 62: 0, 63: 16}
 	for i, want := range rows {
-		if got := XiPosition(i); got != want {
+		if got := int(xiTable[i]); got != want {
 			t.Errorf("Table I: F[%d] → B[%d], want B[%d]", i, got, want)
 		}
 	}

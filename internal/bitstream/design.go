@@ -311,21 +311,6 @@ const (
 	FrameBRAM
 )
 
-// String names the region for error messages.
-func (k FrameRegion) String() string {
-	switch k {
-	case FrameHeader:
-		return "header"
-	case FrameCLB:
-		return "CLB"
-	case FrameDesc:
-		return "description"
-	case FrameBRAM:
-		return "BRAM"
-	}
-	return "unknown"
-}
-
 // ClassifyFrame maps an absolute frame index onto its region and the
 // frame index relative to that region's first frame. Out-of-range
 // indices return an error.

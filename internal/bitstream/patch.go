@@ -28,22 +28,12 @@ type PatchSet []FramePatch
 func (ps PatchSet) Frames() int { return len(ps) }
 
 // DiffFrames computes the frame-level delta between a base image and a
-// modified image of identical length and packet structure. Any
+// modified image of identical length and packet structure; p must
+// describe base, so one packet walk serves many candidate diffs. Any
 // difference outside the FDRI frame region (packet headers, register
 // writes, the stored CRC) is an error: such a candidate cannot be
 // expressed as a partial reconfiguration and must take the full-image
 // path.
-func DiffFrames(base, mod []byte) (PatchSet, error) {
-	p, err := ParsePackets(base)
-	if err != nil {
-		return nil, err
-	}
-	return p.DiffFrames(base, mod)
-}
-
-// DiffFrames is the pre-parsed variant of the package-level DiffFrames:
-// p must describe base. Using it amortizes the packet walk over many
-// candidate diffs against the same base.
 func (p *Parsed) DiffFrames(base, mod []byte) (PatchSet, error) {
 	if len(base) != len(mod) {
 		return nil, fmt.Errorf("bitstream: diff length mismatch: base %d bytes, mod %d", len(base), len(mod))

@@ -8,7 +8,7 @@ import (
 func TestDiffFramesClean(t *testing.T) {
 	img, _, _ := testImage(t)
 	mod := append([]byte(nil), img...)
-	ps, err := DiffFrames(img, mod)
+	ps, err := diffFrames(t, img, mod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestDiffFramesLocatesModifiedFrames(t *testing.T) {
 	// Flip bytes in frames 3 and 7.
 	fdri[3*FrameBytes+10] ^= 0xFF
 	fdri[7*FrameBytes+400] ^= 0x55
-	ps, err := DiffFrames(img, mod)
+	ps, err := diffFrames(t, img, mod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,21 @@ func TestDiffFramesRejectsNonFDRIChanges(t *testing.T) {
 	img, _, _ := testImage(t)
 	mod := append([]byte(nil), img...)
 	mod[4] ^= 1 // header word, before sync
-	if _, err := DiffFrames(img, mod); err == nil {
+	if _, err := diffFrames(t, img, mod); err == nil {
 		t.Fatal("diff outside the FDRI region not rejected")
 	}
 	short := append([]byte(nil), img[:len(img)-4]...)
-	if _, err := DiffFrames(img, short); err == nil {
+	if _, err := diffFrames(t, img, short); err == nil {
 		t.Fatal("length mismatch not rejected")
 	}
+}
+
+// diffFrames diffs mod against base through base's own packet walk.
+func diffFrames(t *testing.T, base, mod []byte) (PatchSet, error) {
+	t.Helper()
+	p, err := ParsePackets(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.DiffFrames(base, mod)
 }

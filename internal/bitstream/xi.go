@@ -66,27 +66,9 @@ func xiApply(t *[8][256]uint64, w uint64) (out uint64) {
 	return out
 }
 
-// XiPosition returns ξ's image of truth-table position i, exposing Table
-// I programmatically (used by tests and the CLI inspect command).
-func XiPosition(i int) int { return int(xiTable[i&63]) }
-
 // Xi permutes a 64-bit truth table F into the bitstream-order vector
 // B = ξ(F).
 func Xi(f boolfn.TT) uint64 { return xiApply(xiBytes, uint64(f)) }
 
 // XiInv recovers the truth table from its bitstream-order vector.
 func XiInv(b uint64) boolfn.TT { return boolfn.TT(xiApply(xiInvBytes, b)) }
-
-// xiFormula is the closed form of Table I, used as a structural
-// cross-check against transcription errors: the B index of F[a6..a1] is
-// {¬a4, ¬(a1⊕a4), ¬a6, ¬a5, ¬a3, ¬a2} from MSB to LSB.
-func xiFormula(i int) int {
-	a := func(n uint) uint64 { return uint64(i) >> (n - 1) & 1 }
-	out5 := 1 - a(4)
-	out4 := 1 - (a(1) ^ a(4))
-	out3 := 1 - a(6)
-	out2 := 1 - a(5)
-	out1 := 1 - a(3)
-	out0 := 1 - a(2)
-	return int(out5<<5 | out4<<4 | out3<<3 | out2<<2 | out1<<1 | out0)
-}

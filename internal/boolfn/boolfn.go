@@ -11,8 +11,6 @@ package boolfn
 
 import (
 	"fmt"
-	"math/bits"
-	"strings"
 )
 
 // MaxVars is the LUT input count k of the targeted FPGA family.
@@ -61,12 +59,6 @@ func Mux(s, t, e TT) TT { return (s & t) | (^s & e) }
 // is the value of a_{j+1}).
 func (f TT) Eval(m uint) bool { return f>>(m&63)&1 == 1 }
 
-// Bit returns F[m] as 0 or 1.
-func (f TT) Bit(m uint) byte { return byte(f >> (m & 63) & 1) }
-
-// OnSet returns the number of minterms on which f is 1.
-func (f TT) OnSet() int { return bits.OnesCount64(uint64(f)) }
-
 // Cofactor returns the cofactor of f with variable j fixed to val,
 // expressed as a function that ignores variable j.
 func (f TT) Cofactor(j int, val bool) TT {
@@ -101,12 +93,6 @@ func (f TT) Support() (mask uint, size int) {
 		}
 	}
 	return mask, size
-}
-
-// SupportSize returns the number of variables f depends on.
-func (f TT) SupportSize() int {
-	_, n := f.Support()
-	return n
 }
 
 // Permute returns the truth table of f with inputs reordered so that the
@@ -220,29 +206,6 @@ func PClass(f TT) []TT {
 	return out
 }
 
-// PEquivalent reports whether f and g differ only by an input permutation.
-func PEquivalent(f, g TT) bool { return PClassCanon(f) == PClassCanon(g) }
-
 // String renders the truth table as 16 hex digits, most significant
 // minterm first, matching the usual LUT INIT attribute notation.
 func (f TT) String() string { return fmt.Sprintf("64'h%016X", uint64(f)) }
-
-// Minterms lists the on-set assignments of f as variable-value strings,
-// mainly for diagnostics.
-func (f TT) Minterms() []string {
-	var out []string
-	for m := uint(0); m < 64; m++ {
-		if f.Eval(m) {
-			var b strings.Builder
-			for j := MaxVars - 1; j >= 0; j-- {
-				if m>>uint(j)&1 == 1 {
-					b.WriteByte('1')
-				} else {
-					b.WriteByte('0')
-				}
-			}
-			out = append(out, b.String())
-		}
-	}
-	return out
-}

@@ -48,17 +48,6 @@ func Candidates() []Candidate {
 	return out
 }
 
-// CandidateByName returns the Table II row with the given name (f1..f21)
-// and whether it exists.
-func CandidateByName(name string) (Candidate, bool) {
-	for _, s := range candidateSpecs {
-		if s.name == name {
-			return Candidate{Name: s.name, Path: s.path, Expr: s.expr, TT: MustParse(s.expr)}, true
-		}
-	}
-	return Candidate{}, false
-}
-
 // Fault-injected replacements from Section VI-D, equation (1) and the
 // key-independence loop. The α fault removes the (a1 ⊕ a2) contribution of
 // the FSM output word from the covered function.
@@ -83,23 +72,6 @@ var (
 	// the initial state is loaded when the control input a1 = 1.
 	FMux2Alpha = MustParse("a6!a1a3 + !a6!a1a5")
 )
-
-// AlphaFault maps a confirmed candidate function to its stuck-at-0
-// replacement, or returns false when the catalogue does not define one.
-func AlphaFault(f TT) (TT, bool) {
-	switch f {
-	case F2:
-		return Const0, true // whole-LUT zeroing used during verification
-	case F8:
-		return F8Alpha, true
-	case F19:
-		return F19Alpha, true
-	case FMux2:
-		return FMux2Alpha, true
-	default:
-		return 0, false
-	}
-}
 
 // VPairs are the three possible input pairs of the FSM XOR v inside f2;
 // the key-independent technique distinguishes among them with two

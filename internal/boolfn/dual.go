@@ -28,14 +28,6 @@ func SplitDual(f TT) DualLUT {
 	return DualLUT{O5: TT5(f & 0xFFFFFFFF), O6: TT5(f >> 32)}
 }
 
-// Shared5 reports whether f can be realized in dual-output mode, i.e.
-// whether it does not depend on a6 (then both halves are equal) — used by
-// the mapper when deciding whether two functions can share one LUT.
-func Shared5(f TT) bool { return !f.DependsOn(5) }
-
-// Lower5 extends a 5-variable table to a 6-variable one independent of a6.
-func Lower5(t TT5) TT { return TT(t) | TT(t)<<32 }
-
 // Shrink5 projects a table independent of a6 down to 5 variables. It
 // panics if f depends on a6.
 func Shrink5(f TT) TT5 {

@@ -97,10 +97,10 @@ func TestCofactorConstants(t *testing.T) {
 }
 
 func TestSupportOfConstants(t *testing.T) {
-	if n := Const0.SupportSize(); n != 0 {
+	if _, n := Const0.Support(); n != 0 {
 		t.Fatalf("const0 support %d", n)
 	}
-	if n := Const1.SupportSize(); n != 0 {
+	if _, n := Const1.Support(); n != 0 {
 		t.Fatalf("const1 support %d", n)
 	}
 }

@@ -181,43 +181,6 @@ func (p *parser) postfix(tt TT) TT {
 	return tt
 }
 
-// Format renders f as a sum of products over its support, in the paper's
-// notation (juxtaposition for AND, ⊕ never appears — the SOP is exact but
-// not minimal). Intended for logs and the CLI, not for round-tripping.
-func Format(f TT) string {
-	if f == Const0 {
-		return "0"
-	}
-	if f == Const1 {
-		return "1"
-	}
-	mask, _ := f.Support()
-	var terms []string
-	for m := uint(0); m < 64; m++ {
-		// Only enumerate assignments canonical on the support: variables
-		// outside the support fixed to 0.
-		if uint64(m)&^uint64(mask) != 0 {
-			continue
-		}
-		if !f.Eval(m) {
-			continue
-		}
-		var b strings.Builder
-		for j := 0; j < MaxVars; j++ {
-			if mask>>uint(j)&1 == 0 {
-				continue
-			}
-			if m>>uint(j)&1 == 1 {
-				fmt.Fprintf(&b, "a%d", j+1)
-			} else {
-				fmt.Fprintf(&b, "a%d'", j+1)
-			}
-		}
-		terms = append(terms, b.String())
-	}
-	return strings.Join(terms, " + ")
-}
-
 // ParseInit parses the Xilinx INIT attribute notation "64'hFFF7F7FF00080800"
 // (as printed by TT.String) or a bare 16-digit hex string into a truth
 // table.

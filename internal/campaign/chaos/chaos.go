@@ -116,9 +116,6 @@ func Wrap(v Victim, fault Fault, seed int64) (*Device, error) {
 // including ones refused by a stall.
 func (d *Device) Loads() int { return d.loads }
 
-// StallAfter reports the seeded load budget of the stall fault.
-func (d *Device) StallAfter() int { return d.stallAfter }
-
 // Load forwards img to the victim, first applying the bitflip or stall
 // injector. The caller's slice is never mutated.
 func (d *Device) Load(img []byte) error {

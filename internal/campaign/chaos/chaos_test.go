@@ -69,14 +69,19 @@ func TestStallBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := d.StallAfter()
-	if budget < 2 || budget > 25 {
-		t.Fatalf("StallAfter = %d, want the seeded 2..25 range", budget)
-	}
-	for i := 0; i < budget; i++ {
+	// The seeded budget is the number of loads that pass before the
+	// first refusal.
+	budget := 0
+	for ; budget <= 25; budget++ {
 		if err := d.Load([]byte{1}); err != nil {
-			t.Fatalf("load %d within budget failed: %v", i+1, err)
+			if !errors.Is(err, chaos.ErrStalled) {
+				t.Fatalf("load %d = %v, want success or ErrStalled", budget+1, err)
+			}
+			break
 		}
+	}
+	if budget < 2 || budget > 25 {
+		t.Fatalf("stall budget = %d, want the seeded 2..25 range", budget)
 	}
 	for i := 0; i < 3; i++ {
 		err := d.Load([]byte{1})
@@ -84,8 +89,8 @@ func TestStallBudget(t *testing.T) {
 			t.Fatalf("load past budget = %v, want ErrStalled", err)
 		}
 	}
-	if d.Loads() != budget+3 {
-		t.Fatalf("Loads() = %d, want %d (refused attempts count)", d.Loads(), budget+3)
+	if d.Loads() != budget+4 {
+		t.Fatalf("Loads() = %d, want %d (refused attempts count)", d.Loads(), budget+4)
 	}
 	if v.loads != budget {
 		t.Fatalf("victim saw %d loads, want %d (stalls must not reach it)", v.loads, budget)

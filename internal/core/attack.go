@@ -82,13 +82,6 @@ type Report struct {
 	Fabric device.CompileStats
 }
 
-// HardwareEstimate extrapolates the attack's wall-clock cost on real
-// hardware from the number of bitstream loads: each faulty trial costs
-// one reconfiguration plus a short keystream capture.
-func (r *Report) HardwareEstimate(secondsPerLoad float64) float64 {
-	return float64(r.Loads) * secondsPerLoad
-}
-
 // Attack drives the end-to-end bitstream modification attack.
 type Attack struct {
 	dev Victim
@@ -97,7 +90,7 @@ type Attack struct {
 	// consults it between phases and between candidate trials, so a
 	// cancelled or timed-out run stops within one sweep chunk.
 	ctx context.Context
-	// log is the structured leveled logger (nil-safe); NewAttack wraps a
+	// log is the printf logger (nil-safe); NewAttack wraps a
 	// legacy printf-style callback into one, preserving its signature.
 	log *obs.Logger
 	// tel is the optional telemetry handle: phase spans and the metrics

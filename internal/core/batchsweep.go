@@ -42,10 +42,10 @@ func (a *Attack) SetLanes(n int) error {
 // BatchStats surfaces the simulator-side cost of the candidate sweeps,
 // deliberately separate from Report.Loads: a fabric pass evaluates up
 // to 64 candidate lanes but models that many individual
-// reconfigurations on real hardware, so Loads (and HardwareEstimate)
-// are invariant under the sweep width. LaneWords counts what the passes
-// cost the simulator: every pass sweeps one 64-lane register word
-// regardless of occupancy, so it grows by 1 per pass.
+// reconfigurations on real hardware, so Loads is invariant under the
+// sweep width. LaneWords counts what the passes cost the simulator:
+// every pass sweeps one 64-lane register word regardless of occupancy,
+// so it grows by 1 per pass.
 type BatchStats struct {
 	Width         int // configured sweep width (lanes per fabric pass)
 	Passes        int // bitsliced fabric passes executed

@@ -34,40 +34,28 @@ type CensusClass struct {
 // groups them by P-class and returns the classes with XOR structure and
 // at least minCount members, largest first.
 func CensusCandidates(img []byte, minCount int) ([]CensusClass, error) {
-	return censusCandidates(img, minCount, boolfn.PClassCanon)
+	return censusAll(img, minCount, true)
 }
 
 // CensusAllClasses returns every P-class with at least minCount members,
 // including classes without XOR structure (the census-guided attack needs
 // the plain MUX classes too; Groups is empty for them).
 func CensusAllClasses(img []byte, minCount int) ([]CensusClass, error) {
-	return censusAll(img, minCount, boolfn.PClassCanon, false)
+	return censusAll(img, minCount, false)
 }
 
-// CensusCandidatesNPN groups by the coarser NPN classes instead,
-// catching implementations that absorbed input or output inverters into
-// the LUTs (polarity variants like f1/f2 merge into one class).
-func CensusCandidatesNPN(img []byte, minCount int) ([]CensusClass, error) {
-	return censusCandidates(img, minCount, boolfn.NPNCanon)
-}
-
-func censusCandidates(img []byte, minCount int, canonOf func(boolfn.TT) boolfn.TT) ([]CensusClass, error) {
-	return censusAll(img, minCount, canonOf, true)
-}
-
-func censusAll(img []byte, minCount int, canonOf func(boolfn.TT) boolfn.TT, xorOnly bool) ([]CensusClass, error) {
+func censusAll(img []byte, minCount int, xorOnly bool) ([]CensusClass, error) {
 	luts, err := bitstream.ExtractLUTs(img)
 	if err != nil {
 		return nil, err
 	}
-	// Canonicalize distinct tables once; NPN canon is much heavier than
-	// P canon and designs repeat tables heavily.
+	// Canonicalize distinct tables once: designs repeat tables heavily.
 	canonCache := map[boolfn.TT]boolfn.TT{}
 	counts := map[boolfn.TT]int{}
 	for _, l := range luts {
 		c, ok := canonCache[l.Init]
 		if !ok {
-			c = canonOf(l.Init)
+			c = boolfn.PClassCanon(l.Init)
 			canonCache[l.Init] = c
 		}
 		counts[c]++

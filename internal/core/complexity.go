@@ -49,17 +49,3 @@ func MinDecoyRatio(m, securityBits int) int {
 		}
 	}
 }
-
-// PaperRatioLowerBound is the closed form 16/e − 1 from Section VII-A.
-func PaperRatioLowerBound() float64 { return 16/math.E - 1 }
-
-// ProtectedSearchBits reproduces Section VII-C: with `candidates`
-// remaining dual-output XOR candidates after pruning, picking which 32
-// implement v costs log2 C(candidates, 32) bits of work (the paper
-// computes C(171, 32) ≈ 4.9 × 10³⁴ ≈ 2¹¹⁵).
-func ProtectedSearchBits(candidates int) float64 {
-	if candidates < 32 {
-		return 0
-	}
-	return Log2Binomial(candidates, 32)
-}

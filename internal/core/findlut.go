@@ -30,17 +30,6 @@ type Match struct {
 	Order bitstream.SliceType
 }
 
-// Bytes returns the byte positions occupied by the matched LUT, used for
-// the overlap rule of Section VI-C ("two valid LUTs cannot overlap").
-func (m Match) Bytes() [8]int {
-	var out [8]int
-	for q := 0; q < bitstream.SubVectors; q++ {
-		out[2*q] = m.Index + q*bitstream.SubVectorOffset
-		out[2*q+1] = m.Index + q*bitstream.SubVectorOffset + 1
-	}
-	return out
-}
-
 // Overlaps reports whether two matches share a bitstream byte. With Δ
 // the index difference, sub-vector q of one match and q' of the other
 // collide iff Δ + (q'−q)·d lies within one byte of 0, so the rule is
@@ -180,26 +169,6 @@ func WriteMatch(b []byte, m Match, fAlpha boolfn.TT) {
 		b[off] = enc[q][0]
 		b[off+1] = enc[q][1]
 	}
-}
-
-// ReadMatch decodes the current truth table at a match location, in the
-// searched function's variable frame.
-func ReadMatch(b []byte, m Match) boolfn.TT {
-	var sub [bitstream.SubVectors][bitstream.SubVectorBytes]byte
-	for q := 0; q < bitstream.SubVectors; q++ {
-		off := m.Index + q*bitstream.SubVectorOffset
-		sub[q][0], sub[q][1] = b[off], b[off+1]
-	}
-	stored := bitstream.DecodeLUT(sub, m.Order)
-	return stored.Permute(invertPerm(m.Perm))
-}
-
-func invertPerm(p []int) []int {
-	inv := make([]int, len(p))
-	for i, v := range p {
-		inv[v] = i
-	}
-	return inv
 }
 
 // FindDualXOR implements the Section VII-B search: every byte position

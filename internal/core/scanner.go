@@ -444,12 +444,13 @@ func (s *Scanner) recompile(st *ScanStats) {
 // an XOR2 table; TestDualLaneSeparation pins the split exhaustively and
 // findDualXORSerial (two full decodes per position) is the oracle.
 
-// dualLanes holds the compiled lane keys: pre is a 16-bit prefilter over
-// a lane's first two bytes (bit j set when some lane-j key starts with
-// that prefix), keys[j] the exact 32-bit lane-j keys.
+// dualLanes holds the compiled lane keys: keys are the exact 32-bit
+// lane keys and pre a one-bit prefilter over their first two bytes (bit
+// p set when some key starts with prefix p). Lane 1's keys are the same
+// set as lane 0's (TestDualLaneKeySetsEqual), so one list serves both.
 type dualLanes struct {
-	pre  [1 << 16]uint8
-	keys [2][]uint32
+	pre  [1 << 16 / 64]uint64
+	keys []uint32
 }
 
 var (
@@ -458,21 +459,19 @@ var (
 )
 
 // dualLaneTables builds the lane tables on first use, so processes that
-// never scan for dual-output XORs pay nothing for them.
+// never scan for dual-output XORs pay nothing for them. The keys are
+// lane 0's: the O6 half of every XOR2 table under either slice order.
 func dualLaneTables() *dualLanes {
 	dualOnce.Do(func() {
 		t := &dualLanes{}
 		for _, x := range boolfn.Xor2Halves() {
-			halves := [2]boolfn.TT{boolfn.TT(x) << 32, boolfn.TT(x)} // lane 0: O6, lane 1: O5
-			for j, init := range halves {
-				for _, order := range []bitstream.SliceType{bitstream.SliceL, bitstream.SliceM} {
-					sub := bitstream.EncodeLUT(init, order)
-					key := uint32(sub[0][j]) | uint32(sub[1][j])<<8 |
-						uint32(sub[2][j])<<16 | uint32(sub[3][j])<<24
-					if !slices.Contains(t.keys[j], key) {
-						t.keys[j] = append(t.keys[j], key)
-						t.pre[uint16(key)] |= 1 << j
-					}
+			for _, order := range []bitstream.SliceType{bitstream.SliceL, bitstream.SliceM} {
+				sub := bitstream.EncodeLUT(boolfn.TT(x)<<32, order)
+				key := uint32(sub[0][0]) | uint32(sub[1][0])<<8 |
+					uint32(sub[2][0])<<16 | uint32(sub[3][0])<<24
+				if !slices.Contains(t.keys, key) {
+					t.keys = append(t.keys, key)
+					t.pre[uint16(key)>>6] |= 1 << (key & 63)
 				}
 			}
 		}
@@ -481,20 +480,25 @@ func dualLaneTables() *dualLanes {
 	return dualTabs
 }
 
+// passes reports whether the lane starting at p has a key's prefix.
+func (t *dualLanes) passes(b []byte, p int) bool {
+	prefix := uint16(b[p]) | uint16(b[p+bitstream.SubVectorOffset])<<8
+	return t.pre[prefix>>6]>>(prefix&63)&1 != 0
+}
+
 // scan evaluates the predicate at base positions [lo, hi), all at most
 // limit, returning the hits in ascending order. DualDecodes counts the
-// positions whose lane prefix passed the 16-bit prefilter.
+// positions where either lane's prefix passed the 16-bit prefilter.
 func (t *dualLanes) scan(b []byte, lo, hi int, st *ScanStats) []int {
-	const d = bitstream.SubVectorOffset
 	var hits []int
 	st.DualProbes += int64(hi - lo)
 	// Lane 1 at l is lane 0 at l+1: one prefilter load per position.
-	cur := t.pre[uint16(b[lo])|uint16(b[lo+d])<<8]
+	cur := t.passes(b, lo)
 	for l := lo; l < hi; l++ {
-		next := t.pre[uint16(b[l+1])|uint16(b[l+1+d])<<8]
-		if cur&1|next&2 != 0 {
+		next := t.passes(b, l+1)
+		if cur || next {
 			st.DualDecodes++
-			if t.exact(b, l, 0, cur) || t.exact(b, l, 1, next) {
+			if cur && t.exact(b, l) || next && t.exact(b, l+1) {
 				hits = append(hits, l)
 			}
 		}
@@ -503,16 +507,12 @@ func (t *dualLanes) scan(b []byte, lo, hi int, st *ScanStats) []int {
 	return hits
 }
 
-// exact reports whether lane j's full key at base position l is an XOR2
-// lane key, given the prefilter entry pre of its prefix.
-func (t *dualLanes) exact(b []byte, l, j int, pre uint8) bool {
+// exact reports whether the full lane key starting at p is an XOR2 lane
+// key.
+func (t *dualLanes) exact(b []byte, p int) bool {
 	const d = bitstream.SubVectorOffset
-	if pre&(1<<j) == 0 {
-		return false
-	}
-	p := l + j
 	key := uint32(b[p]) | uint32(b[p+d])<<8 | uint32(b[p+2*d])<<16 | uint32(b[p+3*d])<<24
-	return slices.Contains(t.keys[j], key)
+	return slices.Contains(t.keys, key)
 }
 
 // --- Process-wide candidate-catalogue cache -----------------------------
@@ -561,20 +561,4 @@ func catalogueFor(f boolfn.TT, opt FindOptions) ([]candidate, bool) {
 	obs.Default().Gauge("core.catalogue.entries").Set(float64(len(catCache)))
 	catMu.Unlock()
 	return cands, false
-}
-
-// CatalogueCacheStats reports the number of compiled catalogues held by
-// the process-wide cache.
-func CatalogueCacheStats() (entries int) {
-	catMu.RLock()
-	defer catMu.RUnlock()
-	return len(catCache)
-}
-
-// ResetCatalogueCache clears the process-wide catalogue cache (tests and
-// cold-path benchmarks).
-func ResetCatalogueCache() {
-	catMu.Lock()
-	defer catMu.Unlock()
-	catCache = map[catKey][]candidate{}
 }

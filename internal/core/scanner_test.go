@@ -325,6 +325,34 @@ func TestDualLaneSeparation(t *testing.T) {
 	}
 }
 
+// TestDualLaneKeySetsEqual pins what the single key list of dualLanes
+// rests on: the lane keys of the O5 half (lane 1) are the same set as
+// those of the O6 half (lane 0), the set dualLaneTables compiles.
+func TestDualLaneKeySetsEqual(t *testing.T) {
+	var lanes [2][]uint32
+	for _, x := range boolfn.Xor2Halves() {
+		for j, init := range [2]boolfn.TT{boolfn.TT(x) << 32, boolfn.TT(x)} {
+			for _, order := range []bitstream.SliceType{bitstream.SliceL, bitstream.SliceM} {
+				sub := bitstream.EncodeLUT(init, order)
+				lanes[j] = append(lanes[j], uint32(sub[0][j])|uint32(sub[1][j])<<8|
+					uint32(sub[2][j])<<16|uint32(sub[3][j])<<24)
+			}
+		}
+	}
+	compiled := slices.Clone(dualLaneTables().keys)
+	slices.Sort(compiled)
+	for j := range lanes {
+		slices.Sort(lanes[j])
+		lanes[j] = slices.Compact(lanes[j])
+		if !slices.Equal(lanes[j], compiled) {
+			t.Fatalf("lane %d keys %x differ from the compiled keys %x", j, lanes[j], compiled)
+		}
+	}
+	if len(compiled) != 17 {
+		t.Fatalf("%d lane keys, want 17", len(compiled))
+	}
+}
+
 // TestDualLaneKeysDifferential is a dense scan harness row for the
 // lane-key predicate: every XOR2 lane key
 // and each of its one-bit mutations is written into both byte lanes of a
@@ -332,13 +360,9 @@ func TestDualLaneSeparation(t *testing.T) {
 // bytes almost never hit, so this is where the exact key check and the
 // 16-bit prefilter meet their near misses.
 func TestDualLaneKeysDifferential(t *testing.T) {
-	tabs := dualLaneTables()
-	var keys []uint32
-	for j := range tabs.keys {
-		if len(tabs.keys[j]) == 0 {
-			t.Fatalf("lane %d has no keys", j)
-		}
-		keys = append(keys, tabs.keys[j]...)
+	keys := dualLaneTables().keys
+	if len(keys) == 0 {
+		t.Fatal("no lane keys")
 	}
 	rng := rand.New(rand.NewSource(5))
 	var slots [][2]uint32 // lane-0 and lane-1 keys per slot
@@ -582,4 +606,12 @@ func FuzzScannerDifferential(f *testing.F) {
 			windows: [][2]int{{0, 0}},
 		}, fuzzScanImpls)
 	})
+}
+
+// ResetCatalogueCache clears the process-wide catalogue cache so a test can count
+// catalogue hits and misses from a cold start.
+func ResetCatalogueCache() {
+	catMu.Lock()
+	defer catMu.Unlock()
+	catCache = map[catKey][]candidate{}
 }

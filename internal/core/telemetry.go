@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"snowbma/internal/device"
 	"snowbma/internal/obs"
 )
@@ -11,7 +9,7 @@ import (
 // whose span tracer wraps every phase and whose metrics registry backs
 // the ScanStats/BatchStats accumulation. The registry is a mirror, not
 // a replacement, of the report structs — the structs stay the unit of
-// byte-identity (Report.Loads, HardwareEstimate) and the differential
+// byte-identity (Report.Loads) and the differential
 // suite in telemetry_test.go pins that the registry reconstructions
 // match them exactly.
 //
@@ -33,7 +31,7 @@ import (
 // (attrs candidates/confirmed-or-survivors/eliminated).
 
 // SetTelemetry attaches a telemetry handle to the attack: phase spans,
-// the metrics registry, and (when tel.Log is set) the leveled logger
+// the metrics registry, and (when tel.Log is set) the printf logger
 // replace the attack's current sinks. It also forwards the handle to
 // the victim device (when it supports it). A nil tel detaches
 // everything except the logger.
@@ -46,9 +44,6 @@ func (a *Attack) SetTelemetry(tel *obs.Telemetry) {
 		d.SetTelemetry(tel)
 	}
 }
-
-// Telemetry returns the attached handle (nil when tracing is off).
-func (a *Attack) Telemetry() *obs.Telemetry { return a.tel }
 
 // countLoad is the single site that accounts one modeled hardware
 // reconfiguration, keeping Report.Loads and the attack.loads counter
@@ -93,29 +88,6 @@ func publishScanStats(m *obs.Registry, s ScanStats) {
 	m.Counter("scan.walk_ns").Set(int64(s.ScanTime))
 }
 
-// scanStatsFromMetrics reconstructs a ScanStats from the registry
-// mirror — the inverse of publishScanStats, pinned equal to the struct
-// accumulation by the differential suite.
-func scanStatsFromMetrics(m *obs.Registry) ScanStats {
-	return ScanStats{
-		Functions:          int(m.Counter("scan.functions").Value()),
-		DualTargets:        int(m.Counter("scan.dual_targets").Value()),
-		CandidatesCompiled: int(m.Counter("scan.candidates_compiled").Value()),
-		CatalogueHits:      int(m.Counter("scan.catalogue_hits").Value()),
-		CatalogueMisses:    int(m.Counter("scan.catalogue_misses").Value()),
-		BytesScanned:       m.Counter("scan.bytes").Value(),
-		Passes:             m.Counter("scan.passes").Value(),
-		AnchorProbes:       m.Counter("scan.anchor_probes").Value(),
-		AnchorHits:         m.Counter("scan.anchor_hits").Value(),
-		DeepCompares:       m.Counter("scan.deep_compares").Value(),
-		DualProbes:         m.Counter("scan.dual_probes").Value(),
-		DualDecodes:        m.Counter("scan.dual_decodes").Value(),
-		Workers:            int(m.Gauge("scan.workers").Value()),
-		CompileTime:        time.Duration(m.Counter("scan.compile_ns").Value()),
-		ScanTime:           time.Duration(m.Counter("scan.walk_ns").Value()),
-	}
-}
-
 func publishBatchStats(m *obs.Registry, s BatchStats) {
 	m.Gauge("batch.width").Set(float64(s.Width))
 	m.Counter("batch.passes").Set(int64(s.Passes))
@@ -128,18 +100,6 @@ func publishBatchStats(m *obs.Registry, s BatchStats) {
 		util = float64(s.Lanes) / float64(s.Passes*s.Width)
 	}
 	m.Gauge("batch.lane_utilisation").Set(util)
-}
-
-// batchStatsFromMetrics is the inverse of publishBatchStats.
-func batchStatsFromMetrics(m *obs.Registry) BatchStats {
-	return BatchStats{
-		Width:         int(m.Gauge("batch.width").Value()),
-		Passes:        int(m.Counter("batch.passes").Value()),
-		LaneWords:     int(m.Counter("batch.lane_words").Value()),
-		Lanes:         int(m.Counter("batch.lanes").Value()),
-		Fallbacks:     int(m.Counter("batch.fallbacks").Value()),
-		PatchedFrames: int(m.Counter("batch.patched_frames").Value()),
-	}
 }
 
 // Clone returns a deep copy of the report: mutating the copy (or its

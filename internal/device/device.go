@@ -613,9 +613,6 @@ func (f *FPGA) Read(name string) bool {
 // configuration.
 func (f *FPGA) Loaded() bool { return f.loaded }
 
-// LUTCount reports the number of configured physical LUTs (diagnostics).
-func (f *FPGA) LUTCount() int { return len(f.desc.LUTs) }
-
 // FlipFlops reports every flip-flop's current value in description
 // order, nil when unconfigured (diagnostics: two devices in the same
 // register state report the same values).

@@ -92,7 +92,7 @@ func f2LUT(t *testing.T, img []byte, r *mapper.Result) ([]byte, *bitstream.Regio
 		t.Fatal(err)
 	}
 	for _, lut := range r.LUTs {
-		if boolfn.PEquivalent(lut.Fn, boolfn.F2) {
+		if boolfn.PClassCanon(lut.Fn) == boolfn.PClassCanon(boolfn.F2) {
 			for _, rec := range desc.LUTs {
 				if rec.O6 == uint32(lut.Root) {
 					return fdri, regions, rec.Loc

@@ -389,3 +389,33 @@ func FuzzClockBatchDifferential(f *testing.F) {
 	f.Add(uint8(255), int64(12), uint64(0xBE5466CF34E90C6C)) // 64 lanes: full word
 	fuzzFabric(f)
 }
+
+// setWalker switches the batch between the compiled-program evaluator
+// (default) and the legacy description-walking evaluator. Both run over
+// the same register file and lane patches, so results are identical;
+// the walker is the oracle of the fabric harness and
+// FuzzProgramDifferential.
+func (b *Batch) setWalker(on bool) {
+	if on {
+		// The walker reads and latches the ff array directly; fold any
+		// inline flip-flop state back into it first. It also evaluates
+		// every LUT through its rows, including the Shannon-form ones the
+		// compiled path never materialized.
+		b.st.materializeFF()
+		b.st.materializeRows()
+	}
+	b.walk = on
+}
+
+// materializeRows fills in the rows of every Shannon-form LUT — the
+// ones the compiled path never needs — so the walker can evaluate the
+// whole design through them. Rows already holding patches are left
+// untouched.
+func (st *progState) materializeRows() {
+	for i := range st.rows {
+		if st.rows[i] == nil {
+			st.rows[i] = rowsFromTT(st.prog.baseTT[i], ^uint64(0))
+			st.owned[i] = true
+		}
+	}
+}

@@ -187,9 +187,6 @@ type regCopy struct {
 	dst, src, n uint32
 }
 
-// Stats returns the compile statistics.
-func (p *Program) Stats() CompileStats { return p.stats }
-
 // progState is the mutable half of a compiled evaluator: register file,
 // flip-flop state, the state-private instruction copy (so patches
 // rewrite operand tables without touching the shared Program), resolved
@@ -1174,19 +1171,6 @@ func (st *progState) ensureRows(i int) {
 		st.rows[i] = rowsFromTT(st.prog.baseTT[i], ^uint64(0))
 	}
 	st.owned[i] = true
-}
-
-// materializeRows fills in the rows of every Shannon-form LUT — the
-// ones the compiled path never needs — so the walker can evaluate the
-// whole design through them. Rows already holding patches are left
-// untouched.
-func (st *progState) materializeRows() {
-	for i := range st.rows {
-		if st.rows[i] == nil {
-			st.rows[i] = rowsFromTT(st.prog.baseTT[i], ^uint64(0))
-			st.owned[i] = true
-		}
-	}
 }
 
 // ensureReduceSite switches LUT i's compiled form to read the state's

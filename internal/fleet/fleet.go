@@ -211,12 +211,6 @@ func New(cfg Config) *Coordinator {
 	return c
 }
 
-// Bus exposes the coordinator's live event bus.
-func (c *Coordinator) Bus() *obs.EventBus { return c.bus }
-
-// Telemetry returns the coordinator metrics handle (for /metrics).
-func (c *Coordinator) Telemetry() *obs.Telemetry { return c.tel }
-
 // shardKey derives the consistent-hash key for a spec: jobs that build
 // the same victim share a key (so one worker's victim.Cache serves all
 // of them); campaign jobs key on their own parameters; a corpus shard

@@ -209,7 +209,7 @@ func TestFleetKillRestartSmoke(t *testing.T) {
 	w2seed := func() int64 {
 		for s := int64(1); ; s++ {
 			c.mu.Lock()
-			owner := c.ring.Get(shardKey(attackSpec(s)))
+			owner := c.ring.GetLive(shardKey(attackSpec(s)), nil)
 			c.mu.Unlock()
 			if owner == "w2" {
 				return s
@@ -274,7 +274,7 @@ func TestFleetKillRestartSmoke(t *testing.T) {
 	if err := c.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, backlog := c.Bus().SubscribeFrom(0, 1)
+	_, backlog := c.bus.SubscribeFrom(0, 1)
 	terminals := map[string]int{}
 	for _, ev := range backlog {
 		if ev.Type == obs.EventJob && terminalState(ev.Name) {
@@ -313,7 +313,7 @@ func TestFleetLeaseReassignment(t *testing.T) {
 	seedFor := func(name string) int64 {
 		for s := int64(1); ; s++ {
 			c.mu.Lock()
-			owner := c.ring.Get(shardKey(attackSpec(s)))
+			owner := c.ring.GetLive(shardKey(attackSpec(s)), nil)
 			c.mu.Unlock()
 			if owner == name {
 				return s
@@ -393,7 +393,7 @@ func BenchmarkFleetThroughput(b *testing.B) {
 				name := fmt.Sprintf("w%d", i)
 				for s := int64(1); ; s++ {
 					c.mu.Lock()
-					owner := c.ring.Get(shardKey(attackSpec(s)))
+					owner := c.ring.GetLive(shardKey(attackSpec(s)), nil)
 					c.mu.Unlock()
 					if owner == name {
 						seeds = append(seeds, s)

@@ -10,7 +10,6 @@ package fleet
 import (
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"sort"
 )
 
@@ -49,8 +48,6 @@ func (r *Ring) Add(member string) {
 		return
 	}
 	r.members[member] = true
-	// One allocation per join for the member's points.
-	r.points = slices.Grow(r.points, DefaultVNodes)
 	for i := 0; i < DefaultVNodes; i++ {
 		r.points = append(r.points, ringPoint{
 			hash:   hashKey(fmt.Sprintf("%s#%d", member, i)),
@@ -82,24 +79,8 @@ func (r *Ring) Remove(member string) {
 	r.points = kept
 }
 
-// Members returns the member names in sorted order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len reports the member count.
 func (r *Ring) Len() int { return len(r.members) }
-
-// Get returns the member owning the key ("" on an empty ring): the
-// first point clockwise from the key's hash.
-func (r *Ring) Get(key string) string {
-	return r.GetLive(key, nil)
-}
 
 // GetLive returns the first member clockwise from the key whose
 // liveness predicate passes (nil = all live). Dead members are walked

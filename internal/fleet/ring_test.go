@@ -27,13 +27,13 @@ func TestRingJoinMovesOnlyToJoiner(t *testing.T) {
 		}
 		before := map[string]string{}
 		for _, k := range keys {
-			before[k] = r.Get(k)
+			before[k] = r.GetLive(k, nil)
 		}
 		joiner := fmt.Sprintf("w%d", n)
 		r.Add(joiner)
 		moved := 0
 		for _, k := range keys {
-			after := r.Get(k)
+			after := r.GetLive(k, nil)
 			if after != before[k] {
 				if after != joiner {
 					t.Fatalf("trial %d: key %s moved %s → %s on join of %s (must only move to the joiner)",
@@ -68,11 +68,11 @@ func TestRingLeaveRestoresMapping(t *testing.T) {
 	}
 	before := map[string]string{}
 	for _, k := range keys {
-		before[k] = r.Get(k)
+		before[k] = r.GetLive(k, nil)
 	}
 	r.Remove("w2")
 	for _, k := range keys {
-		after := r.Get(k)
+		after := r.GetLive(k, nil)
 		if before[k] != "w2" && after != before[k] {
 			t.Fatalf("key %s moved %s → %s though its owner never left", k, before[k], after)
 		}
@@ -82,7 +82,7 @@ func TestRingLeaveRestoresMapping(t *testing.T) {
 	}
 	r.Add("w2")
 	for _, k := range keys {
-		if got := r.Get(k); got != before[k] {
+		if got := r.GetLive(k, nil); got != before[k] {
 			t.Fatalf("after rejoin key %s maps to %s, want original %s", k, got, before[k])
 		}
 	}
@@ -100,7 +100,7 @@ func TestRingGetLiveDiversion(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		k := fmt.Sprintf("shard-%d", i)
-		owner := r.Get(k)
+		owner := r.GetLive(k, nil)
 		diverted := r.GetLive(k, live(owner))
 		if diverted == owner {
 			t.Fatalf("key %s still served by dead owner %s", k, owner)
@@ -131,7 +131,7 @@ func TestIdenticalVictimsSameShard(t *testing.T) {
 	r.Add("w0")
 	r.Add("w1")
 	r.Add("w2")
-	if r.Get(shardKey(a)) != r.Get(shardKey(b)) {
+	if r.GetLive(shardKey(a), nil) != r.GetLive(shardKey(b), nil) {
 		t.Fatal("identical victims landed on different workers")
 	}
 }

@@ -204,12 +204,11 @@ func TestProtectedCriticalPathLonger(t *testing.T) {
 
 func TestDesignStatsReasonable(t *testing.T) {
 	d := Build(Config{Key: testKey})
-	stats := d.N.ComputeStats()
-	if stats.FFs != 16*32+3*32+32 {
-		t.Fatalf("FF count %d, want 640 (16 LFSR stages + R1..R3 + zreg)", stats.FFs)
+	if n := len(d.N.FFs); n != 16*32+3*32+32 {
+		t.Fatalf("FF count %d, want 640 (16 LFSR stages + R1..R3 + zreg)", n)
 	}
-	if stats.BRAMs != 4+4+4+1+1 {
-		t.Fatalf("BRAM count %d, want 14", stats.BRAMs)
+	if n := len(d.N.BRAMs); n != 4+4+4+1+1 {
+		t.Fatalf("BRAM count %d, want 14", n)
 	}
 	if len(d.N.Adders) != 2 {
 		t.Fatalf("adder count %d, want 2", len(d.N.Adders))

@@ -292,10 +292,10 @@ func TestPackKeepsFunctions(t *testing.T) {
 			wantO6 := eval2(n, p.O6Root, val)
 			lo := boolfn.SplitDual(p.Init).O5
 			hi := boolfn.SplitDual(p.Init).O6
-			if boolfn.Lower5(lo).Eval(m) != wantO5 {
+			if boolfn.TT(lo).Eval(m) != wantO5 {
 				t.Fatalf("O5 half wrong at %05b", m)
 			}
-			if boolfn.Lower5(hi).Eval(m) != wantO6 {
+			if boolfn.TT(hi).Eval(m) != wantO6 {
 				t.Fatalf("O6 half wrong at %05b", m)
 			}
 		}
@@ -604,4 +604,24 @@ func TestWriteBLIFFullDesignDeterministic(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatal("BLIF output not deterministic")
 	}
+}
+
+// MappingStats summarizes a mapping's size for TestStatsHistogram.
+type MappingStats struct {
+	LUTs      int
+	Depth     int
+	InputHist [7]int // InputHist[i] = number of LUTs with i used inputs
+}
+
+// Stats computes size metrics of the mapping.
+func (r *Result) Stats() MappingStats {
+	s := MappingStats{LUTs: len(r.LUTs), Depth: r.Depth}
+	for i := range r.LUTs {
+		n := len(r.LUTs[i].Inputs)
+		if n > 6 {
+			n = 6
+		}
+		s.InputHist[n]++
+	}
+	return s
 }

@@ -142,27 +142,3 @@ func (r *Result) TopPaths(model DelayModel, k int) []PathReport {
 	}
 	return out
 }
-
-// MappingStats summarizes a mapping for reports and regression tests.
-type MappingStats struct {
-	LUTs      int
-	Depth     int
-	InputHist [7]int // InputHist[i] = number of LUTs with i used inputs
-}
-
-// Stats computes size metrics of the mapping.
-func (r *Result) Stats() MappingStats {
-	s := MappingStats{LUTs: len(r.LUTs), Depth: r.Depth}
-	for i := range r.LUTs {
-		n := len(r.LUTs[i].Inputs)
-		if n > 6 {
-			n = 6
-		}
-		s.InputHist[n]++
-	}
-	return s
-}
-
-func (s MappingStats) String() string {
-	return fmt.Sprintf("LUTs=%d depth=%d sizes=%v", s.LUTs, s.Depth, s.InputHist)
-}

@@ -7,56 +7,6 @@ import (
 	"strings"
 )
 
-// WriteDOT emits the network in Graphviz DOT form for inspection. Large
-// networks render poorly; the intended use is debugging small cones, so
-// WriteDOTCone is usually preferable.
-func (n *Netlist) WriteDOT(w io.Writer, title string) error {
-	ids := make([]NodeID, len(n.Nodes))
-	for i := range ids {
-		ids[i] = NodeID(i)
-	}
-	return n.writeDOT(w, title, ids)
-}
-
-// WriteDOTCone emits only the transitive fanin cone of root.
-func (n *Netlist) WriteDOTCone(w io.Writer, title string, root NodeID) error {
-	return n.writeDOT(w, title, n.TrFanin(root))
-}
-
-func (n *Netlist) writeDOT(w io.Writer, title string, ids []NodeID) error {
-	if _, err := fmt.Fprintf(w, "digraph %q {\n  rankdir=LR;\n", title); err != nil {
-		return err
-	}
-	in := make(map[NodeID]bool, len(ids))
-	for _, id := range ids {
-		in[id] = true
-	}
-	for _, id := range ids {
-		nd := n.Nodes[id]
-		label := nd.Op.String()
-		if nd.Name != "" {
-			label = fmt.Sprintf("%s\\n%s", nd.Name, nd.Op)
-		}
-		shape := "box"
-		switch nd.Op {
-		case OpPI, OpFFQ, OpBRAMOut, OpConst0, OpConst1:
-			shape = "ellipse"
-		}
-		if _, err := fmt.Fprintf(w, "  n%d [label=\"%s\" shape=%s];\n", id, label, shape); err != nil {
-			return err
-		}
-		for _, f := range nd.Fanin {
-			if in[f] {
-				if _, err := fmt.Fprintf(w, "  n%d -> n%d;\n", f, id); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
-}
-
 // WriteStructural emits a human-readable structural listing, one net per
 // line, resembling a flattened structural HDL. It is deterministic and
 // used in golden tests.

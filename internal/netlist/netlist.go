@@ -13,7 +13,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a node within its network. The zero and one constants
@@ -342,16 +341,12 @@ func (n *Netlist) fold(op Op, f []NodeID) (NodeID, bool) {
 	return Invalid, false
 }
 
-// And, Or, Xor, Not, Mux, Buf build gates with folding and sharing.
+// And, Or, Xor, Not, Mux build gates with folding and sharing.
 func (n *Netlist) And(a, b NodeID) NodeID    { return n.gate(OpAnd, a, b) }
 func (n *Netlist) Or(a, b NodeID) NodeID     { return n.gate(OpOr, a, b) }
 func (n *Netlist) Xor(a, b NodeID) NodeID    { return n.gate(OpXor, a, b) }
 func (n *Netlist) Not(a NodeID) NodeID       { return n.gate(OpNot, a) }
 func (n *Netlist) Mux(s, t, e NodeID) NodeID { return n.gate(OpMux, s, t, e) }
-func (n *Netlist) Buf(a NodeID, name string) NodeID {
-	id := n.addNode(Node{Op: OpBuf, Fanin: []NodeID{a}, Name: name})
-	return id
-}
 
 // SetName attaches a diagnostic name to a node.
 func (n *Netlist) SetName(id NodeID, name string) { n.Nodes[id].Name = name }
@@ -374,68 +369,6 @@ func (n *Netlist) Fanout(id NodeID) int { return int(n.fanoutCount[id]) }
 
 // NumNodes returns the node count including constants.
 func (n *Netlist) NumNodes() int { return len(n.Nodes) }
-
-// Stats summarizes the network composition.
-type Stats struct {
-	Nodes  int
-	Gates  map[Op]int
-	FFs    int
-	BRAMs  int
-	PIs    int
-	POs    int
-	Levels int
-}
-
-// ComputeStats counts node kinds and the combinational depth (unit delay,
-// gates only).
-func (n *Netlist) ComputeStats() Stats {
-	s := Stats{Nodes: len(n.Nodes), Gates: make(map[Op]int), FFs: len(n.FFs),
-		BRAMs: len(n.BRAMs), PIs: len(n.PIs), POs: len(n.POs)}
-	level := make([]int, len(n.Nodes))
-	for id, nd := range n.Nodes {
-		if nd.Op.IsGate() {
-			s.Gates[nd.Op]++
-			max := 0
-			for _, f := range nd.Fanin {
-				if level[f] > max {
-					max = level[f]
-				}
-			}
-			level[id] = max + 1
-			if level[id] > s.Levels {
-				s.Levels = level[id]
-			}
-		}
-	}
-	return s
-}
-
-// TrFanin returns the transitive fanin cone of id (gates, stopping at
-// PIs, constants, FF outputs and BRAM ports), sorted ascending.
-func (n *Netlist) TrFanin(id NodeID) []NodeID {
-	seen := map[NodeID]bool{}
-	var stack []NodeID
-	push := func(v NodeID) {
-		if !seen[v] {
-			seen[v] = true
-			stack = append(stack, v)
-		}
-	}
-	push(id)
-	var cone []NodeID
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		cone = append(cone, v)
-		if n.Nodes[v].Op.IsGate() {
-			for _, f := range n.Nodes[v].Fanin {
-				push(f)
-			}
-		}
-	}
-	sort.Slice(cone, func(i, j int) bool { return cone[i] < cone[j] })
-	return cone
-}
 
 // Validate checks structural invariants: wired flip-flops, topological
 // fanins, known ops. It returns the first violation found.

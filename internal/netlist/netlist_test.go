@@ -3,6 +3,7 @@ package netlist
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -321,21 +322,6 @@ func TestWriteStructuralDeterministic(t *testing.T) {
 	}
 }
 
-func TestWriteDOTCone(t *testing.T) {
-	n := New()
-	a, b := n.Input("a"), n.Input("b")
-	f := n.Xor(a, b)
-	n.Output("f", f)
-	var buf bytes.Buffer
-	if err := n.WriteDOTCone(&buf, "test", f); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "digraph") || !strings.Contains(out, "->") {
-		t.Fatalf("DOT output malformed:\n%s", out)
-	}
-}
-
 func TestTopologicalViolationPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -564,4 +550,66 @@ func TestByteHelper(t *testing.T) {
 	if len(b2) != 8 || b2[0] != w[16] {
 		t.Fatal("Byte() slicing wrong")
 	}
+}
+
+// Stats summarizes the network composition.
+type Stats struct {
+	Nodes  int
+	Gates  map[Op]int
+	FFs    int
+	BRAMs  int
+	PIs    int
+	POs    int
+	Levels int
+}
+
+// ComputeStats counts node kinds and the combinational depth (unit delay,
+// gates only).
+func (n *Netlist) ComputeStats() Stats {
+	s := Stats{Nodes: len(n.Nodes), Gates: make(map[Op]int), FFs: len(n.FFs),
+		BRAMs: len(n.BRAMs), PIs: len(n.PIs), POs: len(n.POs)}
+	level := make([]int, len(n.Nodes))
+	for id, nd := range n.Nodes {
+		if nd.Op.IsGate() {
+			s.Gates[nd.Op]++
+			max := 0
+			for _, f := range nd.Fanin {
+				if level[f] > max {
+					max = level[f]
+				}
+			}
+			level[id] = max + 1
+			if level[id] > s.Levels {
+				s.Levels = level[id]
+			}
+		}
+	}
+	return s
+}
+
+// TrFanin returns the transitive fanin cone of id (gates, stopping at
+// PIs, constants, FF outputs and BRAM ports), sorted ascending.
+func (n *Netlist) TrFanin(id NodeID) []NodeID {
+	seen := map[NodeID]bool{}
+	var stack []NodeID
+	push := func(v NodeID) {
+		if !seen[v] {
+			seen[v] = true
+			stack = append(stack, v)
+		}
+	}
+	push(id)
+	var cone []NodeID
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		cone = append(cone, v)
+		if n.Nodes[v].Op.IsGate() {
+			for _, f := range n.Nodes[v].Fanin {
+				push(f)
+			}
+		}
+	}
+	sort.Slice(cone, func(i, j int) bool { return cone[i] < cone[j] })
+	return cone
 }

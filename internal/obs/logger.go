@@ -1,94 +1,27 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"sync"
-)
-
-// Level is a log severity.
-type Level int32
-
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String returns the conventional lowercase level name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return fmt.Sprintf("level(%d)", int(l))
-	}
-}
-
-// Logger is a minimal leveled logger. A nil *Logger is a valid sink
-// that drops everything — the replacement for the raw
-// `logf func(string, ...any)` callback the attack used to thread
-// around, whose nil case every caller had to guard.
+// Logger is a printf sink. A nil *Logger is a valid sink that drops
+// everything — the replacement for the raw `logf func(string, ...any)`
+// callback the attack used to thread around, whose nil case every
+// caller had to guard.
 type Logger struct {
-	min  Level
-	emit func(level Level, format string, args ...any)
+	fn func(string, ...any)
 }
 
-// NewFuncLogger adapts a legacy printf-style callback at Info level.
-// The format string and args pass through unchanged, so output stays
-// byte-identical to the pre-telemetry logf path. A nil fn yields a nil
-// logger (valid, drops everything).
+// NewFuncLogger adapts a printf-style callback. The format string and
+// args pass through unchanged, so output stays byte-identical to the
+// pre-telemetry logf path. A nil fn yields a nil logger (valid, drops
+// everything).
 func NewFuncLogger(fn func(string, ...any)) *Logger {
 	if fn == nil {
 		return nil
 	}
-	return &Logger{
-		min:  LevelInfo,
-		emit: func(_ Level, format string, args ...any) { fn(format, args...) },
+	return &Logger{fn: fn}
+}
+
+// Infof passes one line to the callback; a nil logger drops it.
+func (l *Logger) Infof(format string, args ...any) {
+	if l != nil {
+		l.fn(format, args...)
 	}
 }
-
-// NewWriterLogger writes "level: message" lines at or above min to w.
-func NewWriterLogger(w io.Writer, min Level) *Logger {
-	var mu sync.Mutex
-	return &Logger{
-		min: min,
-		emit: func(level Level, format string, args ...any) {
-			mu.Lock()
-			fmt.Fprintf(w, "%s: "+format+"\n", append([]any{level}, args...)...)
-			mu.Unlock()
-		},
-	}
-}
-
-// Enabled reports whether the logger would emit at level.
-func (l *Logger) Enabled(level Level) bool {
-	return l != nil && level >= l.min
-}
-
-func (l *Logger) logf(level Level, format string, args ...any) {
-	if !l.Enabled(level) {
-		return
-	}
-	l.emit(level, format, args...)
-}
-
-// Debugf logs at debug level (dropped by the legacy shim, which sits
-// at info).
-func (l *Logger) Debugf(format string, args ...any) { l.logf(LevelDebug, format, args...) }
-
-// Infof logs at info level.
-func (l *Logger) Infof(format string, args ...any) { l.logf(LevelInfo, format, args...) }
-
-// Warnf logs at warn level.
-func (l *Logger) Warnf(format string, args ...any) { l.logf(LevelWarn, format, args...) }
-
-// Errorf logs at error level.
-func (l *Logger) Errorf(format string, args ...any) { l.logf(LevelError, format, args...) }

@@ -1,6 +1,6 @@
 // Package obs is the unified attack telemetry layer: a span tracer for
 // phase-level wall-clock attribution, a metrics registry of typed
-// counters/gauges/histograms, and a leveled logger — one handle threaded
+// counters/gauges/histograms, and a printf logger — one handle threaded
 // through the scanner, the candidate sweeps, the device simulator and
 // the incremental-reconfiguration caches.
 //
@@ -104,13 +104,4 @@ func (t *Telemetry) BucketHistogram(name string, buckets []float64) *BucketHisto
 		return nil
 	}
 	return t.Metrics.BucketHistogram(name, buckets)
-}
-
-// Logger returns the attached logger (possibly nil; a nil *Logger is a
-// valid no-op logger).
-func (t *Telemetry) Logger() *Logger {
-	if t == nil {
-		return nil
-	}
-	return t.Log
 }

@@ -34,25 +34,6 @@ type Span struct {
 	tracer   *Tracer
 }
 
-// ID returns the tracer-local span id (0 for a nil span). Ids are
-// assigned in StartSpan order; the live event stream uses them to carry
-// the tree shape incrementally (parent before child, always).
-func (s *Span) ID() int {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
-// ParentID returns the id of the span this one nested under at start
-// time (0 for roots and nil spans).
-func (s *Span) ParentID() int {
-	if s == nil {
-		return 0
-	}
-	return s.parent
-}
-
 // Name returns the span name ("" for a nil span).
 func (s *Span) Name() string {
 	if s == nil {
@@ -78,16 +59,6 @@ func (s *Span) Duration() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dur
-}
-
-// Ended reports whether End has been called.
-func (s *Span) Ended() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ended
 }
 
 // SetAttr attaches (or appends) an annotation. Safe on a nil span and

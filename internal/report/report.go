@@ -197,48 +197,6 @@ func Timing(paths []mapper.PathReport) string {
 	return b.String()
 }
 
-// Census renders the XOR-structured class shortlist.
-func Census(classes []core.CensusClass) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d XOR-structured LUT classes:\n", len(classes))
-	for _, c := range classes {
-		fmt.Fprintf(&b, "  %4d x %s  (xor groups %v)\n", c.Count, c.Expr, c.Groups)
-	}
-	return b.String()
-}
-
-// Diff renders a differential-analysis report.
-func Diff(d *core.DiffReport) string {
-	var b strings.Builder
-	b.WriteString("differing bytes by region:\n")
-	for _, region := range []core.DiffRegion{core.DiffPackets, core.DiffHeaderFrame,
-		core.DiffCLB, core.DiffDescription, core.DiffBRAM} {
-		if n := d.Bytes[region]; n > 0 {
-			fmt.Fprintf(&b, "  %-12s %d\n", region, n)
-		}
-	}
-	if len(d.LUTSlots) > 0 {
-		fmt.Fprintf(&b, "modified LUT slots: %d\n", len(d.LUTSlots))
-	}
-	if len(d.BRAMOffsets) > 0 {
-		fmt.Fprintf(&b, "modified BRAM bytes: %d\n", len(d.BRAMOffsets))
-	}
-	return b.String()
-}
-
-// Overlaps renders the Section VI-C.2 candidate-overlap analysis.
-func Overlaps(rows []core.OverlapRow) string {
-	if len(rows) == 0 {
-		return "no overlapping candidate sets\n"
-	}
-	var b strings.Builder
-	b.WriteString("candidate pairs sharing byte positions (artifact indicator):\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %s (%d) ~ %s (%d): %d shared\n", r.A, r.ACount, r.B, r.BCount, r.Shared)
-	}
-	return b.String()
-}
-
 // Fig5 renders the identified cover structure of the target node v — the
 // textual analogue of the paper's Fig 5: which LUT implements which
 // function on which path, per keystream bit.

@@ -131,29 +131,6 @@ func TestTimingLayout(t *testing.T) {
 	}
 }
 
-func TestCensusAndDiffRendering(t *testing.T) {
-	censusText := Census([]core.CensusClass{
-		{Count: 32, Expr: "a1a2' + a1'a2", Groups: [][]int{{0, 1}}},
-	})
-	if !strings.Contains(censusText, "32 x a1a2'") {
-		t.Fatalf("census layout broken:\n%s", censusText)
-	}
-	diffText := Diff(&core.DiffReport{
-		Bytes:       map[core.DiffRegion]int{core.DiffBRAM: 4, core.DiffPackets: 4},
-		BRAMOffsets: []int{7, 8, 9, 10},
-	})
-	if !strings.Contains(diffText, "bram") || !strings.Contains(diffText, "modified BRAM bytes: 4") {
-		t.Fatalf("diff layout broken:\n%s", diffText)
-	}
-	if got := Overlaps(nil); !strings.Contains(got, "no overlapping") {
-		t.Fatalf("empty overlap rendering: %q", got)
-	}
-	rows := Overlaps([]core.OverlapRow{{A: "f19", B: "f21", Shared: 2, ACount: 8, BCount: 2}})
-	if !strings.Contains(rows, "f19 (8) ~ f21 (2): 2 shared") {
-		t.Fatalf("overlap layout broken:\n%s", rows)
-	}
-}
-
 func TestFig5Rendering(t *testing.T) {
 	rep := &core.Report{
 		LUT1: []core.ConfirmedLUT{{Bit: 0, KeepVar: 2,

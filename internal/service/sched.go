@@ -170,13 +170,6 @@ func (s *sched) pickLocked() *tenantQ {
 	return best
 }
 
-// len reports the number of queued jobs.
-func (s *sched) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.size
-}
-
 // close stops admission-side signaling: workers drain what is queued
 // and then pop returns ok=false.
 func (s *sched) close() {

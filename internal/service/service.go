@@ -143,18 +143,6 @@ type Engine struct {
 	execFn func(ctx context.Context, j *job) (any, error)
 }
 
-// New starts a non-durable engine: Workers goroutines consuming a
-// QueueDepth-deep fair queue. Engines with a Config.Store must be
-// built with Open instead (New panics if recovery fails, since it has
-// no error to return).
-func New(cfg Config) *Engine {
-	e, err := Open(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("service.New with a store: %v (use service.Open)", err))
-	}
-	return e
-}
-
 // Open starts an engine. When cfg.Store is set, the store's record log
 // is replayed first: finished jobs come back queryable, incomplete
 // (queued or running at crash time) jobs are re-enqueued exactly once
@@ -233,10 +221,6 @@ func (e *Engine) sampleEngineGauges(reg *obs.Registry) {
 	reg.Gauge("victim.cache.size").Set(float64(e.cache.Len()))
 	reg.Counter("obs.events_dropped").Set(e.bus.Dropped())
 }
-
-// Bus exposes the live event bus (SSE endpoints and in-process
-// dashboards subscribe to it).
-func (e *Engine) Bus() *obs.EventBus { return e.bus }
 
 // publishJob emits a job lifecycle transition onto the event bus.
 func (e *Engine) publishJob(j *job, state string, attrs ...obs.Attr) {
@@ -593,16 +577,6 @@ func (e *Engine) WriteTrace(w io.Writer, id string) error {
 // CacheStats exposes the victim build cache counters.
 func (e *Engine) CacheStats() (hits, misses, evictions int) {
 	return e.cache.Stats()
-}
-
-// Telemetry returns the engine-level telemetry handle (for /metrics).
-func (e *Engine) Telemetry() *obs.Telemetry { return e.tel }
-
-// ShuttingDown reports whether Shutdown has been initiated.
-func (e *Engine) ShuttingDown() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
 }
 
 // Shutdown stops accepting jobs and drains the queue: every queued and

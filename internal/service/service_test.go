@@ -8,6 +8,16 @@ import (
 	"time"
 )
 
+// New starts a non-durable engine (Open fails only on a store's
+// replay, so a store-less Config cannot panic).
+func New(cfg Config) *Engine {
+	e, err := Open(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
 // newStubEngine builds an engine whose job bodies run fn instead of
 // real attacks, so queue and lifecycle behavior is deterministic.
 func newStubEngine(workers, depth int, fn func(ctx context.Context, j *job) (any, error)) *Engine {

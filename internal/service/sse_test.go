@@ -225,10 +225,10 @@ func TestSlowSubscriberDropsCounted(t *testing.T) {
 	e.execFn = instant
 	defer e.Shutdown(context.Background())
 
-	sub, _ := e.Bus().SubscribeFrom(0, 1) // 1-deep, never drained
+	sub, _ := e.bus.SubscribeFrom(0, 1) // 1-deep, never drained
 	defer sub.Close()
 	deadline := time.Now().Add(10 * time.Second)
-	for e.Bus().Dropped() == 0 {
+	for e.bus.Dropped() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no drops despite a saturated subscriber")
 		}

@@ -171,25 +171,6 @@ func (c *Cipher) Init(k Key, iv IV) {
 	c.ready = true
 }
 
-// InitState loads an explicit LFSR state instead of γ(K, IV) and runs
-// initialization. Used by tests and by the attack's software simulation of
-// hypothetical faulty devices.
-func (c *Cipher) InitState(s State) {
-	c.lfsr = s
-	c.r1, c.r2, c.r3 = 0, 0, 0
-	for i := 0; i < 32; i++ {
-		w := c.clockFSM()
-		if c.fault.FSMStuckInit {
-			w = 0
-		}
-		c.clockLFSR(w)
-	}
-	c.clockFSM()
-	c.clockLFSR(0)
-	c.inKeyGen = true
-	c.ready = true
-}
-
 // Keystream appends n keystream words to dst and returns the result.
 // It panics if Init has not been called, mirroring misuse of the hardware.
 func (c *Cipher) Keystream(dst []uint32, n int) []uint32 {
@@ -212,13 +193,6 @@ func (c *Cipher) Keystream(dst []uint32, n int) []uint32 {
 func (c *Cipher) KeystreamWords(n int) []uint32 {
 	return c.Keystream(make([]uint32, 0, n), n)
 }
-
-// LFSR returns a copy of the current LFSR state (test instrumentation; a
-// real device does not expose this).
-func (c *Cipher) LFSR() State { return c.lfsr }
-
-// FSM returns the current FSM registers R1, R2, R3 (test instrumentation).
-func (c *Cipher) FSM() (r1, r2, r3 uint32) { return c.r1, c.r2, c.r3 }
 
 // StepForward applies the linear LFSR map L once to s (no FSM feedback).
 func StepForward(s State) State {

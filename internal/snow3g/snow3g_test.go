@@ -50,19 +50,19 @@ func TestSRKnownEntries(t *testing.T) {
 	// Spot checks against the published Rijndael S-box.
 	cases := map[byte]byte{0x00: 0x63, 0x01: 0x7C, 0x53: 0xED, 0xFF: 0x16, 0x10: 0xCA}
 	for in, want := range cases {
-		if got := SR(in); got != want {
+		if got := sr[in]; got != want {
 			t.Errorf("SR(%#02x) = %#02x, want %#02x", in, got, want)
 		}
 	}
 }
 
 func TestSQIsPermutationWithFixedZero(t *testing.T) {
-	if SQ(0) != 0x25 {
-		t.Errorf("SQ(0) = %#02x, want 0x25 (g49(0) ⊕ 0x25)", SQ(0))
+	if sq[0] != 0x25 {
+		t.Errorf("SQ(0) = %#02x, want 0x25 (g49(0) ⊕ 0x25)", sq[0])
 	}
 	var seen [256]bool
 	for i := 0; i < 256; i++ {
-		v := SQ(byte(i))
+		v := sq[i]
 		if seen[v] {
 			t.Fatalf("SQ is not a permutation: duplicate value %#02x", v)
 		}
@@ -225,7 +225,7 @@ func TestFaultedInitIsLinear(t *testing.T) {
 	for i := 0; i < 33; i++ {
 		want = StepForward(want)
 	}
-	if got := c.LFSR(); got != want {
+	if got := c.lfsr; got != want {
 		t.Fatalf("faulted init state %08x, want L^33(γ) %08x", got, want)
 	}
 }
@@ -445,4 +445,22 @@ func BenchmarkMatrixRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// InitState loads an explicit LFSR state instead of γ(K, IV) and runs
+// initialization.
+func (c *Cipher) InitState(s State) {
+	c.lfsr = s
+	c.r1, c.r2, c.r3 = 0, 0, 0
+	for i := 0; i < 32; i++ {
+		w := c.clockFSM()
+		if c.fault.FSMStuckInit {
+			w = 0
+		}
+		c.clockLFSR(w)
+	}
+	c.clockFSM()
+	c.clockLFSR(0)
+	c.inKeyGen = true
+	c.ready = true
 }

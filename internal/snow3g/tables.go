@@ -177,9 +177,6 @@ func S1(w uint32) uint32 { return mixS1(w) }
 // S2 is the FSM S-box updating R3 from R2.
 func S2(w uint32) uint32 { return mixS2(w) }
 
-// SR exposes the Rijndael byte substitution (for BRAM content generation).
-func SR(x byte) byte { return sr[x] }
-
 // tTable builds the 8-bit → 32-bit contribution table of input byte
 // position b (0 = most significant) for an AES-style S-box: the MixColumn
 // matrix column applied to the substituted byte. The full S-box output is
@@ -213,6 +210,3 @@ func S1TTable(b int) [256]uint32 { return tTable(&sr, mulxS1Const, b) }
 
 // S2TTable returns the T-table of S2 for input byte position b (0 = MSB).
 func S2TTable(b int) [256]uint32 { return tTable(&sq, mulxS2Const, b) }
-
-// SQ exposes the Dickson byte substitution (for BRAM content generation).
-func SQ(x byte) byte { return sq[x] }
