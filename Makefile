@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test tier1 race bench bench-layout unreached examples trace-smoke campaign-smoke serve-smoke sse-smoke fleet-smoke census-smoke fuzz clean
+.PHONY: all build vet test tier1 race bench bench-layout unreached unreached-check examples trace-smoke campaign-smoke serve-smoke sse-smoke fleet-smoke census-smoke fuzz clean
 
 all: tier1
 
@@ -48,10 +48,14 @@ bench-layout:
 
 # unreached prints every production function of the module that none of
 # its binaries links (tools/unreached.sh builds them with inlining off
-# and reads their symbol tables). It only prints; DESIGN.md's "Unreached
-# by design" table names the functions expected in its output.
+# and reads their symbol tables). unreached-check is the CI gate: it
+# fails on any such function that tools/unreached.allow does not name
+# with its reason.
 unreached:
 	@sh tools/unreached.sh
+
+unreached-check:
+	@sh tools/unreached.sh -check
 
 # examples runs every program under examples/ end to end; each exits
 # non-zero if the facade calls it demonstrates stop working.

@@ -311,14 +311,19 @@ const (
 	FrameBRAM
 )
 
+// ErrFrameRange is wrapped by ClassifyFrame for a frame index outside
+// the FDRI regions.
+var ErrFrameRange = errors.New("frame out of range")
+
 // ClassifyFrame maps an absolute frame index onto its region and the
 // frame index relative to that region's first frame. Out-of-range
-// indices return an error.
+// indices return an error wrapping ErrFrameRange. Indexes are compared,
+// never multiplied, so any int is safe.
 func (r *Regions) ClassifyFrame(frame int) (FrameRegion, int, error) {
 	total := r.TotalLen / FrameBytes
 	switch {
 	case frame < 0 || frame >= total:
-		return 0, 0, fmt.Errorf("bitstream: frame %d out of range [0,%d)", frame, total)
+		return 0, 0, fmt.Errorf("bitstream: %w: frame %d not in [0,%d)", ErrFrameRange, frame, total)
 	case frame == 0:
 		return FrameHeader, 0, nil
 	case frame < r.DescOff/FrameBytes:
@@ -328,6 +333,27 @@ func (r *Regions) ClassifyFrame(frame int) (FrameRegion, int, error) {
 	default:
 		return FrameBRAM, frame - r.BRAMOff/FrameBytes, nil
 	}
+}
+
+// ContentFrame is the rule for which frames a patch may touch without
+// changing the design's structure: CLB frames (LUT truth tables) and
+// BRAM frames (block-RAM content). It returns the frame's region and
+// relative index, or an error for an out-of-range frame (wrapping
+// ErrFrameRange) and for the header and description frames, which
+// define the structure itself. Lane patches of a batch, the attack's
+// batchable candidates and the device's in-place partial
+// reconfiguration all follow it.
+func (r *Regions) ContentFrame(frame int) (FrameRegion, int, error) {
+	kind, rel, err := r.ClassifyFrame(frame)
+	switch {
+	case err != nil:
+		return 0, 0, err
+	case kind == FrameHeader:
+		return 0, 0, fmt.Errorf("bitstream: header frame %d holds no content", frame)
+	case kind == FrameDesc:
+		return 0, 0, fmt.Errorf("bitstream: description frame %d holds no content", frame)
+	}
+	return kind, rel, nil
 }
 
 // WriteFDRIHeader fills a header frame; exported for configuration

@@ -588,80 +588,6 @@ func TestStuckXorZeroMatchesCatalogueFaults(t *testing.T) {
 	}
 }
 
-func TestFlipVarInvolution(t *testing.T) {
-	f := func(raw uint64, jRaw uint8) bool {
-		j := int(jRaw) % MaxVars
-		tt := TT(raw)
-		return FlipVar(FlipVar(tt, j), j) == tt
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFlipVarSemantics(t *testing.T) {
-	// FlipVar(f, j) evaluated at m equals f at m with bit j toggled.
-	rng := rand.New(rand.NewSource(63))
-	for trial := 0; trial < 30; trial++ {
-		tt := TT(rng.Uint64())
-		j := rng.Intn(MaxVars)
-		g := FlipVar(tt, j)
-		for m := uint(0); m < 64; m++ {
-			if g.Eval(m) != tt.Eval(m^(1<<uint(j))) {
-				t.Fatalf("FlipVar wrong at m=%d j=%d", m, j)
-			}
-		}
-	}
-}
-
-func TestNPNCanonInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(65))
-	for trial := 0; trial < 15; trial++ {
-		tt := TT(rng.Uint64())
-		canon := NPNCanon(tt)
-		// Random NPN transform: permute, flip inputs, maybe flip output.
-		g := tt.Permute(Permutations(6)[rng.Intn(720)])
-		for j := 0; j < MaxVars; j++ {
-			if rng.Intn(2) == 1 {
-				g = FlipVar(g, j)
-			}
-		}
-		if rng.Intn(2) == 1 {
-			g = Not(g)
-		}
-		if NPNCanon(g) != canon {
-			t.Fatalf("trial %d: NPN canon not invariant", trial)
-		}
-	}
-}
-
-func TestNPNCoarserThanP(t *testing.T) {
-	// All the AND2-with-polarities forms collapse to one NPN class but
-	// occupy several P-classes.
-	variants := []TT{
-		And(A(1), A(2)),
-		And(Not(A(1)), A(2)),
-		And(Not(A(1)), Not(A(2))),
-		Or(A(1), A(2)), // = ¬(¬a1·¬a2)
-	}
-	canon := NPNCanon(variants[0])
-	pClasses := map[TT]bool{}
-	for _, v := range variants {
-		if NPNCanon(v) != canon {
-			t.Fatalf("%v not NPN-equivalent to AND2", v)
-		}
-		pClasses[PClassCanon(v)] = true
-	}
-	if len(pClasses) < 3 {
-		t.Fatalf("expected ≥ 3 P-classes among AND2 variants, got %d", len(pClasses))
-	}
-	// f2 and f1 (different gating polarity) merge under NPN.
-	f1, _ := CandidateByName("f1")
-	if !NPNEquivalent(F2, f1.TT) {
-		t.Fatal("f1 and f2 should be NPN-equivalent (polarity variants)")
-	}
-}
-
 func TestParseInit(t *testing.T) {
 	f := F2
 	got, err := ParseInit(f.String())
@@ -677,83 +603,6 @@ func TestParseInit(t *testing.T) {
 	v, err := ParseInit("0xff")
 	if err != nil || v != TT(0xFF) {
 		t.Fatal("0x prefix failed")
-	}
-}
-
-func TestWalshParseval(t *testing.T) {
-	// Parseval: Σ W[u]² = 64² for every Boolean function.
-	rng := rand.New(rand.NewSource(91))
-	for trial := 0; trial < 50; trial++ {
-		w := Walsh(TT(rng.Uint64()))
-		sum := 0
-		for _, c := range w {
-			sum += c * c
-		}
-		if sum != 64*64 {
-			t.Fatalf("Parseval violated: %d", sum)
-		}
-	}
-}
-
-func TestWalshKnownValues(t *testing.T) {
-	// Constant 0: W[0] = 64, all else 0. A bare variable a1: W at index
-	// u = 000001 is ±64, all else 0.
-	w := Walsh(Const0)
-	if w[0] != 64 {
-		t.Fatalf("W[0] of const0 = %d", w[0])
-	}
-	for u := 1; u < 64; u++ {
-		if w[u] != 0 {
-			t.Fatalf("const0 spectrum leaks at %d", u)
-		}
-	}
-	w = Walsh(A(1))
-	if w[1] != -64 && w[1] != 64 {
-		t.Fatalf("variable spectrum W[1] = %d", w[1])
-	}
-}
-
-func TestSignatureIsPInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	perms := Permutations(6)
-	for trial := 0; trial < 30; trial++ {
-		f := TT(rng.Uint64())
-		sig := Signature(f)
-		g := f.Permute(perms[rng.Intn(720)])
-		if !Signature(g).Equal(sig) {
-			t.Fatalf("trial %d: signature not P-invariant", trial)
-		}
-	}
-}
-
-func TestSpectralPreFilterSoundness(t *testing.T) {
-	// The pre-filter must never reject a genuinely P-equivalent pair and
-	// must reject most random pairs.
-	rng := rand.New(rand.NewSource(93))
-	perms := Permutations(6)
-	for trial := 0; trial < 20; trial++ {
-		f := TT(rng.Uint64())
-		g := f.Permute(perms[rng.Intn(720)])
-		if !MaybePEquivalent(f, g) {
-			t.Fatal("pre-filter rejected a P-equivalent pair")
-		}
-	}
-	rejected := 0
-	for trial := 0; trial < 40; trial++ {
-		if !MaybePEquivalent(TT(rng.Uint64()), TT(rng.Uint64())) {
-			rejected++
-		}
-	}
-	if rejected < 35 {
-		t.Fatalf("pre-filter rejected only %d/40 random pairs", rejected)
-	}
-	// Consistency with the exact check on the catalogue.
-	for _, a := range Candidates() {
-		for _, b := range Candidates() {
-			if PClassCanon(a.TT) == PClassCanon(b.TT) && !MaybePEquivalent(a.TT, b.TT) {
-				t.Fatalf("pre-filter contradicts exact check for %s/%s", a.Name, b.Name)
-			}
-		}
 	}
 }
 

@@ -116,10 +116,12 @@ type Attack struct {
 	// lanes is the candidate-sweep width: how many modified variants one
 	// bitsliced simulator pass evaluates (SetLanes; 1 = scalar).
 	lanes int
-	// batchInfo caches the frame geometry for candidate diff
-	// classification, built lazily on the first candidate trial.
-	batchInfo  *batchInfo
-	batchTried bool
+	// parsed and regions are the pristine image's packet structure and
+	// frame layout, parsed once: candidate images are diffed against it
+	// and their frame patches classified (nil when the image does not
+	// parse, which leaves every candidate on the scalar path).
+	parsed  *bitstream.Parsed
+	regions *bitstream.Regions
 	// baseLive is true while the victim device still holds the unmodified
 	// base configuration from the previous fabric pass, letting the next
 	// pass skip the base image decode (device.FPGA.BatchOf).
@@ -187,6 +189,9 @@ func NewAttackCRCMode(dev Victim, iv snow3g.IV, logf func(string, ...any), recom
 		// The first FDRI frame is device configuration, CLB columns
 		// follow — public floorplan knowledge.
 		a.clbStart = p.FDRIOffset + bitstream.FrameBytes
+		if regions, err := bitstream.ParseRegions(p.FDRI(a.plain)); err == nil {
+			a.parsed, a.regions = p, regions
+		}
 	}
 	return a, nil
 }

@@ -66,41 +66,14 @@ type batchLoader interface {
 	BatchOf(patches []bitstream.PatchSet) (*device.Batch, error)
 }
 
-// batchInfo caches the frame geometry needed to classify candidate
-// diffs: lane patches must stay inside the CLB or BRAM frame regions
-// (anything touching the header or description frames — or bytes
-// outside the FDRI payload — changes shared structure and takes the
-// scalar path).
-type batchInfo struct {
-	parsed      *bitstream.Parsed
-	descStart   int
-	bramStart   int
-	totalFrames int
-}
-
-func (a *Attack) batchSetup() (*batchInfo, bool) {
-	if !a.batchTried {
-		a.batchTried = true
-		if p, err := bitstream.ParsePackets(a.plain); err == nil {
-			if regions, err := bitstream.ParseRegions(p.FDRI(a.plain)); err == nil {
-				a.batchInfo = &batchInfo{
-					parsed:      p,
-					descStart:   regions.DescOff / bitstream.FrameBytes,
-					bramStart:   regions.BRAMOff / bitstream.FrameBytes,
-					totalFrames: regions.TotalLen / bitstream.FrameBytes,
-				}
-			}
-		}
-	}
-	return a.batchInfo, a.batchInfo != nil
-}
-
-func (bi *batchInfo) batchable(ps bitstream.PatchSet) bool {
+// batchable reports whether a candidate's frame patches can ride one
+// lane of a fabric pass: every frame must be a content frame of the
+// pristine image (bitstream.Regions.ContentFrame). Anything touching the
+// header or description frames — or bytes outside the FDRI payload —
+// changes shared structure and takes the scalar path.
+func (a *Attack) batchable(ps bitstream.PatchSet) bool {
 	for _, fp := range ps {
-		if fp.Frame <= 0 || fp.Frame >= bi.totalFrames {
-			return false
-		}
-		if fp.Frame >= bi.descStart && fp.Frame < bi.bramStart {
+		if _, _, err := a.regions.ContentFrame(fp.Frame); err != nil {
 			return false
 		}
 	}
@@ -180,8 +153,7 @@ func (s *sweep) scalar(i int) {
 
 func (s *sweep) eval(i int) {
 	bl, isBatch := s.a.dev.(batchLoader)
-	bi, ok := s.a.batchSetup()
-	if s.a.lanes <= 1 || !isBatch || !ok {
+	if s.a.lanes <= 1 || !isBatch || s.a.regions == nil {
 		s.scalar(i)
 		return
 	}
@@ -205,8 +177,8 @@ func (s *sweep) eval(i int) {
 		}
 		img := s.a.working()
 		s.build(j, img)
-		ps, err := bi.parsed.DiffFrames(s.a.plain, img)
-		if err != nil || !bi.batchable(ps) {
+		ps, err := s.a.parsed.DiffFrames(s.a.plain, img)
+		if err != nil || !s.a.batchable(ps) {
 			// The modification touches shared structure (false positives
 			// matched outside the CLB/BRAM regions): scalar trial, which
 			// may legitimately fail to load.

@@ -10,6 +10,10 @@ import (
 	"snowbma/internal/hdl"
 )
 
+// Loaded reports whether the device currently holds a valid
+// configuration.
+func (f *FPGA) Loaded() bool { return f.cfg != nil }
+
 func expectPanic(t *testing.T, substr string, fn func()) {
 	t.Helper()
 	defer func() {

@@ -27,6 +27,7 @@ const LaneWordBits = 64
 const MaxLanes = LaneWordBits
 
 // Batch is a bitsliced multi-lane instance of a loaded configuration.
+// A configured FPGA runs its scalar pins and clock on a one-lane Batch.
 //
 // A Batch is NOT safe for concurrent use: every evaluation mutates the
 // shared register file and scratch buffers, so all calls on one Batch
@@ -36,33 +37,17 @@ const MaxLanes = LaneWordBits
 // so concurrent sweeps build one Batch per goroutine over the same
 // loaded base.
 type Batch struct {
-	desc  *bitstream.Description
 	lanes int
 	// st is the compiled-program evaluator state; its regs/ff arrays
-	// are the batch's net words (register slots are net ids), shared
-	// with the walker path below.
-	st *progState
-	// walk switches settle to the legacy description-walking evaluator,
-	// kept as the differential oracle (setWalker, test-only). Both
-	// evaluators read the state's LUT rows (st.rows), so a lane patch is
-	// written once and seen by both; setWalker materializes the rows the
-	// compiled path never needed.
-	walk bool
-	// bramTab is the shared (base) content; bramOver[b][L] overrides it
-	// for lane L when non-nil (walker path; the compiled path resolves
-	// overrides into st.tabs).
-	bramTab  [][]uint64
-	bramOver [][][]uint64
-	inPins   map[string]uint32
-	outPins  map[string]uint32
-	// gather is the walker's BRAM buffer: per-lane table words,
-	// transposed in place into bitsliced outputs.
-	gather [LaneWordBits]uint64
-	dirty  bool
-	// primed is set after the first walker settle: address-less BRAMs
-	// (constant ROMs) drive the same lane masks forever and are skipped
-	// afterwards. The compiled path replaces this with the prologue.
-	primed bool
+	// are the batch's net words (register slots are net ids).
+	st    *progState
+	dirty bool
+}
+
+// newBatch builds a batch of the given width over p, every lane running
+// the truth tables tts and BRAM content tabs.
+func newBatch(p *Program, tts []boolfn.TT, tabs [][]uint64, lanes int) *Batch {
+	return &Batch{lanes: lanes, st: newProgState(p, tts, tabs, lanes), dirty: true}
 }
 
 // LoadPatched configures the device from the base image, then builds a
@@ -92,33 +77,13 @@ func (f *FPGA) BatchOf(patches []bitstream.PatchSet) (*Batch, error) {
 	}
 	f.tel.Counter("device.batch_passes").Inc()
 	f.tel.Counter("device.batch_lanes").Add(int64(len(patches)))
-	if !f.Loaded() {
+	cfg := f.cfg
+	if cfg == nil {
 		return nil, fmt.Errorf("device: BatchOf before successful Load")
 	}
-	regions, err := bitstream.ParseRegions(f.fdri)
-	if err != nil {
-		return nil, fmt.Errorf("device: %w", err)
-	}
-	desc := f.desc
-	b := &Batch{
-		desc:     desc,
-		lanes:    len(patches),
-		bramTab:  f.bramTab,
-		bramOver: make([][][]uint64, len(desc.BRAMs)),
-		inPins:   f.inPins,
-		outPins:  f.outPins,
-		dirty:    true,
-	}
-	b.st = newProgState(f.prog, f.lutTT, f.bramTab, len(patches))
-	// Index the CLB frames: which LUTs must be re-read when a frame is
-	// patched. Loc.Frame is relative to the CLB region.
-	lutsByFrame := make(map[int][]int)
-	for i, rec := range desc.LUTs {
-		lutsByFrame[rec.Loc.Frame] = append(lutsByFrame[rec.Loc.Frame], i)
-	}
-	descStart := regions.DescOff / bitstream.FrameBytes
-	bramStart := regions.BRAMOff / bitstream.FrameBytes
-	totalFrames := regions.TotalLen / bitstream.FrameBytes
+	c := cfg.base
+	b := newBatch(c.prog, cfg.lutTT, cfg.bramTab, len(patches))
+	r := cfg.regions
 	bramPatched := false
 	for lane, ps := range patches {
 		var bramRegion []byte
@@ -128,32 +93,30 @@ func (f *FPGA) BatchOf(patches []bitstream.PatchSet) (*Batch, error) {
 				return nil, fmt.Errorf("device: lane %d: frame patch must be %d bytes, got %d",
 					lane, bitstream.FrameBytes, len(fp.Data))
 			}
-			switch {
-			case fp.Frame < 0 || fp.Frame >= totalFrames:
-				return nil, fmt.Errorf("device: lane %d: frame %d out of range", lane, fp.Frame)
-			case fp.Frame == 0:
-				return nil, fmt.Errorf("device: lane %d: header frame cannot be lane-patched", lane)
-			case fp.Frame < descStart: // CLB region
-				for _, li := range lutsByFrame[fp.Frame-1] {
-					loc := desc.LUTs[li].Loc
+			kind, rel, err := r.ContentFrame(fp.Frame)
+			if err != nil {
+				return nil, fmt.Errorf("device: lane %d: %w", lane, err)
+			}
+			if kind == bitstream.FrameCLB {
+				if rel >= len(c.lutsByFrame) {
+					continue // no LUT sits in this frame
+				}
+				for _, li := range c.lutsByFrame[rel] {
+					loc := c.prog.desc.LUTs[li].Loc
 					loc.Frame = 0 // read from the standalone patched frame
 					tt, err := bitstream.ReadLUT(fp.Data, loc)
 					if err != nil {
 						return nil, fmt.Errorf("device: lane %d: LUT %d: %w", lane, li, err)
 					}
-					b.setLaneTT(li, lane, tt)
+					b.st.patchLUTLane(li, lane, tt)
 				}
-			case fp.Frame < bramStart:
-				return nil, fmt.Errorf("device: lane %d: description frame %d cannot be lane-patched",
-					lane, fp.Frame)
-			default: // BRAM region
-				if bramRegion == nil {
-					bramRegion = append([]byte(nil),
-						f.fdri[regions.BRAMOff:regions.BRAMOff+regions.BRAMLen]...)
-				}
-				copy(bramRegion[(fp.Frame-bramStart)*bitstream.FrameBytes:], fp.Data)
-				bramFrames = append(bramFrames, fp.Frame-bramStart)
+				continue
 			}
+			if bramRegion == nil {
+				bramRegion = append([]byte(nil), cfg.fdri[r.BRAMOff:r.BRAMOff+r.BRAMLen]...)
+			}
+			copy(bramRegion[rel*bitstream.FrameBytes:], fp.Data)
+			bramFrames = append(bramFrames, rel)
 		}
 		if bramRegion != nil {
 			if err := b.rebuildBRAM(lane, bramRegion, bramFrames); err != nil {
@@ -169,18 +132,11 @@ func (f *FPGA) BatchOf(patches []bitstream.PatchSet) (*Batch, error) {
 	return b, nil
 }
 
-// setLaneTT installs a truth table into one lane of a LUT's transposed
-// rows and switches the LUT's compiled form to read them (an in-place
-// site rewrite).
-func (b *Batch) setLaneTT(lut, lane int, tt boolfn.TT) {
-	b.st.patchLUTLane(lut, lane, tt)
-}
-
 // rebuildBRAM re-decodes the BRAM tables whose content overlaps the
-// patched frames of one lane's BRAM region and installs them as lane
-// overrides.
+// patched frames of one lane's BRAM region and installs them as that
+// lane's tables.
 func (b *Batch) rebuildBRAM(lane int, region []byte, frames []int) error {
-	for i, rec := range b.desc.BRAMs {
+	for i, rec := range b.st.prog.desc.BRAMs {
 		entries := 1 << len(rec.Addr)
 		lo, hi := rec.ContentOff, rec.ContentOff+8*entries
 		if hi > len(region) {
@@ -205,10 +161,6 @@ func (b *Batch) rebuildBRAM(lane int, region []byte, frames []int) error {
 			}
 			tab[e] = w
 		}
-		if b.bramOver[i] == nil {
-			b.bramOver[i] = make([][]uint64, MaxLanes)
-		}
-		b.bramOver[i][lane] = tab
 		b.st.setTabLane(i, lane, tab)
 	}
 	return nil
@@ -220,24 +172,37 @@ func (b *Batch) Lanes() int { return b.lanes }
 // SetInputLanes drives an input pin with a lane mask: bit L is the
 // value lane L sees.
 func (b *Batch) SetInputLanes(name string, mask uint64) {
-	net, ok := b.inPins[name]
-	if !ok {
-		panic(fmt.Sprintf("device: no input pin %q", name))
-	}
-	b.st.regs[net] = mask
+	b.st.regs[b.pin(name, true)] = mask
 	b.dirty = true
+}
+
+// pin returns the net of an input or output pin. A nil Batch — the
+// evaluator of an unconfigured device — has no pins.
+func (b *Batch) pin(name string, in bool) uint32 {
+	dir := "output"
+	if in {
+		dir = "input"
+	}
+	if b != nil {
+		pins := b.st.prog.outPins
+		if in {
+			pins = b.st.prog.inPins
+		}
+		if net, ok := pins[name]; ok {
+			return net
+		}
+	}
+	panic(fmt.Sprintf("device: no %s pin %q", dir, name))
 }
 
 // ReadLanes samples an output pin after the last clock edge and returns
 // its lane mask; bits at or above Lanes() are zero, so stale register
 // content from inactive lanes never leaks to callers.
 func (b *Batch) ReadLanes(name string) uint64 {
-	net, ok := b.outPins[name]
-	if !ok {
-		panic(fmt.Sprintf("device: no output pin %q", name))
-	}
+	net := b.pin(name, false)
 	if b.dirty {
-		b.settle()
+		b.st.settle()
+		b.dirty = false
 	}
 	return b.st.regs[net] & (^uint64(0) >> uint(LaneWordBits-b.lanes))
 }
@@ -245,93 +210,8 @@ func (b *Batch) ReadLanes(name string) uint64 {
 // ClockBatch advances all lanes one cycle: evaluate, then latch every
 // flip-flop lane-wise.
 func (b *Batch) ClockBatch() {
-	if b.walk {
-		b.walkSettle()
-		b.st.latch()
-	} else {
-		b.st.clock()
-	}
+	b.st.clock()
 	b.dirty = true
-}
-
-// settle evaluates the combinational fabric for all lanes at once:
-// the compiled program by default, or the legacy walker when selected.
-func (b *Batch) settle() {
-	if !b.walk {
-		b.st.settle()
-		b.dirty = false
-		return
-	}
-	b.walkSettle()
-}
-
-// walkSettle is the original description-walking evaluator, running
-// over the same register file as the compiled program — the ground
-// truth the compiled kernel is pinned against.
-func (b *Batch) walkSettle() {
-	nets := b.st.regs
-	nets[0] = 0
-	nets[1] = ^uint64(0)
-	for i, ff := range b.desc.FFs {
-		nets[ff.Q] = b.st.ff[i]
-	}
-	for _, item := range b.desc.Eval {
-		switch item.Kind {
-		case bitstream.EvalLUT:
-			rec := &b.desc.LUTs[item.Index]
-			rows := b.st.rows[item.Index]
-			if rec.O5 != bitstream.NoNet {
-				// Fractured LUT: a6 selects the half (Fig 4); only the
-				// first five inputs address within a half.
-				k := min(len(rec.Inputs), 5)
-				nets[rec.O5] = b.reduce(rows, k, rec.Inputs)
-				nets[rec.O6] = b.reduce(rows[32:], k, rec.Inputs)
-			} else {
-				nets[rec.O6] = b.reduce(rows, len(rec.Inputs), rec.Inputs)
-			}
-		case bitstream.EvalBRAM:
-			rec := &b.desc.BRAMs[item.Index]
-			if len(rec.Addr) == 0 && b.primed {
-				// Constant ROM: its output lane masks were computed on the
-				// first settle and nothing can change them.
-				continue
-			}
-			over := b.bramOver[item.Index]
-			words := b.gather[:b.lanes]
-			for L := range words {
-				addr := 0
-				for i, a := range rec.Addr {
-					addr |= int(nets[a]>>uint(L)&1) << uint(i)
-				}
-				tab := b.bramTab[item.Index]
-				if over != nil && over[L] != nil {
-					tab = over[L]
-				}
-				words[L] = tab[addr]
-			}
-			// Scatter the per-lane words back into bitsliced output nets:
-			// a 64x64 bit-matrix transpose turns "bit bi of words[L]" into
-			// "bit L of row bi" in one pass, far cheaper than a per-out
-			// per-lane gather loop. Rows for lanes >= b.lanes carry stale
-			// bits, which is harmless: bit L of any net only ever depends
-			// on bit L of other nets, and ReadLanes masks to active lanes.
-			transpose64(&b.gather)
-			for bi, out := range rec.Out {
-				nets[out] = b.gather[bi]
-			}
-		case bitstream.EvalAdder:
-			rec := &b.desc.Adders[item.Index]
-			var carry uint64
-			for i := range rec.A {
-				av, bv := nets[rec.A[i]], nets[rec.B[i]]
-				x := av ^ bv
-				nets[rec.Sum[i]] = x ^ carry
-				carry = av&bv | carry&x
-			}
-		}
-	}
-	b.dirty = false
-	b.primed = true
 }
 
 // transpose64 transposes a 64x64 bit matrix in place (the recursive
@@ -379,29 +259,4 @@ func transpose64(a *[64]uint64) {
 		a[k] ^= t << 1
 		a[k+1] ^= t
 	}
-}
-
-// reduce collapses the first 1<<k transposed truth-table rows through a
-// mux tree addressed by the LUT's input nets — the bitsliced equivalent
-// of TT.Eval over k inputs for all lanes at once.
-func (b *Batch) reduce(rows []uint64, k int, inputs []uint32) uint64 {
-	if k == 0 {
-		return rows[0]
-	}
-	// The top mux level reads straight from the rows, halving the work
-	// compared to copying all 1<<k rows into scratch first.
-	half := 1 << uint(k-1)
-	sel := b.st.regs[inputs[k-1]]
-	v := b.st.rscratch[:half]
-	for m := 0; m < half; m++ {
-		v[m] = sel&rows[m|half] | ^sel&rows[m]
-	}
-	for j := k - 2; j >= 0; j-- {
-		sel = b.st.regs[inputs[j]]
-		half >>= 1
-		for m := 0; m < half; m++ {
-			v[m] = sel&v[m|half] | ^sel&v[m]
-		}
-	}
-	return v[0]
 }

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"snowbma/internal/bitstream"
 	"snowbma/internal/boolfn"
@@ -45,22 +46,15 @@ type BootStatus struct {
 // FPGA is a simulated SRAM-based FPGA with an optional eFuse-held
 // bitstream decryption key.
 type FPGA struct {
-	kE      [bitstream.KeySize]byte
-	flash   []byte // external configuration memory, as probed
-	fdri    []byte // live frame region (for readback/partial reconfig)
-	status  BootStatus
-	loaded  bool
-	desc    *bitstream.Description
-	lutTT   []boolfn.TT
-	bramTab [][]uint64
-	inPins  map[string]uint32
-	outPins map[string]uint32
-	// prog is the configuration compiled to a flat program; st is the
-	// 1-lane evaluator state the scalar clock path runs on. Batches
-	// share prog and build their own states.
-	prog  *Program
-	st    *progState
-	dirty bool
+	kE     [bitstream.KeySize]byte
+	flash  []byte // external configuration memory, as probed
+	status BootStatus
+	// cfg is the live configuration, nil while unconfigured; its base is
+	// the Compiled whose Program b runs.
+	cfg *config
+	// b is the one-lane Batch the scalar pins and clock drive: the scalar
+	// device is lane 0 of the batch evaluator, nil while unconfigured.
+	b *Batch
 	// base is the compiled configuration Loads are compared against:
 	// the programmed image's, or the first one loaded (see Load).
 	base *Compiled
@@ -133,9 +127,8 @@ func (f *FPGA) Load(img []byte) error {
 	span := f.tel.StartSpan("device.load", obs.KV("bytes", len(img)))
 	defer span.End()
 	f.tel.Counter("device.loads").Inc()
-	f.loaded = false
 	f.status = BootStatus{}
-	f.clear() // full reconfiguration starts from a cleared fabric
+	f.cfg, f.b = nil, nil // full reconfiguration starts from a cleared fabric
 	packets := img
 	if bitstream.IsEncrypted(img) {
 		plain, _, macOK, err := bitstream.Open(img, f.kE)
@@ -172,22 +165,8 @@ func (f *FPGA) Load(img []byte) error {
 		}
 		f.commit(cfg, false)
 	}
-	f.loaded = true
 	f.status.Configured = true
 	return nil
-}
-
-// clear wipes the live configuration.
-func (f *FPGA) clear() {
-	f.desc = nil
-	f.lutTT = nil
-	f.bramTab = nil
-	f.inPins = nil
-	f.outPins = nil
-	f.prog = nil
-	f.st = nil
-	f.fdri = nil
-	f.dirty = false
 }
 
 // config is a fully decoded frame region, staged before being committed
@@ -200,9 +179,11 @@ type config struct {
 	bramTab [][]uint64
 	fdri    []byte // owned copy
 	descRaw []byte // the description region of fdri
+	// regions is fdri's layout, which classifies every frame patch.
+	regions *bitstream.Regions
 	// base is the Compiled whose description this config reuses (its
 	// description bytes were equal), nil when the config needs its own
-	// compile.
+	// compile. A committed config always names the Compiled it runs.
 	base *Compiled
 }
 
@@ -212,10 +193,12 @@ type config struct {
 // same bytes again, a device programmed from a cached image, and every
 // Batch over them share it, each with evaluator state of its own.
 type Compiled struct {
-	cfg     config
-	prog    *Program
-	inPins  map[string]uint32
-	outPins map[string]uint32
+	cfg  config
+	prog *Program
+	// lutsByFrame lists, per CLB frame (relative to the CLB region), the
+	// LUTs whose truth tables it holds: the LUTs a patch of that frame
+	// must re-read.
+	lutsByFrame [][]int
 }
 
 // Bytes estimates the heap a Compiled holds — frame bytes, decoded
@@ -287,64 +270,56 @@ func decodeConfig(fdri []byte, base *Compiled) (*config, error) {
 		bramTab: bramTab,
 		fdri:    owned,
 		descRaw: owned[regions.DescOff : regions.DescOff+regions.DescLen],
+		regions: regions,
 		base:    base,
 	}, nil
 }
 
-// commit installs a staged configuration over a fresh evaluator state.
+// commit installs a staged configuration over a fresh one-lane Batch.
 // Its Program is the reused base's when the config names one, else a
 // fresh compile, which becomes the device's Compiled if it has none.
 // Partial reconfiguration preserves register state when the register
 // structure is unchanged; a full (re)configuration resets it.
 func (f *FPGA) commit(cfg *config, preserveFF bool) {
-	c := cfg.base
-	if c == nil {
-		c = newCompiled(cfg, f.tel)
+	if cfg.base == nil {
+		c := newCompiled(cfg, f.tel)
 		if f.base == nil {
 			f.base = c
 		}
+		cfg = &c.cfg
 	} else {
 		f.tel.Counter("device.reuses").Inc()
 	}
-	f.desc = cfg.desc
-	f.lutTT = cfg.lutTT
-	f.bramTab = cfg.bramTab
-	f.fdri = cfg.fdri
-	f.inPins = c.inPins
-	f.outPins = c.outPins
-	old := f.st
-	f.prog = c.prog
-	f.st = newProgState(f.prog, cfg.lutTT, cfg.bramTab, 1)
-	if preserveFF && old != nil && len(old.ff) == len(f.st.ff) {
-		old.materializeFF()
-		copy(f.st.ff, old.ff)
+	old := f.b
+	f.cfg = cfg
+	f.b = newBatch(cfg.base.prog, cfg.lutTT, cfg.bramTab, 1)
+	if preserveFF && old != nil && len(old.st.ff) == len(f.b.st.ff) {
+		old.st.materializeFF()
+		copy(f.b.st.ff, old.st.ff)
 	}
-	f.dirty = true
 }
 
 // newCompiled compiles a decoded configuration. The Compiled's own
 // config names it as its base, so installing it reuses its Program.
 func newCompiled(cfg *config, tel *obs.Telemetry) *Compiled {
-	c := &Compiled{cfg: *cfg, inPins: map[string]uint32{}, outPins: map[string]uint32{}}
+	c := &Compiled{cfg: *cfg, prog: compile(cfg.desc, cfg.lutTT, tel)}
 	c.cfg.base = c
-	for _, port := range cfg.desc.Ports {
-		if port.Dir == bitstream.In {
-			c.inPins[port.Name] = port.Net
-		} else {
-			c.outPins[port.Name] = port.Net
-		}
+	// Every LUT was read from this config's CLB region, so its frame
+	// indexes the table.
+	c.lutsByFrame = make([][]int, cfg.regions.CLBLen/bitstream.FrameBytes)
+	for i, rec := range cfg.desc.LUTs {
+		c.lutsByFrame[rec.Loc.Frame] = append(c.lutsByFrame[rec.Loc.Frame], i)
 	}
-	c.prog = compile(cfg.desc, cfg.lutTT, tel)
 	return c
 }
 
 // CompileStats reports the statistics of the currently loaded
 // configuration's compiled program (zero when unconfigured).
 func (f *FPGA) CompileStats() CompileStats {
-	if f.prog == nil {
+	if f.cfg == nil {
 		return CompileStats{}
 	}
-	return f.prog.stats
+	return f.cfg.base.prog.stats
 }
 
 // PartialReconfig overwrites one configuration frame of the running
@@ -359,7 +334,7 @@ func (f *FPGA) PartialReconfig(frame int, data []byte) error {
 	span := f.tel.StartSpan("device.partial_reconfig", obs.KV("frame", frame))
 	defer span.End()
 	f.tel.Counter("device.partial_reconfigs").Inc()
-	if !f.loaded {
+	if f.cfg == nil {
 		return errors.New("device: partial reconfiguration before configuration")
 	}
 	if bitstream.IsEncrypted(f.flash) {
@@ -368,82 +343,51 @@ func (f *FPGA) PartialReconfig(frame int, data []byte) error {
 	if len(data) != bitstream.FrameBytes {
 		return fmt.Errorf("device: frame write must be %d bytes, got %d", bitstream.FrameBytes, len(data))
 	}
-	if frame < 0 || (frame+1)*bitstream.FrameBytes > len(f.fdri) {
-		return fmt.Errorf("device: frame address %d out of range", frame)
+	_, _, err := f.cfg.regions.ContentFrame(frame)
+	if errors.Is(err, bitstream.ErrFrameRange) {
+		return fmt.Errorf("device: frame address %d: %w", frame, err)
 	}
-	staged := append([]byte(nil), f.fdri...)
+	// A CLB or BRAM frame cannot change the shared structure: its staged
+	// config reuses the running Compiled, and instead of recompiling, the
+	// running state's operand tables are rewritten. Header and
+	// description frames take a full commit, which may recompile.
+	content := err == nil
+	base := f.base
+	if content {
+		base = f.cfg.base
+	}
+	staged := append([]byte(nil), f.cfg.fdri...)
 	copy(staged[frame*bitstream.FrameBytes:], data)
-	cfg, err := decodeConfig(staged, f.base)
+	cfg, err := decodeConfig(staged, base)
 	if err != nil {
 		return err
 	}
-	// Patch-only fast path: a CLB or BRAM frame write cannot change the
-	// shared structure, so instead of recompiling we rewrite only the
-	// affected instructions' operand tables in the running state. Header
-	// and description frames fall back to a full commit + recompile.
-	if kind, ok := f.frameKind(frame); ok && f.prog != nil {
-		switch kind {
-		case bitstream.FrameCLB:
-			patched := 0
-			for i, tt := range cfg.lutTT {
-				if tt != f.lutTT[i] {
-					f.st.patchLUTAll(i, tt)
-					patched++
-				}
-			}
-			f.tel.Counter("device.patched_insns").Add(int64(patched))
-			f.adoptConfig(cfg)
-			return nil
-		case bitstream.FrameBRAM:
-			touched := false
-			for i, tab := range cfg.bramTab {
-				if !equalTabs(tab, f.bramTab[i]) {
-					f.st.setTabAll(i, tab)
-					touched = true
-				}
-			}
-			if touched {
-				f.st.prologue()
-			}
-			f.adoptConfig(cfg)
-			return nil
+	if !content {
+		f.commit(cfg, true)
+		return nil
+	}
+	st := f.b.st
+	patched := 0
+	for i, tt := range cfg.lutTT {
+		if tt != f.cfg.lutTT[i] {
+			st.patchLUTAll(i, tt)
+			patched++
 		}
 	}
-	f.commit(cfg, true)
+	f.tel.Counter("device.patched_insns").Add(int64(patched))
+	touched := false
+	for i, tab := range cfg.bramTab {
+		if !slices.Equal(tab, f.cfg.bramTab[i]) {
+			st.setTabAll(i, tab)
+			touched = true
+		}
+	}
+	if touched {
+		st.prologue()
+	}
+	f.cfg = cfg
+	f.b.dirty = true
 	return nil
-}
-
-// frameKind classifies a frame index of the live FDRI region.
-func (f *FPGA) frameKind(frame int) (bitstream.FrameRegion, bool) {
-	regions, err := bitstream.ParseRegions(f.fdri)
-	if err != nil {
-		return 0, false
-	}
-	kind, _, err := regions.ClassifyFrame(frame)
-	return kind, err == nil
-}
-
-// adoptConfig installs the staged data of a patch-only partial
-// reconfiguration: the structure is unchanged, so the compiled program
-// and evaluator state stay, already patched in place.
-func (f *FPGA) adoptConfig(cfg *config) {
-	f.desc = f.prog.desc // structurally identical; keep the compiled one
-	f.lutTT = cfg.lutTT
-	f.bramTab = cfg.bramTab
-	f.fdri = cfg.fdri
-	f.dirty = true
-}
-
-func equalTabs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Status returns the boot status of the last Load attempt.
@@ -461,29 +405,30 @@ func (f *FPGA) Readback() ([]byte, error) {
 	span := f.tel.StartSpan("device.readback")
 	defer span.End()
 	f.tel.Counter("device.readbacks").Inc()
-	if !f.loaded {
+	if f.cfg == nil {
 		return nil, errors.New("device: readback before configuration")
 	}
 	if bitstream.IsEncrypted(f.flash) {
 		return nil, errors.New("device: readback disabled for encrypted configurations (SBITS)")
 	}
-	descBytes := bitstream.MarshalDescription(f.desc)
+	cfg := f.cfg
+	descBytes := bitstream.MarshalDescription(cfg.desc)
 	descFrames := (len(descBytes) + bitstream.FrameBytes - 1) / bitstream.FrameBytes
-	total := 1 + f.desc.CLBFrames + descFrames + f.desc.BRAMFrames
+	total := 1 + cfg.desc.CLBFrames + descFrames + cfg.desc.BRAMFrames
 	fdri := make([]byte, total*bitstream.FrameBytes)
 	bitstream.WriteFDRIHeader(fdri[:bitstream.FrameBytes],
-		f.desc.CLBFrames, descFrames, f.desc.BRAMFrames, len(descBytes))
-	clb := fdri[bitstream.FrameBytes : bitstream.FrameBytes*(1+f.desc.CLBFrames)]
-	for i, rec := range f.desc.LUTs {
-		if err := bitstream.WriteLUT(clb, rec.Loc, f.lutTT[i]); err != nil {
+		cfg.desc.CLBFrames, descFrames, cfg.desc.BRAMFrames, len(descBytes))
+	clb := fdri[bitstream.FrameBytes : bitstream.FrameBytes*(1+cfg.desc.CLBFrames)]
+	for i, rec := range cfg.desc.LUTs {
+		if err := bitstream.WriteLUT(clb, rec.Loc, cfg.lutTT[i]); err != nil {
 			return nil, err
 		}
 	}
-	copy(fdri[bitstream.FrameBytes*(1+f.desc.CLBFrames):], descBytes)
-	bram := fdri[bitstream.FrameBytes*(1+f.desc.CLBFrames+descFrames):]
-	for i, rec := range f.desc.BRAMs {
+	copy(fdri[bitstream.FrameBytes*(1+cfg.desc.CLBFrames):], descBytes)
+	bram := fdri[bitstream.FrameBytes*(1+cfg.desc.CLBFrames+descFrames):]
+	for i, rec := range cfg.desc.BRAMs {
 		off := rec.ContentOff
-		for _, w := range f.bramTab[i] {
+		for _, w := range cfg.bramTab[i] {
 			binary.BigEndian.PutUint64(bram[off:], w)
 			off += 8
 		}
@@ -566,63 +511,38 @@ func validate(d *bitstream.Description) error {
 	return nil
 }
 
-// Reset returns all registers to their configuration-time init values.
-func (f *FPGA) Reset() {
-	f.st.reset()
-	f.dirty = true
-}
-
 // SetInput drives an input pin by name.
 func (f *FPGA) SetInput(name string, v bool) {
-	net, ok := f.inPins[name]
-	if !ok {
-		panic(fmt.Sprintf("device: no input pin %q", name))
-	}
+	var mask uint64
 	if v {
-		f.st.regs[net] = ^uint64(0)
-	} else {
-		f.st.regs[net] = 0
+		mask = ^uint64(0)
 	}
-	f.dirty = true
+	f.b.SetInputLanes(name, mask)
 }
 
 // Clock advances one cycle: evaluate the compiled program, then latch
 // every flip-flop.
 func (f *FPGA) Clock() {
-	if !f.loaded {
+	if f.cfg == nil {
 		panic("device: Clock before successful Load")
 	}
-	f.st.clock()
-	f.dirty = true
+	f.b.ClockBatch()
 }
 
 // Read samples an output pin after the last clock edge.
-func (f *FPGA) Read(name string) bool {
-	net, ok := f.outPins[name]
-	if !ok {
-		panic(fmt.Sprintf("device: no output pin %q", name))
-	}
-	if f.dirty {
-		f.st.settle()
-		f.dirty = false
-	}
-	return f.st.regs[net]&1 == 1
-}
-
-// Loaded reports whether the device currently holds a valid
-// configuration.
-func (f *FPGA) Loaded() bool { return f.loaded }
+func (f *FPGA) Read(name string) bool { return f.b.ReadLanes(name) == 1 }
 
 // FlipFlops reports every flip-flop's current value in description
 // order, nil when unconfigured (diagnostics: two devices in the same
 // register state report the same values).
 func (f *FPGA) FlipFlops() []bool {
-	if !f.loaded {
+	if f.cfg == nil {
 		return nil
 	}
-	f.st.materializeFF()
-	out := make([]bool, len(f.st.ff))
-	for i, w := range f.st.ff {
+	st := f.b.st
+	st.materializeFF()
+	out := make([]bool, len(st.ff))
+	for i, w := range st.ff {
 		out[i] = w&1 == 1
 	}
 	return out

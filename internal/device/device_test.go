@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -495,15 +496,24 @@ func TestPartialReconfigValidation(t *testing.T) {
 	if err := f.Program(img); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.PartialReconfig(0, make([]byte, 10)); err == nil {
-		t.Fatal("short frame accepted")
-	}
-	if err := f.PartialReconfig(1<<20, make([]byte, bitstream.FrameBytes)); err == nil {
-		t.Fatal("out-of-range frame accepted")
-	}
-	// Corrupting the header frame must fail and roll back.
-	if err := f.PartialReconfig(0, make([]byte, bitstream.FrameBytes)); err == nil {
-		t.Fatal("zeroed header frame accepted")
+	frame := make([]byte, bitstream.FrameBytes)
+	for _, tc := range []struct {
+		name  string
+		frame int
+		data  []byte
+	}{
+		{"short frame", 0, frame[:10]},
+		{"negative frame", -1, frame},
+		{"out-of-range frame", 1 << 20, frame},
+		// (frame+1)*FrameBytes overflows to a small value here, so a
+		// byte-offset range check would pass it.
+		{"overflowing frame", math.MaxInt/bitstream.FrameBytes + 1, frame},
+		// Corrupting the header frame must fail and roll back.
+		{"zeroed header frame", 0, frame},
+	} {
+		if err := f.PartialReconfig(tc.frame, tc.data); err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
 	}
 	z := hdl.GenerateKeystream(f, testIV, 2)
 	ref := snow3g.New(snow3g.Fault{})

@@ -16,10 +16,11 @@ import (
 // is pinned against is one value of the implementation axis
 // fabricImpls; every row (fabricCase) runs on every value, and all
 // values must emit the same per-lane outputs. Each value reaches the
-// fabric through its own entry point — the walker keeps its own
-// reduce and BRAM overrides, the scalar device never builds a batch —
-// so an oracle never calls into the path it checks, and retiring an
-// alternate is dropping its axis value.
+// fabric through its own entry point — the walker, which lives here as
+// test code, evaluates the description with its own reduce and BRAM
+// gather; the scalar device configures its one-lane batch through Load
+// or PartialReconfig, never BatchOf — so an oracle never calls into the
+// path it checks, and retiring an alternate is dropping its axis value.
 
 // fabricImpls is the implementation axis: the batch values, which run
 // all of a row's lanes in one word, then the lane values, which run
@@ -29,7 +30,8 @@ var fabricImpls = slices.Concat(batchImpls, laneImpls)
 var batchImpls = []fabricImpl{
 	// The compiled program over a patched batch: the production path.
 	{"compiled", batchRun(evalCompiled)},
-	// The description walker over the same lane patches.
+	// The description walker (harnessBatch.walkSettle) over the same
+	// lane patches.
 	{"walker", batchRun(evalWalker)},
 	// The batch switching evaluators every third clock, which hands
 	// inline flip-flop state across mid-protocol in both directions.
@@ -213,8 +215,8 @@ func batchRun(mode evalMode) func(testing.TB, *fabricCase) [][]uint32 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.setWalker(mode == evalWalker)
 		hb := &harnessBatch{Batch: b, t: t, toggle: mode == evalToggling}
+		hb.setWalker(mode == evalWalker)
 		if c.mini != nil {
 			return c.mini.trace(hb)
 		}
@@ -225,15 +227,20 @@ func batchRun(mode evalMode) func(testing.TB, *fabricCase) [][]uint32 {
 	}
 }
 
-// harnessBatch drives a Batch for the harness: it switches evaluators
-// every third clock when toggle is set, and fails on any ReadLanes bit
-// at or above the lane count (inactive lanes may hold garbage inside
-// the 64-lane words, but must never leak out).
+// harnessBatch drives a Batch for the harness: through the compiled
+// program, or through the description walker when walk is set. It
+// switches evaluators every third clock when toggle is set, and fails
+// on any ReadLanes bit at or above the lane count (inactive lanes may
+// hold garbage inside the 64-lane words, but must never leak out).
 type harnessBatch struct {
 	*Batch
 	t      testing.TB
+	walk   bool
 	toggle bool
 	clocks int
+	// gather is the walker's BRAM buffer: per-lane table words,
+	// transposed in place into bitsliced outputs.
+	gather [LaneWordBits]uint64
 }
 
 func (h *harnessBatch) ClockBatch() {
@@ -241,15 +248,126 @@ func (h *harnessBatch) ClockBatch() {
 		h.setWalker(h.clocks/3%2 == 1)
 	}
 	h.clocks++
-	h.Batch.ClockBatch()
+	if !h.walk {
+		h.Batch.ClockBatch()
+		return
+	}
+	h.walkSettle()
+	h.st.latch()
+	h.dirty = true
 }
 
 func (h *harnessBatch) ReadLanes(name string) uint64 {
+	if h.walk && h.dirty {
+		h.walkSettle()
+	}
 	v := h.Batch.ReadLanes(name)
 	if v>>uint(h.Lanes()) != 0 {
 		h.t.Fatalf("%q: bits at or above lane %d leak: %016x", name, h.Lanes(), v)
 	}
 	return v
+}
+
+// setWalker switches between the compiled-program evaluator and the
+// description walker. Both run over the same register file, LUT rows
+// and per-lane BRAM tables, so results are identical.
+func (h *harnessBatch) setWalker(on bool) {
+	if on {
+		// The walker reads and latches the ff array directly; fold any
+		// inline flip-flop state back into it first. It also evaluates
+		// every LUT through its rows, including the Shannon-form ones the
+		// compiled path never materialized.
+		st := h.st
+		st.materializeFF()
+		for i := range st.rows {
+			if st.rows[i] == nil {
+				st.rows[i] = rowsFromTT(st.prog.baseTT[i], ^uint64(0))
+				st.owned[i] = true
+			}
+		}
+	}
+	h.walk = on
+}
+
+// walkSettle is the description-walking evaluator, running over the
+// batch's register file — the ground truth the compiled program is
+// pinned against.
+func (h *harnessBatch) walkSettle() {
+	st := h.st
+	desc := st.prog.desc
+	nets := st.regs
+	nets[0] = 0
+	nets[1] = ^uint64(0)
+	for i, ff := range desc.FFs {
+		nets[ff.Q] = st.ff[i]
+	}
+	for _, item := range desc.Eval {
+		switch item.Kind {
+		case bitstream.EvalLUT:
+			rec := &desc.LUTs[item.Index]
+			rows := st.rows[item.Index]
+			if rec.O5 != bitstream.NoNet {
+				// Fractured LUT: a6 selects the half (Fig 4); only the
+				// first five inputs address within a half.
+				k := min(len(rec.Inputs), 5)
+				nets[rec.O5] = h.reduce(rows, k, rec.Inputs)
+				nets[rec.O6] = h.reduce(rows[32:], k, rec.Inputs)
+			} else {
+				nets[rec.O6] = h.reduce(rows, len(rec.Inputs), rec.Inputs)
+			}
+		case bitstream.EvalBRAM:
+			rec := &desc.BRAMs[item.Index]
+			words := h.gather[:h.Lanes()]
+			for L := range words {
+				addr := 0
+				for i, a := range rec.Addr {
+					addr |= int(nets[a]>>uint(L)&1) << uint(i)
+				}
+				words[L] = st.tabs[int(item.Index)*MaxLanes+L][addr]
+			}
+			// Bit L of row bi becomes bit bi of words[L]. Rows for lanes
+			// at or above the lane count carry stale bits, which is
+			// harmless: bit L of any net only ever depends on bit L of
+			// other nets.
+			transpose64(&h.gather)
+			for bi, out := range rec.Out {
+				nets[out] = h.gather[bi]
+			}
+		case bitstream.EvalAdder:
+			rec := &desc.Adders[item.Index]
+			var carry uint64
+			for i := range rec.A {
+				av, bv := nets[rec.A[i]], nets[rec.B[i]]
+				x := av ^ bv
+				nets[rec.Sum[i]] = x ^ carry
+				carry = av&bv | carry&x
+			}
+		}
+	}
+	h.dirty = false
+}
+
+// reduce collapses the first 1<<k transposed truth-table rows through a
+// mux tree addressed by the LUT's input nets — the bitsliced TT.Eval
+// over k inputs for all lanes at once.
+func (h *harnessBatch) reduce(rows []uint64, k int, inputs []uint32) uint64 {
+	var v [32]uint64
+	if k == 0 {
+		return rows[0]
+	}
+	half := 1 << uint(k-1)
+	sel := h.st.regs[inputs[k-1]]
+	for m := 0; m < half; m++ {
+		v[m] = sel&rows[m|half] | ^sel&rows[m]
+	}
+	for j := k - 2; j >= 0; j-- {
+		sel = h.st.regs[inputs[j]]
+		half >>= 1
+		for m := 0; m < half; m++ {
+			v[m] = sel&v[m|half] | ^sel&v[m]
+		}
+	}
+	return v[0]
 }
 
 // imageRun runs the keystream protocol on one scalar device per
@@ -388,34 +506,4 @@ func FuzzClockBatchDifferential(f *testing.F) {
 	f.Add(uint8(128), int64(21), uint64(0x452821E638D01377)) // 1 lane
 	f.Add(uint8(255), int64(12), uint64(0xBE5466CF34E90C6C)) // 64 lanes: full word
 	fuzzFabric(f)
-}
-
-// setWalker switches the batch between the compiled-program evaluator
-// (default) and the legacy description-walking evaluator. Both run over
-// the same register file and lane patches, so results are identical;
-// the walker is the oracle of the fabric harness and
-// FuzzProgramDifferential.
-func (b *Batch) setWalker(on bool) {
-	if on {
-		// The walker reads and latches the ff array directly; fold any
-		// inline flip-flop state back into it first. It also evaluates
-		// every LUT through its rows, including the Shannon-form ones the
-		// compiled path never materialized.
-		b.st.materializeFF()
-		b.st.materializeRows()
-	}
-	b.walk = on
-}
-
-// materializeRows fills in the rows of every Shannon-form LUT — the
-// ones the compiled path never needs — so the walker can evaluate the
-// whole design through them. Rows already holding patches are left
-// untouched.
-func (st *progState) materializeRows() {
-	for i := range st.rows {
-		if st.rows[i] == nil {
-			st.rows[i] = rowsFromTT(st.prog.baseTT[i], ^uint64(0))
-			st.owned[i] = true
-		}
-	}
 }

@@ -8,13 +8,14 @@ import (
 	"snowbma/internal/obs"
 )
 
-// The walker evaluators re-interpret the Description on every settle:
+// A description walker re-interprets the Description on every settle:
 // each LUT re-reduces a 2^k mux tree, each BRAM re-gathers per-lane
-// addresses bit by bit. compile flattens a loaded configuration once
-// into a Program — a topologically-ordered flat instruction slice over
-// dense register slots (slot = net id; synthesis temporaries follow) —
-// and both the scalar FPGA and the bitsliced Batch then run the same
-// bytecode over []uint64 words. LUT truth tables are synthesized into
+// addresses bit by bit (the fabric harness keeps one as its test-side
+// oracle). compile flattens a loaded configuration once into a Program
+// — a topologically-ordered flat instruction slice over dense register
+// slots (slot = net id; synthesis temporaries follow) — and every Batch,
+// the scalar FPGA's one-lane Batch included, runs that bytecode over
+// []uint64 words. LUT truth tables are synthesized into
 // short Shannon-decomposition micro-programs (a 3-input routing mux
 // becomes one fused instruction instead of a 7-mux tree), parity cones
 // become a single XOR-chain instruction, and dense tables fall back to
@@ -23,9 +24,8 @@ import (
 // output words into one shared scatter transpose, so a group costs two
 // transposes per settle however many RAMs it holds. Inputs tied to
 // the constant nets 0/1 are folded
-// out of the truth table at compile time, and constant ROMs (the
-// walker's `primed` fast path) become a prologue that runs once per
-// state instead of a per-settle branch.
+// out of the truth table at compile time, and constant ROMs become a
+// prologue that runs once per state instead of on every settle.
 //
 // Patching never recompiles: a truth-table change rewrites only the
 // affected LUT's instruction site to the generic reduce form over
@@ -175,6 +175,8 @@ type Program struct {
 	ffCopies []regCopy
 	nregs    uint32
 	stats    CompileStats
+	// inPins and outPins map the description's port names to their nets.
+	inPins, outPins map[string]uint32
 }
 
 // regCopy is one ordered move of the fused clock edge: n register
@@ -376,6 +378,15 @@ func compile(desc *bitstream.Description, tts []boolfn.TT, tel *obs.Telemetry) *
 		consts:   consts,
 		nregs:    nregs,
 		stats:    c.stats,
+		inPins:   map[string]uint32{},
+		outPins:  map[string]uint32{},
+	}
+	for _, port := range desc.Ports {
+		if port.Dir == bitstream.In {
+			p.inPins[port.Name] = port.Net
+		} else {
+			p.outPins[port.Name] = port.Net
+		}
 	}
 	span.SetAttr("insns", p.stats.Insns)
 	span.SetAttr("reduce_luts", p.stats.ReduceLUTs)
@@ -1116,19 +1127,6 @@ func newProgState(p *Program, tts []boolfn.TT, tabs [][]uint64, lanes int) *prog
 	return st
 }
 
-// reset returns the flip-flops to their configuration init values.
-func (st *progState) reset() {
-	for i, ff := range st.prog.desc.FFs {
-		var v uint64
-		if ff.Init {
-			v = ^uint64(0)
-		}
-		st.ff[i] = v
-	}
-	st.ffInline = false
-	st.pendingLatch = false
-}
-
 // clock advances one rising edge. On ffSafe programs the latch is
 // deferred: the next settle replays it as the ordered copy list instead
 // of streaming the ff array out and back in.
@@ -1143,7 +1141,8 @@ func (st *progState) clock() {
 
 // materializeFF folds the inline flip-flop state back into the ff
 // array. Required before anything reads or rewrites ff directly: reset
-// via external copy (preserveFF), or handing the state to the walker.
+// via external copy (preserveFF), flip-flop readout, or the fabric
+// harness's walker.
 func (st *progState) materializeFF() {
 	if !st.ffInline {
 		return
@@ -1241,8 +1240,7 @@ func (st *progState) setTabAll(b int, tab []uint64) {
 }
 
 // prologue computes the constant-ROM output nets — once per state (and
-// again after BRAM patches), replacing the walker's per-settle `primed`
-// check. Lane bits beyond lanes carry the lane-0 value, which is
+// again after BRAM patches) instead of on every settle. Lane bits beyond lanes carry the lane-0 value, which is
 // harmless under the lane-locality invariant.
 func (st *progState) prologue() {
 	for _, c := range st.prog.consts {

@@ -20,25 +20,7 @@ import (
 // inputs, flip-flop swap rings, LUT outputs driving Q nets).
 func miniBatch(t testing.TB, desc *bitstream.Description, tts []boolfn.TT, tabs [][]uint64, lanes int) *Batch {
 	t.Helper()
-	prog := compile(desc, tts, obs.New())
-	b := &Batch{
-		desc:     desc,
-		lanes:    lanes,
-		bramTab:  tabs,
-		bramOver: make([][][]uint64, len(desc.BRAMs)),
-		inPins:   map[string]uint32{},
-		outPins:  map[string]uint32{},
-		dirty:    true,
-	}
-	for _, p := range desc.Ports {
-		if p.Dir == bitstream.In {
-			b.inPins[p.Name] = p.Net
-		} else {
-			b.outPins[p.Name] = p.Net
-		}
-	}
-	b.st = newProgState(prog, tts, tabs, lanes)
-	return b
+	return newBatch(compile(desc, tts, obs.New()), tts, tabs, lanes)
 }
 
 // TestCompileFoldsConstantInputs pins the constant-folding compile path:
@@ -388,14 +370,13 @@ func TestConcurrentBatchesOverOneDescription(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w%2 == 1 {
-			b.setWalker(true) // both evaluators must honor the contract
-		}
+		hb := &harnessBatch{Batch: b, t: t}
+		hb.setWalker(w%2 == 1) // both evaluators must honor the contract
 		wg.Add(1)
-		go func(w int, b *Batch) {
+		go func(w int) {
 			defer wg.Done()
-			results[w] = hdl.GenerateKeystreamBatch(b, testIV, 4)[0]
-		}(w, b)
+			results[w] = hdl.GenerateKeystreamBatch(hb, testIV, 4)[0]
+		}(w)
 	}
 	wg.Wait()
 	for w := 1; w < workers; w++ {

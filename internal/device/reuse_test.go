@@ -57,8 +57,9 @@ func deviceView(f *FPGA) string {
 		return b.String()
 	}
 	fmt.Fprintf(&b, "ff %v\n", f.FlipFlops())
-	outs := make([]string, 0, len(f.outPins))
-	for name := range f.outPins {
+	pins := f.cfg.base.prog.outPins
+	outs := make([]string, 0, len(pins))
+	for name := range pins {
 		outs = append(outs, name)
 	}
 	slices.Sort(outs)
@@ -234,7 +235,7 @@ func TestProgramCompiledSharesOneProgram(t *testing.T) {
 	if err := second.ProgramCompiled(img, first.Compiled()); err != nil {
 		t.Fatal(err)
 	}
-	if second.prog != first.prog || tel.Counter("device.compiles").Value() != 0 {
+	if second.cfg.base.prog != first.cfg.base.prog || tel.Counter("device.compiles").Value() != 0 {
 		t.Fatal("ProgramCompiled compiled instead of reusing the Program")
 	}
 	hdl.GenerateKeystream(first, testIV, 4)

@@ -123,7 +123,7 @@ func (c *Coordinator) settleComposites() {
 	c.mu.Lock()
 	for _, id := range c.order {
 		j := c.jobs[id]
-		if !j.composite || j.terminal() {
+		if !j.composite || service.Terminal(j.state) {
 			continue
 		}
 		allTerminal := true
@@ -132,7 +132,7 @@ func (c *Coordinator) settleComposites() {
 		var results []json.RawMessage
 		for _, cid := range j.children {
 			ch := c.jobs[cid]
-			if !ch.terminal() {
+			if !service.Terminal(ch.state) {
 				allTerminal = false
 				if ch.state != service.StateQueued {
 					anyRunning = true

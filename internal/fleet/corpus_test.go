@@ -32,7 +32,6 @@ func TestFleetCorpusSharding(t *testing.T) {
 	c := New(Config{
 		Workers:        map[string]string{"w1": w1.url, "w2": w2.url},
 		HealthInterval: 50 * time.Millisecond,
-		EventBuffer:    8192,
 		Logf:           t.Logf,
 	})
 	defer c.Shutdown(context.Background())

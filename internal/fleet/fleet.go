@@ -45,13 +45,14 @@ type Config struct {
 	// LeaseTTL is how long a worker may go unheard-from before its jobs
 	// are reassigned (0 = DefaultLeaseFactor * HealthInterval).
 	LeaseTTL time.Duration
-	// EventBuffer bounds the coordinator's event bus ring
-	// (0 = obs.DefaultEventBuffer).
-	EventBuffer int
 	// Tel receives coordinator metrics (nil = fresh handle).
 	Tel *obs.Telemetry
 	// Logf receives human-readable coordinator logs (nil = silent).
 	Logf func(string, ...any)
+
+	// eventBuffer overrides the event bus ring capacity
+	// (obs.DefaultEventBuffer) for tests that need a larger ring.
+	eventBuffer int
 }
 
 // WorkerInfo is the wire-format view of one fleet member.
@@ -122,14 +123,6 @@ type fleetJob struct {
 	done      chan struct{}
 }
 
-func (j *fleetJob) terminal() bool {
-	switch j.state {
-	case service.StateDone, service.StateFailed, service.StateCancelled:
-		return true
-	}
-	return false
-}
-
 func (j *fleetJob) status() Status {
 	st := Status{
 		ID:         j.id,
@@ -196,7 +189,7 @@ func New(cfg Config) *Coordinator {
 		cfg:     cfg,
 		tel:     tel,
 		logf:    logf,
-		bus:     obs.NewEventBus(cfg.EventBuffer),
+		bus:     obs.NewEventBus(cfg.eventBuffer),
 		rpc:     newClient(),
 		ring:    NewRing(),
 		workers: map[string]*worker{},
@@ -274,7 +267,7 @@ func (c *Coordinator) RemoveWorker(name string) {
 func (c *Coordinator) releaseJobsLocked(name string) int {
 	n := 0
 	for _, j := range c.jobs {
-		if j.owner == name && !j.terminal() {
+		if j.owner == name && !service.Terminal(j.state) {
 			j.owner = ""
 			j.remoteID = ""
 			n++
@@ -291,7 +284,7 @@ func (c *Coordinator) Workers() []WorkerInfo {
 	for _, w := range c.workers {
 		info := WorkerInfo{Name: w.name, URL: w.url, Live: w.live}
 		for _, j := range c.jobs {
-			if j.owner == w.name && !j.terminal() {
+			if j.owner == w.name && !service.Terminal(j.state) {
 				info.Jobs++
 			}
 		}
@@ -438,7 +431,7 @@ func (c *Coordinator) Result(id string) (json.RawMessage, Status, error) {
 	if !ok {
 		return nil, Status{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if !j.terminal() {
+	if !service.Terminal(j.state) {
 		return nil, j.status(), fmt.Errorf("%w: %s is %s", ErrNotFinished, id, j.state)
 	}
 	return j.result, j.status(), nil
@@ -547,7 +540,7 @@ func (c *Coordinator) pollJobs() {
 	unowned := make([]*fleetJob, 0)
 	for _, id := range c.order {
 		j := c.jobs[id]
-		if j.terminal() || j.composite {
+		if service.Terminal(j.state) || j.composite {
 			continue // composites never dispatch; settleComposites owns them
 		}
 		w, ok := c.workers[j.owner]
@@ -597,14 +590,14 @@ func (c *Coordinator) pollJobs() {
 			c.mu.Lock()
 			j.lease = time.Now().Add(c.cfg.LeaseTTL)
 			prev := j.state
-			if !j.terminal() && !terminalState(st.State) {
+			if !service.Terminal(j.state) && !service.Terminal(st.State) {
 				j.state = st.State
 			}
 			c.mu.Unlock()
 			if prev == service.StateQueued && st.State == service.StateRunning {
 				c.publishJobState(j.id, service.StateRunning)
 			}
-			if terminalState(st.State) {
+			if service.Terminal(st.State) {
 				var result json.RawMessage
 				if st.State == service.StateDone {
 					if res, _, rerr := c.rpc.result(url, r.remoteID); rerr == nil {
@@ -622,7 +615,7 @@ func (c *Coordinator) pollJobs() {
 // its shard's ring walk.
 func (c *Coordinator) redispatch(j *fleetJob) {
 	c.mu.Lock()
-	if j.terminal() || c.closed {
+	if service.Terminal(j.state) || c.closed {
 		c.mu.Unlock()
 		return
 	}
@@ -650,7 +643,7 @@ func (c *Coordinator) redispatch(j *fleetJob) {
 // and counted, never double-applied.
 func (c *Coordinator) finalize(j *fleetJob, st service.Status, result json.RawMessage) {
 	c.mu.Lock()
-	if j.terminal() {
+	if service.Terminal(j.state) {
 		c.mu.Unlock()
 		c.tel.Counter("fleet.duplicates_suppressed").Inc()
 		return
@@ -663,14 +656,6 @@ func (c *Coordinator) finalize(j *fleetJob, st service.Status, result json.RawMe
 	c.mu.Unlock()
 	c.tel.Counter("fleet.jobs_" + st.State).Inc()
 	c.publishJobState(j.id, st.State)
-}
-
-func terminalState(state string) bool {
-	switch state {
-	case service.StateDone, service.StateFailed, service.StateCancelled:
-		return true
-	}
-	return false
 }
 
 // shortShard trims a shard key for event payloads (victim fingerprints

@@ -166,7 +166,6 @@ func TestFleetKillRestartSmoke(t *testing.T) {
 		Workers:        map[string]string{"w1": w1.url},
 		HealthInterval: 50 * time.Millisecond,
 		LeaseTTL:       300 * time.Millisecond,
-		EventBuffer:    8192,
 		Logf:           t.Logf,
 	})
 	defer c.Shutdown(context.Background())
@@ -187,7 +186,7 @@ func TestFleetKillRestartSmoke(t *testing.T) {
 		for time.Now().Before(deadline) {
 			done := 0
 			for _, st := range c.List() {
-				if terminalState(st.State) {
+				if service.Terminal(st.State) {
 					done++
 				}
 			}
@@ -233,7 +232,7 @@ func TestFleetKillRestartSmoke(t *testing.T) {
 	for {
 		owned := 0
 		for _, st := range c.List() {
-			if st.Worker == "w2" && !terminalState(st.State) {
+			if st.Worker == "w2" && !service.Terminal(st.State) {
 				owned++
 			}
 		}
@@ -277,7 +276,7 @@ func TestFleetKillRestartSmoke(t *testing.T) {
 	_, backlog := c.bus.SubscribeFrom(0, 1)
 	terminals := map[string]int{}
 	for _, ev := range backlog {
-		if ev.Type == obs.EventJob && terminalState(ev.Name) {
+		if ev.Type == obs.EventJob && service.Terminal(ev.Name) {
 			terminals[ev.Job]++
 		}
 	}
@@ -380,7 +379,7 @@ func BenchmarkFleetThroughput(b *testing.B) {
 				Workers:        workers,
 				HealthInterval: 50 * time.Millisecond,
 				LeaseTTL:       2 * time.Second,
-				EventBuffer:    1 << 15,
+				eventBuffer:    1 << 15,
 			})
 			defer c.Shutdown(context.Background())
 

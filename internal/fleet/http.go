@@ -173,7 +173,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	jobs := len(c.jobs)
 	pending := 0
 	for _, j := range c.jobs {
-		if !j.terminal() {
+		if !service.Terminal(j.state) {
 			pending++
 		}
 	}

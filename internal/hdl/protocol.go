@@ -17,57 +17,28 @@ type Device interface {
 	Read(name string) bool
 }
 
-// setWord drives the 32 bits of an input word port.
-func setWord(dev Device, port string, v uint32) {
-	for i := 0; i < 32; i++ {
-		dev.SetInput(fmt.Sprintf("%s[%d]", port, i), v>>uint(i)&1 == 1)
-	}
-}
-
-// readWord samples the 32 bits of an output word port.
-func readWord(dev Device, port string) uint32 {
-	var v uint32
-	for i := 0; i < 32; i++ {
-		if dev.Read(fmt.Sprintf("%s[%d]", port, i)) {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
-}
-
-func setControls(dev Device, load, init, run, gen bool) {
-	dev.SetInput(PortLoad, load)
-	dev.SetInput(PortInit, init)
-	dev.SetInput(PortRun, run)
-	dev.SetInput(PortGen, gen)
-}
-
 // GenerateKeystream drives the SNOW 3G control protocol on dev: one load
 // cycle (γ(K, IV) with the bitstream-resident key), 32 initialization
 // cycles, one discarded keystream-mode cycle, then n keystream words.
-// This is the only interface the attack has to the victim device.
+// This is the only interface the attack has to the victim device. It is
+// GenerateKeystreamBatch over dev as a one-lane batch device.
 func GenerateKeystream(dev Device, iv snow3g.IV, n int) []uint32 {
-	for i := 0; i < 4; i++ {
-		setWord(dev, IVPort(i), iv[i])
+	return GenerateKeystreamBatch(oneLane{dev}, iv, n)[0]
+}
+
+// oneLane presents a scalar Device as a one-lane BatchDevice: lane 0 is
+// the device, and mask bits above it are ignored.
+type oneLane struct{ Device }
+
+func (d oneLane) SetInputLanes(name string, mask uint64) { d.SetInput(name, mask&1 == 1) }
+func (d oneLane) ClockBatch()                            { d.Clock() }
+func (d oneLane) Lanes() int                             { return 1 }
+
+func (d oneLane) ReadLanes(name string) uint64 {
+	if d.Read(name) {
+		return 1
 	}
-	// Load γ(K, IV), clear the FSM.
-	setControls(dev, true, false, true, false)
-	dev.Clock()
-	// 32 initialization rounds.
-	setControls(dev, false, true, true, false)
-	for i := 0; i < 32; i++ {
-		dev.Clock()
-	}
-	// Keystream mode: the first produced word is discarded per the
-	// specification.
-	setControls(dev, false, false, true, true)
-	dev.Clock()
-	z := make([]uint32, 0, n)
-	for t := 0; t < n; t++ {
-		dev.Clock()
-		z = append(z, readWord(dev, PortZ))
-	}
-	return z
+	return 0
 }
 
 // BatchDevice abstracts a bitsliced multi-lane device: every pin
@@ -105,12 +76,12 @@ func setControlsLanes(dev BatchDevice, load, init, run, gen bool) {
 	dev.SetInputLanes(PortGen, all(gen))
 }
 
-// GenerateKeystreamBatch drives the same SNOW 3G control protocol as
-// GenerateKeystream on a bitsliced batch device and returns one
-// keystream slice per lane: out[L][t] is keystream word t of lane L.
-// Every lane sees identical inputs; lanes differ only through their
-// configuration patches, so lane L's output equals what GenerateKeystream
-// would produce on a scalar device loaded with lane L's image.
+// GenerateKeystreamBatch drives the SNOW 3G control protocol on a
+// bitsliced batch device and returns one keystream slice per lane:
+// out[L][t] is keystream word t of lane L. Every lane sees identical
+// inputs; lanes differ only through their configuration patches, so
+// lane L's output equals what GenerateKeystream produces on a scalar
+// device loaded with lane L's image.
 func GenerateKeystreamBatch(dev BatchDevice, iv snow3g.IV, n int) [][]uint32 {
 	for i := 0; i < 4; i++ {
 		setWordLanes(dev, IVPort(i), iv[i])

@@ -165,7 +165,7 @@ func (e *Engine) handleTrace(w http.ResponseWriter, r *http.Request) {
 	// Probe the job first so errors are JSON, not half-written NDJSON.
 	e.mu.Lock()
 	j, ok := e.jobs[id]
-	terminal := ok && j.terminal()
+	terminal := ok && Terminal(j.state)
 	e.mu.Unlock()
 	if !ok {
 		httpError(w, ErrNotFound)
@@ -227,16 +227,6 @@ func (e *Engine) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteMetricsText(w, e.tel.Metrics, obs.Default()) //nolint:errcheck
 }
 
-// terminalStateName reports whether a job-event name is a terminal
-// lifecycle state.
-func terminalStateName(name string) bool {
-	switch name {
-	case StateDone, StateFailed, StateCancelled:
-		return true
-	}
-	return false
-}
-
 // handleEvents is the firehose: every bus event, live-only by default
 // (a reconnecting client resumes from its Last-Event-ID). The stream
 // runs until the client disconnects or the engine shuts down.
@@ -259,11 +249,11 @@ func (e *Engine) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	e.serveSSE(w, r, obs.SSEOptions{
 		Filter: func(ev obs.BusEvent) bool { return ev.Job == id },
 		Done: func(ev obs.BusEvent) bool {
-			return ev.Type == obs.EventJob && terminalStateName(ev.Name)
+			return ev.Type == obs.EventJob && Terminal(ev.Name)
 		},
 		Epilogue: func() *obs.BusEvent {
 			st, err := e.Get(id)
-			if err != nil || !terminalStateName(st.State) {
+			if err != nil || !Terminal(st.State) {
 				return nil // still live (or pruned): follow the bus
 			}
 			ev := obs.BusEvent{Type: obs.EventJob, Job: id, Name: st.State}

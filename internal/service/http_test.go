@@ -177,7 +177,6 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 		"service_jobs_submitted_total 1",
 		"service_jobs_done_total 1",
 		"# TYPE service_workers gauge",
-		"service_job_ms_count 1",
 		// Duration bucket histograms: queue wait and run time, full
 		// Prometheus histogram exposition with a +Inf bucket.
 		"# TYPE service_job_queue_wait_ms histogram",

@@ -302,9 +302,10 @@ func (j *job) status() Status {
 	return st
 }
 
-// terminal reports whether the job has reached a final state.
-func (j *job) terminal() bool {
-	switch j.state {
+// Terminal reports whether a job state (or job-event name) is a final
+// lifecycle state: done, failed or cancelled.
+func Terminal(state string) bool {
+	switch state {
 	case StateDone, StateFailed, StateCancelled:
 		return true
 	}

@@ -66,11 +66,6 @@ type Config struct {
 	RetainJobs int
 	// CacheSize bounds the victim build cache (0 = victim.DefaultCacheSize).
 	CacheSize int
-	// EventBuffer bounds the live event bus ring (0 = obs.DefaultEventBuffer).
-	EventBuffer int
-	// RuntimePoll is the runtime-profiling sample cadence
-	// (0 = obs.DefaultRuntimePoll).
-	RuntimePoll time.Duration
 	// Store, when non-nil, makes the engine durable: every job
 	// lifecycle transition is appended to it, and Open replays it on
 	// startup — finished jobs stay queryable, incomplete jobs are
@@ -98,6 +93,12 @@ type Config struct {
 	// the in-package recovery and fairness tests need it installed
 	// before the first recovered job can be dispatched.
 	execOverride func(ctx context.Context, j *job) (any, error)
+	// eventBuffer and runtimePoll override the event bus ring capacity
+	// (obs.DefaultEventBuffer) and the runtime-profiling cadence
+	// (obs.DefaultRuntimePoll) for tests that need a tiny ring or a
+	// fast poll.
+	eventBuffer int
+	runtimePoll time.Duration
 }
 
 // tenantConfig resolves one tenant's scheduling contract.
@@ -190,9 +191,9 @@ func Open(cfg Config) (*Engine, error) {
 	tel.BucketHistogram("service.job_queue_wait_ms", obs.DurationBucketsMS)
 	tel.BucketHistogram("service.job_run_ms", obs.DurationBucketsMS)
 
-	e.bus = obs.NewEventBus(cfg.EventBuffer)
+	e.bus = obs.NewEventBus(cfg.eventBuffer)
 	e.stopFlush = obs.NewMetricsStreamer(tel.Metrics, e.bus, "").Start(obs.DefaultFlushInterval)
-	e.stopRuntime = obs.StartRuntimeMetrics(tel.Metrics, cfg.RuntimePoll, e.sampleEngineGauges)
+	e.stopRuntime = obs.StartRuntimeMetrics(tel.Metrics, cfg.runtimePoll, e.sampleEngineGauges)
 
 	if cfg.Store != nil {
 		if err := e.recover(); err != nil {
@@ -348,7 +349,7 @@ func (e *Engine) worker() {
 // run executes one job and records its terminal state.
 func (e *Engine) run(j *job) {
 	e.mu.Lock()
-	if j.terminal() {
+	if Terminal(j.state) {
 		// Cancelled while still queued: nothing to run.
 		e.mu.Unlock()
 		return
@@ -417,7 +418,6 @@ func (e *Engine) run(j *job) {
 		e.tel.Counter("service.jobs_failed").Inc()
 	}
 	runMS := float64(j.finished.Sub(j.started).Nanoseconds()) / 1e6
-	e.tel.Histogram("service.job_ms").Observe(runMS)
 	e.tel.BucketHistogram("service.job_run_ms", obs.DurationBucketsMS).Observe(runMS)
 	if j.spec.Tenant != "" {
 		e.tel.Counter("service.tenant." + j.spec.Tenant + "." + j.state).Inc()
@@ -501,7 +501,7 @@ func (e *Engine) Result(id string) (any, Status, error) {
 	if !ok {
 		return nil, Status{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if !j.terminal() {
+	if !Terminal(j.state) {
 		return nil, j.status(), fmt.Errorf("%w: %s is %s", ErrNotFinished, id, j.state)
 	}
 	return j.result, j.status(), nil
@@ -565,7 +565,7 @@ func (e *Engine) WriteTrace(w io.Writer, id string) error {
 		e.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if !j.terminal() {
+	if !Terminal(j.state) {
 		e.mu.Unlock()
 		return fmt.Errorf("%w: %s is %s", ErrNotFinished, id, j.state)
 	}
@@ -609,7 +609,7 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	// observe it (attack checkpoints fire within one sweep chunk).
 	e.mu.Lock()
 	for _, j := range e.jobs {
-		if !j.terminal() {
+		if !Terminal(j.state) {
 			j.cancel()
 		}
 	}

@@ -174,7 +174,7 @@ func TestJobEventsLastEventIDResume(t *testing.T) {
 // finished job's events, the stream synthesizes a terminal event and
 // closes instead of hanging.
 func TestJobEventsEpilogueAfterEviction(t *testing.T) {
-	e := New(Config{Workers: 1, QueueDepth: 4, EventBuffer: 4})
+	e := New(Config{Workers: 1, QueueDepth: 4, eventBuffer: 4})
 	e.execFn = instant
 	defer e.Shutdown(context.Background())
 	st, err := e.Submit(JobSpec{Kind: KindAttack})
@@ -221,7 +221,7 @@ func TestJobEventsUnknownJob(t *testing.T) {
 // events without stalling job execution, and the loss is accounted both
 // on the subscription and in the obs.events_dropped metric.
 func TestSlowSubscriberDropsCounted(t *testing.T) {
-	e := New(Config{Workers: 2, QueueDepth: 16, RuntimePoll: 5 * time.Millisecond})
+	e := New(Config{Workers: 2, QueueDepth: 16, runtimePoll: 5 * time.Millisecond})
 	e.execFn = instant
 	defer e.Shutdown(context.Background())
 

@@ -4,10 +4,21 @@
 # (the CLI, tools and examples) and bench's snowbench, built with
 # inlining off (-gcflags=all=-l) so a function the compiler inlined
 # everywhere still counts as reached. Generic functions match by name,
-# without type arguments. It only prints ("file:line symbol", one per
-# line); DESIGN.md's "Unreached by design" table says which names are
-# expected. Run from the repository root: sh tools/unreached.sh
+# without type arguments. It prints "file:line symbol", one per line.
+#
+# With -check it prints only the symbols tools/unreached.allow does not
+# name (one "symbol<TAB>reason" per line) and exits 1 if there are any;
+# allowed symbols that the listing no longer holds are reported too,
+# without failing. Run from the repository root:
+#
+#	sh tools/unreached.sh [-check]
 set -eu
+check=false
+case "${1:-}" in
+-check) check=true ;;
+"") ;;
+*) echo "usage: sh tools/unreached.sh [-check]" >&2; exit 2 ;;
+esac
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT INT TERM
 
@@ -29,11 +40,12 @@ done | sed -e ':a' -e 's/\[[^][]*\]//g' -e 'ta' -e 's/(\*\([^)]*\))/\1/g' >"$tmp
 
 # Declared functions as "package name file:line symbol", from the files
 # each package builds (tests and excluded build tags left out).
-root=$(pwd)/
+root=$(pwd)
 go list -f '{{.ImportPath}} {{.Name}} {{.Dir}}{{range .GoFiles}} {{.}}{{end}}' ./... |
 	while read -r pkg name dir files; do
+		rel=${dir#"$root"}
 		for f in $files; do
-			awk -v pkg="$pkg" -v name="$name" -v file="${dir#"$root"}/$f" '
+			awk -v pkg="$pkg" -v name="$name" -v file="${rel#/}${rel:+/}$f" '
 			/^func / {
 				line = $0; sub(/^func /, "", line); recv = ""
 				if (line ~ /^\(/) {
@@ -61,4 +73,21 @@ awk -v mains="$tmp/mains" -v syms="$tmp/syms" '
 	}
 	$2 == "main" { if (!((binof[$1] SUBSEP "main." $4) in have)) print $3, "main." $4 " (" $1 ")"; next }
 	!(($1 "." $4) in any) { print $3, $1 "." $4 }
-' "$tmp/funcs"
+' "$tmp/funcs" >"$tmp/unreached"
+
+if ! $check; then
+	cat "$tmp/unreached"
+	exit 0
+fi
+# The symbol is everything after the "file:line " prefix.
+awk -F '\t' -v out="$tmp/unreached" '
+	!/^#/ && NF { allowed[$1] = 1 }
+	END {
+		bad = 0
+		while ((getline l < out) > 0) {
+			sym = l; sub(/^[^ ]+ /, "", sym); seen[sym] = 1
+			if (!(sym in allowed)) { print "unreached, not in tools/unreached.allow: " l; bad = 1 }
+		}
+		for (s in allowed) if (!(s in seen)) print "tools/unreached.allow: " s " is reached now; drop its line" > "/dev/stderr"
+		exit bad
+	}' tools/unreached.allow
