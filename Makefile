@@ -50,7 +50,8 @@ bench-layout:
 # its binaries links (tools/unreached.sh builds them with inlining off
 # and reads their symbol tables). unreached-check is the CI gate: it
 # fails on any such function that tools/unreached.allow does not name
-# with its reason.
+# with its reason, and on any allow line whose function is no longer
+# unreached.
 unreached:
 	@sh tools/unreached.sh
 

@@ -12,19 +12,25 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the table golden files from this run")
 
-// TestCmdTableGolden pins the stdout of `snowbma table2` and `snowbma
-// table6` byte for byte against testdata/table2.golden and
-// table6.golden: the Table II and Table VI candidate counts and the
-// dual-output XOR search. Each command runs in a child process (this
-// test binary re-executed as the CLI), so it sees a fresh process as a
-// user's shell would. Run with -update to accept a change on purpose.
+// TestCmdTableGolden pins the stdout of `snowbma table2`, `snowbma
+// table6` and `snowbma repro` byte for byte against
+// testdata/<command>.golden: the Table II and Table VI candidate counts,
+// the dual-output XOR search, and every artefact repro regenerates
+// (Tables I–VI, the covers, timing and the Lemma). Of repro only the
+// part before its engine block is pinned (reproEngineHeader). Each
+// command runs in a child process (this test binary re-executed as the
+// CLI), so it sees a fresh process as a user's shell would. Run with
+// -update to accept a change on purpose.
 func TestCmdTableGolden(t *testing.T) {
 	if args := os.Getenv("SNOWBMA_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"snowbma"}, strings.Fields(args)...)
 		main()
 		return
 	}
-	for _, name := range []string{"table2", "table6"} {
+	for _, name := range []string{"table2", "table6", "repro"} {
+		if name == "repro" && testing.Short() {
+			continue // synthesizes and attacks both victims, as TestCmdRepro does
+		}
 		cmd := exec.Command(os.Args[0], "-test.run=^TestCmdTableGolden$")
 		cmd.Env = append(os.Environ(), "SNOWBMA_TEST_ARGS="+name)
 		var stderr bytes.Buffer
@@ -37,6 +43,11 @@ func TestCmdTableGolden(t *testing.T) {
 		got, ok := bytes.CutSuffix(out, []byte("PASS\n"))
 		if !ok {
 			t.Fatalf("snowbma %s: child did not end with PASS:\n%s", name, out)
+		}
+		if name == "repro" {
+			if got, _, ok = bytes.Cut(got, []byte(reproEngineHeader)); !ok {
+				t.Fatalf("snowbma repro: no engine header in:\n%s", out)
+			}
 		}
 		path := filepath.Join("testdata", name+".golden")
 		if *update {

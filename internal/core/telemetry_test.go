@@ -85,22 +85,32 @@ func TestTelemetryIdenticalToUntraced(t *testing.T) {
 func TestTelemetrySpanTree(t *testing.T) {
 	_, tel := runWithTelemetry(t)
 
-	roots := tel.Tracer.Roots()
-	if len(roots) != 1 || roots[0].Name() != "attack.run" {
-		t.Fatalf("expected single attack.run root, got %d roots", len(roots))
-	}
-	if roots[0].Duration() <= 0 {
-		t.Fatal("attack.run span not closed with a positive duration")
-	}
-	names := map[string]int{}
-	var walk func(s *obs.Span)
-	walk = func(s *obs.Span) {
-		names[s.Name()]++
-		for _, c := range s.Children() {
-			walk(c)
+	spans := tel.Tracer.Spans()
+	var roots []obs.SpanRecord
+	for _, s := range spans {
+		if s.Parent == 0 {
+			roots = append(roots, s)
 		}
 	}
-	walk(roots[0])
+	if len(roots) != 1 || roots[0].Name != "attack.run" {
+		t.Fatalf("expected single attack.run root, got %d roots", len(roots))
+	}
+	if roots[0].Dur <= 0 {
+		t.Fatal("attack.run span not closed with a positive duration")
+	}
+	// Every span descends from the one root (start order puts parents
+	// first), so the whole table is the root's subtree.
+	names := map[string]int{}
+	byID := map[int]obs.SpanRecord{}
+	for _, s := range spans {
+		if s.Parent != 0 {
+			if _, ok := byID[s.Parent]; !ok {
+				t.Fatalf("span %d %q has parent %d, which did not start before it", s.ID, s.Name, s.Parent)
+			}
+		}
+		byID[s.ID] = s
+		names[s.Name]++
+	}
 	for _, phase := range []string{
 		"attack.batch_scan", "attack.verify_zpath", "attack.collect_feedback",
 		"attack.make_key_independent", "attack.resolve_beta",
@@ -112,11 +122,11 @@ func TestTelemetrySpanTree(t *testing.T) {
 		}
 	}
 	// The scanner pass must nest under the batch-scan phase.
-	for _, c := range roots[0].Children() {
-		if c.Name() == "attack.batch_scan" {
+	for _, c := range spans {
+		if c.Parent == roots[0].ID && c.Name == "attack.batch_scan" {
 			ok := false
-			for _, g := range c.Children() {
-				if g.Name() == "scan.pass" {
+			for _, g := range spans {
+				if g.Parent == c.ID && g.Name == "scan.pass" {
 					ok = true
 				}
 			}

@@ -322,7 +322,6 @@ func (c *Census) MemoLen() int {
 func (c *Census) Report() *Report {
 	rep := &Report{
 		Expr:          c.opt.Expr,
-		Designs:       len(c.results),
 		Frames:        c.frames,
 		FramesScanned: c.framesScanned,
 		DedupHits:     c.dedupHits,
@@ -330,6 +329,15 @@ func (c *Census) Report() *Report {
 		Scan:          c.scan,
 		Results:       append([]DesignResult(nil), c.results...),
 	}
+	rep.tally()
+	return rep
+}
+
+// tally recounts the headline figures (Designs, Exposed, Covered,
+// Protected, Matches, DualHits, DedupRate) from Results and the frame
+// counters, leaving Results in the order it finds them.
+func (rep *Report) tally() {
+	rep.Designs = len(rep.Results)
 	for _, dr := range rep.Results {
 		if dr.Exposed {
 			rep.Exposed++
@@ -345,7 +353,6 @@ func (c *Census) Report() *Report {
 	if rep.Frames > 0 {
 		rep.DedupRate = float64(rep.DedupHits) / float64(rep.Frames)
 	}
-	return rep
 }
 
 // Run drains a source through the engine and returns the report.
@@ -413,28 +420,9 @@ func Merge(reps ...*Report) *Report {
 		out.Scan.Accumulate(r.Scan)
 		out.Results = append(out.Results, r.Results...)
 	}
-	sortResults(out.Results)
-	out.Designs = len(out.Results)
-	for _, dr := range out.Results {
-		if dr.Exposed {
-			out.Exposed++
-		} else {
-			out.Covered++
-		}
-		if dr.Protected {
-			out.Protected++
-		}
-		out.Matches += len(dr.Matches)
-		out.DualHits += dr.DualHits
-	}
-	if out.Frames > 0 {
-		out.DedupRate = float64(out.DedupHits) / float64(out.Frames)
-	}
+	sort.Slice(out.Results, func(i, j int) bool { return out.Results[i].ID < out.Results[j].ID })
+	out.tally()
 	return out
-}
-
-func sortResults(rs []DesignResult) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].ID < rs[j].ID })
 }
 
 // shortID trims a design ID for logs and events (victim fingerprints

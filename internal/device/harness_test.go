@@ -193,28 +193,7 @@ const (
 // batchRun builds the row's batch and runs it in one evaluator mode.
 func batchRun(mode evalMode) func(testing.TB, *fabricCase) [][]uint32 {
 	return func(t testing.TB, c *fabricCase) [][]uint32 {
-		var b *Batch
-		var err error
-		switch {
-		case c.mini != nil:
-			b = miniBatch(t, c.mini.desc, c.mini.tts, nil, c.mini.lanes)
-		case c.reconfig == nil:
-			b, err = New(c.kE).LoadPatched(c.base, c.patches)
-		default:
-			dev := New(c.kE)
-			if err := dev.Load(c.base); err != nil {
-				t.Fatal(err)
-			}
-			for _, fp := range c.reconfig {
-				if err := dev.PartialReconfig(fp.Frame, fp.Data); err != nil {
-					t.Fatal(err)
-				}
-			}
-			b, err = dev.BatchOf(c.patches)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := rowBatch(t, c)
 		hb := &harnessBatch{Batch: b, t: t, toggle: mode == evalToggling}
 		hb.setWalker(mode == evalWalker)
 		if c.mini != nil {
@@ -225,6 +204,29 @@ func batchRun(mode evalMode) func(testing.TB, *fabricCase) [][]uint32 {
 		}
 		return hdl.GenerateKeystreamBatch(hb, c.iv, c.words)
 	}
+}
+
+// rowBatch builds the row's batch: the mini design with its tables, or
+// the base image (stepped by the row's reconfig frames) with one lane
+// per patch set.
+func rowBatch(t testing.TB, c *fabricCase) *Batch {
+	if c.mini != nil {
+		return miniBatch(t, c.mini.desc, c.mini.tts, nil, c.mini.lanes)
+	}
+	dev := New(c.kE)
+	if err := dev.Load(c.base); err != nil {
+		t.Fatal(err)
+	}
+	for _, fp := range c.reconfig {
+		if err := dev.PartialReconfig(fp.Frame, fp.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := dev.BatchOf(c.patches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // harnessBatch drives a Batch for the harness: through the compiled

@@ -23,11 +23,9 @@ func miniBatch(t testing.TB, desc *bitstream.Description, tts []boolfn.TT, tabs 
 	return newBatch(compile(desc, tts, obs.New()), tts, tabs, lanes)
 }
 
-// TestCompileFoldsConstantInputs pins the constant-folding compile path:
-// a LUT with two of three inputs tied to the constant nets must fold to
-// a function of the live input alone, and still match the walker, which
-// evaluates the full table against the always-0/always-1 nets.
-func TestCompileFoldsConstantInputs(t *testing.T) {
+// foldedMini is a LUT with two of three inputs tied to the constant
+// nets: f(a,b,c) = a xor b xor c with b tied to 0, c tied to 1, so ^a.
+func foldedMini() *fabricCase {
 	desc := &bitstream.Description{
 		NumNets: 4,
 		Ports: []bitstream.Port{
@@ -39,39 +37,49 @@ func TestCompileFoldsConstantInputs(t *testing.T) {
 		},
 		Eval: []bitstream.EvalItem{{Kind: bitstream.EvalLUT, Index: 0}},
 	}
-	// f(a,b,c) = a xor b xor c with b tied to 0, c tied to 1 => ^a.
-	tts := []boolfn.TT{boolfn.TT(0x9696969696969696)}
-	prog := compile(desc, tts, obs.New())
+	return &fabricCase{name: "folded", mini: &miniCase{desc: desc, tts: []boolfn.TT{boolfn.TT(0x9696969696969696)}, lanes: 64, cycles: 4,
+		drive: func(b hdl.BatchDevice, cy int) { b.SetInputLanes("in", uint64(0x0123456789ABCDEF)<<uint(cy)) }}}
+}
+
+// TestCompileFoldsConstantInputs pins the constant-folding compile path:
+// a LUT with two of three inputs tied to the constant nets must fold to
+// a function of the live input alone, and still match the walker, which
+// evaluates the full table against the always-0/always-1 nets.
+func TestCompileFoldsConstantInputs(t *testing.T) {
+	c := foldedMini()
+	prog := compile(c.mini.desc, c.mini.tts, obs.New())
 	if prog.stats.FoldedInputs != 2 {
 		t.Fatalf("FoldedInputs = %d, want 2", prog.stats.FoldedInputs)
 	}
-	runFabric(t, &fabricCase{name: "folded", mini: &miniCase{desc: desc, tts: tts, lanes: 64, cycles: 4,
-		drive: func(b hdl.BatchDevice, cy int) { b.SetInputLanes("in", uint64(0x0123456789ABCDEF)<<uint(cy)) }}})
+	runFabric(t, c)
+}
+
+// constMinis are zero-input constant LUTs, one row per table.
+func constMinis() []*fabricCase {
+	desc := &bitstream.Description{
+		NumNets: 4,
+		Ports: []bitstream.Port{
+			{Name: "in", Dir: bitstream.In, Net: 2},
+			{Name: "out", Dir: bitstream.Out, Net: 3},
+		},
+		LUTs: []bitstream.LUTRec{
+			{Inputs: nil, O6: 3, O5: bitstream.NoNet},
+		},
+		Eval: []bitstream.EvalItem{{Kind: bitstream.EvalLUT, Index: 0}},
+	}
+	var cases []*fabricCase
+	for _, tt := range []boolfn.TT{0, 1, ^boolfn.TT(0)} {
+		cases = append(cases, &fabricCase{name: fmt.Sprintf("tt=%016x", tt),
+			mini: &miniCase{desc: desc, tts: []boolfn.TT{tt}, lanes: 64, cycles: 2}})
+	}
+	return cases
 }
 
 // TestCompileLUTEdges: fabric harness rows for the degenerate LUT
 // shapes, a zero-input constant LUT and a fractured LUT with fewer than
 // five shared inputs.
 func TestCompileLUTEdges(t *testing.T) {
-	t.Run("const-k0", func(t *testing.T) {
-		desc := &bitstream.Description{
-			NumNets: 4,
-			Ports: []bitstream.Port{
-				{Name: "in", Dir: bitstream.In, Net: 2},
-				{Name: "out", Dir: bitstream.Out, Net: 3},
-			},
-			LUTs: []bitstream.LUTRec{
-				{Inputs: nil, O6: 3, O5: bitstream.NoNet},
-			},
-			Eval: []bitstream.EvalItem{{Kind: bitstream.EvalLUT, Index: 0}},
-		}
-		var cases []*fabricCase
-		for _, tt := range []boolfn.TT{0, 1, ^boolfn.TT(0)} {
-			cases = append(cases, &fabricCase{name: fmt.Sprintf("tt=%016x", tt),
-				mini: &miniCase{desc: desc, tts: []boolfn.TT{tt}, lanes: 64, cycles: 2}})
-		}
-		runFabric(t, cases...)
-	})
+	t.Run("const-k0", func(t *testing.T) { runFabric(t, constMinis()...) })
 	t.Run("fractured-2in", func(t *testing.T) {
 		desc := &bitstream.Description{
 			NumNets: 6,
@@ -100,8 +108,132 @@ func TestCompileLUTEdges(t *testing.T) {
 	})
 }
 
+// opcodeMini is one LUT per compiled form that the victims do not
+// compile: constants, copy, not, the two-input gates the decomposition
+// leaves at its leaves, the complemented muxes and the xnor fused into
+// a mux's else leg. Each LUT drives its own output.
+func opcodeMini() *fabricCase {
+	v := boolfn.Var
+	luts := []struct {
+		k  int
+		tt boolfn.TT
+	}{
+		{1, 0}, {1, ^boolfn.TT(0)}, {1, v(0)}, {1, ^v(0)}, // opConst0, opConst1, opCopy, opNot
+		{2, v(0) | v(1)}, {2, v(0) | ^v(1)}, // opOr, opOrN
+		{2, ^(v(0) & v(1))}, {2, ^(v(0) | v(1))}, {2, ^(v(0) ^ v(1))}, // opNand, opNor, opXnor
+		{3, v(2)&v(0) | ^v(2)&^v(1)},        // opMuxNB: c ? a : ^b
+		{3, v(2)&^v(0) | ^v(2)&^v(1)},       // opMuxNAB: c ? ^a : ^b
+		{4, v(3)&v(2) | ^v(3)&^(v(0)^v(1))}, // opXnorMuxB: d ? c : ^(a^b)
+	}
+	const ins = 4
+	desc := &bitstream.Description{NumNets: uint32(2 + ins + len(luts))}
+	for i := 0; i < ins; i++ {
+		desc.Ports = append(desc.Ports, bitstream.Port{Name: fmt.Sprintf("in%d", i), Dir: bitstream.In, Net: uint32(2 + i)})
+	}
+	var tts []boolfn.TT
+	for i, l := range luts {
+		out := uint32(2 + ins + i)
+		desc.Ports = append(desc.Ports, bitstream.Port{Name: fmt.Sprintf("out%02d", i), Dir: bitstream.Out, Net: out})
+		desc.LUTs = append(desc.LUTs, bitstream.LUTRec{Inputs: []uint32{2, 3, 4, 5}[:l.k], O6: out, O5: bitstream.NoNet})
+		desc.Eval = append(desc.Eval, bitstream.EvalItem{Kind: bitstream.EvalLUT, Index: uint32(i)})
+		tts = append(tts, l.tt)
+	}
+	return &fabricCase{name: "opcodes", mini: &miniCase{desc: desc, tts: tts, lanes: 64, cycles: 4,
+		drive: func(b hdl.BatchDevice, cy int) {
+			for i := 0; i < ins; i++ {
+				b.SetInputLanes(fmt.Sprintf("in%d", i), rowPattern(i, cy))
+			}
+		}}}
+}
+
+// TestFixedRowsCoverEveryOpcode: the harness rows that draw nothing at
+// random — the two victims, the unprotected victim with one LUT patched
+// in one lane (TestPartialWidthMasking's lanes=2 row), and the
+// hand-built minis — must between them run every opcode but opNop and
+// at least one fractured (O5) LUT. Then a fault in any opcode's
+// evaluator, or in the walker's reading of either fractured half, fails
+// a fixed row whatever the random rows draw.
+func TestFixedRowsCoverEveryOpcode(t *testing.T) {
+	runFabric(t, opcodeMini())
+
+	unprot, _, _ := buildImage(t, false)
+	prot, _, _ := buildImage(t, true)
+	fx := newBatchFixture(t)
+	patched := fx.withLUT(t, fx.img, 5%len(fx.desc.LUTs), boolfn.TT(0x0F0F_3C3C_5A5A_9696))
+	rows := []*fabricCase{
+		modelCase("unprotected", [bitstream.KeySize]byte{}, unprot, 8),
+		modelCase("protected", [bitstream.KeySize]byte{}, prot, 4),
+		fx.imageCase(t, "patched", [][]byte{fx.img, patched}, testIV, 2),
+		foldedMini(), ringMini(), fallbackMini(), inverterMini(64), opcodeMini(),
+	}
+	rows = append(rows, constMinis()...)
+	used := map[uint8]bool{}
+	fractured := false
+	for _, c := range rows {
+		b := rowBatch(t, c)
+		for _, in := range b.st.insns {
+			used[in.op] = true
+		}
+		for _, l := range b.st.prog.desc.LUTs {
+			fractured = fractured || l.O5 != bitstream.NoNet
+		}
+	}
+	for op := uint8(opNop + 1); op <= opAdder; op++ {
+		if !used[op] {
+			t.Errorf("no fixed row runs opcode %d (see the table in program.go)", op)
+		}
+	}
+	if !fractured {
+		t.Error("no fixed row maps a fractured (O5) LUT")
+	}
+}
+
 func rowPattern(i, j int) uint64 {
 	return 0x9E3779B97F4A7C15*uint64(i+1) ^ 0xC2B2AE3D27D4EB4F*uint64(j+1)
+}
+
+// ringMini is a flip-flop swap ring: the fused clock edge's
+// parallel-move sequentializer must spill through a temporary.
+func ringMini() *fabricCase {
+	desc := &bitstream.Description{
+		NumNets: 4,
+		Ports: []bitstream.Port{
+			{Name: "p", Dir: bitstream.Out, Net: 2},
+			{Name: "q", Dir: bitstream.Out, Net: 3},
+		},
+		FFs: []bitstream.FFRec{
+			{Init: true, Q: 2, D: 3},
+			{Init: false, Q: 3, D: 2},
+		},
+	}
+	return &fabricCase{name: "ring", mini: &miniCase{desc: desc, lanes: 64, cycles: 6}}
+}
+
+// fallbackMini has a LUT writing net 3, which is also FF 0's Q: the
+// settle recomputes the Q net combinationally, so Q registers do not
+// survive the settle and the fused edge must be refused.
+func fallbackMini() *fabricCase {
+	desc := &bitstream.Description{
+		NumNets: 5,
+		Ports: []bitstream.Port{
+			{Name: "in", Dir: bitstream.In, Net: 2},
+			{Name: "out", Dir: bitstream.Out, Net: 4},
+		},
+		FFs: []bitstream.FFRec{
+			{Init: false, Q: 3, D: 4},
+		},
+		LUTs: []bitstream.LUTRec{
+			{Inputs: []uint32{2}, O6: 3, O5: bitstream.NoNet}, // ^in -> Q net
+			{Inputs: []uint32{3}, O6: 4, O5: bitstream.NoNet}, // copy -> out
+		},
+		Eval: []bitstream.EvalItem{
+			{Kind: bitstream.EvalLUT, Index: 0},
+			{Kind: bitstream.EvalLUT, Index: 1},
+		},
+	}
+	tts := []boolfn.TT{boolfn.TT(0x5555555555555555), boolfn.TT(0xAAAAAAAAAAAAAAAA)}
+	return &fabricCase{name: "fallback", mini: &miniCase{desc: desc, tts: tts, lanes: 64, cycles: 6,
+		drive: func(b hdl.BatchDevice, cy int) { b.SetInputLanes("in", rowPattern(cy, cy)) }}}
 }
 
 // TestClockEdgePlanner pins both halves of the fused clock edge: a
@@ -111,21 +243,12 @@ func rowPattern(i, j int) uint64 {
 // also a fabric harness row.
 func TestClockEdgePlanner(t *testing.T) {
 	t.Run("swap-ring-spill", func(t *testing.T) {
-		desc := &bitstream.Description{
-			NumNets: 4,
-			Ports: []bitstream.Port{
-				{Name: "p", Dir: bitstream.Out, Net: 2},
-				{Name: "q", Dir: bitstream.Out, Net: 3},
-			},
-			FFs: []bitstream.FFRec{
-				{Init: true, Q: 2, D: 3},
-				{Init: false, Q: 3, D: 2},
-			},
-		}
+		c := ringMini()
+		desc := c.mini.desc
 		if !miniBatch(t, desc, nil, nil, 64).st.prog.ffSafe {
 			t.Fatal("swap ring should keep the fused clock edge")
 		}
-		runFabric(t, &fabricCase{name: "ring", mini: &miniCase{desc: desc, lanes: 64, cycles: 6}})
+		runFabric(t, c)
 		// And the values actually swap.
 		b2 := miniBatch(t, desc, nil, nil, 64)
 		for cy := 0; cy < 4; cy++ {
@@ -140,34 +263,11 @@ func TestClockEdgePlanner(t *testing.T) {
 		}
 	})
 	t.Run("lut-drives-q-fallback", func(t *testing.T) {
-		// LUT writes net 3, which is also FF 0's Q: the settle recomputes
-		// the Q net combinationally, so Q registers do not survive the
-		// settle and the fused edge must be refused.
-		desc := &bitstream.Description{
-			NumNets: 5,
-			Ports: []bitstream.Port{
-				{Name: "in", Dir: bitstream.In, Net: 2},
-				{Name: "out", Dir: bitstream.Out, Net: 4},
-			},
-			FFs: []bitstream.FFRec{
-				{Init: false, Q: 3, D: 4},
-			},
-			LUTs: []bitstream.LUTRec{
-				{Inputs: []uint32{2}, O6: 3, O5: bitstream.NoNet}, // ^in -> Q net
-				{Inputs: []uint32{3}, O6: 4, O5: bitstream.NoNet}, // copy -> out
-			},
-			Eval: []bitstream.EvalItem{
-				{Kind: bitstream.EvalLUT, Index: 0},
-				{Kind: bitstream.EvalLUT, Index: 1},
-			},
-		}
-		tts := []boolfn.TT{boolfn.TT(0x5555555555555555), boolfn.TT(0xAAAAAAAAAAAAAAAA)}
-		b := miniBatch(t, desc, tts, nil, 64)
-		if b.st.prog.ffSafe {
+		c := fallbackMini()
+		if miniBatch(t, c.mini.desc, c.mini.tts, nil, 64).st.prog.ffSafe {
 			t.Fatal("LUT driving a Q net must disable the fused clock edge")
 		}
-		runFabric(t, &fabricCase{name: "fallback", mini: &miniCase{desc: desc, tts: tts, lanes: 64, cycles: 6,
-			drive: func(b hdl.BatchDevice, cy int) { b.SetInputLanes("in", rowPattern(cy, cy)) }}})
+		runFabric(t, c)
 	})
 }
 
@@ -191,6 +291,15 @@ func TestPartialWidthMasking(t *testing.T) {
 		}
 		cases = append(cases, fx.imageCase(t, fmt.Sprintf("lanes=%d", lanes), images, testIV, 2))
 	}
+	for _, lanes := range []int{1, 3, 63, 64} {
+		cases = append(cases, inverterMini(lanes))
+	}
+	runFabric(t, cases...)
+}
+
+// inverterMini is a combinational inverter over lanes lanes that wants
+// each lane's complemented input bit.
+func inverterMini(lanes int) *fabricCase {
 	inv := &bitstream.Description{
 		NumNets: 4,
 		Ports: []bitstream.Port{
@@ -202,18 +311,15 @@ func TestPartialWidthMasking(t *testing.T) {
 		},
 		Eval: []bitstream.EvalItem{{Kind: bitstream.EvalLUT, Index: 0}},
 	}
-	for _, lanes := range []int{1, 3, 63, 64} {
-		want := make([][]uint32, lanes)
-		for L := range want {
-			for cy := 0; cy < 2; cy++ {
-				want[L] = append(want[L], uint32(^rowPattern(lanes, cy)>>uint(L)&1))
-			}
+	want := make([][]uint32, lanes)
+	for L := range want {
+		for cy := 0; cy < 2; cy++ {
+			want[L] = append(want[L], uint32(^rowPattern(lanes, cy)>>uint(L)&1))
 		}
-		cases = append(cases, &fabricCase{name: fmt.Sprintf("inverter lanes=%d", lanes), want: want, mini: &miniCase{
-			desc: inv, tts: []boolfn.TT{boolfn.TT(0x5555555555555555)}, lanes: lanes, cycles: 2, // ^in
-			drive: func(b hdl.BatchDevice, cy int) { b.SetInputLanes("in", rowPattern(lanes, cy)) }}})
 	}
-	runFabric(t, cases...)
+	return &fabricCase{name: fmt.Sprintf("inverter lanes=%d", lanes), want: want, mini: &miniCase{
+		desc: inv, tts: []boolfn.TT{boolfn.TT(0x5555555555555555)}, lanes: lanes, cycles: 2, // ^in
+		drive: func(b hdl.BatchDevice, cy int) { b.SetInputLanes("in", rowPattern(lanes, cy)) }}}
 }
 
 // TestCompiledMatchesWalkerKeystream: a fabric harness row of 64 lanes,

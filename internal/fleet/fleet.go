@@ -597,15 +597,26 @@ func (c *Coordinator) pollJobs() {
 			if prev == service.StateQueued && st.State == service.StateRunning {
 				c.publishJobState(j.id, service.StateRunning)
 			}
-			if service.Terminal(st.State) {
-				var result json.RawMessage
-				if st.State == service.StateDone {
-					if res, _, rerr := c.rpc.result(url, r.remoteID); rerr == nil {
-						result = res
-					}
-				}
-				c.finalize(j, st, result)
+			if !service.Terminal(st.State) {
+				continue
 			}
+			var result json.RawMessage
+			if st.State == service.StateDone {
+				// A done job finalizes only with its result: a worker that
+				// no longer has it lost the job, and any other failure
+				// leaves the job owned for the next tick to retry (the
+				// lease still covers a dead worker).
+				res, _, rerr := c.rpc.result(url, r.remoteID)
+				if errors.Is(rerr, errRemoteNotFound) {
+					c.logf("fleet: %s result lost by %s, redispatching", j.id, owner)
+					c.redispatch(j)
+				}
+				if rerr != nil {
+					continue
+				}
+				result = res
+			}
+			c.finalize(j, st, result)
 		}
 	}
 	c.settleComposites()
@@ -668,14 +679,7 @@ func shortShard(s string) string {
 }
 
 func (c *Coordinator) publishFleet(name, job string, attrs ...obs.Attr) {
-	ev := obs.BusEvent{Type: obs.EventFleet, Name: name, Job: job}
-	for _, a := range attrs {
-		if ev.Attrs == nil {
-			ev.Attrs = map[string]any{}
-		}
-		ev.Attrs[a.Key] = a.Value
-	}
-	c.bus.Publish(ev)
+	c.bus.Publish(obs.BusEvent{Type: obs.EventFleet, Name: name, Job: job, Attrs: obs.AttrMap(attrs)})
 }
 
 // publishJobState mirrors the service's job lifecycle events at fleet

@@ -247,18 +247,6 @@ func (s *BusSub) Close() {
 	close(s.ch)
 }
 
-// attrMap converts Attr annotations to the map shape BusEvent carries.
-func attrMap(attrs []Attr) map[string]any {
-	if len(attrs) == 0 {
-		return nil
-	}
-	m := make(map[string]any, len(attrs))
-	for _, a := range attrs {
-		m[a.Key] = a.Value
-	}
-	return m
-}
-
 // MetricsStreamer publishes counter/gauge changes of one registry onto
 // a bus at a flush cadence: each Flush snapshots the registry and emits
 // one event per metric whose value moved since the previous flush, with

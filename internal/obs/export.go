@@ -16,8 +16,10 @@ import (
 //	{"type":"gauge","name":"scan.workers","value":8}
 //	{"type":"hist","name":"batch.lanes_per_pass","count":5,"sum":41,"min":1,"max":35}
 //
-// Span ids are depth-first over the span tree, parents before children;
-// parent 0 marks a root span. tools/tracestat consumes this format.
+// Spans are the tracer's span table in ID order: IDs are start order
+// (the same IDs the live bus carries), so every parent precedes its
+// children; parent 0 marks a root span. tools/tracestat consumes this
+// format.
 
 // TraceVersion is the NDJSON schema version emitted by WriteNDJSON.
 const TraceVersion = 1
@@ -40,67 +42,33 @@ type Event struct {
 	Max     float64        `json:"max,omitempty"`
 }
 
-// WriteNDJSON streams the span tree and a metrics snapshot to w. Either
-// tracer or reg may be nil (that section is simply omitted). The first
-// write or encode error aborts the export and is returned, so callers
-// can fail loudly instead of shipping a truncated trace.
+// WriteNDJSON streams the span table and a metrics snapshot to w.
+// Either tracer or reg may be nil (that section is simply omitted). The
+// first write or encode error aborts the export and is returned, so
+// callers can fail loudly instead of shipping a truncated trace.
 func WriteNDJSON(w io.Writer, tracer *Tracer, reg *Registry) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw) // Encode appends '\n' — one object per line
 	if err := enc.Encode(Event{Type: "meta", Version: TraceVersion}); err != nil {
 		return err
 	}
-	nextID := 1
-	var walk func(s *Span, parent int) error
-	walk = func(s *Span, parent int) error {
-		id := nextID
-		nextID++
-		ev := Event{
+	for _, s := range tracer.Spans() {
+		if err := enc.Encode(Event{
 			Type:    "span",
-			ID:      id,
-			Parent:  parent,
-			Name:    s.Name(),
-			StartUS: float64(s.Start().Nanoseconds()) / 1e3,
-			DurUS:   float64(s.Duration().Nanoseconds()) / 1e3,
-		}
-		if attrs := s.Attrs(); len(attrs) > 0 {
-			ev.Attrs = make(map[string]any, len(attrs))
-			for _, a := range attrs {
-				ev.Attrs[a.Key] = a.Value
-			}
-		}
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-		for _, c := range s.Children() {
-			if err := walk(c, id); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, root := range tracer.Roots() {
-		if err := walk(root, 0); err != nil {
+			ID:      s.ID,
+			Parent:  s.Parent,
+			Name:    s.Name,
+			StartUS: float64(s.Start.Nanoseconds()) / 1e3,
+			DurUS:   float64(s.Dur.Nanoseconds()) / 1e3,
+			Attrs:   AttrMap(s.Attrs),
+		}); err != nil {
 			return err
 		}
 	}
 	for _, m := range reg.Snapshot() {
-		ev := Event{Type: m.Kind, Name: m.Name}
-		switch m.Kind {
-		case "hist":
-			ev.Count = m.Hist.Count
-			ev.Sum = m.Hist.Sum
-			ev.Min = m.Hist.Min
-			ev.Max = m.Hist.Max
-		case "bhist":
-			// Bucketed histograms export their aggregate as a schema-v1
-			// hist line (bucket detail is a /metrics concern; the trace
-			// format and its readers stay unchanged).
-			ev.Type = "hist"
-			ev.Count = m.Buckets.Count
-			ev.Sum = m.Buckets.Sum
-		default:
-			ev.Value = m.Value
+		ev := Event{Type: m.Kind, Name: m.Name, Value: m.Value}
+		if m.Kind == "hist" {
+			ev.Count, ev.Sum, ev.Min, ev.Max = m.Hist.Count, m.Hist.Sum, m.Hist.Min, m.Hist.Max
 		}
 		if err := enc.Encode(ev); err != nil {
 			return err

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -65,15 +66,24 @@ func (g *Gauge) Value() float64 {
 }
 
 // Histogram accumulates a distribution as count/sum/min/max (lanes per
-// fabric pass, patch bytes per candidate). Deliberately bucket-free:
-// the export stays tiny and deterministic.
+// fabric pass, loads per campaign run) and, when it has a bucket
+// ladder, into fixed cumulative buckets (job queue-wait, job run-time).
+// /metrics exports a laddered histogram in the Prometheus histogram
+// exposition (<name>_bucket{le="..."} / _sum / _count) and one without
+// a ladder as a summary plus _min/_max gauges.
 type Histogram struct {
-	mu    sync.Mutex
-	count int64
-	sum   float64
-	min   float64
-	max   float64
+	mu     sync.Mutex
+	bounds []float64 // sorted upper bounds (nil: no ladder); an implicit +Inf follows
+	counts []int64   // len(bounds)+1 when laddered; the last is the +Inf bucket
+	count  int64
+	sum    float64
+	min    float64
+	max    float64
 }
+
+// DurationBucketsMS is the default bucket ladder for millisecond
+// durations: sub-millisecond stub jobs up to minute-long campaigns.
+var DurationBucketsMS = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000, 60000}
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
@@ -89,15 +99,26 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
+	if h.counts != nil {
+		i := 0
+		for i < len(h.bounds) && v > h.bounds[i] {
+			i++
+		}
+		h.counts[i]++
+	}
 	h.mu.Unlock()
 }
 
-// HistValue is a histogram snapshot.
+// HistValue is a histogram snapshot. Counts are per-bucket (not
+// cumulative; the exporter accumulates); Bounds and Counts are nil for
+// a histogram without a ladder.
 type HistValue struct {
-	Count int64
-	Sum   float64
-	Min   float64
-	Max   float64
+	Count  int64
+	Sum    float64
+	Min    float64
+	Max    float64
+	Bounds []float64
+	Counts []int64
 }
 
 // Value snapshots the histogram (zero for nil).
@@ -107,63 +128,8 @@ func (h *Histogram) Value() HistValue {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return HistValue{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-}
-
-// BucketHistogram accumulates a distribution into fixed cumulative
-// buckets (job queue-wait, job run-time), exported in the Prometheus
-// histogram exposition (<name>_bucket{le="..."} / _sum / _count). The
-// bucket bounds are fixed at first registration.
-type BucketHistogram struct {
-	mu     sync.Mutex
-	bounds []float64 // sorted upper bounds; an implicit +Inf follows
-	counts []int64   // len(bounds)+1; counts[len(bounds)] is the +Inf bucket
-	count  int64
-	sum    float64
-}
-
-// DurationBucketsMS is the default bucket ladder for millisecond
-// durations: sub-millisecond stub jobs up to minute-long campaigns.
-var DurationBucketsMS = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000, 60000}
-
-// Observe records one sample into its bucket.
-func (h *BucketHistogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i]++
-	h.count++
-	h.sum += v
-	h.mu.Unlock()
-}
-
-// BucketValue is a bucketed-histogram snapshot. Counts are per-bucket
-// (not cumulative); the exporter accumulates.
-type BucketValue struct {
-	Bounds []float64
-	Counts []int64
-	Count  int64
-	Sum    float64
-}
-
-// Value snapshots the histogram (zero for nil).
-func (h *BucketHistogram) Value() BucketValue {
-	if h == nil {
-		return BucketValue{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return BucketValue{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: append([]int64(nil), h.counts...),
-		Count:  h.count,
-		Sum:    h.sum,
-	}
+	return HistValue{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
+		Bounds: h.bounds, Counts: slices.Clone(h.counts)}
 }
 
 // Registry holds named metrics, get-or-create style. Safe for
@@ -174,7 +140,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	bhists   map[string]*BucketHistogram
 }
 
 // NewRegistry creates an empty registry.
@@ -183,7 +148,6 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		bhists:   map[string]*BucketHistogram{},
 	}
 }
 
@@ -217,8 +181,12 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns (creating if needed) the named histogram.
-func (r *Registry) Histogram(name string) *Histogram {
+// Histogram returns (creating if needed) the named histogram. buckets
+// are the cumulative upper bounds of its ladder (none: no ladder); they
+// are sorted and fixed at first registration (later calls for the same
+// name ignore the argument, so concurrent registrations cannot
+// disagree).
+func (r *Registry) Histogram(name string, buckets ...float64) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -227,27 +195,12 @@ func (r *Registry) Histogram(name string) *Histogram {
 	h, ok := r.hists[name]
 	if !ok {
 		h = &Histogram{}
+		if len(buckets) > 0 {
+			h.bounds = slices.Clone(buckets)
+			slices.Sort(h.bounds)
+			h.counts = make([]int64, len(buckets)+1)
+		}
 		r.hists[name] = h
-	}
-	return h
-}
-
-// BucketHistogram returns (creating if needed) the named bucketed
-// histogram. buckets are the cumulative upper bounds; they are sorted
-// and fixed at first registration (later calls for the same name ignore
-// the argument, so concurrent registrations cannot disagree).
-func (r *Registry) BucketHistogram(name string, buckets []float64) *BucketHistogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.bhists[name]
-	if !ok {
-		bounds := append([]float64(nil), buckets...)
-		sort.Float64s(bounds)
-		h = &BucketHistogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
-		r.bhists[name] = h
 	}
 	return h
 }
@@ -255,11 +208,10 @@ func (r *Registry) BucketHistogram(name string, buckets []float64) *BucketHistog
 // Metric is one exported metric value. Exactly one of the kind-specific
 // value sets is meaningful, selected by Kind.
 type Metric struct {
-	Name    string
-	Kind    string // "counter", "gauge", "hist" or "bhist"
-	Value   float64
-	Hist    HistValue
-	Buckets BucketValue
+	Name  string
+	Kind  string // "counter", "gauge" or "hist"
+	Value float64
+	Hist  HistValue
 }
 
 // Snapshot returns every metric, sorted by (kind, name) for
@@ -269,7 +221,7 @@ func (r *Registry) Snapshot() []Metric {
 		return nil
 	}
 	r.mu.Lock()
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.bhists))
+	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for name, c := range r.counters {
 		out = append(out, Metric{Name: name, Kind: "counter", Value: float64(c.Value())})
 	}
@@ -278,9 +230,6 @@ func (r *Registry) Snapshot() []Metric {
 	}
 	for name, h := range r.hists {
 		out = append(out, Metric{Name: name, Kind: "hist", Hist: h.Value()})
-	}
-	for name, h := range r.bhists {
-		out = append(out, Metric{Name: name, Kind: "bhist", Buckets: h.Value()})
 	}
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {

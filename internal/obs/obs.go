@@ -14,48 +14,43 @@
 // (almost) nothing when it is off.
 package obs
 
-// Telemetry bundles the three observability components plus an
-// optional live event bus. Any field may be nil; all helper methods
-// tolerate a nil receiver.
+// Telemetry bundles the three observability components. Any field may
+// be nil; all helper methods tolerate a nil receiver. A live event bus
+// hangs off the tracer (AttachBus).
 type Telemetry struct {
 	Tracer  *Tracer
 	Metrics *Registry
 	Log     *Logger
-	// Bus receives live events (span start/end via the tracer, progress
-	// events via Publish). BusJob tags every published event with the
-	// owning job id. Set both through AttachBus.
-	Bus    *EventBus
-	BusJob string
 }
 
-// AttachBus connects the handle (and its tracer) to a live event bus:
-// spans stream as span_start/span_end events and Publish emits progress
-// events, all tagged with job. A nil bus detaches.
+// AttachBus connects the handle's tracer to a live event bus: from now
+// on every span streams as span_start/span_end events built from its
+// record, and Publish emits progress events, all tagged with job. A nil
+// bus detaches; a handle without a tracer (anything not from New) has
+// nowhere to attach it.
 func (t *Telemetry) AttachBus(bus *EventBus, job string) {
-	if t == nil {
+	if t == nil || t.Tracer == nil {
 		return
 	}
-	t.Bus = bus
-	t.BusJob = job
-	t.Tracer.SetBus(bus, job)
+	tr := t.Tracer
+	tr.mu.Lock()
+	tr.bus, tr.job = bus, job
+	tr.mu.Unlock()
 }
 
-// Publish emits a progress-style event onto the attached bus (a no-op
+// Publish emits a progress-style event onto the tracer's bus (a no-op
 // when no bus is attached): evType is one of the Event* constants, name
 // identifies the emitting site, value is the headline number and attrs
 // carry the detail. The publish path never blocks — a slow subscriber
 // drops events instead of stalling the attack hot path.
 func (t *Telemetry) Publish(evType, name string, value float64, attrs ...Attr) {
-	if t == nil || t.Bus == nil {
+	if t == nil || t.Tracer == nil {
 		return
 	}
-	t.Bus.Publish(BusEvent{
-		Type:  evType,
-		Job:   t.BusJob,
-		Name:  name,
-		Value: value,
-		Attrs: attrMap(attrs),
-	})
+	tr := t.Tracer
+	tr.mu.Lock()
+	tr.publishLocked(BusEvent{Type: evType, Name: name, Value: value, Attrs: AttrMap(attrs)})
+	tr.mu.Unlock()
 }
 
 // New returns a Telemetry with a fresh tracer and registry and no
@@ -89,19 +84,11 @@ func (t *Telemetry) Gauge(name string) *Gauge {
 	return t.Metrics.Gauge(name)
 }
 
-// Histogram returns the named histogram, or nil when metrics are off.
-func (t *Telemetry) Histogram(name string) *Histogram {
+// Histogram returns the named histogram (see Registry.Histogram for
+// buckets), or nil when metrics are off.
+func (t *Telemetry) Histogram(name string, buckets ...float64) *Histogram {
 	if t == nil {
 		return nil
 	}
-	return t.Metrics.Histogram(name)
-}
-
-// BucketHistogram returns the named bucketed histogram, or nil when
-// metrics are off.
-func (t *Telemetry) BucketHistogram(name string, buckets []float64) *BucketHistogram {
-	if t == nil {
-		return nil
-	}
-	return t.Metrics.BucketHistogram(name, buckets)
+	return t.Metrics.Histogram(name, buckets...)
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -12,10 +13,11 @@ import (
 // exposition format (text/plain; version 0.0.4), so a /metrics endpoint
 // can be scraped without a client library. Metric names translate by
 // replacing every '.' with '_' ("attack.loads" → "attack_loads");
-// counters gain a _total suffix, plain histograms export their
-// count/sum aggregate as a summary plus separate <name>_min and
-// <name>_max gauge families, and bucketed histograms export the full
-// histogram exposition (<name>_bucket{le="..."} / _sum / _count).
+// counters gain a _total suffix, histograms without a bucket ladder
+// export their count/sum aggregate as a summary plus separate
+// <name>_min and <name>_max gauge families, and laddered histograms
+// export the full histogram exposition (<name>_bucket{le="..."} / _sum
+// / _count).
 //
 // Families are merged on their *exposition* name — after the dot
 // translation and kind suffixing — and emitted in sorted family order
@@ -35,7 +37,6 @@ func WriteMetricsText(w io.Writer, regs ...*Registry) error {
 		kind  string
 		value float64
 		hist  HistValue
-		bkt   BucketValue
 	}
 	// Merge pass: key on (kind, exposition base name) so same-kind
 	// collisions — across registries or via the dot translation — sum.
@@ -46,37 +47,31 @@ func WriteMetricsText(w io.Writer, regs ...*Registry) error {
 			key := m.Kind + "\x00" + name
 			a, ok := merged[key]
 			if !ok {
-				a = &agg{kind: m.Kind}
-				merged[key] = a
+				// The first registry's snapshot also fixes a histogram's
+				// ladder.
+				merged[key] = &agg{kind: m.Kind, value: m.Value, hist: m.Hist}
+				continue
 			}
 			a.value += m.Value
-			switch m.Kind {
-			case "hist":
-				// Snapshots with no observations carry zero Min/Max that
-				// mean "unset", not "observed 0" — merging them would
-				// clobber a populated accumulator's extremes.
-				if m.Hist.Count > 0 {
-					if a.hist.Count == 0 || m.Hist.Min < a.hist.Min {
-						a.hist.Min = m.Hist.Min
-					}
-					if a.hist.Count == 0 || m.Hist.Max > a.hist.Max {
-						a.hist.Max = m.Hist.Max
-					}
-					a.hist.Count += m.Hist.Count
-					a.hist.Sum += m.Hist.Sum
-				}
-			case "bhist":
-				if a.bkt.Bounds == nil {
-					a.bkt = m.Buckets
-				} else if equalBounds(a.bkt.Bounds, m.Buckets.Bounds) {
-					for i := range a.bkt.Counts {
-						a.bkt.Counts[i] += m.Buckets.Counts[i]
-					}
-					a.bkt.Count += m.Buckets.Count
-					a.bkt.Sum += m.Buckets.Sum
-				}
-				// Mismatched bucket ladders under one name cannot merge
-				// meaningfully; the first registry's ladder wins.
+			// Snapshots with no observations carry zero Min/Max that mean
+			// "unset", not "observed 0" — merging them would clobber a
+			// populated accumulator's extremes. Mismatched bucket ladders
+			// under one name cannot merge meaningfully; the first
+			// registry's ladder wins.
+			h := m.Hist
+			if m.Kind != "hist" || h.Count == 0 || !slices.Equal(a.hist.Bounds, h.Bounds) {
+				continue
+			}
+			if a.hist.Count == 0 || h.Min < a.hist.Min {
+				a.hist.Min = h.Min
+			}
+			if a.hist.Count == 0 || h.Max > a.hist.Max {
+				a.hist.Max = h.Max
+			}
+			a.hist.Count += h.Count
+			a.hist.Sum += h.Sum
+			for i := range a.hist.Counts {
+				a.hist.Counts[i] += h.Counts[i]
 			}
 		}
 	}
@@ -111,26 +106,28 @@ func WriteMetricsText(w io.Writer, regs ...*Registry) error {
 			add(family{name: name, typ: "gauge",
 				samples: []string{fmt.Sprintf("%s %g", name, a.value)}})
 		case "hist":
-			add(family{name: name, typ: "summary", samples: []string{
-				fmt.Sprintf("%s_count %d", name, a.hist.Count),
-				fmt.Sprintf("%s_sum %g", name, a.hist.Sum),
-			}})
-			add(family{name: name + "_min", typ: "gauge",
-				samples: []string{fmt.Sprintf("%s_min %g", name, a.hist.Min)}})
-			add(family{name: name + "_max", typ: "gauge",
-				samples: []string{fmt.Sprintf("%s_max %g", name, a.hist.Max)}})
-		case "bhist":
+			if a.hist.Bounds == nil {
+				add(family{name: name, typ: "summary", samples: []string{
+					fmt.Sprintf("%s_count %d", name, a.hist.Count),
+					fmt.Sprintf("%s_sum %g", name, a.hist.Sum),
+				}})
+				add(family{name: name + "_min", typ: "gauge",
+					samples: []string{fmt.Sprintf("%s_min %g", name, a.hist.Min)}})
+				add(family{name: name + "_max", typ: "gauge",
+					samples: []string{fmt.Sprintf("%s_max %g", name, a.hist.Max)}})
+				continue
+			}
 			f := family{name: name, typ: "histogram"}
 			cum := int64(0)
-			for i, bound := range a.bkt.Bounds {
-				cum += a.bkt.Counts[i]
+			for i, bound := range a.hist.Bounds {
+				cum += a.hist.Counts[i]
 				f.samples = append(f.samples,
 					fmt.Sprintf("%s_bucket{le=%q} %d", name, formatBound(bound), cum))
 			}
 			f.samples = append(f.samples,
-				fmt.Sprintf("%s_bucket{le=\"+Inf\"} %d", name, a.bkt.Count),
-				fmt.Sprintf("%s_sum %g", name, a.bkt.Sum),
-				fmt.Sprintf("%s_count %d", name, a.bkt.Count))
+				fmt.Sprintf("%s_bucket{le=\"+Inf\"} %d", name, a.hist.Count),
+				fmt.Sprintf("%s_sum %g", name, a.hist.Sum),
+				fmt.Sprintf("%s_count %d", name, a.hist.Count))
 			add(f)
 		}
 	}
@@ -152,18 +149,6 @@ func WriteMetricsText(w io.Writer, regs ...*Registry) error {
 		}
 	}
 	return bw.Flush()
-}
-
-func equalBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // formatBound renders a bucket bound the way Prometheus expects

@@ -138,7 +138,7 @@ func TestWriteMetricsTextTranslatedNameCollision(t *testing.T) {
 
 func TestWriteMetricsTextBucketHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.BucketHistogram("service.job_run_ms", []float64{1, 2.5, 10})
+	h := r.Histogram("service.job_run_ms", 1, 2.5, 10)
 	h.Observe(0.4)
 	h.Observe(2)
 	h.Observe(2)
@@ -170,9 +170,9 @@ func TestWriteMetricsTextBucketHistogram(t *testing.T) {
 // the ladders agree.
 func TestWriteMetricsTextBucketHistogramMerge(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.BucketHistogram("wait", []float64{1, 5}).Observe(0.5)
-	b.BucketHistogram("wait", []float64{1, 5}).Observe(3)
-	b.BucketHistogram("wait", []float64{1, 5}).Observe(100)
+	a.Histogram("wait", 1, 5).Observe(0.5)
+	b.Histogram("wait", 1, 5).Observe(3)
+	b.Histogram("wait", 1, 5).Observe(100)
 	var sb strings.Builder
 	if err := WriteMetricsText(&sb, a, b); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,59 +20,74 @@ func TestSpanNesting(t *testing.T) {
 	verify.End()
 	run.End()
 
-	roots := tr.Roots()
-	if len(roots) != 1 || roots[0].Name() != "attack.run" {
-		t.Fatalf("roots = %v", roots)
+	spans := tr.Spans()
+	if len(spans) != 5 || roots(spans) != "attack.run" {
+		t.Fatalf("spans = %+v", spans)
 	}
-	kids := roots[0].Children()
-	if len(kids) != 2 || kids[0].Name() != "scan.pass" || kids[1].Name() != "attack.verify_zpath" {
-		t.Fatalf("run children = %d", len(kids))
+	if got := childNames(spans, spans[0].ID); got != "scan.pass attack.verify_zpath" {
+		t.Fatalf("run children = %q", got)
 	}
-	grand := kids[0].Children()
-	if len(grand) != 2 || grand[0].Name() != "scan.compile" || grand[1].Name() != "scan.walk" {
-		t.Fatalf("scan children wrong")
+	if got := childNames(spans, spans[1].ID); got != "scan.compile scan.walk" {
+		t.Fatalf("scan children = %q", got)
 	}
-	attrs := kids[0].Attrs()
+	attrs := spans[1].Attrs
 	if len(attrs) != 1 || attrs[0].Key != "functions" || attrs[0].Value != 21 {
 		t.Fatalf("attrs = %v", attrs)
 	}
 	// A span started after the tree closed becomes a new root.
 	late := tr.StartSpan("late")
 	late.End()
-	if len(tr.Roots()) != 2 {
-		t.Fatalf("late span did not become a root")
+	if got := roots(tr.Spans()); got != "attack.run late" {
+		t.Fatalf("late span did not become a root: roots %q", got)
 	}
 }
+
+// childNames lists the names of parent's children in start order.
+func childNames(spans []SpanRecord, parent int) string {
+	var names []string
+	for _, s := range spans {
+		if s.Parent == parent {
+			names = append(names, s.Name)
+		}
+	}
+	return strings.Join(names, " ")
+}
+
+// roots lists the root spans' names in start order.
+func roots(spans []SpanRecord) string { return childNames(spans, 0) }
+
+// record reads s's row of its tracer's span table.
+func record(s *Span) SpanRecord { return s.t.Spans()[s.id-1] }
 
 func TestSpanDurations(t *testing.T) {
 	tr := NewTracer()
 	s := tr.StartSpan("instant")
 	s.End()
-	if d := s.Duration(); d < 0 {
+	if d := record(s).Dur; d < 0 {
 		t.Fatalf("negative duration %v", d)
 	}
-	if !s.ended {
+	if !record(s).Ended {
 		t.Fatal("span not marked ended")
 	}
 	// End is idempotent: the first duration sticks.
-	d0 := s.Duration()
+	d0 := record(s).Dur
 	time.Sleep(time.Millisecond)
 	s.End()
-	if s.Duration() != d0 {
+	if record(s).Dur != d0 {
 		t.Fatal("second End changed the duration")
 	}
 	// An unfinished span reports zero, not garbage.
 	open := tr.StartSpan("open")
-	if open.Duration() != 0 {
+	if record(open).Dur != 0 {
 		t.Fatal("open span has nonzero duration")
 	}
 	slow := tr.StartSpan("slow")
 	time.Sleep(2 * time.Millisecond)
 	slow.End()
-	if slow.Duration() < time.Millisecond {
-		t.Fatalf("slow span measured %v", slow.Duration())
+	if record(slow).Dur < time.Millisecond {
+		t.Fatalf("slow span measured %v", record(slow).Dur)
 	}
-	if slow.Start() < open.Start() {
+	if record(slow).Start < record(open).Start {
 		t.Fatal("start offsets not monotonic")
 	}
 }
@@ -84,8 +100,8 @@ func TestNilSafety(t *testing.T) {
 	}
 	s.End()
 	s.SetAttr("k", 1)
-	if s.Name() != "" || s.Duration() != 0 || s.Children() != nil || s.Attrs() != nil {
-		t.Fatal("nil span accessors not inert")
+	if tr.Spans() != nil {
+		t.Fatal("nil tracer reports spans")
 	}
 	var tel *Telemetry
 	tel.StartSpan("x").End()
@@ -110,12 +126,25 @@ func TestNilSafety(t *testing.T) {
 
 // TestConcurrentSpans exercises the worker-pool pattern under -race:
 // one phase span open, N goroutines starting/ending child spans and
-// annotating them concurrently.
+// annotating them concurrently, while a reader copies the span table
+// and the tracer publishes every span to a bus.
 func TestConcurrentSpans(t *testing.T) {
-	tr := NewTracer()
+	tel := New()
+	tr := tel.Tracer
+	bus := NewEventBus(0)
+	tel.AttachBus(bus, "job")
 	phase := tr.StartSpan("scan.pass")
 	var wg sync.WaitGroup
 	const workers = 16
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			for _, s := range tr.Spans() {
+				_ = len(s.Attrs)
+			}
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -130,17 +159,15 @@ func TestConcurrentSpans(t *testing.T) {
 	wg.Wait()
 	phase.End()
 	total := 0
-	var count func(s *Span)
-	count = func(s *Span) {
-		for _, c := range s.Children() {
+	for _, s := range tr.Spans() {
+		if s.Parent != 0 {
 			total++
-			count(c)
 		}
-	}
-	for _, r := range tr.Roots() {
-		count(r)
 	}
 	if total != workers*50 {
 		t.Fatalf("recorded %d child spans, want %d", total, workers*50)
+	}
+	if got, want := bus.Seq(), uint64(2*(workers*50+1)); got != want {
+		t.Fatalf("bus carried %d span events, want %d", got, want)
 	}
 }

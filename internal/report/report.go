@@ -56,13 +56,23 @@ func Attack(rep *core.Report) string { return AttackStats(rep, nil) }
 // -stats CLI flag): its compiled-fabric line also counts the run's
 // program compiles and reuses. A nil tel renders Attack's report.
 func AttackStats(rep *core.Report, tel *obs.Telemetry) string {
+	head, tail := attackParts(rep)
+	return head + Engine(rep, tel) + tail
+}
+
+// Artefacts renders the attack report without its engine block: the
+// paper's figures only (loads, confirmed LUTs, Tables III–V, the key).
+func Artefacts(rep *core.Report) string {
+	head, tail := attackParts(rep)
+	return head + tail
+}
+
+// Engine renders the attack's engine block: the scan-engine,
+// batch-sweep and compiled-fabric sections of the passes the run made.
+// Their counters move with performance work, and the scan line carries
+// the worker count and wall times.
+func Engine(rep *core.Report, tel *obs.Telemetry) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "encrypted image:       %v\n", rep.Encrypted)
-	fmt.Fprintf(&b, "bitstream loads:       %d\n", rep.Loads)
-	fmt.Fprintf(&b, "confirmed target LUTs: %d LUT1 + %d LUT2 + %d LUT3\n",
-		len(rep.LUT1), len(rep.LUT2), len(rep.LUT3))
-	fmt.Fprintf(&b, "MUX hypothesis:        %s (%d LUTs modified for fault beta)\n",
-		rep.MuxHypothesis, rep.MuxMatches)
 	if rep.Scan.Passes > 0 {
 		b.WriteString(ScanStats(rep.Scan))
 	}
@@ -72,6 +82,20 @@ func AttackStats(rep *core.Report, tel *obs.Telemetry) string {
 	if rep.Fabric.Insns > 0 {
 		b.WriteString(FabricStats(rep.Fabric, tel))
 	}
+	return b.String()
+}
+
+// attackParts splits the attack report around the engine block.
+func attackParts(rep *core.Report) (head, tail string) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "encrypted image:       %v\n", rep.Encrypted)
+	fmt.Fprintf(&b, "bitstream loads:       %d\n", rep.Loads)
+	fmt.Fprintf(&b, "confirmed target LUTs: %d LUT1 + %d LUT2 + %d LUT3\n",
+		len(rep.LUT1), len(rep.LUT2), len(rep.LUT3))
+	fmt.Fprintf(&b, "MUX hypothesis:        %s (%d LUTs modified for fault beta)\n",
+		rep.MuxHypothesis, rep.MuxMatches)
+	head = b.String()
+	b.Reset()
 	b.WriteString("key-independent keystream (Table III analogue):\n")
 	b.WriteString(Keystream(rep.KeyIndependent))
 	b.WriteString("faulty keystream (Table IV analogue):\n")
@@ -82,7 +106,7 @@ func AttackStats(rep *core.Report, tel *obs.Telemetry) string {
 		rep.Key[0], rep.Key[1], rep.Key[2], rep.Key[3], rep.Verified)
 	fmt.Fprintf(&b, "RECOVERED IV:  %08x %08x %08x %08x\n",
 		rep.IV[0], rep.IV[1], rep.IV[2], rep.IV[3])
-	return b.String()
+	return head, b.String()
 }
 
 // ScanStats renders the batch-scan observability counters (the -stats
@@ -152,23 +176,30 @@ func Trace(tel *obs.Telemetry) string {
 	var b strings.Builder
 	b.WriteString("phase trace:\n")
 	fold := map[string]bool{"scan.chunk": true, "sweep.chunk": true, "device.load": true}
+	spans := tel.Tracer.Spans()
+	// children[id] lists span id's children as indexes into spans, in
+	// start order; children[0] the roots. IDs are 1..len(spans).
+	children := make([][]int, len(spans)+1)
+	for i, s := range spans {
+		children[s.Parent] = append(children[s.Parent], i)
+	}
 	// tally counts s and every descendant into folded by name —
 	// concurrent worker spans may nest under each other arbitrarily, so
 	// a folded span's subtree is flattened into the counts.
-	var tally func(s *obs.Span, folded map[string]int)
-	tally = func(s *obs.Span, folded map[string]int) {
-		folded[s.Name()]++
-		for _, c := range s.Children() {
+	var tally func(i int, folded map[string]int)
+	tally = func(i int, folded map[string]int) {
+		folded[spans[i].Name]++
+		for _, c := range children[spans[i].ID] {
 			tally(c, folded)
 		}
 	}
-	var walk func(s *obs.Span, depth int)
-	walk = func(s *obs.Span, depth int) {
+	var walk func(i, depth int)
+	walk = func(i, depth int) {
 		folded := map[string]int{}
 		fmt.Fprintf(&b, "  %s%-*s %v\n", strings.Repeat("  ", depth),
-			36-2*depth, s.Name(), s.Duration().Round(time.Microsecond))
-		for _, c := range s.Children() {
-			if fold[c.Name()] {
+			36-2*depth, spans[i].Name, spans[i].Dur.Round(time.Microsecond))
+		for _, c := range children[spans[i].ID] {
+			if fold[spans[c].Name] {
 				tally(c, folded)
 			} else {
 				walk(c, depth+1)
@@ -181,7 +212,7 @@ func Trace(tel *obs.Telemetry) string {
 			}
 		}
 	}
-	for _, root := range tel.Tracer.Roots() {
+	for _, root := range children[0] {
 		walk(root, 0)
 	}
 	return b.String()

@@ -188,8 +188,8 @@ func Open(cfg Config) (*Engine, error) {
 	tel.Gauge("service.queue_depth").Set(float64(cfg.QueueDepth))
 	// Pre-register the duration histograms so their (empty) families show
 	// up on the very first /metrics scrape.
-	tel.BucketHistogram("service.job_queue_wait_ms", obs.DurationBucketsMS)
-	tel.BucketHistogram("service.job_run_ms", obs.DurationBucketsMS)
+	tel.Histogram("service.job_queue_wait_ms", obs.DurationBucketsMS...)
+	tel.Histogram("service.job_run_ms", obs.DurationBucketsMS...)
 
 	e.bus = obs.NewEventBus(cfg.eventBuffer)
 	e.stopFlush = obs.NewMetricsStreamer(tel.Metrics, e.bus, "").Start(obs.DefaultFlushInterval)
@@ -225,14 +225,7 @@ func (e *Engine) sampleEngineGauges(reg *obs.Registry) {
 
 // publishJob emits a job lifecycle transition onto the event bus.
 func (e *Engine) publishJob(j *job, state string, attrs ...obs.Attr) {
-	ev := obs.BusEvent{Type: obs.EventJob, Job: j.id, Name: state}
-	for _, a := range attrs {
-		if ev.Attrs == nil {
-			ev.Attrs = map[string]any{}
-		}
-		ev.Attrs[a.Key] = a.Value
-	}
-	e.bus.Publish(ev)
+	e.bus.Publish(obs.BusEvent{Type: obs.EventJob, Job: j.id, Name: state, Attrs: obs.AttrMap(attrs)})
 }
 
 // closeObs tears the observability plane down exactly once: the pollers
@@ -374,7 +367,7 @@ func (e *Engine) run(j *job) {
 		e.logf("service: %s running-record append failed: %v", j.id, err)
 	}
 	e.mu.Unlock()
-	e.tel.BucketHistogram("service.job_queue_wait_ms", obs.DurationBucketsMS).Observe(queueWaitMS)
+	e.tel.Histogram("service.job_queue_wait_ms", obs.DurationBucketsMS...).Observe(queueWaitMS)
 	e.publishJob(j, StateRunning, obs.KV("queue_wait_ms", queueWaitMS))
 
 	if e.cfg.RigLatency > 0 {
@@ -418,7 +411,7 @@ func (e *Engine) run(j *job) {
 		e.tel.Counter("service.jobs_failed").Inc()
 	}
 	runMS := float64(j.finished.Sub(j.started).Nanoseconds()) / 1e6
-	e.tel.BucketHistogram("service.job_run_ms", obs.DurationBucketsMS).Observe(runMS)
+	e.tel.Histogram("service.job_run_ms", obs.DurationBucketsMS...).Observe(runMS)
 	if j.spec.Tenant != "" {
 		e.tel.Counter("service.tenant." + j.spec.Tenant + "." + j.state).Inc()
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -338,46 +339,17 @@ func TestFirehoseIsLiveOnly(t *testing.T) {
 	}
 }
 
-// spanNode is a reconstructed span-tree node for the differential test.
-type spanNode struct {
-	name     string
-	children []*spanNode
-}
-
-// canon renders a span tree as a canonical string: names in sibling
-// order, children parenthesized.
-func canon(nodes []*spanNode) string {
-	var parts []string
-	for _, n := range nodes {
-		s := n.name
-		if len(n.children) > 0 {
-			s += "(" + canon(n.children) + ")"
-		}
-		parts = append(parts, s)
-	}
-	return strings.Join(parts, ",")
-}
-
-// treeFromPairs builds root nodes from (id, parent, name) triples,
-// preserving first-seen sibling order.
-func treeFromPairs(ids []int, parents []int, names []string) []*spanNode {
-	nodes := map[int]*spanNode{}
-	var roots []*spanNode
-	for i, id := range ids {
-		n := &spanNode{name: names[i]}
-		nodes[id] = n
-		if p, ok := nodes[parents[i]]; ok && parents[i] != 0 {
-			p.children = append(p.children, n)
-		} else {
-			roots = append(roots, n)
-		}
-	}
-	return roots
+// spanTriple is one span as (id, parent, name), the shape both the
+// live bus and the NDJSON trace carry.
+type spanTriple struct {
+	id, parent int
+	name       string
 }
 
 // TestSSEPhaseTreeMatchesTrace is the differential acceptance check: a
-// real attack job's live SSE event stream must reconstruct exactly the
-// phase tree its NDJSON trace reports after the fact.
+// real attack job's live SSE span_start events must carry exactly the
+// (id, parent, name) triples, in the same order, that its NDJSON trace
+// reports after the fact — both read the tracer's one span table.
 func TestSSEPhaseTreeMatchesTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesizes a victim")
@@ -396,7 +368,7 @@ func TestSSEPhaseTreeMatchesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ids, parents []int
+	var sse []spanTriple
 	var names []string
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -410,8 +382,7 @@ func TestSSEPhaseTreeMatchesTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ev.Type == obs.EventSpanStart {
-			ids = append(ids, ev.Span)
-			parents = append(parents, ev.Parent)
+			sse = append(sse, spanTriple{ev.Span, ev.Parent, ev.Name})
 			names = append(names, ev.Name)
 		}
 	}
@@ -419,15 +390,13 @@ func TestSSEPhaseTreeMatchesTrace(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	sseTree := canon(treeFromPairs(ids, parents, names))
 
 	// The NDJSON trace of the same job.
 	resp, err = http.Get(srv.URL + "/jobs/" + st.ID + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tids, tparents []int
-	var tnames []string
+	var trace []spanTriple
 	sc = bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -436,22 +405,19 @@ func TestSSEPhaseTreeMatchesTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ev.Type == "span" {
-			tids = append(tids, ev.ID)
-			tparents = append(tparents, ev.Parent)
-			tnames = append(tnames, ev.Name)
+			trace = append(trace, spanTriple{ev.ID, ev.Parent, ev.Name})
 		}
 	}
 	resp.Body.Close()
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	traceTree := canon(treeFromPairs(tids, tparents, tnames))
 
-	if len(tnames) == 0 {
+	if len(trace) == 0 {
 		t.Fatal("trace reported no spans")
 	}
-	if sseTree != traceTree {
-		t.Fatalf("phase tree mismatch:\nSSE:   %s\ntrace: %s", sseTree, traceTree)
+	if !slices.Equal(sse, trace) {
+		t.Fatalf("span mismatch:\nSSE:   %v\ntrace: %v", sse, trace)
 	}
 	// Sanity: the tree contains the attack's named phases.
 	sort.Strings(names)

@@ -6,10 +6,11 @@
 # everywhere still counts as reached. Generic functions match by name,
 # without type arguments. It prints "file:line symbol", one per line.
 #
-# With -check it prints only the symbols tools/unreached.allow does not
-# name (one "symbol<TAB>reason" per line) and exits 1 if there are any;
-# allowed symbols that the listing no longer holds are reported too,
-# without failing. Run from the repository root:
+# With -check it prints the symbols tools/unreached.allow does not name
+# (one "symbol<TAB>reason" per line) and the allowed symbols that the
+# listing no longer holds (reached now, or deleted), and exits 1 if there
+# are any of either, so the allow-list cannot keep stale lines. Run from
+# the repository root:
 #
 #	sh tools/unreached.sh [-check]
 set -eu
@@ -88,6 +89,6 @@ awk -F '\t' -v out="$tmp/unreached" '
 			sym = l; sub(/^[^ ]+ /, "", sym); seen[sym] = 1
 			if (!(sym in allowed)) { print "unreached, not in tools/unreached.allow: " l; bad = 1 }
 		}
-		for (s in allowed) if (!(s in seen)) print "tools/unreached.allow: " s " is reached now; drop its line" > "/dev/stderr"
+		for (s in allowed) if (!(s in seen)) { print "tools/unreached.allow: " s " is not unreached now; drop its line"; bad = 1 }
 		exit bad
 	}' tools/unreached.allow
