@@ -35,16 +35,31 @@ bench:
 # where the linker placed the ledger's calibration kernel and the
 # SHA-256 block function it hashes with, modulo 64. The kernel's time
 # moves with that placement (ROADMAP item 9), so two commits compare
-# cleanly only when both print the same offsets.
+# cleanly only when both print the same offsets. With BASE=<commit> it
+# also builds that commit's snowbench (from git archive, in a temporary
+# directory, with the same environment and cache), prints both sides
+# and exits 1 when their offsets differ.
 bench-layout:
 	@root=$$(pwd); out=$$root/.bench_build; mkdir -p $$out/layout; \
-	(cd bench && GOCACHE=$$out/go-cache GOPATH=$$out/go-path GOTOOLCHAIN=local GOWORK=off \
-		$(GO) build -o $$out/layout/snowbench ./cmd/snowbench) || exit 1; \
-	$(GO) tool nm $$out/layout/snowbench | while read addr kind sym; do \
-		case "$$sym" in 'main.(*kernelState).run'|crypto/internal/fips140/sha256.block) \
-			printf '%-40s 0x%s  mod 64 = %d\n' "$$sym" "$$addr" $$((0x$$addr % 64));; \
-		esac; \
-	done
+	layout() { \
+		(cd $$1/bench && GOCACHE=$$out/go-cache GOPATH=$$out/go-path GOTOOLCHAIN=local GOWORK=off \
+			$(GO) build -o $$2 ./cmd/snowbench) || return 1; \
+		$(GO) tool nm $$2 | while read addr kind sym; do \
+			case "$$sym" in 'main.(*kernelState).run'|crypto/internal/fips140/sha256.block) \
+				printf '%-40s 0x%s  mod 64 = %d\n' "$$sym" "$$addr" $$((0x$$addr % 64));; \
+			esac; \
+		done; \
+	}; \
+	if [ -z "$(BASE)" ]; then layout $$root $$out/layout/snowbench; exit $$?; fi; \
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git archive "$(BASE)" | tar -x -C $$tmp || exit 1; \
+	layout $$tmp $$out/layout/snowbench-base > $$out/layout/base.txt || exit 1; \
+	layout $$root $$out/layout/snowbench > $$out/layout/head.txt || exit 1; \
+	echo "base $(BASE):"; cat $$out/layout/base.txt; \
+	echo "working tree:"; cat $$out/layout/head.txt; \
+	if [ "$$(awk '{print $$1, $$NF}' $$out/layout/base.txt)" != "$$(awk '{print $$1, $$NF}' $$out/layout/head.txt)" ]; then \
+		echo "layout differs from $(BASE)"; exit 1; \
+	fi
 
 # unreached prints every production function of the module that none of
 # its binaries links (tools/unreached.sh builds them with inlining off

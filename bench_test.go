@@ -123,6 +123,11 @@ func BenchmarkTableVI(b *testing.B) {
 	}
 }
 
+// findLUT is FINDLUT for one function: a Scanner over f alone.
+func findLUT(b []byte, f boolfn.TT, opt core.FindOptions) []core.Match {
+	return core.NewScanner(opt).AddFunction("f", f).Scan(b).Matches["f"]
+}
+
 // BenchmarkFindLUT10MB checks the paper's Section VI-B runtime claim:
 // FINDLUT for one 6-variable function over a ~10 MB bitstream in under
 // 4 seconds (ours runs orders of magnitude faster per op; the bench
@@ -132,7 +137,7 @@ func BenchmarkFindLUT10MB(b *testing.B) {
 	b.SetBytes(int64(len(big)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.FindLUT(big, boolfn.F2, core.FindOptions{})
+		findLUT(big, boolfn.F2, core.FindOptions{})
 	}
 }
 
@@ -302,21 +307,15 @@ func BenchmarkComplexitySweep(b *testing.B) {
 
 // --- Ablation benches (design choices called out in DESIGN.md) ---
 
-// BenchmarkFindLUTSymmetry quantifies the permutation-deduplication
-// optimization: Algorithm 1 as written iterates all k! input orders,
-// while deduplicating identical permuted truth tables shrinks the
-// candidate set (f2's XOR symmetry gives a 12x reduction).
+// BenchmarkFindLUTSymmetry times the permutation-deduplicated scan of
+// f2: its XOR symmetry shrinks the k! input orders Algorithm 1 as
+// written iterates (FindLUTReference) to a 12x smaller candidate set.
 func BenchmarkFindLUTSymmetry(b *testing.B) {
 	u, _, _ := fixtures(b)
 	img := u.Device.ReadFlash()
 	b.Run("dedup", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.FindLUT(img, boolfn.F2, core.FindOptions{})
-		}
-	})
-	b.Run("allperms", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.FindLUT(img, boolfn.F2, core.FindOptions{NoPermDedup: true})
+			findLUT(img, boolfn.F2, core.FindOptions{})
 		}
 	})
 }
@@ -328,13 +327,13 @@ func BenchmarkFindLUTParallel(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.SetBytes(int64(len(big)))
 		for i := 0; i < b.N; i++ {
-			core.FindLUT(big, boolfn.F2, core.FindOptions{Parallel: 1})
+			findLUT(big, boolfn.F2, core.FindOptions{Parallel: 1})
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		b.SetBytes(int64(len(big)))
 		for i := 0; i < b.N; i++ {
-			core.FindLUT(big, boolfn.F2, core.FindOptions{})
+			findLUT(big, boolfn.F2, core.FindOptions{})
 		}
 	})
 }
@@ -369,7 +368,7 @@ func BenchmarkScannerBatchVsSequential(b *testing.B) {
 		b.SetBytes(int64(len(img)) * int64(len(cands)))
 		for i := 0; i < b.N; i++ {
 			for _, c := range cands {
-				core.FindLUT(img, c.TT, core.FindOptions{})
+				findLUT(img, c.TT, core.FindOptions{})
 			}
 		}
 	})

@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -478,28 +477,28 @@ func cmdExtract(args []string) error {
 	if err != nil {
 		return err
 	}
-	luts, err := bitstream.ExtractLUTs(bits)
-	if err != nil {
-		return err
-	}
 	if *census {
-		hist := bitstream.Histogram(luts)
-		fmt.Printf("%d LUTs in %d P-equivalence classes\n", len(luts), len(hist))
-		type row struct {
-			n     int
-			canon boolfn.TT
+		// Every class, so the header counts them all; ties print in
+		// canon order.
+		classes, err := core.CensusAllClasses(bits, 1)
+		if err != nil {
+			return err
 		}
-		var rows []row
-		for canon, n := range hist {
-			rows = append(rows, row{n, canon})
+		n := 0
+		for _, c := range classes {
+			n += c.Count
 		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n })
-		for _, r := range rows {
-			if r.n >= 8 {
-				fmt.Printf("  %4d × %s\n", r.n, boolfn.Minimize(r.canon))
+		fmt.Printf("%d LUTs in %d P-equivalence classes\n", n, len(classes))
+		for _, c := range classes {
+			if c.Count >= 8 {
+				fmt.Printf("  %4d × %s\n", c.Count, c.Expr)
 			}
 		}
 		return nil
+	}
+	luts, err := bitstream.ExtractLUTs(bits)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("%d occupied LUT slots:\n", len(luts))
 	for _, l := range luts {
@@ -724,7 +723,7 @@ func cmdDiff(args []string) error {
 	}
 	fmt.Println("differing bytes by region:")
 	for _, region := range []core.DiffRegion{core.DiffPackets, core.DiffHeaderFrame,
-		core.DiffCLB, core.DiffDescription, core.DiffBRAM} {
+		core.DiffCLB, core.DiffDescription, core.DiffBRAM, core.DiffUnmapped} {
 		if n := rep.Bytes[region]; n > 0 {
 			fmt.Printf("  %-12s %d\n", region, n)
 		}

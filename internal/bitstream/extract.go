@@ -53,9 +53,16 @@ func ExtractLUTs(img []byte) ([]ExtractedLUT, error) {
 // class representative → count, a useful reverse-engineering census
 // (e.g. "how many XOR2 LUTs does this design have?").
 func Histogram(luts []ExtractedLUT) map[boolfn.TT]int {
+	// Canonicalize distinct tables once: designs repeat tables heavily.
+	canon := map[boolfn.TT]boolfn.TT{}
 	out := make(map[boolfn.TT]int)
 	for _, l := range luts {
-		out[boolfn.PClassCanon(l.Init)]++
+		c, ok := canon[l.Init]
+		if !ok {
+			c = boolfn.PClassCanon(l.Init)
+			canon[l.Init] = c
+		}
+		out[c]++
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"snowbma/internal/bitstream"
 	"snowbma/internal/boolfn"
@@ -113,6 +114,10 @@ type Attack struct {
 	// scanned memoizes batch-scan results per target function so every
 	// attack step reads from one shared bitstream pass.
 	scanned map[boolfn.TT][]Match
+	// plan is the fault plan the phases after the z-path verification
+	// read: the Table II flow fills it from the catalogue, the
+	// census-guided flow from the census classes.
+	plan faultPlan
 	// lanes is the candidate-sweep width: how many modified variants one
 	// bitsliced simulator pass evaluates (SetLanes; 1 = scalar).
 	lanes int
@@ -314,36 +319,51 @@ func deadColumns(z []uint32) uint32 {
 	return dead
 }
 
-// batchScan performs the attack's single bitstream pass: the complete
-// Table II catalogue and every guessed load-MUX shape are compiled into
+// batchScan performs the Table II attack's single bitstream pass: the
+// complete catalogue and every guessed load-MUX shape are compiled into
 // one shared anchor index and resolved in one walk of the plaintext
 // image. Every later step (candidate counting, z-path and feedback
-// verification, MUX search) reads from this memo instead of re-scanning.
+// verification, MUX search) reads from the memo instead of re-scanning.
 // The Section VII-B dual-XOR sweep is not part of the attack; Table VI
 // runs it through FindDualXOR.
 func (a *Attack) batchScan() {
-	if a.scanned != nil {
+	var fns []boolfn.TT
+	for _, c := range boolfn.Candidates() {
+		fns = append(fns, c.TT)
+	}
+	for _, m := range muxCatalogue() {
+		fns = append(fns, m.fn)
+	}
+	a.scan(fns)
+}
+
+// scan resolves FINDLUT for every function of fns the memo does not hold
+// yet, in one Scanner walk of the plaintext image, and adds the results
+// to the memo. Both flows scan through it: the Table II catalogue
+// (batchScan) and the census classes (RunCensusGuided).
+func (a *Attack) scan(fns []boolfn.TT) {
+	var todo []boolfn.TT
+	for _, f := range fns {
+		if _, ok := a.scanned[f]; !ok {
+			todo = append(todo, f)
+		}
+	}
+	if len(todo) == 0 {
 		return
 	}
 	span := a.tel.StartSpan("attack.batch_scan")
 	defer span.End()
 	s := NewScanner(FindOptions{})
 	s.SetTelemetry(a.tel)
-	cands := boolfn.Candidates()
-	for _, c := range cands {
-		s.AddFunction(c.Name, c.TT)
-	}
-	muxes := muxCatalogue()
-	for _, m := range muxes {
-		s.AddFunction("mux:"+m.name, m.fn)
+	for i, f := range todo {
+		s.AddFunction(strconv.Itoa(i), f)
 	}
 	res := s.Scan(a.plain)
-	a.scanned = make(map[boolfn.TT][]Match, len(cands)+len(muxes))
-	for _, c := range cands {
-		a.scanned[c.TT] = res.Matches[c.Name]
+	if a.scanned == nil {
+		a.scanned = make(map[boolfn.TT][]Match, len(todo))
 	}
-	for _, m := range muxes {
-		a.scanned[m.fn] = res.Matches["mux:"+m.name]
+	for i, f := range todo {
+		a.scanned[f] = res.Matches[strconv.Itoa(i)]
 	}
 	a.rep.Scan.Accumulate(res.Stats)
 	span.SetAttr("functions", res.Stats.Functions)
@@ -355,22 +375,6 @@ func (a *Attack) batchScan() {
 		res.Stats.Functions, res.Stats.CandidatesCompiled, res.Stats.AnchorHits, res.Stats.DeepCompares)
 }
 
-// matchesFor returns the FINDLUT matches for f on the plaintext image,
-// served from the memoized batch scan when f was part of one; functions
-// outside every batch (callers probing ad-hoc guesses) fall back to a
-// dedicated single-function pass and join the memo.
-func (a *Attack) matchesFor(f boolfn.TT) []Match {
-	if ms, ok := a.scanned[f]; ok {
-		return ms
-	}
-	ms := FindLUT(a.plain, f, FindOptions{})
-	if a.scanned == nil {
-		a.scanned = map[boolfn.TT][]Match{}
-	}
-	a.scanned[f] = ms
-	return ms
-}
-
 // CountCandidates reproduces the Table II measurement: the number of
 // FINDLUT matches for every catalogue row on the current bitstream, all
 // rows served from the shared single-pass batch scan.
@@ -378,8 +382,7 @@ func (a *Attack) CountCandidates() []CandidateCount {
 	a.batchScan()
 	var out []CandidateCount
 	for _, c := range boolfn.Candidates() {
-		n := len(a.matchesFor(c.TT))
-		out = append(out, CandidateCount{Name: c.Name, Path: c.Path, Expr: c.Expr, Count: n})
+		out = append(out, CandidateCount{Name: c.Name, Path: c.Path, Expr: c.Expr, Count: len(a.scanned[c.TT])})
 	}
 	a.rep.CandidateTable = out
 	return out
@@ -391,6 +394,7 @@ func (a *Attack) CountCandidates() []CandidateCount {
 // of confirmed LUTs are discarded (two valid LUTs cannot share bytes).
 func (a *Attack) VerifyZPath() error {
 	a.batchScan()
+	a.plan.keep = [3]boolfn.TT{boolfn.F2AlphaKeep(0), boolfn.F2AlphaKeep(1), boolfn.F2AlphaKeep(2)}
 	return a.verifyZPathWith(boolfn.F2)
 }
 
@@ -406,7 +410,7 @@ func (a *Attack) verifyZPathWith(zfn boolfn.TT) error {
 	a.rep.CleanKeystream = clean
 	cleanDead := deadColumns(clean)
 
-	cands := a.matchesFor(zfn)
+	cands := a.scanned[zfn]
 	span.SetAttr("candidates", len(cands))
 	a.log.Infof("z_t path: %d f2 candidates", len(cands))
 	// One sweep over all candidates: up to 64 zeroed-LUT variants share
@@ -459,51 +463,96 @@ func (a *Attack) verifyZPathWith(zfn boolfn.TT) error {
 	return nil
 }
 
+// faultPlan is what the attack writes into the image once the z-path is
+// confirmed: the α₁ fault on every feedback LUT and, on LUT1, the table
+// keeping one variable of the XOR trio. The two flows differ only in
+// where the plan comes from (the Table II catalogue or the census
+// classes); every later phase reads it.
+type faultPlan struct {
+	alphas []alphaWrite
+	// keep[v] is the LUT1 table that keeps trio variable v and sticks
+	// the other two at even parity.
+	keep [3]boolfn.TT
+	// whole marks a plan that stands or falls as one (a census subset):
+	// group testing never excludes one of its α writes.
+	whole bool
+}
+
+// alphaWrite is one α₁ LUT rewrite: a feedback LUT, its fault table and
+// the report set it belongs to (LUT3 when lut3, else LUT2).
+type alphaWrite struct {
+	m    Match
+	repl boolfn.TT
+	lut3 bool
+}
+
+// writeAlphas injects the plan's α₁ faults into b.
+func (p *faultPlan) writeAlphas(b []byte) {
+	for _, aw := range p.alphas {
+		WriteMatch(b, aw.m, aw.repl)
+	}
+}
+
+// claimed reports whether m shares a byte with a confirmed LUT1 or a
+// planned feedback LUT: the Section VI-C rule that a candidate
+// overlapping an already-claimed LUT cannot be a LUT itself.
+func (a *Attack) claimed(m Match) bool {
+	return overlapsAny(m, a.rep.LUT1, confirmedMatch) || overlapsAny(m, a.plan.alphas, alphaMatch)
+}
+
 // CollectFeedbackCandidates implements Section VI-C.2: gather the f8 and
-// f19 matches, discard any overlapping a confirmed LUT1, and check the
-// 32-candidate hypothesis.
+// f19 matches, discard any overlapping a confirmed LUT1, check the
+// 32-candidate hypothesis and plan α₁ on every survivor (f8 → a6,
+// f19 → a3·a6, eq. (1)).
 func (a *Attack) CollectFeedbackCandidates() error {
 	span := a.tel.StartSpan("attack.collect_feedback")
 	defer span.End()
-	prune := func(ms []Match) []Match {
-		var out []Match
-		for _, m := range ms {
+	a.batchScan()
+	collect := func(f, alpha boolfn.TT, lut3 bool) int {
+		n := 0
+		for _, m := range a.scanned[f] {
 			if !overlapsAny(m, a.rep.LUT1, confirmedMatch) {
-				out = append(out, m)
+				a.plan.alphas = append(a.plan.alphas, alphaWrite{m: m, repl: alpha, lut3: lut3})
+				n++
 			}
 		}
-		return out
+		return n
 	}
-	a.batchScan()
-	l8 := prune(a.matchesFor(boolfn.F8))
-	l19 := prune(a.matchesFor(boolfn.F19))
-	span.SetAttr("f8", len(l8))
-	span.SetAttr("f19", len(l19))
-	a.log.Infof("feedback path: %d f8 + %d f19 candidates", len(l8), len(l19))
-	if len(l8)+len(l19) < 32 {
-		return fmt.Errorf("core: feedback candidates %d+%d != 32; hypothesis fails",
-			len(l8), len(l19))
+	a.plan.alphas, a.plan.whole = nil, false
+	n8 := collect(boolfn.F8, boolfn.F8Alpha, false)
+	n19 := collect(boolfn.F19, boolfn.F19Alpha, true)
+	span.SetAttr("f8", n8)
+	span.SetAttr("f19", n19)
+	a.log.Infof("feedback path: %d f8 + %d f19 candidates", n8, n19)
+	if n8+n19 < 32 {
+		return fmt.Errorf("core: feedback candidates %d+%d != 32; hypothesis fails", n8, n19)
 	}
-	if surplus := len(l8) + len(l19) - 32; surplus > 0 {
+	if surplus := n8 + n19 - 32; surplus > 0 {
 		// A random placement can produce a coincidental extra match (a
 		// real XOR LUT elsewhere in the datapath). Keep the surplus for
 		// now: the key-independent check's group-testing pass excludes
-		// the false positives behaviorally (resolveBeta prunes LUT2/LUT3
+		// the false positives behaviorally (resolveBeta prunes the plan
 		// down to the surviving 32).
 		a.log.Infof("feedback path: %d surplus candidates, deferring to behavioral pruning", surplus)
 	}
-	a.rep.LUT2, a.rep.LUT3 = l8, l19
 	return nil
 }
 
-// muxSpec is one entry of the attack's load-MUX catalogue: the guessed
-// function with fixed roles (a1 = control) and the two polarity
-// hypotheses for which branch loads γ(K, IV).
+// muxSpec is one load-MUX shape: the guessed (or census-discovered)
+// function with a1 = control, and the two polarity hypotheses for which
+// branch loads γ(K, IV).
 type muxSpec struct {
-	name     string
 	fn       boolfn.TT
 	zeroSel1 boolfn.TT // modification if γ loads when a1 = 1
 	zeroSel0 boolfn.TT // modification if γ loads when a1 = 0
+}
+
+// zero returns the β modification under the sel1 hypothesis.
+func (s muxSpec) zero(sel1 bool) boolfn.TT {
+	if sel1 {
+		return s.zeroSel1
+	}
+	return s.zeroSel0
 }
 
 // muxCatalogue guesses the LFSR load MUX shapes from the block diagram:
@@ -511,30 +560,32 @@ type muxSpec struct {
 // polarity, since γ includes k ⊕ 1 terms) and MUX-of-XOR shapes for the
 // stages mixing IV words (s9, s10, s12, s15).
 func muxCatalogue() []muxSpec {
-	mk := func(name, f, z1, z0 string) muxSpec {
-		return muxSpec{name: name,
-			fn:       boolfn.MustParse(f),
-			zeroSel1: boolfn.MustParse(z1),
-			zeroSel0: boolfn.MustParse(z0)}
+	mk := func(f, z1, z0 string) muxSpec {
+		return muxSpec{fn: boolfn.MustParse(f), zeroSel1: boolfn.MustParse(z1), zeroSel0: boolfn.MustParse(z0)}
 	}
 	return []muxSpec{
-		mk("mux", "a1a2 + !a1a3", "!a1a3", "a1a2"),
-		mk("mux-inv", "a1!a2 + !a1a3", "!a1a3", "a1!a2"),
-		mk("mux-xor", "a1(a2^a3) + !a1a4", "!a1a4", "a1(a2^a3)"),
-		mk("mux-xnor", "a1!(a2^a3) + !a1a4", "!a1a4", "a1!(a2^a3)"),
+		mk("a1a2 + !a1a3", "!a1a3", "a1a2"),             // mux
+		mk("a1!a2 + !a1a3", "!a1a3", "a1!a2"),           // mux-inv
+		mk("a1(a2^a3) + !a1a4", "!a1a4", "a1(a2^a3)"),   // mux-xor
+		mk("a1!(a2^a3) + !a1a4", "!a1a4", "a1!(a2^a3)"), // mux-xnor
 	}
 }
 
-// applyFeedbackAlpha injects the α₁ fault of eq. (1) into the feedback
-// candidates: f8 → a6 and f19 → a3·a6, disconnecting the FSM from the
-// LFSR.
-func (a *Attack) applyFeedbackAlpha(b []byte) {
-	for _, m := range a.rep.LUT2 {
-		WriteMatch(b, m, boolfn.F8Alpha)
+// muxCandidates lists the aligned, unclaimed matches of every shape in
+// specs, each with its shape, and records their number in the report.
+func (a *Attack) muxCandidates(specs []muxSpec) ([]Match, []muxSpec) {
+	var matches []Match
+	var specOf []muxSpec
+	for _, s := range specs {
+		for _, m := range a.scanned[s.fn] {
+			if a.aligned(m) && !a.claimed(m) {
+				matches = append(matches, m)
+				specOf = append(specOf, s)
+			}
+		}
 	}
-	for _, m := range a.rep.LUT3 {
-		WriteMatch(b, m, boolfn.F19Alpha)
-	}
+	a.rep.MuxMatches = len(matches)
+	return matches, specOf
 }
 
 // betaState carries the discovered load-MUX modification set.
@@ -557,75 +608,26 @@ func (a *Attack) MakeKeyIndependent() (*betaState, error) {
 	defer span.End()
 	a.batchScan()
 	specs := muxCatalogue()
-	var matches []Match
-	var specOf []muxSpec
-	for _, s := range specs {
-		ms := a.matchesFor(s.fn)
-		for _, m := range ms {
-			if !a.aligned(m) {
-				continue
-			}
-			if overlapsAny(m, a.rep.LUT1, confirmedMatch) ||
-				overlapsAny(m, a.rep.LUT2, sameMatch) || overlapsAny(m, a.rep.LUT3, sameMatch) {
-				continue
-			}
-			matches = append(matches, m)
-			specOf = append(specOf, s)
-		}
-	}
-	a.rep.MuxMatches = len(matches)
+	matches, specOf := a.muxCandidates(specs)
 	span.SetAttr("mux_matches", len(matches))
 	a.log.Infof("load-MUX search: %d matches across %d guessed shapes", len(matches), len(specs))
 	if len(matches) < 16*32/2 { // at least the 15 plain stages must show up
 		return nil, fmt.Errorf("core: only %d load-MUX candidates; design not recognized", len(matches))
 	}
-
 	return a.resolveBeta(matches, specOf)
 }
 
-// alphaWrite is one α₁ LUT rewrite of the key-independent probe — a
-// feedback candidate paired with its fault table. Unlike the opaque
-// applyAlpha callback of the census flow, individual writes are
-// excludable by the group-testing pass, which is how surplus feedback
-// candidates (CollectFeedbackCandidates) are pruned behaviorally.
-type alphaWrite struct {
-	m    Match
-	repl boolfn.TT
-	f8   bool
-}
-
 // resolveBeta finds a polarity hypothesis and a candidate subset whose
-// modification yields the model's key-independent keystream. When the
-// full set fails (a false-positive match whose "load branch" is real
-// logic, or a surplus feedback candidate whose α₁ rewrite corrupts real
-// datapath), a greedy group-testing pass excludes harmful candidates,
-// using the number of matching keystream bits as the progress signal.
-// Surviving feedback candidates are written back to LUT2/LUT3, which
-// must total exactly 32 afterwards.
+// modification, together with the plan's α₁ writes, yields the model's
+// key-independent keystream. When the full set fails (a false-positive
+// match whose "load branch" is real logic, or a surplus feedback
+// candidate whose α₁ rewrite corrupts real datapath), a greedy
+// group-testing pass excludes harmful candidates, using the number of
+// matching keystream bits as the progress signal. The group-testing
+// index space covers the MUX candidates followed, unless the plan
+// stands or falls whole, by the α writes. The surviving α writes become
+// the plan and the report's LUT2/LUT3, which must total exactly 32.
 func (a *Attack) resolveBeta(matches []Match, specOf []muxSpec) (*betaState, error) {
-	alphas := make([]alphaWrite, 0, len(a.rep.LUT2)+len(a.rep.LUT3))
-	for _, m := range a.rep.LUT2 {
-		alphas = append(alphas, alphaWrite{m: m, repl: boolfn.F8Alpha, f8: true})
-	}
-	for _, m := range a.rep.LUT3 {
-		alphas = append(alphas, alphaWrite{m: m, repl: boolfn.F19Alpha})
-	}
-	return a.resolveBetaPruned(matches, specOf, nil, alphas)
-}
-
-// resolveBetaWith is resolveBeta with a caller-supplied α₁ application
-// (the census-guided flow derives its fault tables generically and
-// rejects bad feedback subsets wholesale, so its α set is opaque and
-// never pruned).
-func (a *Attack) resolveBetaWith(matches []Match, specOf []muxSpec, applyAlpha func([]byte)) (*betaState, error) {
-	return a.resolveBetaPruned(matches, specOf, applyAlpha, nil)
-}
-
-// resolveBetaPruned is the shared implementation: exactly one of
-// applyAlpha (opaque α₁ application) and alphas (excludable α₁ writes)
-// is set. The group-testing index space covers the MUX candidates
-// followed by the α writes.
-func (a *Attack) resolveBetaPruned(matches []Match, specOf []muxSpec, applyAlpha func([]byte), alphas []alphaWrite) (*betaState, error) {
 	span := a.tel.StartSpan("attack.resolve_beta", obs.KV("candidates", len(matches)))
 	defer span.End()
 	// Expected key-independent keystream from the software model
@@ -634,13 +636,15 @@ func (a *Attack) resolveBetaPruned(matches []Match, specOf []muxSpec, applyAlpha
 	model.Init(snow3g.Key{}, snow3g.IV{})
 	want := model.KeystreamWords(w)
 
+	alphas := a.plan.alphas
+	tested := len(matches)
+	if !a.plan.whole {
+		tested += len(alphas)
+	}
 	// apply writes one candidate modification set: every non-excluded
-	// alpha write plus every non-excluded MUX zeroing under the sel1
+	// α write plus every non-excluded MUX zeroing under the sel1
 	// hypothesis.
 	apply := func(img []byte, sel1 bool, skip map[int]bool, excl int) {
-		if applyAlpha != nil {
-			applyAlpha(img)
-		}
 		for j, aw := range alphas {
 			if k := len(matches) + j; skip[k] || k == excl {
 				continue
@@ -651,11 +655,7 @@ func (a *Attack) resolveBetaPruned(matches []Match, specOf []muxSpec, applyAlpha
 			if skip[i] || i == excl {
 				continue
 			}
-			repl := specOf[i].zeroSel1
-			if !sel1 {
-				repl = specOf[i].zeroSel0
-			}
-			WriteMatch(img, m, repl)
+			WriteMatch(img, m, specOf[i].zero(sel1))
 		}
 	}
 	score := func(z []uint32) int {
@@ -682,66 +682,63 @@ func (a *Attack) resolveBetaPruned(matches []Match, specOf []muxSpec, applyAlpha
 				keptSpecs = append(keptSpecs, specOf[i])
 			}
 		}
-		if alphas != nil {
-			surviving := 0
-			for j := range alphas {
-				if !skip[len(matches)+j] {
-					surviving++
-				}
+		surviving := len(alphas)
+		for j := range alphas {
+			if skip[len(matches)+j] {
+				surviving--
 			}
-			// A surplus candidate whose α₁ rewrite is behaviorally
-			// neutral under β+α (say, a coincidental match inside FSM
-			// logic the fault already disconnects) survives the greedy
-			// pass because it never hurts the score. Prune those by
-			// necessity instead: a true feedback LUT cannot be excluded
-			// without breaking the model match, a neutral one can.
-			for j := range alphas {
-				if surviving <= 32 {
-					break
-				}
-				if cerr := a.checkpoint(); cerr != nil {
-					return nil, cerr
-				}
-				k := len(matches) + j
-				if skip[k] {
-					continue
-				}
-				sw := a.newSweep(1, w, func(_ int, img []byte) { apply(img, sel1, skip, k) })
-				z2, err := sw.run(0)
-				if err != nil {
-					continue
-				}
-				a.countLoad()
-				if score(z2) == perfect {
-					skip[k] = true
-					surviving--
-					a.log.Infof("feedback pruning: excluding unnecessary candidate at byte %d", alphas[j].m.Index)
-				}
+		}
+		// A surplus candidate whose α₁ rewrite is behaviorally neutral
+		// under β+α (say, a coincidental match inside FSM logic the
+		// fault already disconnects) survives the greedy pass because it
+		// never hurts the score. Prune those by necessity instead: a
+		// true feedback LUT cannot be excluded without breaking the
+		// model match, a neutral one can.
+		for j := range alphas {
+			if surviving <= 32 {
+				break
 			}
-			// Write the surviving α candidates back as the attack's
-			// feedback LUT sets; the 32-LUT hypothesis must hold now
-			// that the false positives are excluded.
-			l2 := a.rep.LUT2[:0]
-			l3 := a.rep.LUT3[:0]
-			pruned := 0
-			for j, aw := range alphas {
-				if skip[len(matches)+j] {
-					pruned++
-					continue
-				}
-				if aw.f8 {
-					l2 = append(l2, aw.m)
-				} else {
-					l3 = append(l3, aw.m)
-				}
+			if cerr := a.checkpoint(); cerr != nil {
+				return nil, cerr
 			}
-			a.rep.LUT2, a.rep.LUT3 = l2, l3
-			a.rep.FeedbackPruned = pruned
-			a.tel.Counter("attack.feedback_pruned").Add(int64(pruned))
-			if len(l2)+len(l3) != 32 {
-				return nil, fmt.Errorf("core: feedback pruning left %d+%d candidates, want 32",
-					len(l2), len(l3))
+			k := len(matches) + j
+			if skip[k] {
+				continue
 			}
+			sw := a.newSweep(1, w, func(_ int, img []byte) { apply(img, sel1, skip, k) })
+			z2, err := sw.run(0)
+			if err != nil {
+				continue
+			}
+			a.countLoad()
+			if score(z2) == perfect {
+				skip[k] = true
+				surviving--
+				a.log.Infof("feedback pruning: excluding unnecessary candidate at byte %d", alphas[j].m.Index)
+			}
+		}
+		// The one writeback: the surviving α writes become the plan and
+		// the report's feedback LUT sets; the 32-LUT hypothesis must hold
+		// now that the false positives are excluded.
+		a.plan.alphas = nil
+		a.rep.LUT2, a.rep.LUT3 = nil, nil
+		for j, aw := range alphas {
+			if skip[len(matches)+j] {
+				continue
+			}
+			a.plan.alphas = append(a.plan.alphas, aw)
+			if aw.lut3 {
+				a.rep.LUT3 = append(a.rep.LUT3, aw.m)
+			} else {
+				a.rep.LUT2 = append(a.rep.LUT2, aw.m)
+			}
+		}
+		pruned := len(alphas) - len(a.plan.alphas)
+		a.rep.FeedbackPruned = pruned
+		a.tel.Counter("attack.feedback_pruned").Add(int64(pruned))
+		if len(a.plan.alphas) != 32 {
+			return nil, fmt.Errorf("core: feedback pruning left %d+%d candidates, want 32",
+				len(a.rep.LUT2), len(a.rep.LUT3))
 		}
 		span.SetAttr("hypothesis", a.rep.MuxHypothesis)
 		span.SetAttr("excluded", len(skip))
@@ -789,7 +786,7 @@ func (a *Attack) resolveBetaPruned(matches []Match, specOf []muxSpec, applyAlpha
 	skip := map[int]bool{}
 	for round := 0; round < 8; round++ {
 		var idxs []int
-		for i := 0; i < len(matches)+len(alphas); i++ {
+		for i := 0; i < tested; i++ {
 			if !skip[i] {
 				idxs = append(idxs, i)
 			}
@@ -838,12 +835,6 @@ func (a *Attack) resolveBetaPruned(matches []Match, specOf []muxSpec, applyAlpha
 // when variable v is kept have s0 on that pin; two runs classify all 32
 // LUTs (the third case follows by elimination), instead of 3^32 trials.
 func (a *Attack) IdentifyVPairs(beta *betaState) error {
-	return a.identifyVPairsWith(beta, a.applyFeedbackAlpha, boolfn.F2AlphaKeep)
-}
-
-// identifyVPairsWith runs the two-keystream pin identification with
-// caller-supplied α₁ application and keep-variable fault tables.
-func (a *Attack) identifyVPairsWith(beta *betaState, applyAlpha func([]byte), keepFn func(int) boolfn.TT) error {
 	span := a.tel.StartSpan("attack.identify_vpairs", obs.KV("luts", len(a.rep.LUT1)))
 	defer span.End()
 	resolved := make([]int, len(a.rep.LUT1))
@@ -856,16 +847,12 @@ func (a *Attack) identifyVPairsWith(beta *betaState, applyAlpha func([]byte), ke
 	// The two probes differ only in the kept variable: one sweep, one
 	// fabric pass in batch mode.
 	sw := a.newSweep(2, w, func(keep int, img []byte) {
-		applyAlpha(img)
+		a.plan.writeAlphas(img)
 		for i, m := range beta.matches {
-			repl := beta.specs[i].zeroSel1
-			if !beta.sel1 {
-				repl = beta.specs[i].zeroSel0
-			}
-			WriteMatch(img, m, repl)
+			WriteMatch(img, m, beta.specs[i].zero(beta.sel1))
 		}
 		for _, c := range a.rep.LUT1 {
-			WriteMatch(img, c.Match, keepFn(keep))
+			WriteMatch(img, c.Match, a.plan.keep[keep])
 		}
 	})
 	for keep := 0; keep <= 1; keep++ {
@@ -897,20 +884,15 @@ func (a *Attack) identifyVPairsWith(beta *betaState, applyAlpha func([]byte), ke
 // out of S⁰. The result is verified by reproducing the device's clean
 // keystream with the software model.
 func (a *Attack) ExtractKey() error {
-	return a.extractKeyWith(a.applyFeedbackAlpha, boolfn.F2AlphaKeep)
-}
-
-// extractKeyWith is ExtractKey with caller-supplied fault tables.
-func (a *Attack) extractKeyWith(applyAlpha func([]byte), keepFn func(int) boolfn.TT) error {
 	span := a.tel.StartSpan("attack.extract_key")
 	defer span.End()
 	if cerr := a.checkpoint(); cerr != nil {
 		return cerr
 	}
 	sw := a.newSweep(1, w, func(_ int, img []byte) {
-		applyAlpha(img)
+		a.plan.writeAlphas(img)
 		for _, c := range a.rep.LUT1 {
-			WriteMatch(img, c.Match, keepFn(c.KeepVar))
+			WriteMatch(img, c.Match, a.plan.keep[c.KeepVar])
 		}
 	})
 	z, err := sw.run(0)
@@ -949,12 +931,41 @@ func (a *Attack) extractKeyWith(applyAlpha func([]byte), keepFn func(int) boolfn
 	return nil
 }
 
-// Run executes the complete attack and returns the report. Whatever the
-// outcome, the attack-model epilogue restores the original image so the
-// device is returned to its legitimate user unchanged — even an aborted
-// attack must not leave a faulty configuration behind.
-func (a *Attack) Run() (rep *Report, err error) {
-	span := a.tel.StartSpan("attack.run")
+// Run executes the complete attack and returns the report.
+func (a *Attack) Run() (*Report, error) {
+	return a.run("attack.run", func() error {
+		a.CountCandidates()
+		if err := a.VerifyZPath(); err != nil {
+			return err
+		}
+		if err := a.checkpoint(); err != nil {
+			return err
+		}
+		if err := a.CollectFeedbackCandidates(); err != nil {
+			return err
+		}
+		beta, err := a.MakeKeyIndependent()
+		if err != nil {
+			return err
+		}
+		if err := a.checkpoint(); err != nil {
+			return err
+		}
+		if err := a.IdentifyVPairs(beta); err != nil {
+			return err
+		}
+		return a.ExtractKey()
+	})
+}
+
+// run is both flows' wrapper: it runs flow under the named root span
+// and, whatever the outcome, the attack-model epilogue restores the
+// original image so the device is returned to its legitimate user
+// unchanged — even an aborted attack must not leave a faulty
+// configuration behind — then publishes the stats and returns a copy of
+// the report.
+func (a *Attack) run(name string, flow func() error) (rep *Report, err error) {
+	span := a.tel.StartSpan(name)
 	defer func() {
 		a.baseLive = false
 		if restoreErr := a.dev.Load(a.dev.ReadFlash()); restoreErr != nil && err == nil {
@@ -967,32 +978,9 @@ func (a *Attack) Run() (rep *Report, err error) {
 		rep = a.rep.Clone()
 	}()
 	if err = a.checkpoint(); err != nil {
-		return rep, err
+		return nil, err
 	}
-	a.CountCandidates()
-	if err = a.VerifyZPath(); err != nil {
-		return rep, err
-	}
-	if err = a.checkpoint(); err != nil {
-		return rep, err
-	}
-	if err = a.CollectFeedbackCandidates(); err != nil {
-		return rep, err
-	}
-	beta, berr := a.MakeKeyIndependent()
-	if berr != nil {
-		return rep, berr
-	}
-	if err = a.checkpoint(); err != nil {
-		return rep, err
-	}
-	if err = a.IdentifyVPairs(beta); err != nil {
-		return rep, err
-	}
-	if err = a.ExtractKey(); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return nil, flow()
 }
 
 // Report returns a defensive deep copy of the accumulated report

@@ -49,19 +49,8 @@ func censusAll(img []byte, minCount int, xorOnly bool) ([]CensusClass, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Canonicalize distinct tables once: designs repeat tables heavily.
-	canonCache := map[boolfn.TT]boolfn.TT{}
-	counts := map[boolfn.TT]int{}
-	for _, l := range luts {
-		c, ok := canonCache[l.Init]
-		if !ok {
-			c = boolfn.PClassCanon(l.Init)
-			canonCache[l.Init] = c
-		}
-		counts[c]++
-	}
 	var out []CensusClass
-	for canon, n := range counts {
+	for canon, n := range bitstream.Histogram(luts) {
 		if n < minCount {
 			continue
 		}

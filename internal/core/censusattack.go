@@ -25,71 +25,43 @@ import (
 // point shows the methodology generalizes beyond one hand-built
 // catalogue (and is what defeats it — the countermeasure floods exactly
 // this analysis).
-func (a *Attack) RunCensusGuided() (rep *Report, err error) {
-	span := a.tel.StartSpan("attack.run_census")
-	defer func() {
-		a.baseLive = false
-		if restoreErr := a.dev.Load(a.dev.ReadFlash()); restoreErr != nil && err == nil {
-			err = fmt.Errorf("core: restoring original bitstream: %w", restoreErr)
-		}
-		span.SetAttr("loads", a.rep.Loads)
-		span.SetAttr("verified", a.rep.Verified)
-		span.End()
-		a.publishStats()
-		rep = a.rep.Clone()
-	}()
+func (a *Attack) RunCensusGuided() (*Report, error) {
+	return a.run("attack.run_census", a.censusFlow)
+}
 
-	if err = a.checkpoint(); err != nil {
-		return rep, err
-	}
-	classes, cerr := CensusAllClasses(a.plain, 8)
-	if cerr != nil {
-		return rep, cerr
+func (a *Attack) censusFlow() error {
+	classes, err := CensusAllClasses(a.plain, 8)
+	if err != nil {
+		return err
 	}
 	// One batch pass resolves FINDLUT for every discovered class at once;
 	// the per-class loops below read from the memo.
-	if len(classes) > 0 {
-		s := NewScanner(FindOptions{})
-		s.SetTelemetry(a.tel)
-		for i, c := range classes {
-			s.AddFunction(fmt.Sprintf("class%d", i), c.Canon)
-		}
-		res := s.Scan(a.plain)
-		if a.scanned == nil {
-			a.scanned = make(map[boolfn.TT][]Match, len(classes))
-		}
-		for i, c := range classes {
-			a.scanned[c.Canon] = res.Matches[fmt.Sprintf("class%d", i)]
-		}
-		a.rep.Scan.Accumulate(res.Stats)
+	fns := make([]boolfn.TT, len(classes))
+	for i, c := range classes {
+		fns[i] = c.Canon
 	}
+	a.scan(fns)
 	var zClasses, fbClasses []CensusClass
-	var muxClasses []CensusClass
-	muxSel := map[boolfn.TT]int{}
+	var muxSpecs []muxSpec
 	for _, c := range classes {
 		if sel := boolfn.MuxSelectVars(c.Canon); len(sel) > 0 {
-			muxClasses = append(muxClasses, c)
-			muxSel[c.Canon] = sel[0]
+			// Load MUXes, generically: fault β zeroes one branch.
+			muxSpecs = append(muxSpecs, muxSpec{
+				fn:       c.Canon,
+				zeroSel1: boolfn.ZeroMuxBranch(c.Canon, sel[0], true),
+				zeroSel0: boolfn.ZeroMuxBranch(c.Canon, sel[0], false),
+			})
 			continue
 		}
-		var trio, pair []int
-		for _, g := range c.Groups {
-			switch {
-			case len(g) == 3 && trio == nil:
-				trio = g
-			case len(g) == 2 && pair == nil:
-				pair = g
-			}
-		}
 		switch {
-		case trio != nil && c.Count >= 32:
+		case trioOf(c) != nil && c.Count >= 32:
 			zClasses = append(zClasses, c)
-		case pair != nil:
+		case pairOf(c) != nil:
 			fbClasses = append(fbClasses, c)
 		}
 	}
 	a.log.Infof("census: %d z-class, %d feedback, %d mux candidates",
-		len(zClasses), len(fbClasses), len(muxClasses))
+		len(zClasses), len(fbClasses), len(muxSpecs))
 
 	// 1. z-path: the first class whose members verify to exactly 32.
 	var zClass *CensusClass
@@ -100,56 +72,37 @@ func (a *Attack) RunCensusGuided() (rep *Report, err error) {
 			break
 		}
 		if errors.Is(verr, ErrCancelled) {
-			return rep, verr
+			return verr
 		}
 	}
 	if zClass == nil {
-		return rep, errors.New("core: census attack found no verifiable z-path class")
-	}
-	trio := trioOf(*zClass)
-	if trio == nil {
-		return rep, errors.New("core: z class lost its XOR trio")
+		return errors.New("core: census attack found no verifiable z-path class")
 	}
 	// Generic keep-variable tables: keeping trio[k] means sticking the
 	// other two at even parity.
-	keepFn := func(keep int) boolfn.TT {
+	trio := trioOf(*zClass)
+	var keep [3]boolfn.TT
+	for k := range keep {
 		others := make([]int, 0, 2)
 		for idx, v := range trio {
-			if idx != keep {
+			if idx != k {
 				others = append(others, v)
 			}
 		}
-		return boolfn.StuckXorZero(zClass.Canon, others)
+		keep[k] = boolfn.StuckXorZero(zClass.Canon, others)
 	}
 
 	// 2. Feedback: the paper's own reasoning — the right classes cover
 	// exactly 32 LUTs. Enumerate subsets of pair-group classes whose
 	// census populations sum to 32 and validate each subset through the
-	// key-independent (Table III) criterion.
-	type fbMod struct {
-		m     Match
-		alpha boolfn.TT
-	}
-	modMatch := func(md fbMod) Match { return md.m }
-	collect := func(subset []CensusClass) []fbMod {
-		var mods []fbMod
-		for _, c := range subset {
-			alpha := boolfn.StuckXorZero(c.Canon, pairOf(c))
-			for _, m := range a.matchesFor(c.Canon) {
-				if !a.aligned(m) || overlapsAny(m, a.rep.LUT1, confirmedMatch) || overlapsAny(m, mods, modMatch) {
-					continue
-				}
-				mods = append(mods, fbMod{m: m, alpha: alpha})
-			}
-		}
-		return mods
-	}
+	// key-independent (Table III) criterion. A subset's first class is
+	// reported as LUT2, the rest as LUT3.
 	if len(fbClasses) > 12 {
-		return rep, fmt.Errorf("core: %d feedback candidate classes; census attack not attempted", len(fbClasses))
+		return fmt.Errorf("core: %d feedback candidate classes; census attack not attempted", len(fbClasses))
 	}
 	for mask := 1; mask < 1<<uint(len(fbClasses)); mask++ {
-		if err = a.checkpoint(); err != nil {
-			return rep, err
+		if err := a.checkpoint(); err != nil {
+			return err
 		}
 		var subset []CensusClass
 		total := 0
@@ -162,62 +115,36 @@ func (a *Attack) RunCensusGuided() (rep *Report, err error) {
 		if total != 32 {
 			continue
 		}
-		mods := collect(subset)
-		if len(mods) != 32 {
+		a.plan = faultPlan{keep: keep, whole: true}
+		for i, c := range subset {
+			alpha := boolfn.StuckXorZero(c.Canon, pairOf(c))
+			for _, m := range a.scanned[c.Canon] {
+				if a.aligned(m) && !a.claimed(m) {
+					a.plan.alphas = append(a.plan.alphas, alphaWrite{m: m, repl: alpha, lut3: i > 0})
+				}
+			}
+		}
+		if len(a.plan.alphas) != 32 {
 			continue
 		}
-		applyAlpha := func(b []byte) {
-			for _, md := range mods {
-				WriteMatch(b, md.m, md.alpha)
-			}
-		}
-		// 3. Load MUXes from the mux classes, generically.
-		var matches []Match
-		var specs []muxSpec
-		for _, c := range muxClasses {
-			sel := muxSel[c.Canon]
-			spec := muxSpec{
-				name:     "census:" + c.Expr,
-				fn:       c.Canon,
-				zeroSel1: boolfn.ZeroMuxBranch(c.Canon, sel, true),
-				zeroSel0: boolfn.ZeroMuxBranch(c.Canon, sel, false),
-			}
-			for _, m := range a.matchesFor(c.Canon) {
-				if !a.aligned(m) || overlapsAny(m, a.rep.LUT1, confirmedMatch) || overlapsAny(m, mods, modMatch) {
-					continue
-				}
-				matches = append(matches, m)
-				specs = append(specs, spec)
-			}
-		}
-		a.rep.MuxMatches = len(matches)
-		beta, berr := a.resolveBetaWith(matches, specs, applyAlpha)
+		// 3. Load MUXes from the mux classes, polarity resolved as in the
+		// paper.
+		beta, berr := a.resolveBeta(a.muxCandidates(muxSpecs))
 		if berr != nil {
 			if errors.Is(berr, ErrCancelled) {
-				return rep, berr
+				return berr
 			}
 			a.log.Infof("census: feedback subset rejected by the Table III criterion; trying next")
 			continue
 		}
-		a.rep.LUT2 = append(a.rep.LUT2[:0], make([]Match, 0)...)
-		a.rep.LUT3 = a.rep.LUT3[:0]
-		for i, md := range mods {
-			if i < 24 {
-				a.rep.LUT2 = append(a.rep.LUT2, md.m)
-			} else {
-				a.rep.LUT3 = append(a.rep.LUT3, md.m)
-			}
+		// 4. Pin identification and key extraction with the plan's
+		// generic tables.
+		if err := a.IdentifyVPairs(beta); err != nil {
+			return err
 		}
-		// 4. Pin identification and key extraction with generic tables.
-		if err = a.identifyVPairsWith(beta, applyAlpha, keepFn); err != nil {
-			return rep, err
-		}
-		if err = a.extractKeyWith(applyAlpha, keepFn); err != nil {
-			return rep, err
-		}
-		return rep, nil
+		return a.ExtractKey()
 	}
-	return rep, errors.New("core: no feedback class subset satisfied the key-independent criterion")
+	return errors.New("core: no feedback class subset satisfied the key-independent criterion")
 }
 
 func trioOf(c CensusClass) []int {

@@ -433,25 +433,10 @@ func TestGroupTestingExcludesHarmfulMuxCandidate(t *testing.T) {
 	if err := atk.CollectFeedbackCandidates(); err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild the genuine candidate set the same way MakeKeyIndependent
-	// does, then poison it.
-	var matches []Match
-	var specOf []muxSpec
-	for _, s := range muxCatalogue() {
-		for _, m := range FindLUT(atk.plain, s.fn, FindOptions{}) {
-			if !atk.aligned(m) || overlapsAny(m, atk.rep.LUT1, confirmedMatch) ||
-				overlapsAny(m, atk.rep.LUT2, sameMatch) || overlapsAny(m, atk.rep.LUT3, sameMatch) {
-				continue
-			}
-			matches = append(matches, m)
-			specOf = append(specOf, s)
-		}
-	}
-	harm := muxSpec{name: "poison",
-		fn:       boolfn.F2,
-		zeroSel1: boolfn.Const0,
-		zeroSel0: boolfn.Const0,
-	}
+	// Build the genuine candidate set the way MakeKeyIndependent does,
+	// then poison it.
+	matches, specOf := atk.muxCandidates(muxCatalogue())
+	harm := muxSpec{fn: boolfn.F2, zeroSel1: boolfn.Const0, zeroSel0: boolfn.Const0}
 	matches = append(matches, atk.rep.LUT1[5].Match)
 	specOf = append(specOf, harm)
 
@@ -814,6 +799,34 @@ func TestDiffErrors(t *testing.T) {
 	}
 	if _, err := Diff([]byte{1, 2, 3, 4}, []byte{1, 2, 3, 5}); err == nil {
 		t.Fatal("non-bitstream input accepted")
+	}
+}
+
+// TestDiffUnmappedFrame: a byte in an FDRI frame past the regions the
+// header declares lies outside every region — not in the BRAM region,
+// which ends one frame earlier.
+func TestDiffUnmappedFrame(t *testing.T) {
+	img := buildVictim(t, false, false).ReadFlash()
+	p, err := bitstream.ParsePackets(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fdri := append(append([]byte(nil), p.FDRI(img)...), make([]byte, bitstream.FrameBytes)...)
+	a, err := bitstream.WrapFDRI(fdri)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fdri[len(fdri)-1] = 0x5a
+	b, err := bitstream.WrapFDRI(fdri)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Diff(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Bytes[DiffUnmapped] != 1 || rep.Bytes[DiffBRAM] != 0 || len(rep.BRAMOffsets) != 0 {
+		t.Fatalf("extra-frame byte classified as %v (BRAM offsets %v), want 1 unmapped", rep.Bytes, rep.BRAMOffsets)
 	}
 }
 

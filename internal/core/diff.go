@@ -28,6 +28,8 @@ const (
 	DiffDescription
 	// DiffBRAM is within the block-RAM content frames.
 	DiffBRAM
+	// DiffUnmapped is FDRI data past every region the header declares.
+	DiffUnmapped
 )
 
 func (r DiffRegion) String() string {
@@ -42,6 +44,8 @@ func (r DiffRegion) String() string {
 		return "description"
 	case DiffBRAM:
 		return "bram"
+	case DiffUnmapped:
+		return "unmapped"
 	}
 	return "unknown"
 }
@@ -57,7 +61,9 @@ type DiffReport struct {
 }
 
 // Diff compares two plaintext bitstream images of identical length and
-// layout, classifying every differing byte.
+// layout, classifying every differing byte: FDRI bytes by the region
+// their frame falls in (bitstream.Regions.ClassifyFrame), the rest as
+// packets.
 func Diff(a, b []byte) (*DiffReport, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("core: images differ in size (%d vs %d)", len(a), len(b))
@@ -84,16 +90,19 @@ func Diff(a, b []byte) (*DiffReport, error) {
 			continue
 		}
 		rel := i - pa.FDRIOffset
-		switch {
-		case rel < 0 || rel >= pa.FDRILen:
+		if rel < 0 || rel >= pa.FDRILen {
 			rep.Bytes[DiffPackets]++
-		case rel < ra.CLBOff:
+			continue
+		}
+		inFrame := rel % bitstream.FrameBytes
+		kind, frame, err := ra.ClassifyFrame(rel / bitstream.FrameBytes)
+		switch {
+		case err != nil:
+			rep.Bytes[DiffUnmapped]++
+		case kind == bitstream.FrameHeader:
 			rep.Bytes[DiffHeaderFrame]++
-		case rel < ra.CLBOff+ra.CLBLen:
+		case kind == bitstream.FrameCLB:
 			rep.Bytes[DiffCLB]++
-			clbRel := rel - ra.CLBOff
-			frame := clbRel / bitstream.FrameBytes
-			inFrame := clbRel % bitstream.FrameBytes
 			slotByte := inFrame % bitstream.SubVectorOffset
 			if slotByte < bitstream.SlotsPerFrame*bitstream.SubVectorBytes {
 				loc := bitstream.Loc{Frame: frame, Slot: slotByte / bitstream.SubVectorBytes,
@@ -103,11 +112,11 @@ func Diff(a, b []byte) (*DiffReport, error) {
 					rep.LUTSlots = append(rep.LUTSlots, loc)
 				}
 			}
-		case rel < ra.BRAMOff:
+		case kind == bitstream.FrameDesc:
 			rep.Bytes[DiffDescription]++
 		default:
 			rep.Bytes[DiffBRAM]++
-			rep.BRAMOffsets = append(rep.BRAMOffsets, rel-ra.BRAMOff)
+			rep.BRAMOffsets = append(rep.BRAMOffsets, frame*bitstream.FrameBytes+inFrame)
 		}
 	}
 	return rep, nil

@@ -17,7 +17,7 @@ import (
 	"snowbma/internal/boolfn"
 )
 
-// Match is one candidate location returned by FindLUT.
+// Match is one candidate location a Scanner reports for a function.
 type Match struct {
 	// Index is the byte offset l of the first sub-vector in the
 	// bitstream.
@@ -57,18 +57,14 @@ func overlapsAny[T any](m Match, claimed []T, matchOf func(T) Match) bool {
 	return false
 }
 
-// confirmedMatch and sameMatch adapt the claimed sets to overlapsAny.
+// confirmedMatch and alphaMatch adapt the claimed sets to overlapsAny.
 func confirmedMatch(c ConfirmedLUT) Match { return c.Match }
-func sameMatch(m Match) Match             { return m }
+func alphaMatch(aw alphaWrite) Match      { return aw.m }
 
 // FindOptions tunes the search. The scan checks only the two sub-vector
 // orders that occur on 7-series parts (Section V-A); FindLUTReference's
 // AllOrders keeps the 4! orders of the generic Algorithm 1 statement.
 type FindOptions struct {
-	// NoPermDedup disables the skipping of input permutations that
-	// produce a truth table already searched (ablation; Algorithm 1 as
-	// written re-scans duplicates and relies on marking).
-	NoPermDedup bool
 	// Parallel limits worker goroutines; 0 means GOMAXPROCS.
 	Parallel int
 }
@@ -102,27 +98,6 @@ func pickAnchor(sub [4]uint16) int {
 	return best
 }
 
-// FindLUT implements Algorithm 1 for the 7-series parameters: it returns
-// every byte index l where some input permutation of f, serialized
-// through ξ and one of the sub-vector orders, appears as four 16-bit
-// sub-vectors d = 101 bytes apart. Matches are reported once per index
-// (the algorithm's marking), sorted by index.
-//
-// FindLUT is the single-function entry point of the batch Scanner: the
-// candidate catalogue is served from the process-wide cache, candidates
-// are indexed by their anchor sub-vector (one load on the common miss
-// path, blank fabric never reaching the slow path), and the scannable
-// window [0, limit + maxAnchor·d] is partitioned exactly across the
-// worker pool — workers are capped at the position count, so no
-// goroutine is ever spawned for positions past the last useful probe.
-// Searching N functions over the same bitstream should use a Scanner
-// directly: one shared pass instead of N.
-func FindLUT(b []byte, f boolfn.TT, opt FindOptions) []Match {
-	s := NewScanner(opt)
-	s.AddFunction("f", f)
-	return s.Scan(b).Matches["f"]
-}
-
 func matchAt(b []byte, l int, c *candidate) bool {
 	for q := 0; q < bitstream.SubVectors; q++ {
 		off := l + q*bitstream.SubVectorOffset
@@ -136,12 +111,12 @@ func matchAt(b []byte, l int, c *candidate) bool {
 // buildCandidates expands f over input permutations and sub-vector
 // orders into the raw byte patterns to search for. The permutation
 // expansion (and its symmetry dedup) comes from boolfn.PermutedTables;
-// the compiled catalogue is cached by catalogueFor under the (f, dedup)
-// key, so callers should go through that.
-func buildCandidates(f boolfn.TT, opt FindOptions) []candidate {
+// the compiled catalogue is cached by catalogueFor under f, so callers
+// should go through that.
+func buildCandidates(f boolfn.TT) []candidate {
 	seen := make(map[[4]uint16]bool)
 	var out []candidate
-	for _, pt := range boolfn.PermutedTables(f, !opt.NoPermDedup) {
+	for _, pt := range boolfn.PermutedTables(f, true) {
 		for _, order := range []bitstream.SliceType{bitstream.SliceL, bitstream.SliceM} {
 			enc := bitstream.EncodeLUT(pt.Table, order)
 			var sub [4]uint16

@@ -8,7 +8,7 @@ import (
 // This file transliterates Algorithm 1 of the paper as written —
 // FINDLUT(B, k, f, d, r) with its nested loops over all input
 // permutations P_k, all byte positions, and all sub-vector orders P_r,
-// with marking — without the indexing optimizations of FindLUT. It
+// with marking — without the indexing optimizations of the Scanner. It
 // serves three purposes: executable documentation of the published
 // algorithm, an oracle for equivalence tests of the optimized scanner,
 // and the baseline of the search-optimization ablation benchmarks.

@@ -74,11 +74,12 @@ func diffFacts(t *testing.T, label string, got, want *Report) {
 var sweepWidths = []int{DefaultLanes, 1}
 
 // engineCounts are an attack's engine counters: modeled loads, fabric
-// passes, scalar fallbacks, confirmed z-path LUTs, and the fabric
-// programs the run compiled or reused.
+// passes, scalar fallbacks, confirmed z-path and feedback LUTs (the
+// LUT2/LUT3 split both flows write back from their fault plan), and the
+// fabric programs the run compiled or reused.
 type engineCounts struct {
-	Loads, Passes, Fallbacks, ZPathLUTs int
-	Compiles, Reuses                    int64
+	Loads, Passes, Fallbacks, ZPathLUTs, LUT2, LUT3 int
+	Compiles, Reuses                                int64
 }
 
 // attackCase is one attack harness row: one of the CLI's attacks, and
@@ -97,11 +98,11 @@ type attackCase struct {
 // restoring epilogue — carries the programmed bytes and reuses its
 // Compiled.
 var attackCases = map[string]attackCase{
-	"plain":         {cfg: victim.Config{Key: secretKey}, want: engineCounts{47, 4, 3, 32, 3, 3}},
-	"encrypted":     {cfg: victim.Config{Key: secretKey, Encrypt: cliKeys}, want: engineCounts{47, 4, 3, 32, 3, 3}},
-	"recompute-CRC": {cfg: victim.Config{Key: secretKey}, row: attackRow{recompute: true}, want: engineCounts{47, 4, 3, 32, 3, 3}},
-	"census":        {cfg: victim.Config{Key: secretKey}, row: attackRow{census: true}, want: engineCounts{1072, 21, 3, 32, 3, 3}},
-	"protected":     {cfg: victim.Config{Key: secretKey, Protected: true}, wantErr: true, want: engineCounts{18, 1, 6, 0, 6, 3}},
+	"plain":         {cfg: victim.Config{Key: secretKey}, want: engineCounts{47, 4, 3, 32, 24, 8, 3, 3}},
+	"encrypted":     {cfg: victim.Config{Key: secretKey, Encrypt: cliKeys}, want: engineCounts{47, 4, 3, 32, 24, 8, 3, 3}},
+	"recompute-CRC": {cfg: victim.Config{Key: secretKey}, row: attackRow{recompute: true}, want: engineCounts{47, 4, 3, 32, 24, 8, 3, 3}},
+	"census":        {cfg: victim.Config{Key: secretKey}, row: attackRow{census: true}, want: engineCounts{1072, 21, 3, 32, 24, 8, 3, 3}},
+	"protected":     {cfg: victim.Config{Key: secretKey, Protected: true}, wantErr: true, want: engineCounts{18, 1, 6, 0, 0, 0, 6, 3}},
 }
 
 // runAttackCase runs the named row's attack at one sweep width on a
@@ -128,7 +129,7 @@ func runAttackCase(t *testing.T, name string, lanes int) (*Report, engineCounts,
 	if (err != nil) != tc.wantErr {
 		t.Fatalf("lanes=%d: attack error = %v, want error: %v", lanes, err, tc.wantErr)
 	}
-	return rep, engineCounts{rep.Loads, rep.Batch.Passes, rep.Batch.Fallbacks, len(rep.LUT1),
+	return rep, engineCounts{rep.Loads, rep.Batch.Passes, rep.Batch.Fallbacks, len(rep.LUT1), len(rep.LUT2), len(rep.LUT3),
 		tel.Counter("device.compiles").Value(), tel.Counter("device.reuses").Value()}, err
 }
 

@@ -21,9 +21,9 @@ import (
 // anchor index, walks the bitstream exactly once with the worker pool
 // (testing the dual-output XOR predicate of Section VII-B in the same
 // pass when asked), and demultiplexes hits per function. Per-function
-// results are identical to running FindLUT (and FindLUTReference)
-// separately; the equivalence is pinned by the differential suite in
-// scanner_test.go.
+// results are identical to scanning each function alone (and to
+// FindLUTReference); the equivalence is pinned by the differential
+// suite in scanner_test.go.
 
 // ScanStats records what one Scan (or an accumulation of several) did:
 // the observability layer behind the CLI -stats flag and the attack
@@ -87,8 +87,9 @@ func (s *ScanStats) Accumulate(o ScanStats) {
 
 // ScanResult holds the demultiplexed output of one Scan.
 type ScanResult struct {
-	// Matches maps each AddFunction key to its FindLUT-identical match
-	// list (nil when the function never occurs).
+	// Matches maps each AddFunction key to its match list, sorted by
+	// index and identical to a scan of that function alone (nil when the
+	// function never occurs).
 	Matches map[string][]Match
 	// DualHits maps each AddDualXOR key to the ascending byte indexes
 	// satisfying the Section VII-B predicate inside that window.
@@ -141,8 +142,7 @@ type Scanner struct {
 }
 
 // NewScanner creates an empty batch scanner with the given search
-// options (shared by every added function, exactly as if each were
-// searched with FindLUT(b, f, opt)).
+// options (shared by every added function).
 func NewScanner(opt FindOptions) *Scanner {
 	return &Scanner{opt: opt, byKey: map[string]int{}}
 }
@@ -179,7 +179,8 @@ func (s *Scanner) AddDualXOR(key string, lo, hi int) *Scanner {
 // scanRef points one anchor-index entry at its owning target: candidate
 // ci of function fn. Candidate order within a function is the
 // deterministic buildCandidates order, so marking (first candidate wins
-// per index) is reproduced per function exactly as in FindLUT.
+// per index) is reproduced per function exactly as in a scan of that
+// function alone.
 type scanRef struct {
 	fn int32
 	ci int32
@@ -193,9 +194,8 @@ type fnHit struct {
 }
 
 // Scan walks b once and returns every requested result. The returned
-// match lists are byte-identical to per-function FindLUT calls with the
-// scanner's options, and the dual hit lists to FindDualXOR over each
-// window.
+// match lists are byte-identical to one single-function scan per
+// function, and the dual hit lists to FindDualXOR over each window.
 func (s *Scanner) Scan(b []byte) *ScanResult {
 	pass := s.tel.StartSpan("scan.pass",
 		obs.KV("functions", len(s.fns)), obs.KV("dual_targets", len(s.duals)))
@@ -393,7 +393,7 @@ func (s *Scanner) recompile(st *ScanStats) {
 	s.maxAnchor = 0
 	s.compiled = 0
 	for fi, t := range s.fns {
-		cands, hit := catalogueFor(t.fn, s.opt)
+		cands, hit := catalogueFor(t.fn)
 		s.catalogues[fi] = cands
 		if hit {
 			st.CatalogueHits++
@@ -518,18 +518,13 @@ func (t *dualLanes) exact(b []byte, p int) bool {
 // --- Process-wide candidate-catalogue cache -----------------------------
 
 // The 720-permutation expansion of a target function into byte patterns
-// depends only on (truth table, options). Repeated attacks over
+// depends only on the truth table. Repeated attacks over
 // different bitstreams — the multi-bitstream serving scenario — reuse
 // the compiled catalogues instead of re-expanding them per image.
 
-type catKey struct {
-	f      boolfn.TT
-	noPerm bool
-}
-
 var (
 	catMu    sync.RWMutex
-	catCache = map[catKey][]candidate{}
+	catCache = map[boolfn.TT][]candidate{}
 )
 
 // catCacheMax bounds the memo; past the cap, catalogues are compiled but
@@ -537,26 +532,25 @@ var (
 // limit).
 const catCacheMax = 1 << 12
 
-// catalogueFor returns the compiled candidate catalogue for f under opt,
-// serving it from the process-wide cache when possible. The returned
+// catalogueFor returns the compiled candidate catalogue for f, serving
+// it from the process-wide cache when possible. The returned
 // slice is shared and must be treated as read-only. The second result
 // reports whether the catalogue came from the cache.
-func catalogueFor(f boolfn.TT, opt FindOptions) ([]candidate, bool) {
-	key := catKey{f: f, noPerm: opt.NoPermDedup}
+func catalogueFor(f boolfn.TT) ([]candidate, bool) {
 	catMu.RLock()
-	cands, ok := catCache[key]
+	cands, ok := catCache[f]
 	catMu.RUnlock()
 	if ok {
 		obs.Default().Counter("core.catalogue.hits").Inc()
 		return cands, true
 	}
 	obs.Default().Counter("core.catalogue.misses").Inc()
-	cands = buildCandidates(f, opt)
+	cands = buildCandidates(f)
 	catMu.Lock()
-	if prior, raced := catCache[key]; raced {
+	if prior, raced := catCache[f]; raced {
 		cands = prior // keep one canonical slice per key
 	} else if len(catCache) < catCacheMax {
-		catCache[key] = cands
+		catCache[f] = cands
 	}
 	obs.Default().Gauge("core.catalogue.entries").Set(float64(len(catCache)))
 	catMu.Unlock()

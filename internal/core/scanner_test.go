@@ -27,8 +27,6 @@ var scanImpls = []scanImpl{
 	// has useful split points.
 	{"parallel-1", scannerRun(FindOptions{Parallel: 1})},
 	{"parallel-64", scannerRun(FindOptions{Parallel: 64})},
-	// Every input permutation scanned, duplicates included.
-	{"no-perm-dedup", scannerRun(FindOptions{NoPermDedup: true})},
 	// One FindLUT per function and one FindDualXOR per window.
 	{"findlut", func(b []byte, c *scanCase) *scanResult {
 		r := &scanResult{}
@@ -56,6 +54,14 @@ var scanImpls = []scanImpl{
 		}
 		return r
 	}},
+}
+
+// FindLUT is FINDLUT for one function: a Scanner over f alone. The
+// harness's "findlut" value runs one per function.
+func FindLUT(b []byte, f boolfn.TT, opt FindOptions) []Match {
+	s := NewScanner(opt)
+	s.AddFunction("f", f)
+	return s.Scan(b).Matches["f"]
 }
 
 // fuzzScanImpls is the axis the fuzzer runs: Algorithm 1 as written
@@ -613,5 +619,5 @@ func FuzzScannerDifferential(f *testing.F) {
 func ResetCatalogueCache() {
 	catMu.Lock()
 	defer catMu.Unlock()
-	catCache = map[catKey][]candidate{}
+	catCache = map[boolfn.TT][]candidate{}
 }

@@ -53,9 +53,9 @@ func benchFixture(b *testing.B) ([]Design, []*victim.Victim) {
 
 // BenchmarkCorpusCensus measures corpus triage throughput (designs/sec
 // and MB/s) of one census pass, against the two per-design sequential
-// baselines — a fresh FindLUT per design (no shared scanner) and the
-// full end-to-end attack per design (what a corpus-scale adversary
-// would otherwise pay).
+// baselines — a fresh one-function Scanner per design (no shared
+// index) and the full end-to-end attack per design (what a
+// corpus-scale adversary would otherwise pay).
 func BenchmarkCorpusCensus(b *testing.B) {
 	designs, victims := benchFixture(b)
 	target, err := boolfn.ParseAuto(DefaultTargetExpr)
@@ -88,7 +88,7 @@ func BenchmarkCorpusCensus(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, d := range designs {
-				if ms := core.FindLUT(d.Image, target, core.FindOptions{}); len(ms) == 0 {
+				if ms := core.NewScanner(core.FindOptions{}).AddFunction("f", target).Scan(d.Image).Matches["f"]; len(ms) == 0 {
 					b.Fatal("no candidates on an unprotected design")
 				}
 				core.FindDualXOR(d.Image, 0, 0)

@@ -149,7 +149,7 @@ var censusImpls = []censusImpl{
 		_, _, out := addAll(t, &censusCase{designs: c.designs}, Options{})
 		return wholeScans(t, out)
 	}},
-	// The definitions the census implements: sequential FindLUT and
+	// The definitions the census implements: a one-function Scanner and
 	// FindDualXOR over the whole image, and the extracted LUTs whose
 	// P-class representative is the target's.
 	{"definition", func(t testing.TB, c *censusCase) []DesignResult {
@@ -161,7 +161,7 @@ var censusImpls = []censusImpl{
 		for _, d := range c.designs {
 			dr := DesignResult{ID: d.ID, Protected: d.Protected, Bytes: len(d.Image),
 				Frames: (len(d.Image) + ChunkBytes - 1) / ChunkBytes}
-			for _, m := range core.FindLUT(d.Image, f, core.FindOptions{}) {
+			for _, m := range core.NewScanner(core.FindOptions{}).AddFunction("f", f).Scan(d.Image).Matches["f"] {
 				dr.Matches = append(dr.Matches, m.Index)
 			}
 			dr.DualHits = len(core.FindDualXOR(d.Image, 0, 0))

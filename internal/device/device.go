@@ -209,11 +209,7 @@ func (c *Compiled) Bytes() int {
 		n += 8 * len(tab)
 	}
 	p := c.prog
-	n += 12*len(p.insns) + 4*len(p.args) + 8*len(p.sites) + 8*len(p.baseTT)
-	for _, rows := range p.baseRows {
-		n += 8 * len(rows)
-	}
-	return n
+	return n + 12*len(p.insns) + 4*len(p.args) + 8*len(p.sites) + 8*len(p.baseTT)
 }
 
 // decodeConfig decodes a frame region without touching the live

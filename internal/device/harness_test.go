@@ -284,7 +284,6 @@ func (h *harnessBatch) setWalker(on bool) {
 		for i := range st.rows {
 			if st.rows[i] == nil {
 				st.rows[i] = rowsFromTT(st.prog.baseTT[i], ^uint64(0))
-				st.owned[i] = true
 			}
 		}
 	}

@@ -15,12 +15,11 @@ import (
 // — a topologically-ordered flat instruction slice over dense register
 // slots (slot = net id; synthesis temporaries follow) — and every Batch,
 // the scalar FPGA's one-lane Batch included, runs that bytecode over
-// []uint64 words. LUT truth tables are synthesized into
-// short Shannon-decomposition micro-programs (a 3-input routing mux
-// becomes one fused instruction instead of a 7-mux tree), parity cones
-// become a single XOR-chain instruction, and dense tables fall back to
-// the transposed-rows mux reduce. Block RAMs are batched into groups
-// that share one 64x64 address transpose and pack every member's
+// []uint64 words. LUT truth tables are synthesized into short
+// Shannon-decomposition micro-programs (a 3-input routing mux becomes
+// one fused instruction instead of a 7-mux tree), and parity cones
+// become a single XOR-chain instruction. Block RAMs are batched into
+// groups that share one 64x64 address transpose and pack every member's
 // output words into one shared scatter transpose, so a group costs two
 // transposes per settle however many RAMs it holds. Inputs tied to
 // the constant nets 0/1 are folded
@@ -140,7 +139,6 @@ type CompileStats struct {
 	Temps        int // synthesis temporaries beyond the net slots
 	ShannonLUTs  int // LUTs compiled to fused-op micro-programs
 	ParityLUTs   int // LUT outputs compiled to one XOR chain
-	ReduceLUTs   int // LUTs kept as transposed-rows mux reduces
 	FoldedInputs int // LUT inputs tied to const-0/const-1 and folded out
 	BRAMGroups   int // shared-transpose BRAM groups
 	ConstROMs    int // address-less BRAMs moved to the prologue
@@ -155,12 +153,8 @@ type Program struct {
 	insns  []insn
 	args   []uint32 // operand pool for opXorK
 	sites  []lutSite
-	// baseRows holds transposed truth-table rows for LUTs whose
-	// compiled form is opReduce (nil for Shannon-form LUTs); states
-	// share them copy-on-write.
-	baseRows [][]uint64
-	groups   []bramGroup
-	consts   []constROM
+	groups []bramGroup
+	consts []constROM
 	// ffQ/ffD are the flip-flop nets flattened out of desc.FFs, so the
 	// per-settle inject and per-clock latch loops stream one dense
 	// uint32 array instead of striding through the record structs.
@@ -209,11 +203,9 @@ type progState struct {
 	// rebuilds.
 	runs      []insnRun
 	runsDirty bool
-	// rows[i] is LUT i's 64 transposed truth-table rows. Entries start
-	// as shared references into prog.baseRows (or nil for Shannon-form
-	// LUTs) and become private on first patch; owned[i] reports that.
+	// rows[i] is LUT i's 64 transposed truth-table rows, built from the
+	// base table on its first patch (nil before).
 	rows        [][]uint64
-	owned       []bool
 	sitePatched []bool
 	// tabs[b*MaxLanes+L] is the content table lane L of BRAM b reads;
 	// tabUniform[b] reports that all lanes still share one table, which
@@ -270,7 +262,6 @@ type compiler struct {
 	insns []insn
 	args  []uint32
 	sites []lutSite
-	rows  [][]uint64
 	nets  uint32 // register slots below the temp range
 	temps int    // high-water temp count across sites
 	stats CompileStats
@@ -292,7 +283,6 @@ func compile(desc *bitstream.Description, tts []boolfn.TT, tel *obs.Telemetry) *
 		desc:  desc,
 		tts:   tts,
 		sites: make([]lutSite, len(desc.LUTs)),
-		rows:  make([][]uint64, len(desc.LUTs)),
 		nets:  max(desc.NumNets, 2),
 		plan:  map[boolfn.TT]planEntry{},
 		memo:  map[boolfn.TT]uint32{},
@@ -373,7 +363,6 @@ func compile(desc *bitstream.Description, tts []boolfn.TT, tel *obs.Telemetry) *
 		insns:    c.insns,
 		args:     c.args,
 		sites:    c.sites,
-		baseRows: c.rows,
 		groups:   groups,
 		consts:   consts,
 		nregs:    nregs,
@@ -389,11 +378,9 @@ func compile(desc *bitstream.Description, tts []boolfn.TT, tel *obs.Telemetry) *
 		}
 	}
 	span.SetAttr("insns", p.stats.Insns)
-	span.SetAttr("reduce_luts", p.stats.ReduceLUTs)
 	tel.Counter("device.compiles").Inc()
 	tel.Counter("device.compile_insns").Add(int64(p.stats.Insns))
 	tel.Counter("device.compile_folded_inputs").Add(int64(p.stats.FoldedInputs))
-	tel.Counter("device.compile_reduce_luts").Add(int64(p.stats.ReduceLUTs))
 	return p
 }
 
@@ -706,18 +693,13 @@ func foldTT(tt boolfn.TT, inputs []uint32, k int) (boolfn.TT, int) {
 	return tt, folded
 }
 
-// compileLUT synthesizes one LUT's outputs into fused instructions, or
-// falls back to the reduce form when the micro-program would cost more
-// than the mux tree.
+// compileLUT synthesizes one LUT's outputs into fused instructions.
 func (c *compiler) compileLUT(idx int) {
 	rec := &c.desc.LUTs[idx]
 	tt := c.tts[idx]
 	off := len(c.insns)
-	argMark := len(c.args)
 	clear(c.memo) // registers are site-local; the plan carries over
 	s := &synthCtx{c: c, inputs: rec.Inputs, memo: c.memo, plan: c.plan}
-	var reduceInsns []insn
-	var folded int
 	if rec.O5 != bitstream.NoNet {
 		// Fractured LUT: a6 selects the half; each half is a function of
 		// the first min(k,5) inputs. One memo across both halves shares
@@ -725,56 +707,19 @@ func (c *compiler) compileLUT(idx int) {
 		k := min(len(rec.Inputs), 5)
 		lo, f0 := foldTT(tt.Cofactor(5, false), rec.Inputs, k)
 		hi, f1 := foldTT(tt.Cofactor(5, true), rec.Inputs, k)
-		folded = f0 + f1
+		c.stats.FoldedInputs += f0 + f1
 		s.synthOutput(lo, rec.O5)
 		s.synthOutput(hi, rec.O6)
-		reduceInsns = []insn{
-			{op: opReduce, n: uint8(k), dst: uint16(rec.O5), a: uint32(idx), c: 0},
-			{op: opReduce, n: uint8(k), dst: uint16(rec.O6), a: uint32(idx), c: 32},
-		}
 	} else {
-		k := len(rec.Inputs)
-		f, n := foldTT(tt, rec.Inputs, k)
-		folded = n
+		f, n := foldTT(tt, rec.Inputs, len(rec.Inputs))
+		c.stats.FoldedInputs += n
 		s.synthOutput(f, rec.O6)
-		reduceInsns = []insn{{op: opReduce, n: uint8(k), dst: uint16(rec.O6), a: uint32(idx)}}
 	}
-	shannon := 0.0
-	for _, ins := range c.insns[off:] {
-		shannon += insnCost(ins)
-	}
-	reduce := 0.0
-	for _, ins := range reduceInsns {
-		reduce += insnCost(ins)
-	}
-	if shannon > reduce {
-		// The mux tree is cheaper (dense table): discard the synthesis
-		// and keep the LUT in reduce form over shared base rows.
-		c.insns = append(c.insns[:off], reduceInsns...)
-		c.args = c.args[:argMark]
-		c.rows[idx] = rowsFromTT(tt, ^uint64(0))
-		c.stats.ReduceLUTs++
-	} else {
-		c.stats.ShannonLUTs++
-		c.stats.FoldedInputs += folded
-		if s.temp > c.temps {
-			c.temps = s.temp
-		}
+	c.stats.ShannonLUTs++
+	if s.temp > c.temps {
+		c.temps = s.temp
 	}
 	c.sites[idx] = lutSite{off: int32(off), n: int32(len(c.insns) - off)}
-}
-
-// insnCost is the compile-time cost model (rough ns per settle on the
-// reference machine) steering the Shannon-vs-reduce choice.
-func insnCost(ins insn) float64 {
-	switch ins.op {
-	case opXorK:
-		return 3 + 0.5*float64(ins.n)
-	case opReduce:
-		return 5 + 0.75*float64(uint(1)<<ins.n)
-	default:
-		return 2
-	}
 }
 
 // rowsFromTT builds the 64 transposed truth-table rows with the given
@@ -1101,8 +1046,7 @@ func newProgState(p *Program, tts []boolfn.TT, tabs [][]uint64, lanes int) *prog
 		ff:          make([]uint64, len(p.desc.FFs)),
 		insns:       append([]insn(nil), p.insns...),
 		runsDirty:   true,
-		rows:        append([][]uint64(nil), p.baseRows...),
-		owned:       make([]bool, len(p.sites)),
+		rows:        make([][]uint64, len(p.sites)),
 		sitePatched: make([]bool, len(p.sites)),
 		tabs:        make([][]uint64, len(p.desc.BRAMs)*MaxLanes),
 		tabUniform:  make([]bool, len(p.desc.BRAMs)),
@@ -1158,18 +1102,11 @@ func (st *progState) materializeFF() {
 	st.ffInline = false
 }
 
-// ensureRows makes LUT i's rows private and initialized from the base
-// truth table.
+// ensureRows builds LUT i's rows from the base truth table.
 func (st *progState) ensureRows(i int) {
-	if st.owned[i] {
-		return
-	}
-	if shared := st.rows[i]; shared != nil {
-		st.rows[i] = append([]uint64(nil), shared...)
-	} else {
+	if st.rows[i] == nil {
 		st.rows[i] = rowsFromTT(st.prog.baseTT[i], ^uint64(0))
 	}
-	st.owned[i] = true
 }
 
 // ensureReduceSite switches LUT i's compiled form to read the state's

@@ -158,8 +158,8 @@ func FabricStats(s device.CompileStats, tel *obs.Telemetry) string {
 			tel.Metrics.Counter("device.compiles").Value(), tel.Metrics.Counter("device.reuses").Value())
 	}
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "  lut forms:           %d shannon, %d parity, %d mux-reduce (%d const inputs folded)\n",
-		s.ShannonLUTs, s.ParityLUTs, s.ReduceLUTs, s.FoldedInputs)
+	fmt.Fprintf(&b, "  lut forms:           %d shannon, %d parity (%d const inputs folded)\n",
+		s.ShannonLUTs, s.ParityLUTs, s.FoldedInputs)
 	fmt.Fprintf(&b, "  bram:                %d transpose groups, %d const ROMs primed at compile\n",
 		s.BRAMGroups, s.ConstROMs)
 	return b.String()
